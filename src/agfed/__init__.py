@@ -39,7 +39,6 @@ from .server import (
     lambda_update_eg,
     lambda_update_projected_sgd,
     project_simplex,
-    run_fedavg_round,
     run_round,
 )
 from .tasks import TaskConfig, gen_synthetic_classification, gen_toy_regression
@@ -84,7 +83,6 @@ __all__ = [
     "read_metrics_csv",
     "run_experiment",
     "run_experiment_full",
-    "run_fedavg_round",
     "run_round",
     "unmask_sum",
     "write_metrics_csv",

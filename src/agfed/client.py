@@ -1,10 +1,11 @@
 """Per-round client work: domain statistics and weighted local SGD.
 
-A selected client does two things with the incoming parameters:
+A selected client answers two requests with the incoming parameters:
 
-1. report per-domain sample counts and summed losses evaluated at the
-   incoming parameters (before any training), and
-2. run E epochs of minibatch SGD on the scaled objective
+1. ``compute_client_stats``: per-domain sample counts and summed losses
+   evaluated at the incoming parameters (before any training), which
+   the server gathers once per round, and
+2. ``client_update``: E epochs of minibatch SGD on the scaled objective
 
        sum_i alpha_i * sum_{j in domain i} loss(w, x_j, y_j) / beta
 
@@ -14,8 +15,8 @@ A selected client does two things with the incoming parameters:
    rescaling alpha by a constant cancels out of the update.
 
 A client whose populated domains all carry zero scaling weight has
-beta = 0; it still reports statistics but signals a skip (no parameter
-update) rather than failing.
+beta = 0; its statistics still count, but its update signals a skip
+(no parameter update) rather than failing.
 
 ``client_update`` is a pure function of its arguments; a harness may run
 all selected clients of a round concurrently as long as it reduces the
@@ -58,16 +59,15 @@ class LocalSGDConfig:
 
 @dataclass(frozen=True)
 class ClientUpdateResult:
-    """What one client returns: new parameters, weight beta, and stats.
+    """What local training returns: new parameters and weight beta.
 
-    ``stats`` always reflects the incoming (pre-training) parameters.
-    ``beta == 0`` marks a skipped client: it contributed statistics but
-    no parameter update.
+    The client's statistics are not part of it; the server gathers them
+    with ``compute_client_stats`` before training. ``beta == 0`` marks a
+    skipped client: its statistics count but it makes no parameter update.
     """
 
     new_params: np.ndarray
     beta: float
-    stats: DomainStats
 
     def __post_init__(self):
         object.__setattr__(self, "new_params", as_param_vector(self.new_params))
@@ -103,17 +103,16 @@ def client_update(
     cfg: LocalSGDConfig,
     rng_seed: int,
 ) -> ClientUpdateResult:
-    """Stats plus E epochs of scaled local SGD starting from ``w_in``.
+    """E epochs of scaled local SGD starting from ``w_in``.
 
     The per-epoch shuffle is keyed by ``rng_seed`` only, so the result is
     a deterministic function of the arguments. The last minibatch of an
     epoch may be short; it is kept, not dropped.
     """
     alpha = validate_scaling(alpha)
-    stats = compute_client_stats(spec, w_in, data, alpha.shape[0])
-    beta = float(np.dot(alpha, stats.counts))
+    beta = float(np.dot(alpha, data.domain_counts(alpha.shape[0])))
     if beta == 0.0:
-        return ClientUpdateResult(w_in, 0.0, stats)
+        return ClientUpdateResult(w_in, 0.0)
 
     x = data.feature_matrix
     y = data.labels
@@ -127,4 +126,4 @@ def client_update(
             idx = order[start:start + cfg.batch_size]
             g = grad_weighted(spec, w, x[idx], y[idx], sample_weights[idx])
             w -= cfg.learning_rate * (g / beta)
-    return ClientUpdateResult(w, beta, stats)
+    return ClientUpdateResult(w, beta)

@@ -7,6 +7,9 @@ full cohort cancels every mask exactly, so the unmasking side recovers
 the fixed-point sum of the plaintexts and nothing else. Integers below
 the scale's range survive bit-exactly; general reals carry at most
 n / (2 * scale) absolute error per coordinate after summing n vectors.
+A value whose encoding could push an n-client total out of the signed
+decode range (n * |r * scale| >= 2**63) raises ``MaskRangeError``
+instead of wrapping.
 
 This is a SIMULATION OF THE AGGREGATION SEMANTICS ONLY. There is no key
 agreement, no cryptographic PRG, and no dropout recovery: pairwise seeds
@@ -26,9 +29,10 @@ from .core import InvalidArgument
 DEFAULT_SCALE_BITS = 20
 
 _MODULUS = 1 << 64
-# Encodings must stay well inside the modulus so cohort sums cannot
-# wrap past the signed decode range.
+# Each encoding stays well inside the modulus, and a cohort of n keeps
+# n * max|encoding| below the signed decode range, so sums cannot wrap.
 _ENCODE_LIMIT = float(1 << 62)
+_DECODE_LIMIT = float(1 << 63)
 
 
 class MaskRangeError(ValueError):
@@ -39,12 +43,14 @@ class ProtocolError(RuntimeError):
     """Raised when the aggregation cohort is incomplete or inconsistent."""
 
 
-def _encode(plain: np.ndarray, scale: int) -> np.ndarray:
+def _encode(plain: np.ndarray, scale: int, n_clients: int) -> np.ndarray:
     plain = np.asarray(plain, dtype=np.float64)
     scaled = np.rint(plain * scale)
-    if np.any(~np.isfinite(scaled)) or np.any(np.abs(scaled) >= _ENCODE_LIMIT):
+    limit = min(_ENCODE_LIMIT, _DECODE_LIMIT / n_clients)
+    if np.any(~np.isfinite(scaled)) or np.any(np.abs(scaled) >= limit):
         raise MaskRangeError(
-            f"value magnitude exceeds fixed-point range (|r * {scale}| >= 2**62)"
+            f"value magnitude exceeds fixed-point range for a cohort of {n_clients} "
+            f"(|r * {scale}| >= min(2**62, 2**63 / {n_clients}))"
         )
     return scaled.astype(np.int64).astype(np.uint64)
 
@@ -128,7 +134,7 @@ def mask_set(seeds: PairwiseSeeds, client: int, plain: np.ndarray, *,
     if not 0 <= client < n:
         raise InvalidArgument(f"client index {client} outside cohort of {n}")
     scale = 1 << scale_bits
-    residues = _encode(plain, scale)
+    residues = _encode(plain, scale, n)
     for j in range(n):
         if j == client:
             continue

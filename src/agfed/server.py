@@ -3,13 +3,15 @@
 One round of the agnostic algorithm:
 
 1. sample clients uniformly without replacement,
-2. gather per-domain counts and summed losses (evaluated at the current
-   parameters, before training) through secure aggregation,
+2. gather each client's per-domain counts and summed losses, evaluated
+   once at the current parameters (before training), through one cohort
+   sum (secure aggregation when masked),
 3. build the scaling vector alpha_i = lambda_i / N_i (zero when N_i = 0),
    where N comes either from this round's exact counts (two-phase-exact)
    or from a sliding-window average of previous rounds (windowed),
 4. run the scaled local SGD on every selected client,
-5. aggregate parameters weighted by each client's beta,
+5. aggregate parameters weighted by each client's beta, through the same
+   cohort sum,
 6. ascend the domain weights lambda on the observed per-domain average
    losses, by exponentiated gradient or by projected gradient.
 
@@ -180,23 +182,51 @@ def effective_counts(
     raise InvalidArgument(f"unknown scaling mode {mode!r}")
 
 
-def aggregate_params(results: Sequence[ClientUpdateResult]) -> np.ndarray:
-    """Beta-weighted mean of client parameters, reduced in list order.
+def cohort_sum(
+    vectors: Sequence[np.ndarray],
+    mask_rng: np.random.Generator | None,
+    scale_bits: int,
+) -> np.ndarray:
+    """Sum of the cohort's vectors; the per-client vectors never leave here.
 
-    Callers pass results in ascending client id order. Raises
-    ``DegenerateRound`` when no client carries positive weight.
+    Without ``mask_rng`` the vectors are added in list order starting
+    from zeros. With it, each vector is fed into a ``SecureSum`` keyed by
+    fresh pairwise seeds, and only the aggregate is ever read; integers
+    (such as counts) survive the fixed-point wire bit-exactly.
     """
-    total_beta = 0.0
-    acc: np.ndarray | None = None
-    for r in results:
-        if r.beta == 0.0:
-            continue
-        contrib = r.beta * r.new_params
-        acc = contrib if acc is None else acc + contrib
-        total_beta += r.beta
-    if acc is None or total_beta <= 0.0:
+    if mask_rng is None:
+        total = np.zeros(len(vectors[0]))
+        for v in vectors:
+            total = total + v
+        return total
+    seeds = PairwiseSeeds.generate(len(vectors), mask_rng)
+    collector = SecureSum(seeds, len(vectors[0]), scale_bits=scale_bits)
+    for rank, v in enumerate(vectors):
+        collector.submit(rank, v)
+    return collector.aggregate()
+
+
+def aggregate_params(
+    results: Sequence[ClientUpdateResult],
+    mask_rng: np.random.Generator | None = None,
+    scale_bits: int = DEFAULT_SCALE_BITS,
+) -> np.ndarray:
+    """Beta-weighted mean of client parameters, from one ``cohort_sum``.
+
+    Callers pass results in ascending client id order. With ``mask_rng``
+    the sums of beta*w and of beta are each quantized to the fixed-point
+    grid, at most n/(2*2**scale_bits) per coordinate, and the division by
+    the total beta amplifies that error by 1/total beta (exactly so when
+    the total beta lies on the grid). Raises ``DegenerateRound`` when no
+    client carries positive weight.
+    """
+    if not results:
+        raise DegenerateRound("empty cohort")
+    total = cohort_sum([np.append(r.beta * r.new_params, r.beta) for r in results],
+                       mask_rng, scale_bits)
+    if total[-1] <= 0.0:
         raise DegenerateRound("no client carried positive aggregation weight")
-    return acc / total_beta
+    return total[:-1] / total[-1]
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -257,51 +287,22 @@ def comm_cost_per_round(algorithm: Algorithm, clients_per_round: int,
     raise InvalidArgument(f"unknown algorithm {algorithm!r}")
 
 
-def _gather_stats(
-    clients: Sequence[ClientDataset],
-    spec: ModelSpec,
-    w: np.ndarray,
-    p: int,
-    settings: AggregationSettings,
-    mask_rng: np.random.Generator,
-) -> DomainStats:
-    """Cohort-total DomainStats; the per-client vectors never leave here.
-
-    With masking on, each client's (counts, loss sums) vector is fed into
-    a ``SecureSum``; the orchestration side only ever reads the aggregate.
-    Counts are integers, so they survive the fixed-point wire bit-exactly.
-    """
-    if settings.mask_stats:
-        seeds = PairwiseSeeds.generate(len(clients), mask_rng)
-        collector = SecureSum(seeds, 2 * p, scale_bits=settings.scale_bits)
-        for rank, c in enumerate(clients):
-            stats = compute_client_stats(spec, w, c, p)
-            collector.submit(rank, np.concatenate([stats.counts.astype(np.float64),
-                                                   stats.loss_sums]))
-        total = collector.aggregate()
-    else:
-        total = np.zeros(2 * p)
-        for c in clients:
-            stats = compute_client_stats(spec, w, c, p)
-            total = total + np.concatenate([stats.counts.astype(np.float64),
-                                            stats.loss_sums])
-    counts = np.rint(total[:p]).astype(np.int64)
-    loss_sums = total[p:].copy()
-    loss_sums[counts == 0] = 0.0
-    return DomainStats(counts, loss_sums)
-
-
-def _execute_round(
+def run_round(
     state: ServerState,
     cfg: AlgorithmConfig,
     spec: ModelSpec,
     population: Sequence[ClientDataset],
     seed: int,
     *,
-    fedavg: bool,
-    settings: AggregationSettings,
-    summary_fn: Callable[[np.ndarray], tuple[float, ...]] | None,
+    settings: AggregationSettings = AggregationSettings(),
+    summary_fn: Callable[[np.ndarray], tuple[float, ...]] | None = None,
 ) -> tuple[ServerState, RoundReport]:
+    """One round of the configured algorithm; returns the next state.
+
+    FedAvg runs the same round with all-ones scaling (beta_k = n_k) and
+    lambda frozen.
+    """
+    fedavg = cfg.algorithm == "fedavg"
     p = state.lam.shape[0]
     if len(population) < cfg.clients_per_round:
         raise InvalidArgument(
@@ -313,9 +314,16 @@ def _execute_round(
     picked = sample_rng.choice(len(population), size=cfg.clients_per_round, replace=False)
     clients = sorted((population[i] for i in picked), key=lambda c: c.client_id)
 
-    round_stats = _gather_stats(
-        clients, spec, state.w, p, settings, make_rng(seed, t, _TAG_STATS_MASK)
+    stats = [compute_client_stats(spec, state.w, c, p) for c in clients]
+    total = cohort_sum(
+        [np.concatenate([s.counts.astype(np.float64), s.loss_sums]) for s in stats],
+        make_rng(seed, t, _TAG_STATS_MASK) if settings.mask_stats else None,
+        settings.scale_bits,
     )
+    counts = np.rint(total[:p]).astype(np.int64)
+    loss_sums = total[p:].copy()
+    loss_sums[counts == 0] = 0.0
+    round_stats = DomainStats(counts, loss_sums)
 
     if fedavg:
         alpha = np.ones(p)
@@ -329,21 +337,14 @@ def _execute_round(
     ]
 
     degenerate = False
-    if settings.mask_params:
-        seeds = PairwiseSeeds.generate(len(clients), make_rng(seed, t, _TAG_PARAMS_MASK))
-        collector = SecureSum(seeds, spec.param_count + 1, scale_bits=settings.scale_bits)
-        for rank, r in enumerate(results):
-            collector.submit(rank, np.concatenate([r.beta * r.new_params, [r.beta]]))
-        total = collector.aggregate()
-        if total[-1] <= 0.0:
-            degenerate, new_w = True, state.w
-        else:
-            new_w = total[:-1] / total[-1]
-    else:
-        try:
-            new_w = aggregate_params(results)
-        except DegenerateRound:
-            degenerate, new_w = True, state.w
+    try:
+        new_w = aggregate_params(
+            results,
+            make_rng(seed, t, _TAG_PARAMS_MASK) if settings.mask_params else None,
+            settings.scale_bits,
+        )
+    except DegenerateRound:
+        degenerate, new_w = True, state.w
 
     per_domain_loss = np.zeros(p)
     populated = round_stats.counts > 0
@@ -360,7 +361,7 @@ def _execute_round(
 
     window = (state.window + (round_stats.counts,))[-cfg.window_len:]
     comm = state.comm_params_total + comm_cost_per_round(
-        "fedavg" if fedavg else "afa", cfg.clients_per_round, spec.param_count, p
+        cfg.algorithm, cfg.clients_per_round, spec.param_count, p
     )
 
     new_state = ServerState(t, new_w, new_lam, window, comm)
@@ -374,41 +375,3 @@ def _execute_round(
         degenerate=degenerate,
     )
     return new_state, report
-
-
-def run_round(
-    state: ServerState,
-    cfg: AlgorithmConfig,
-    spec: ModelSpec,
-    population: Sequence[ClientDataset],
-    seed: int,
-    *,
-    settings: AggregationSettings = AggregationSettings(),
-    summary_fn: Callable[[np.ndarray], tuple[float, ...]] | None = None,
-) -> tuple[ServerState, RoundReport]:
-    """One round of the configured algorithm; returns the next state."""
-    if cfg.algorithm == "fedavg":
-        return run_fedavg_round(
-            state, cfg, spec, population, seed, settings=settings, summary_fn=summary_fn
-        )
-    return _execute_round(
-        state, cfg, spec, population, seed,
-        fedavg=False, settings=settings, summary_fn=summary_fn,
-    )
-
-
-def run_fedavg_round(
-    state: ServerState,
-    cfg: AlgorithmConfig,
-    spec: ModelSpec,
-    population: Sequence[ClientDataset],
-    seed: int,
-    *,
-    settings: AggregationSettings = AggregationSettings(),
-    summary_fn: Callable[[np.ndarray], tuple[float, ...]] | None = None,
-) -> tuple[ServerState, RoundReport]:
-    """Baseline round: all-ones scaling (beta_k = n_k), lambda frozen."""
-    return _execute_round(
-        state, cfg, spec, population, seed,
-        fedavg=True, settings=settings, summary_fn=summary_fn,
-    )

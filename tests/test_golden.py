@@ -1,0 +1,62 @@
+"""Golden digests: the SHA-256 of ``metrics.csv`` for the shipped configs.
+
+The simulator promises a byte-identical ``metrics.csv`` for a given
+config. These digests pin that output on every round path: AFA and
+FedAvg, masked and plain statistics, masked parameters, and windowed
+scaling with the projected lambda update. A change that moves any of
+them moves the last bits of some reported number and must re-pin them
+on purpose.
+
+Pinned on Python 3.11 with numpy 2.4.6; plots are off because they do
+not feed the CSV.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from agfed.config import load_config
+from agfed.harness import run_experiment_full
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+CASES = [
+    pytest.param("toy.ini", {"algorithm.rounds": "200"},
+                 "534048409c8cdfac353d6425f09bbfa69d29954a46bad282cee80b1328e3173a",
+                 id="toy"),
+    pytest.param("toy.ini", {"algorithm.rounds": "100", "algorithm.algorithm": "fedavg"},
+                 "d7eb1eb41a77e9c8e7befddee544f01af3d74357fa7541f35269fcd407c88466",
+                 id="toy-fedavg"),
+    pytest.param("toy.ini", {"algorithm.rounds": "100",
+                             "secure_aggregation.mask_stats": "false"},
+                 "4bca6f232e0c85fc27a732dad56249d9681830b9709d27e204811a333360771f",
+                 id="toy-plain-stats"),
+    pytest.param("toy.ini", {"algorithm.rounds": "100",
+                             "secure_aggregation.mask_params": "true"},
+                 "575122cd5947633e66c33ec484ea3b04484e6e183c7a1e7ecfaed1b167206527",
+                 id="toy-masked-params"),
+    pytest.param("toy.ini", {"algorithm.rounds": "100", "algorithm.scaling_mode": "windowed",
+                             "algorithm.lambda_update": "projected-sgd"},
+                 "4c9e6e01249f39da39b3745cf0886170d87e1bc377da8668272dbf895c5556f0",
+                 id="toy-windowed-projected"),
+    pytest.param("classification.ini", {},
+                 "39658abaef601d550a2132b5f4a5223dcee7d64170b13625cd38b30c17bcd1c6",
+                 id="classification"),
+    pytest.param("classification.ini", {"algorithm.algorithm": "fedavg"},
+                 "74762796c14db599e070f1ccd169d6685297f6c8d21a8bc5944a46823a64133a",
+                 id="classification-fedavg"),
+    pytest.param("classification.ini", {"algorithm.rounds": "50",
+                                        "secure_aggregation.mask_params": "true"},
+                 "6e5bd225b8ef5826530cccd6c57293166fa4a7f527f78cf7cc9a0c4c5382fdd8",
+                 id="classification-masked-params"),
+]
+
+
+@pytest.mark.parametrize("config, overrides, digest", CASES)
+def test_metrics_csv_digest(tmp_path, config, overrides, digest):
+    cfg = load_config(CONFIGS / config, {**overrides, "output.plots": "false"},
+                      out_dir=str(tmp_path))
+    run_experiment_full(cfg)
+    data = (tmp_path / cfg.csv_name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest

@@ -137,6 +137,20 @@ class TestSecureSum:
         with pytest.raises(ProtocolError):
             acc.submit(0, np.ones(2))
 
+    def test_cohort_total_past_decode_range_raises_not_wraps(self):
+        # each encoding (2**61.5) passes the per-vector 2**62 limit, but four
+        # of them sum past 2**63 and would unmask to about -5.15e12
+        acc = SecureSum(_seeds(4, key=13), 1)
+        with pytest.raises(MaskRangeError):
+            acc.submit(0, np.array([2.0 ** 61.5 / 2 ** DEFAULT_SCALE_BITS]))
+
+    def test_cohort_total_inside_decode_range_is_exact(self):
+        acc = SecureSum(_seeds(4, key=13), 1)
+        v = 2.0 ** 60 / 2 ** DEFAULT_SCALE_BITS  # 4 * 2**60 = 2**62 < 2**63
+        for i in range(4):
+            acc.submit(i, np.array([v]))
+        assert acc.aggregate().tolist() == [4 * v]
+
     def test_public_surface_exposes_no_per_client_data(self):
         # API-level hiding check: the only readable thing is the aggregate
         public = {name for name in dir(SecureSum) if not name.startswith("_")}

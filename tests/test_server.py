@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import agfed.client
 from agfed.client import ClientUpdateResult, LocalSGDConfig, compute_client_stats
-from agfed.core import DomainStats, InvalidArgument, make_rng, mixture_uniform
-from agfed.models import ModelSpec
+from agfed.core import InvalidArgument, make_rng, mixture_uniform
+from agfed.models import ModelSpec, batch_losses
 from agfed.server import (
     AggregationSettings,
     AlgorithmConfig,
@@ -21,7 +22,6 @@ from agfed.server import (
     lambda_update_eg,
     lambda_update_projected_sgd,
     project_simplex,
-    run_fedavg_round,
     run_round,
 )
 from agfed.tasks import TaskConfig, gen_toy_regression
@@ -86,11 +86,8 @@ class TestEffectiveCounts:
             effective_counts(self._state(), "windowed", np.array([1, 2]))
 
 
-def _result(params, beta, p=1):
-    counts = np.zeros(p, dtype=np.int64)
-    counts[0] = max(int(round(beta)), 0) or 1
-    stats = DomainStats(counts, np.zeros(p))
-    return ClientUpdateResult(np.asarray(params, dtype=np.float64), beta, stats)
+def _result(params, beta):
+    return ClientUpdateResult(np.asarray(params, dtype=np.float64), beta)
 
 
 class TestAggregateParams:
@@ -113,6 +110,22 @@ class TestAggregateParams:
     def test_skipped_clients_ignored(self):
         out = aggregate_params([_result([9.0], 0.0), _result([4.0], 2.0)])
         assert out.tolist() == [4.0]
+
+    def test_masked_matches_plain_within_quantization(self):
+        # betas on the fixed-point grid make the masked total beta exact, so
+        # the only error is the n/(2*scale) of the sum of beta*w, over total beta
+        rng = make_rng(11)
+        results = [_result(rng.uniform(-5, 5, size=3), k / 16)
+                   for k in rng.integers(0, 9, size=7)]
+        plain = aggregate_params(results)
+        masked = aggregate_params(results, make_rng(12), 20)
+        total_beta = sum(r.beta for r in results)
+        bound = len(results) / (2.0 * 2 ** 20) / total_beta
+        assert np.all(np.abs(masked - plain) <= bound)
+
+    def test_masked_zero_total_weight_degenerate(self):
+        with pytest.raises(DegenerateRound):
+            aggregate_params([_result([1.0], 0.0), _result([2.0], 0.0)], make_rng(3))
 
 
 class TestExponentiatedGradient:
@@ -380,6 +393,18 @@ class TestRunRound:
         _, report = run_round(state, _algo(clients_per_round=50), SCALAR, clients, 2)
         assert report.worst_domain_loss == max(report.per_domain_loss)
 
+    def test_losses_evaluated_once_per_client(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return batch_losses(*args)
+
+        monkeypatch.setattr(agfed.client, "batch_losses", counting)
+        run_round(initial_state(np.array([1.5]), 5), _algo(clients_per_round=10),
+                  SCALAR, _toy(), 1)
+        assert len(calls) == 10
+
     def test_masked_params_close_to_plain(self):
         clients = _toy()
         cfg = _algo(clients_per_round=10)
@@ -410,5 +435,5 @@ class TestConfigValidation:
     def test_run_fedavg_round_keeps_lambda(self):
         clients = _toy()
         state = initial_state(np.array([1.5]), 5)
-        state, report = run_fedavg_round(state, _algo(), SCALAR, clients, 3)
+        state, report = run_round(state, _algo(algorithm="fedavg"), SCALAR, clients, 3)
         assert report.lam == tuple(mixture_uniform(5).tolist())
