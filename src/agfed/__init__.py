@@ -12,7 +12,6 @@ from .core import (
     DomainStats,
     InvalidArgument,
     NumericError,
-    Sample,
     domain_stats_merge,
     mixture_uniform,
 )
@@ -25,7 +24,7 @@ from .harness import (
     run_experiment_full,
     write_metrics_csv,
 )
-from .models import ModelSpec, average_domain_loss, grad, loss
+from .models import ModelSpec
 from .secagg import MaskedVector, PairwiseSeeds, SecureSum, mask_set, unmask_sum
 from .server import (
     AggregationSettings,
@@ -57,12 +56,10 @@ __all__ = [
     "NumericError",
     "PairwiseSeeds",
     "RoundReport",
-    "Sample",
     "SecureSum",
     "ServerState",
     "TaskConfig",
     "aggregate_params",
-    "average_domain_loss",
     "client_update",
     "compare_algorithms",
     "compute_client_stats",
@@ -72,11 +69,9 @@ __all__ = [
     "emit_plots",
     "gen_synthetic_classification",
     "gen_toy_regression",
-    "grad",
     "initial_state",
     "lambda_update_eg",
     "lambda_update_projected_sgd",
-    "loss",
     "mask_set",
     "mixture_uniform",
     "project_simplex",

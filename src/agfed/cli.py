@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import load_config
-from .harness import compare_algorithms, run_experiment_full, write_metrics_csv
+from .harness import compare_algorithms, run_experiment_full
 
 
 def _parse_overrides(pairs: list[str]) -> dict[str, str]:
@@ -88,8 +88,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             fh.write(",".join(headers) + "\n")
             for row in rows:
                 fh.write(",".join(row) + "\n")
-        for o in outcomes:
-            write_metrics_csv(o.reports, out / f"{o.algorithm}_metrics.csv")
         print(f"summary written to {summary}")
     return 0
 

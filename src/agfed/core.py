@@ -1,9 +1,10 @@
 """Shared value types for the federated min-max simulator.
 
-Samples, client datasets, mixture weights over domains, scaling vectors,
-and the per-domain count/loss statistics exchanged each round. Everything
-here is an immutable value: dataclasses are frozen and numpy arrays are
-made read-only, so instances can be shared freely across threads.
+Array-backed client datasets, mixture weights over domains, scaling
+vectors, and the per-domain count/loss statistics exchanged each round.
+Everything here is an immutable value: dataclasses are frozen and numpy
+arrays are made read-only, so instances can be shared freely across
+threads.
 
 Conventions used throughout the package:
 
@@ -16,7 +17,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,61 +50,45 @@ def as_param_vector(values) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One labelled example with its domain tag.
-
-    ``label`` is a real target for regression or a class index for
-    classification. ``domain`` indexes into ``0..p-1`` of the enclosing
-    task.
-    """
-
-    features: np.ndarray
-    label: float
-    domain: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", as_vector(self.features, name="features"))
-        if self.domain < 0:
-            raise InvalidArgument(f"domain index must be >= 0, got {self.domain}")
-
-
-@dataclass(frozen=True)
 class ClientDataset:
-    """A client's ordered, non-empty list of samples.
+    """A client's non-empty local data as three aligned, read-only arrays.
 
-    Sample order is fixed at generation time; all deterministic shuffles
-    and sums key off this order.
+    ``feature_matrix`` is (n, d) float64, ``labels`` (n,) float64 (a real
+    target for regression or a class index for classification) and
+    ``domains`` (n,) int64 tags into ``0..p-1`` of the enclosing task.
+    Row order is fixed at generation time; all deterministic shuffles and
+    sums key off this order.
     """
 
     client_id: int
-    samples: tuple[Sample, ...]
+    feature_matrix: np.ndarray
+    labels: np.ndarray
+    domains: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if not self.samples:
-            raise InvalidArgument(f"client {self.client_id} has no samples")
-        dims = {s.features.shape[0] for s in self.samples}
-        if len(dims) != 1:
+        x = np.array(self.feature_matrix, dtype=np.float64)
+        if x.ndim != 2:
             raise InvalidArgument(
-                f"client {self.client_id} mixes feature dimensions {sorted(dims)}"
+                f"client {self.client_id} features must be 2-D, got shape {x.shape}"
             )
+        if x.shape[0] == 0:
+            raise InvalidArgument(f"client {self.client_id} has no samples")
+        x.flags.writeable = False
+        y = as_vector(self.labels, name="labels")
+        d = as_vector(self.domains, dtype=np.int64, name="domains")
+        if not x.shape[0] == y.shape[0] == d.shape[0]:
+            raise InvalidArgument(
+                f"client {self.client_id} has {x.shape[0]} feature rows, "
+                f"{y.shape[0]} labels and {d.shape[0]} domain tags"
+            )
+        if np.any(d < 0):
+            raise InvalidArgument(f"client {self.client_id} has a domain tag < 0")
+        object.__setattr__(self, "feature_matrix", x)
+        object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "domains", d)
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @cached_property
-    def feature_matrix(self) -> np.ndarray:
-        x = np.stack([s.features for s in self.samples]).astype(np.float64)
-        x.flags.writeable = False
-        return x
-
-    @cached_property
-    def labels(self) -> np.ndarray:
-        return as_vector([s.label for s in self.samples], name="labels")
-
-    @cached_property
-    def domains(self) -> np.ndarray:
-        return as_vector([s.domain for s in self.samples], dtype=np.int64, name="domains")
+        return self.labels.shape[0]
 
     def domain_counts(self, p: int) -> np.ndarray:
         """Number of samples per domain, length ``p``."""

@@ -8,19 +8,19 @@ Three small closed-form families:
 - ``logistic``: multinomial softmax with a per-class bias, cross-entropy
   loss. Logits are stabilized by max-subtraction before log-sum-exp.
 
-The training protocol only ever touches models through ``batch_losses``
-and ``grad_weighted`` (vectorized) or their single-sample wrappers, so any
-gradient-oracle model would slot in here.
+The training protocol only ever touches models through the vectorized
+``batch_losses`` and ``grad_weighted`` (a single sample is a 1-row
+batch), so any gradient-oracle model would slot in here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
-from .core import InvalidArgument, NumericError, Sample
+from .core import InvalidArgument, NumericError
 
 ModelKind = Literal["scalar-regression", "linear-regression", "logistic"]
 
@@ -97,7 +97,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def batch_losses(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-sample losses for a batch; the vectorized core of ``loss``."""
+    """Non-negative per-sample losses of a batch at parameters ``w``."""
     w = _check_params(spec, w)
     x = _check_features(spec, x)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
@@ -116,11 +116,6 @@ def batch_losses(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -
     if np.any(classes < 0) or np.any(classes >= spec.num_classes):
         raise InvalidArgument("class label out of range")
     return -logp[np.arange(x.shape[0]), classes]
-
-
-def loss(spec: ModelSpec, w: np.ndarray, sample: Sample) -> float:
-    """Non-negative loss of one sample at parameters ``w``."""
-    return float(batch_losses(spec, w, sample.features, np.array([sample.label]))[0])
 
 
 def grad_weighted(
@@ -158,40 +153,6 @@ def grad_weighted(
     classes = y.astype(np.int64)
     probs[np.arange(x.shape[0]), classes] -= 1.0
     return ((probs * weights[:, None]).T @ xb).reshape(-1)
-
-
-def grad(
-    spec: ModelSpec,
-    w: np.ndarray,
-    batch: Sequence[tuple[Sample, float]],
-) -> np.ndarray:
-    """Gradient oracle over an explicit (sample, weight) batch."""
-    if len(batch) == 0:
-        raise InvalidArgument("gradient of an empty batch is undefined")
-    x = np.stack([s.features for s, _ in batch])
-    y = np.array([s.label for s, _ in batch], dtype=np.float64)
-    weights = np.array([wt for _, wt in batch], dtype=np.float64)
-    return grad_weighted(spec, w, x, y, weights)
-
-
-def average_domain_loss(
-    spec: ModelSpec,
-    w: np.ndarray,
-    data: Sequence[Sample],
-    domain: int,
-) -> tuple[int, float]:
-    """(count, summed loss) over the samples of one domain.
-
-    Returns ``(0, 0.0)`` when the domain is empty in ``data``.
-    """
-    if domain < 0:
-        raise InvalidArgument(f"domain index must be >= 0, got {domain}")
-    selected = [s for s in data if s.domain == domain]
-    if not selected:
-        return 0, 0.0
-    x = np.stack([s.features for s in selected])
-    y = np.array([s.label for s in selected], dtype=np.float64)
-    return len(selected), float(batch_losses(spec, w, x, y).sum())
 
 
 def predict_classes(spec: ModelSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:

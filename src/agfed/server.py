@@ -73,11 +73,17 @@ class AggregationSettings:
     Statistics are masked by default; parameter aggregation is plain
     unless ``mask_params`` is set (masking quantizes to the fixed-point
     grid, which costs up to n/(2*scale) absolute error per coordinate).
+    ``scale_bits`` must lie in 0..62: the fixed-point scale is
+    2**scale_bits and encoded values stay below 2**62.
     """
 
     mask_stats: bool = True
     mask_params: bool = False
     scale_bits: int = DEFAULT_SCALE_BITS
+
+    def __post_init__(self):
+        if not 0 <= self.scale_bits <= 62:
+            raise InvalidArgument(f"scale_bits must be in 0..62, got {self.scale_bits}")
 
 
 @dataclass(frozen=True)

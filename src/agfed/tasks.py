@@ -18,7 +18,9 @@ Two desk-scale tasks:
 
 Both support the two partition schemes: ``client-partition`` (every
 client's samples share one domain) and ``data-partition`` (clients mix
-domains). Generation is a pure function of the config seed.
+domains). Generation is a pure function of the config seed, and each
+generator writes a client's samples straight into the arrays of its
+``ClientDataset``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .core import ClientDataset, InvalidArgument, Sample, make_rng
+from .core import ClientDataset, InvalidArgument, make_rng
 from .models import ModelSpec
 
 TaskKind = Literal["toy-regression", "synthetic-classification"]
@@ -166,30 +168,25 @@ def gen_toy_regression(cfg: TaskConfig) -> tuple[list[ClientDataset], float]:
     if cfg.points_per_domain == 1:
         offsets = np.zeros(1)
 
-    pool: list[Sample] = []
-    for i, center in enumerate(cfg.centers):
-        for x in center + offsets:
-            pool.append(Sample(np.array([x]), float(x), i))
+    values = np.concatenate([center + offsets for center in cfg.centers])
+    domains = np.repeat(np.arange(cfg.p), cfg.points_per_domain)
+
+    def client(cid: int, picks: np.ndarray) -> ClientDataset:
+        return ClientDataset(cid, values[picks, None], values[picks], domains[picks])
 
     clients: list[ClientDataset] = []
     if cfg.partition == "data-partition":
-        order = rng.permutation(len(pool))
+        order = rng.permutation(values.shape[0])
         for cid in range(cfg.num_clients):
-            picks = order[cid::cfg.num_clients]
-            clients.append(ClientDataset(cid, tuple(pool[k] for k in picks)))
+            clients.append(client(cid, order[cid::cfg.num_clients]))
     else:
         per_domain = _split_counts(cfg.num_clients, [1.0] * cfg.p)
         cid = 0
         for i in range(cfg.p):
-            points = [s for s in pool if s.domain == i]
-            if len(points) < per_domain[i]:
-                raise InvalidArgument(
-                    f"domain {i} has {len(points)} points for {per_domain[i]} clients"
-                )
-            order = rng.permutation(len(points))
+            first = i * cfg.points_per_domain
+            order = rng.permutation(cfg.points_per_domain)
             for local in range(per_domain[i]):
-                picks = order[local::per_domain[i]]
-                clients.append(ClientDataset(cid, tuple(points[k] for k in picks)))
+                clients.append(client(cid, first + order[local::per_domain[i]]))
                 cid += 1
 
     oracle = (min(cfg.centers) + max(cfg.centers)) / 2.0
@@ -203,20 +200,6 @@ def _domain_directions(p: int, input_dim: int) -> np.ndarray:
     dirs[:, 0] = np.cos(angles)
     dirs[:, 1] = np.sin(angles)
     return dirs
-
-
-def _draw_class_sample(
-    rng: np.random.Generator,
-    domain: int,
-    directions: np.ndarray,
-    margins: Sequence[float],
-    noise: float,
-    input_dim: int,
-) -> Sample:
-    label = int(rng.integers(0, 2))
-    mean = (2 * label - 1) * (margins[domain] / 2.0) * directions[domain]
-    x = mean + noise * rng.standard_normal(input_dim)
-    return Sample(x, float(label), domain)
 
 
 def gen_synthetic_classification(cfg: TaskConfig) -> list[ClientDataset]:
@@ -233,30 +216,28 @@ def gen_synthetic_classification(cfg: TaskConfig) -> list[ClientDataset]:
     directions = _domain_directions(cfg.p, cfg.input_dim)
     sizes = _client_sizes(cfg, rng, cfg.num_clients)
 
-    clients: list[ClientDataset] = []
+    mixing = np.asarray(cfg.mixing if cfg.mixing is not None else [1.0 / cfg.p] * cfg.p)
     if cfg.partition == "client-partition":
         per_domain = _split_counts(cfg.num_clients, cfg.shares)
-        domain_of_client = [i for i, n in enumerate(per_domain) for _ in range(n)]
-        for cid in range(cfg.num_clients):
-            dom = domain_of_client[cid]
-            samples = tuple(
-                _draw_class_sample(rng, dom, directions, cfg.margins, cfg.noise, cfg.input_dim)
-                for _ in range(sizes[cid])
-            )
-            clients.append(ClientDataset(cid, samples))
+        client_domains = [i for i, n in enumerate(per_domain) for _ in range(n)]
     else:
-        mixing = np.asarray(
-            cfg.mixing if cfg.mixing is not None else [1.0 / cfg.p] * cfg.p
-        )
-        for cid in range(cfg.num_clients):
-            samples = tuple(
-                _draw_class_sample(
-                    rng, int(rng.choice(cfg.p, p=mixing)), directions,
-                    cfg.margins, cfg.noise, cfg.input_dim,
-                )
-                for _ in range(sizes[cid])
-            )
-            clients.append(ClientDataset(cid, samples))
+        client_domains = [None] * cfg.num_clients
+
+    # Per sample, in this order: the domain (data partition only), the
+    # label, then the feature noise; batching the draws would change the data.
+    clients: list[ClientDataset] = []
+    for cid, (n, fixed_domain) in enumerate(zip(sizes, client_domains)):
+        x = np.empty((n, cfg.input_dim))
+        y = np.empty(n)
+        d = np.empty(n, dtype=np.int64)
+        for j in range(n):
+            dom = (fixed_domain if fixed_domain is not None
+                   else int(rng.choice(cfg.p, p=mixing)))
+            label = int(rng.integers(0, 2))
+            mean = (2 * label - 1) * (cfg.margins[dom] / 2.0) * directions[dom]
+            x[j] = mean + cfg.noise * rng.standard_normal(cfg.input_dim)
+            y[j], d[j] = label, dom
+        clients.append(ClientDataset(cid, x, y, d))
     return clients
 
 
@@ -277,9 +258,9 @@ def write_datasets(clients: Sequence[ClientDataset], path: str | Path) -> None:
     lines: list[str] = []
     for c in clients:
         lines.append(f"# client {c.client_id}")
-        for s in c.samples:
-            feats = " ".join(f"{v:.17g}" for v in s.features)
-            lines.append(f"{s.domain} {s.label:.17g} {feats}")
+        for x, label, domain in zip(c.feature_matrix, c.labels, c.domains):
+            feats = " ".join(f"{v:.17g}" for v in x)
+            lines.append(f"{domain} {label:.17g} {feats}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -287,11 +268,19 @@ def read_datasets(path: str | Path) -> list[ClientDataset]:
     """Parse a file written by ``write_datasets``."""
     clients: list[ClientDataset] = []
     current_id: int | None = None
-    current: list[Sample] = []
+    rows: list[list[str]] = []
 
     def flush():
-        if current_id is not None:
-            clients.append(ClientDataset(current_id, tuple(current)))
+        if current_id is None:
+            return
+        if len({len(r) for r in rows}) != 1:
+            raise InvalidArgument(
+                f"client {current_id} has no samples or mixes feature dimensions"
+            )
+        features = np.array([[float(v) for v in r[2:]] for r in rows])
+        labels = np.array([float(r[1]) for r in rows])
+        domains = np.array([int(r[0]) for r in rows])
+        clients.append(ClientDataset(current_id, features, labels, domains))
 
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
@@ -300,13 +289,11 @@ def read_datasets(path: str | Path) -> list[ClientDataset]:
         if line.startswith("# client"):
             flush()
             current_id = int(line.split()[-1])
-            current = []
+            rows = []
             continue
         parts = line.split()
         if current_id is None or len(parts) < 3:
             raise InvalidArgument(f"malformed dataset line: {raw!r}")
-        domain, label = int(parts[0]), float(parts[1])
-        features = np.array([float(v) for v in parts[2:]])
-        current.append(Sample(features, label, domain))
+        rows.append(parts)
     flush()
     return clients

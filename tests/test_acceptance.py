@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from agfed.client import LocalSGDConfig, compute_client_stats
-from agfed.core import ClientDataset, Sample, make_rng
+from agfed.core import ClientDataset, make_rng
 from agfed.harness import ExperimentConfig, compare_algorithms, run_experiment
-from agfed.models import ModelSpec, grad, batch_losses
+from agfed.models import ModelSpec, batch_losses, grad_weighted
 from agfed.secagg import (
     DEFAULT_SCALE_BITS,
     PairwiseSeeds,
@@ -101,8 +101,8 @@ def _identity_instance(rng):
 
     clients = []
     for k in range(n_clients):
-        samples = tuple(Sample(x, y, d) for owner, (x, y, d) in raw if owner == k)
-        clients.append(ClientDataset(k, samples))
+        xs, ys, ds = zip(*(sample for owner, sample in raw if owner == k))
+        clients.append(ClientDataset(k, np.array(xs), ys, ds))
     w = rng.standard_normal(spec.param_count)
     lam = rng.dirichlet(np.ones(p))
     return spec, w, lam, clients, p
@@ -218,9 +218,8 @@ def test_criterion_5_gradient_checks():
             x = rng.standard_normal(spec.input_dim)
             y = (float(rng.integers(0, spec.num_classes)) if spec.kind == "logistic"
                  else float(rng.standard_normal()))
-            s = Sample(x, y, 0)
             wt = float(rng.uniform(0.1, 2.0))
-            analytic = grad(spec, w, [(s, wt)])
+            analytic = grad_weighted(spec, w, x[None, :], np.array([y]), np.array([wt]))
             numeric = np.zeros_like(w)
             for i in range(w.size):
                 up, down = w.copy(), w.copy()

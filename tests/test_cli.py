@@ -78,10 +78,21 @@ class TestCompareCommand:
         assert "fedavg" in captured and "afa" in captured
         assert "difference" in captured
         assert (out / "compare_summary.csv").exists()
-        assert (out / "fedavg_metrics.csv").exists()
-        assert (out / "afa_metrics.csv").exists()
+        assert (out / "fedavg" / "metrics.csv").exists()
+        assert (out / "afa" / "metrics.csv").exists()
         header = (out / "compare_summary.csv").read_text().splitlines()[0]
         assert header.startswith("algorithm,L_0")
+
+    def test_compare_metrics_carry_summary_names(self, tmp_path):
+        out = tmp_path / "cmp"
+        config = Path(__file__).resolve().parent.parent / "configs" / "classification.ini"
+        code = main(["compare", "--config", str(config), "--out-dir", str(out),
+                     "--set", "algorithm.rounds=5", "--set", "output.plots=false"])
+        assert code == 0
+        for algorithm in ("fedavg", "afa"):
+            header = (out / algorithm / "metrics.csv").read_text().splitlines()[0]
+            assert ",acc_0,acc_1," in header
+        assert not list(out.glob("*_metrics.csv"))
 
 
 class TestErrors:
@@ -97,6 +108,16 @@ class TestErrors:
                      "--set", "task.bogus=1"])
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bits", ["-1", "63"])
+    def test_scale_bits_out_of_range_rejected(self, config_path, capsys, bits):
+        code = main(["run", "--config", str(config_path),
+                     "--set", f"secure_aggregation.scale_bits={bits}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidArgument: ")
+        assert "scale_bits" in err
+        assert err.count("\n") == 1
 
     def test_inconsistent_config_rejected(self, config_path, capsys):
         # three centers but p overridden to 2

@@ -1,22 +1,27 @@
 """Client-side round work: stats computation and weighted local SGD."""
 
+import math
+
 import numpy as np
 import pytest
 
 from agfed.client import LocalSGDConfig, client_update, compute_client_stats
-from agfed.core import ClientDataset, InvalidArgument, Sample, make_rng
-from agfed.models import ModelSpec
+from agfed.core import ClientDataset, InvalidArgument, make_rng
+from agfed.models import ModelSpec, batch_losses
 
 SCALAR = ModelSpec("scalar-regression")
 
 
 def _client(points_by_domain, client_id=0):
-    samples = tuple(
-        Sample(np.array([x]), float(x), dom)
-        for dom, xs in enumerate(points_by_domain)
-        for x in xs
-    )
-    return ClientDataset(client_id, samples)
+    """1-D client whose samples have label == feature, grouped by domain."""
+    xs = [x for points in points_by_domain for x in points]
+    domains = [dom for dom, points in enumerate(points_by_domain) for _ in points]
+    return ClientDataset(client_id, np.array(xs).reshape(-1, 1), xs, domains)
+
+
+def _random_client(rng, n=12, p=3):
+    return ClientDataset(0, rng.standard_normal((n, 1)), rng.standard_normal(n),
+                         rng.integers(0, p, size=n))
 
 
 class TestComputeClientStats:
@@ -41,6 +46,26 @@ class TestComputeClientStats:
         assert stats.counts.tolist() == [2, 4]
         assert stats.loss_sums[0] == pytest.approx(1.0, rel=1e-12)
         assert stats.loss_sums[1] == pytest.approx(4.0, rel=1e-12)
+
+    def test_three_samples_same_loss(self):
+        # scalar model at w=0; x = sqrt(0.2) gives loss exactly 0.2
+        x = math.sqrt(0.2)
+        stats = compute_client_stats(SCALAR, np.array([0.0]), _client([[x, x, x]]), 1)
+        assert stats.counts.tolist() == [3]
+        assert stats.loss_sums[0] == pytest.approx(0.6, abs=1e-12)
+
+    def test_empty_domain(self):
+        stats = compute_client_stats(SCALAR, np.array([0.0]), _client([[1.0]]), 2)
+        assert stats.counts[1] == 0
+        assert stats.loss_sums[1] == 0.0
+
+    def test_domain_sums_cover_total(self):
+        ds = _random_client(make_rng(5), n=10)
+        w = np.array([0.3])
+        stats = compute_client_stats(SCALAR, w, ds, 3)
+        total = float(batch_losses(SCALAR, w, ds.feature_matrix, ds.labels).sum())
+        assert stats.counts.tolist() == [3, 3, 4]
+        assert float(stats.loss_sums.sum()) == pytest.approx(total, rel=1e-12)
 
 
 class TestClientUpdateExamples:
@@ -73,19 +98,9 @@ class TestClientUpdateExamples:
 
 
 class TestClientUpdateProperties:
-    def _random_client(self, rng, n=12, p=3):
-        return ClientDataset(
-            0,
-            tuple(
-                Sample(rng.standard_normal(1), float(rng.standard_normal()),
-                       int(rng.integers(0, p)))
-                for _ in range(n)
-            ),
-        )
-
     def test_alpha_scale_cancellation(self):
         rng = make_rng(3)
-        ds = self._random_client(rng)
+        ds = _random_client(rng)
         cfg = LocalSGDConfig(1, 100, 0.05)  # full batch
         alpha = np.array([0.2, 0.5, 0.3])
         base = client_update(SCALAR, np.array([0.1]), alpha, ds, cfg, 9)
@@ -96,11 +111,7 @@ class TestClientUpdateProperties:
 
     def test_p1_reduces_to_unweighted_local_training(self):
         rng = make_rng(4)
-        ds = ClientDataset(
-            0,
-            tuple(Sample(rng.standard_normal(1), float(rng.standard_normal()), 0)
-                  for _ in range(10)),
-        )
+        ds = _random_client(rng, n=10, p=1)
         cfg = LocalSGDConfig(epochs=3, batch_size=4, learning_rate=0.05)
         n_total = 40  # pretend cohort-wide count
         afa = client_update(SCALAR, np.array([0.2]), np.array([1.0 / n_total]), ds, cfg, 5)
@@ -109,7 +120,7 @@ class TestClientUpdateProperties:
 
     def test_deterministic_in_all_arguments(self):
         rng = make_rng(9)
-        ds = self._random_client(rng)
+        ds = _random_client(rng)
         cfg = LocalSGDConfig(3, 4, 0.1)
         alpha = np.array([1.0, 0.5, 2.0])
         args = (SCALAR, np.array([0.5]), alpha, ds, cfg, 1234)
@@ -124,14 +135,14 @@ class TestClientUpdateProperties:
     def test_divergent_training_surfaces_numeric_error(self):
         from agfed.core import NumericError
         rng = make_rng(12)
-        ds = self._random_client(rng)
+        ds = _random_client(rng)
         cfg = LocalSGDConfig(epochs=2000, batch_size=100, learning_rate=1e150)
         with pytest.raises(NumericError):
             client_update(SCALAR, np.array([1.0]), np.ones(3), ds, cfg, 0)
 
     def test_seed_changes_minibatch_trajectory(self):
         rng = make_rng(10)
-        ds = self._random_client(rng, n=16)
+        ds = _random_client(rng, n=16)
         cfg = LocalSGDConfig(2, 3, 0.1)
         a = client_update(SCALAR, np.array([0.5]), np.ones(3), ds, cfg, 1)
         b = client_update(SCALAR, np.array([0.5]), np.ones(3), ds, cfg, 2)

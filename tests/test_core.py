@@ -9,7 +9,6 @@ from agfed.core import (
     ClientDataset,
     DomainStats,
     InvalidArgument,
-    Sample,
     derive_seed,
     domain_stats_merge,
     make_rng,
@@ -119,38 +118,42 @@ def test_merge_associative(a_raw, b_raw, c_raw):
 class TestDatasets:
     def test_empty_client_rejected(self):
         with pytest.raises(InvalidArgument):
-            ClientDataset(0, ())
+            ClientDataset(0, np.empty((0, 1)), [], [])
 
-    def test_mixed_feature_dims_rejected(self):
-        s1 = Sample(np.array([1.0]), 1.0, 0)
-        s2 = Sample(np.array([1.0, 2.0]), 1.0, 0)
+    def test_features_not_2d_rejected(self):
         with pytest.raises(InvalidArgument):
-            ClientDataset(0, (s1, s2))
+            ClientDataset(0, np.array([1.0, 2.0]), [1.0, 1.0], [0, 0])
+
+    def test_arrays_differ_in_length_rejected(self):
+        x = np.ones((3, 1))
+        with pytest.raises(InvalidArgument):
+            ClientDataset(0, x, [1.0, 1.0], [0, 0, 0])
+        with pytest.raises(InvalidArgument):
+            ClientDataset(0, x, [1.0, 1.0, 1.0], [0, 0])
 
     def test_negative_domain_rejected(self):
         with pytest.raises(InvalidArgument):
-            Sample(np.array([1.0]), 1.0, -1)
+            ClientDataset(0, np.array([[1.0]]), [1.0], [-1])
 
     def test_domain_tags_partition_dataset(self):
         rng = make_rng(7)
-        samples = tuple(
-            Sample(np.array([float(i)]), float(i), int(rng.integers(0, 4)))
-            for i in range(30)
-        )
-        ds = ClientDataset(3, samples)
+        values = np.arange(30, dtype=np.float64)
+        ds = ClientDataset(3, values[:, None], values, rng.integers(0, 4, size=30))
         assert int(ds.domain_counts(4).sum()) == len(ds)
 
     def test_domain_tag_above_p_rejected(self):
-        ds = ClientDataset(0, (Sample(np.array([0.0]), 0.0, 5),))
+        ds = ClientDataset(0, np.array([[0.0]]), [0.0], [5])
         with pytest.raises(InvalidArgument):
             ds.domain_counts(3)
 
     def test_arrays_are_read_only(self):
-        ds = ClientDataset(0, (Sample(np.array([1.0]), 2.0, 0),))
+        ds = ClientDataset(0, np.array([[1.0]]), [2.0], [0])
         with pytest.raises(ValueError):
             ds.feature_matrix[0, 0] = 9.0
         with pytest.raises(ValueError):
             ds.labels[0] = 9.0
+        with pytest.raises(ValueError):
+            ds.domains[0] = 1
 
 
 class TestScalingValidation:

@@ -7,6 +7,10 @@ scaling with the projected lambda update. A change that moves any of
 them moves the last bits of some reported number and must re-pin them
 on purpose.
 
+The population digests pin the ``write_datasets`` text of generated
+populations, one per task and partition scheme, so a change to the
+generators or to ``ClientDataset`` must keep every sample's bytes.
+
 Pinned on Python 3.11 with numpy 2.4.6; plots are off because they do
 not feed the CSV.
 """
@@ -18,6 +22,7 @@ import pytest
 
 from agfed.config import load_config
 from agfed.harness import run_experiment_full
+from agfed.tasks import TaskConfig, generate_population, write_datasets
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -60,3 +65,32 @@ def test_metrics_csv_digest(tmp_path, config, overrides, digest):
     run_experiment_full(cfg)
     data = (tmp_path / cfg.csv_name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+POPULATIONS = [
+    pytest.param(dict(kind="toy-regression", p=5, num_clients=50, seed=42,
+                      partition="data-partition"),
+                 "4bb5c18deea3a146c5ab058a3c4d74973d1dcf44d3c812544bd671f181336912",
+                 id="toy-data-partition"),
+    pytest.param(dict(kind="toy-regression", p=5, num_clients=12, seed=3,
+                      partition="client-partition"),
+                 "1d5618ff307b728203217aa0a70dcc11a5d3f76c48098d0350dae59c595fec9d",
+                 id="toy-client-partition"),
+    pytest.param(dict(kind="synthetic-classification", p=2, num_clients=40, seed=1,
+                      partition="client-partition", samples_per_client=20),
+                 "7d560e6c520d99fdaf78c49d38084d85b47a613684a787faffae497b8f226790",
+                 id="classification-client-partition"),
+    pytest.param(dict(kind="synthetic-classification", p=3, num_clients=30, seed=5,
+                      partition="data-partition", samples_per_client=(3, 9),
+                      margins=(2.0, 1.0, 0.5), mixing=(0.5, 0.3, 0.2)),
+                 "caccba0850c66760b562a98d10a274c8cbf83151d252efdf41a2f7a84ca25e4f",
+                 id="classification-data-partition"),
+]
+
+
+@pytest.mark.parametrize("task, digest", POPULATIONS)
+def test_population_digest(tmp_path, task, digest):
+    population, _ = generate_population(TaskConfig(**task))
+    path = tmp_path / "population.txt"
+    write_datasets(population, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -1,19 +1,19 @@
-"""Model losses and gradients, checked against independent oracles."""
+"""Model losses and gradients, checked against independent oracles.
+
+A single sample is a 1-row batch of ``batch_losses`` / ``grad_weighted``.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from agfed.core import InvalidArgument, NumericError, Sample, make_rng
+from agfed.core import InvalidArgument, NumericError, make_rng
 from agfed.models import (
     ModelSpec,
-    average_domain_loss,
     batch_losses,
-    grad,
     grad_weighted,
     init_params,
-    loss,
     predict_classes,
 )
 
@@ -23,23 +23,36 @@ LOGISTIC = ModelSpec("logistic", input_dim=2, num_classes=3)
 ALL_SPECS = [SCALAR, LINEAR, LOGISTIC]
 
 
+def _loss(spec, w, x, y):
+    """Loss of the single sample (x, y) at ``w``."""
+    return float(batch_losses(spec, w, np.atleast_2d(x), np.array([y]))[0])
+
+
 def _random_instance(spec, rng):
+    """Random parameters and one sample as a 1-row batch (x, y)."""
     w = rng.standard_normal(spec.param_count)
     x = rng.standard_normal(spec.input_dim)
     if spec.kind == "logistic":
         y = float(rng.integers(0, spec.num_classes))
     else:
         y = float(rng.standard_normal())
-    return w, Sample(x, y, 0)
+    return w, x[None, :], np.array([y])
 
 
-def finite_difference_grad(spec, w, batch, h=1e-5):
+def _random_batch(spec, rng, n, draw_weight):
+    """Rows of ``n`` random instances, each followed by its weight draw."""
+    rows = []
+    for _ in range(n):
+        _, x, y = _random_instance(spec, rng)
+        rows.append((x, y, draw_weight()))
+    xs, ys, weights = zip(*rows)
+    return np.vstack(xs), np.concatenate(ys), np.array(weights)
+
+
+def finite_difference_grad(spec, w, x, y, weights, h=1e-5):
     """Central-difference oracle for the weighted-batch gradient."""
     def objective(params):
-        return sum(
-            wt * float(batch_losses(spec, params, s.features, np.array([s.label]))[0])
-            for s, wt in batch
-        )
+        return sum(wt * _loss(spec, params, x[j], y[j]) for j, wt in enumerate(weights))
 
     g = np.zeros_like(w)
     for i in range(w.size):
@@ -54,70 +67,66 @@ def finite_difference_grad(spec, w, batch, h=1e-5):
 
 class TestLossExamples:
     def test_scalar_regression_square(self):
-        s = Sample(np.array([1.0]), 1.0, 0)
-        assert loss(SCALAR, np.array([0.0]), s) == 1.0
+        assert _loss(SCALAR, np.array([0.0]), [1.0], 1.0) == 1.0
 
     def test_logistic_uniform_softmax(self):
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
-        s = Sample(np.array([0.3, -0.7]), 1.0, 0)
-        assert loss(spec, init_params(spec), s) == pytest.approx(math.log(2), abs=1e-12)
+        assert _loss(spec, init_params(spec), [0.3, -0.7], 1.0) == pytest.approx(
+            math.log(2), abs=1e-12)
 
     def test_scalar_exact_fit(self):
         c = 2.5
-        s = Sample(np.array([c]), c, 0)
-        assert loss(SCALAR, np.array([c]), s) == 0.0
+        assert _loss(SCALAR, np.array([c]), [c], c) == 0.0
         # squared error is zero only at the exact fit
-        assert loss(SCALAR, np.array([c + 1e-8]), s) > 0.0
+        assert _loss(SCALAR, np.array([c + 1e-8]), [c], c) > 0.0
 
     def test_losses_non_negative(self):
         rng = make_rng(101)
         for spec in ALL_SPECS:
             for _ in range(50):
-                w, s = _random_instance(spec, rng)
-                assert loss(spec, w, s) >= 0.0
+                w, x, y = _random_instance(spec, rng)
+                assert batch_losses(spec, w, x, y)[0] >= 0.0
 
     def test_dimension_mismatch_rejected(self):
-        s = Sample(np.array([1.0, 2.0]), 0.0, 0)
         with pytest.raises(InvalidArgument):
-            loss(SCALAR, np.array([0.0, 0.0]), s)
+            _loss(SCALAR, np.array([0.0, 0.0]), [1.0, 2.0], 0.0)
         with pytest.raises(InvalidArgument):
-            loss(LINEAR, np.array([0.0]), Sample(np.array([1.0, 2.0, 3.0]), 0.0, 0))
+            _loss(LINEAR, np.array([0.0]), [1.0, 2.0, 3.0], 0.0)
 
     def test_non_finite_params_rejected(self):
-        s = Sample(np.array([1.0]), 1.0, 0)
         with pytest.raises(NumericError):
-            loss(SCALAR, np.array([np.nan]), s)
+            _loss(SCALAR, np.array([np.nan]), [1.0], 1.0)
 
 
 class TestGradExamples:
     def test_scalar_single_sample(self):
-        s = Sample(np.array([1.0]), 1.0, 0)
-        g = grad(SCALAR, np.array([0.0]), [(s, 1.0)])
+        g = grad_weighted(SCALAR, np.array([0.0]), np.array([[1.0]]), np.array([1.0]),
+                          np.array([1.0]))
         assert g.tolist() == [-2.0]
 
     def test_all_zero_weights_give_zero_vector(self):
         rng = make_rng(11)
         for spec in ALL_SPECS:
-            batch = [(_random_instance(spec, rng)[1], 0.0) for _ in range(4)]
+            x, y, weights = _random_batch(spec, rng, 4, lambda: 0.0)
             w = rng.standard_normal(spec.param_count)
-            assert np.all(grad(spec, w, batch) == 0.0)
+            assert np.all(grad_weighted(spec, w, x, y, weights) == 0.0)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(InvalidArgument):
-            grad(SCALAR, np.array([0.0]), [])
+            grad_weighted(SCALAR, np.array([0.0]), np.empty((0, 1)), np.empty(0),
+                          np.empty(0))
 
     def test_negative_weight_rejected(self):
-        s = Sample(np.array([1.0]), 1.0, 0)
         with pytest.raises(InvalidArgument):
-            grad(SCALAR, np.array([0.0]), [(s, -1.0)])
+            grad_weighted(SCALAR, np.array([0.0]), np.array([[1.0]]), np.array([1.0]),
+                          np.array([-1.0]))
 
     def test_logistic_matches_finite_differences(self):
         rng = make_rng(23)
         w = rng.standard_normal(LOGISTIC.param_count) * 0.5
-        batch = [(_random_instance(LOGISTIC, rng)[1], float(rng.uniform(0, 2)))
-                 for _ in range(5)]
-        analytic = grad(LOGISTIC, w, batch)
-        numeric = finite_difference_grad(LOGISTIC, w, batch)
+        x, y, weights = _random_batch(LOGISTIC, rng, 5, lambda: float(rng.uniform(0, 2)))
+        analytic = grad_weighted(LOGISTIC, w, x, y, weights)
+        numeric = finite_difference_grad(LOGISTIC, w, x, y, weights)
         assert np.allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
 
@@ -126,55 +135,28 @@ def test_gradient_check_100_instances(spec):
     """Analytic gradient vs central differences, 100 random instances."""
     rng = make_rng(37, hash(spec.kind) & 0xFFFF)
     for _ in range(100):
-        w, s = _random_instance(spec, rng)
-        wt = float(rng.uniform(0.1, 3.0))
-        analytic = grad(spec, w, [(s, wt)])
-        numeric = finite_difference_grad(spec, w, [(s, wt)])
+        w, x, y = _random_instance(spec, rng)
+        wt = np.array([float(rng.uniform(0.1, 3.0))])
+        analytic = grad_weighted(spec, w, x, y, wt)
+        numeric = finite_difference_grad(spec, w, x, y, wt)
         scale = max(1e-8, float(np.abs(numeric).max()))
         assert np.abs(analytic - numeric).max() / scale < 1e-5
-
-
-class TestAverageDomainLoss:
-    def test_three_samples_same_loss(self):
-        # scalar model at w=0; x = sqrt(0.2) gives loss exactly 0.2
-        x = math.sqrt(0.2)
-        data = [Sample(np.array([x]), x, 0) for _ in range(3)]
-        count, total = average_domain_loss(SCALAR, np.array([0.0]), data, 0)
-        assert count == 3
-        assert total == pytest.approx(0.6, abs=1e-12)
-
-    def test_empty_domain(self):
-        data = [Sample(np.array([1.0]), 1.0, 0)]
-        assert average_domain_loss(SCALAR, np.array([0.0]), data, 1) == (0, 0.0)
-
-    def test_domain_sums_cover_total(self):
-        rng = make_rng(5)
-        data = [
-            Sample(rng.standard_normal(1), float(rng.standard_normal()),
-                   int(rng.integers(0, 3)))
-            for _ in range(10)
-        ]
-        w = np.array([0.3])
-        total = sum(loss(SCALAR, w, s) for s in data)
-        by_domain = sum(average_domain_loss(SCALAR, w, data, i)[1] for i in range(3))
-        assert by_domain == pytest.approx(total, rel=1e-12)
 
 
 class TestLogisticNumerics:
     def test_logit_shift_invariance(self):
         rng = make_rng(77)
         w = rng.standard_normal(LOGISTIC.param_count)
-        s = Sample(rng.standard_normal(2), 1.0, 0)
-        base = loss(LOGISTIC, w, s)
+        x = rng.standard_normal(2)
+        base = _loss(LOGISTIC, w, x, 1.0)
         # add the same constant to every class's bias entry
         shifted = w.copy().reshape(LOGISTIC.num_classes, -1)
         shifted[:, -1] += 123.456
-        assert abs(loss(LOGISTIC, shifted.reshape(-1), s) - base) <= 1e-9
+        assert abs(_loss(LOGISTIC, shifted.reshape(-1), x, 1.0) - base) <= 1e-9
 
     def test_extreme_logits_stay_finite(self):
         w = np.full(LOGISTIC.param_count, 500.0)
-        s = Sample(np.array([10.0, -10.0]), 2.0, 0)
-        assert np.isfinite(loss(LOGISTIC, w, s))
+        assert np.isfinite(_loss(LOGISTIC, w, [10.0, -10.0], 2.0))
 
     def test_loss_matches_naive_softmax_oracle(self):
         rng = make_rng(13)
@@ -183,8 +165,7 @@ class TestLogisticNumerics:
         y = 2
         logits = w.reshape(3, 3) @ np.array([x[0], x[1], 1.0])
         prob = np.exp(logits)[y] / np.exp(logits).sum()
-        s = Sample(x, float(y), 0)
-        assert loss(LOGISTIC, w, s) == pytest.approx(-math.log(prob), rel=1e-12)
+        assert _loss(LOGISTIC, w, x, float(y)) == pytest.approx(-math.log(prob), rel=1e-12)
 
     def test_predict_classes(self):
         rng = make_rng(19)

@@ -432,6 +432,13 @@ class TestConfigValidation:
         with pytest.raises(InvalidArgument):
             _algo(**kwargs)
 
+    def test_scale_bits_range(self):
+        assert AggregationSettings(scale_bits=0).scale_bits == 0
+        assert AggregationSettings(scale_bits=62).scale_bits == 62
+        for bits in (-1, 63):
+            with pytest.raises(InvalidArgument):
+                AggregationSettings(scale_bits=bits)
+
     def test_run_fedavg_round_keeps_lambda(self):
         clients = _toy()
         state = initial_state(np.array([1.5]), 5)
