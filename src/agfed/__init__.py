@@ -12,7 +12,6 @@ from .core import (
     DomainStats,
     InvalidArgument,
     NumericError,
-    domain_stats_merge,
     mixture_uniform,
 )
 from .harness import (
@@ -22,7 +21,6 @@ from .harness import (
     read_metrics_csv,
     run_experiment,
     run_experiment_full,
-    write_metrics_csv,
 )
 from .models import ModelSpec
 from .secagg import MaskedVector, PairwiseSeeds, SecureSum, mask_set, unmask_sum
@@ -64,7 +62,6 @@ __all__ = [
     "compare_algorithms",
     "compute_client_stats",
     "compute_scaling",
-    "domain_stats_merge",
     "effective_counts",
     "emit_plots",
     "gen_synthetic_classification",
@@ -80,5 +77,4 @@ __all__ = [
     "run_experiment_full",
     "run_round",
     "unmask_sum",
-    "write_metrics_csv",
 ]

@@ -18,6 +18,14 @@ A client whose populated domains all carry zero scaling weight has
 beta = 0; its statistics still count, but its update signals a skip
 (no parameter update) rather than failing.
 
+Inputs are checked once per client and round: ``compute_client_stats``
+runs ``models.check_batch`` on the incoming parameters and the client's
+data before anything else touches them. ``client_update`` trusts that
+check and a scaling vector from ``server.compute_scaling`` (or all-ones
+for FedAvg); its SGD loop does arithmetic only. A blow-up during local
+SGD surfaces as ``NumericError`` when ``ClientUpdateResult`` receives
+non-finite parameters.
+
 ``client_update`` is a pure function of its arguments; a harness may run
 all selected clients of a round concurrently as long as it reduces the
 results in ascending client id order.
@@ -35,9 +43,8 @@ from .core import (
     InvalidArgument,
     as_param_vector,
     make_rng,
-    validate_scaling,
 )
-from .models import ModelSpec, batch_losses, grad_weighted
+from .models import ModelSpec, batch_losses, check_batch, grad_weighted
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,11 @@ def compute_client_stats(
     data: ClientDataset,
     p: int,
 ) -> DomainStats:
-    """Counts and summed losses per domain, evaluated at ``w``."""
+    """Counts and summed losses per domain, evaluated at ``w``.
+
+    The round's check of ``w`` and of the client's data happens here.
+    """
+    check_batch(spec, w, data.feature_matrix, data.labels)
     counts = data.domain_counts(p)
     losses = batch_losses(spec, w, data.feature_matrix, data.labels)
     loss_sums = np.zeros(p)
@@ -107,9 +118,10 @@ def client_update(
 
     The per-epoch shuffle is keyed by ``rng_seed`` only, so the result is
     a deterministic function of the arguments. The last minibatch of an
-    epoch may be short; it is kept, not dropped.
+    epoch may be short; it is kept, not dropped. Trusts that
+    ``compute_client_stats`` checked ``w_in`` and ``data`` this round and
+    that ``alpha`` is a finite, non-negative vector of length p.
     """
-    alpha = validate_scaling(alpha)
     beta = float(np.dot(alpha, data.domain_counts(alpha.shape[0])))
     if beta == 0.0:
         return ClientUpdateResult(w_in, 0.0)

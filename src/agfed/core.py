@@ -16,7 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,13 +57,14 @@ class ClientDataset:
     target for regression or a class index for classification) and
     ``domains`` (n,) int64 tags into ``0..p-1`` of the enclosing task.
     Row order is fixed at generation time; all deterministic shuffles and
-    sums key off this order.
+    sums key off this order. The domain tags are counted once, here.
     """
 
     client_id: int
     feature_matrix: np.ndarray
     labels: np.ndarray
     domains: np.ndarray
+    _tag_counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         x = np.array(self.feature_matrix, dtype=np.float64)
@@ -86,17 +87,20 @@ class ClientDataset:
         object.__setattr__(self, "feature_matrix", x)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "domains", d)
+        object.__setattr__(self, "_tag_counts", np.bincount(d).astype(np.int64))
 
     def __len__(self) -> int:
         return self.labels.shape[0]
 
     def domain_counts(self, p: int) -> np.ndarray:
         """Number of samples per domain, length ``p``."""
-        if int(self.domains.max()) >= p:
+        tags = self._tag_counts.shape[0]
+        if tags > p:
             raise InvalidArgument(
                 f"client {self.client_id} has domain tag >= p={p}"
             )
-        counts = np.bincount(self.domains, minlength=p).astype(np.int64)
+        counts = np.zeros(p, dtype=np.int64)
+        counts[:tags] = self._tag_counts
         counts.flags.writeable = False
         return counts
 
@@ -123,21 +127,6 @@ def validate_mixture(lam: np.ndarray) -> np.ndarray:
     if abs(total - 1.0) > SIMPLEX_ATOL:
         raise InvalidArgument(f"mixture weights must sum to 1, got {total!r}")
     return lam
-
-
-def validate_scaling(alpha: np.ndarray, effective_counts: np.ndarray | None = None) -> np.ndarray:
-    """Check scaling-vector invariants (non-negative; zero iff count zero)."""
-    alpha = as_vector(alpha, name="scaling vector")
-    if np.any(alpha < 0) or not np.all(np.isfinite(alpha)):
-        raise InvalidArgument("scaling vector entries must be finite and >= 0")
-    if effective_counts is not None:
-        counts = np.asarray(effective_counts, dtype=np.float64)
-        if counts.shape != alpha.shape:
-            raise InvalidArgument("scaling vector and counts differ in length")
-        mismatched = (alpha == 0.0) != (counts == 0.0)
-        if np.any(mismatched):
-            raise InvalidArgument("scaling entry is zero iff its domain count is zero")
-    return alpha
 
 
 @dataclass(frozen=True)
@@ -167,23 +156,6 @@ class DomainStats:
             raise InvalidArgument("a domain with zero samples must have zero summed loss")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "loss_sums", loss_sums)
-
-    @property
-    def p(self) -> int:
-        return self.counts.shape[0]
-
-    @staticmethod
-    def zeros(p: int) -> "DomainStats":
-        if p < 1:
-            raise InvalidArgument(f"need at least one domain, got p={p}")
-        return DomainStats(np.zeros(p, dtype=np.int64), np.zeros(p))
-
-
-def domain_stats_merge(a: DomainStats, b: DomainStats) -> DomainStats:
-    """Element-wise sum of two stats vectors (associative, commutative)."""
-    if a.p != b.p:
-        raise InvalidArgument(f"cannot merge stats of length {a.p} and {b.p}")
-    return DomainStats(a.counts + b.counts, a.loss_sums + b.loss_sums)
 
 
 def derive_seed(*parts: int) -> int:

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ClientDataset, InvalidArgument
-from .models import ModelSpec, batch_losses, predict_classes
+from .models import ModelSpec, batch_losses, check_batch, predict_classes
 from .server import (
     AggregationSettings,
     AlgorithmConfig,
@@ -81,6 +81,7 @@ def evaluate_population(
 ) -> dict[str, tuple[float, ...]]:
     """Population-level per-domain mean loss (and accuracy for classifiers)."""
     x, y, d = _pooled_arrays(population)
+    check_batch(spec, w, x, y)
     losses = batch_losses(spec, w, x, y)
     mean_loss = []
     for i in range(p):
@@ -134,33 +135,6 @@ def _csv_row(r: RoundReport) -> list[str]:
         + [f"{v:.17g}" for v in r.model_summary]
         + [str(r.comm_params_cumulative), str(int(r.degenerate))]
     )
-
-
-def write_metrics_csv(
-    reports: Sequence[RoundReport],
-    path: str | Path,
-    *,
-    p: int | None = None,
-    summary_names: Sequence[str] | None = None,
-) -> None:
-    """Write the per-round metrics table; values round-trip exactly.
-
-    ``p`` and ``summary_names`` are inferred from the first report when
-    present; they must be given explicitly to write a header-only file.
-    """
-    if reports:
-        p = len(reports[0].per_domain_loss)
-        if summary_names is None:
-            summary_names = [f"summary_{i}" for i in range(len(reports[0].model_summary))]
-    elif p is None:
-        raise InvalidArgument("p is required to write a header for an empty report list")
-    summary_names = summary_names or []
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(p, summary_names))
-        for r in reports:
-            writer.writerow(_csv_row(r))
 
 
 def read_metrics_csv(path: str | Path) -> list[RoundReport]:

@@ -11,6 +11,11 @@ Three small closed-form families:
 The training protocol only ever touches models through the vectorized
 ``batch_losses`` and ``grad_weighted`` (a single sample is a 1-row
 batch), so any gradient-oracle model would slot in here.
+
+``check_batch`` is the one rule for what a valid model input is. The
+round calls it once per client before that client's data meets the
+model; ``batch_losses``, ``grad_weighted`` and ``predict_classes`` then
+trust their inputs and do arithmetic only.
 """
 
 from __future__ import annotations
@@ -57,33 +62,32 @@ class ModelSpec:
         return self.num_classes * (self.input_dim + 1)
 
 
-def init_params(spec: ModelSpec) -> np.ndarray:
-    """All-zero parameter vector of the right length."""
-    w = np.zeros(spec.param_count)
-    w.flags.writeable = False
-    return w
+def check_batch(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Reject a batch the kernels below cannot take as it is.
 
-
-def _check_params(spec: ModelSpec, w: np.ndarray) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
+    ``w`` must be a finite 1-D vector of ``param_count`` entries
+    (``NumericError`` when it is not finite), ``x`` an (n, input_dim)
+    matrix and ``y`` one label per row; a logistic model's labels must
+    be integer classes in ``0..num_classes-1``.
+    """
     if w.ndim != 1 or w.shape[0] != spec.param_count:
         raise InvalidArgument(
             f"expected {spec.param_count} parameters for {spec.kind}, got shape {w.shape}"
         )
     if not np.all(np.isfinite(w)):
         raise NumericError("model parameters contain NaN or Inf")
-    return w
-
-
-def _check_features(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[1] != spec.input_dim:
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise InvalidArgument(
-            f"expected feature dimension {spec.input_dim}, got {x.shape[1]}"
+            f"expected an (n, {spec.input_dim}) feature matrix, got shape {x.shape}"
         )
-    return x
+    if y.shape != (x.shape[0],):
+        raise InvalidArgument("features and labels differ in length")
+    if spec.kind == "logistic" and not np.all(
+        (y >= 0) & (y < spec.num_classes) & (y == np.floor(y))
+    ):
+        raise InvalidArgument(
+            f"class labels must be integers in 0..{spec.num_classes - 1}"
+        )
 
 
 def _with_bias(x: np.ndarray) -> np.ndarray:
@@ -97,13 +101,10 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def batch_losses(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Non-negative per-sample losses of a batch at parameters ``w``."""
-    w = _check_params(spec, w)
-    x = _check_features(spec, x)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.shape[0] != x.shape[0]:
-        raise InvalidArgument("features and labels differ in length")
+    """Non-negative per-sample losses of a batch at parameters ``w``.
 
+    Trusts that ``check_batch`` accepted ``(w, x, y)``.
+    """
     if spec.kind == "scalar-regression":
         return (w[0] - y) ** 2
     if spec.kind == "linear-regression":
@@ -112,10 +113,7 @@ def batch_losses(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -
     weights = w.reshape(spec.num_classes, spec.input_dim + 1)
     logits = _with_bias(x) @ weights.T
     logp = _log_softmax(logits)
-    classes = y.astype(np.int64)
-    if np.any(classes < 0) or np.any(classes >= spec.num_classes):
-        raise InvalidArgument("class label out of range")
-    return -logp[np.arange(x.shape[0]), classes]
+    return -logp[np.arange(x.shape[0]), y.astype(np.int64)]
 
 
 def grad_weighted(
@@ -128,18 +126,9 @@ def grad_weighted(
     """Gradient of the weighted loss sum: grad of sum_j weights_j * loss_j.
 
     The sum is unnormalized; any averaging is the caller's concern.
+    Trusts that ``check_batch`` accepted ``(w, x, y)`` and that
+    ``weights`` is a non-negative vector with one entry per row.
     """
-    w = _check_params(spec, w)
-    x = _check_features(spec, x)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
-    if x.shape[0] == 0:
-        raise InvalidArgument("gradient of an empty batch is undefined")
-    if not (x.shape[0] == y.shape[0] == weights.shape[0]):
-        raise InvalidArgument("features, labels, and weights differ in length")
-    if np.any(weights < 0):
-        raise InvalidArgument("sample weights must be >= 0")
-
     if spec.kind == "scalar-regression":
         return np.array([float(np.sum(weights * 2.0 * (w[0] - y)))])
     if spec.kind == "linear-regression":
@@ -150,23 +139,15 @@ def grad_weighted(
     xb = _with_bias(x)
     logp = _log_softmax(xb @ wmat.T)
     probs = np.exp(logp)
-    classes = y.astype(np.int64)
-    probs[np.arange(x.shape[0]), classes] -= 1.0
+    probs[np.arange(x.shape[0]), y.astype(np.int64)] -= 1.0
     return ((probs * weights[:, None]).T @ xb).reshape(-1)
 
 
 def predict_classes(spec: ModelSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Argmax class predictions of a logistic model."""
-    if spec.kind != "logistic":
-        raise InvalidArgument("class prediction requires a logistic model")
-    w = _check_params(spec, w)
-    x = _check_features(spec, x)
+    """Argmax class predictions of a logistic model.
+
+    Trusts that ``spec`` is logistic and that ``check_batch`` accepted
+    ``w`` and ``x``.
+    """
     wmat = w.reshape(spec.num_classes, spec.input_dim + 1)
     return np.argmax(_with_bias(x) @ wmat.T, axis=1)
-
-
-def model_summary_value(spec: ModelSpec, w: np.ndarray) -> float:
-    """Scalar summary of the model (the learned constant) for reporting."""
-    if spec.kind != "scalar-regression":
-        raise InvalidArgument("scalar summary only defined for scalar-regression")
-    return float(w[0])

@@ -215,11 +215,11 @@ def test_criterion_5_gradient_checks():
         rng = make_rng(5, spec.param_count)
         for _ in range(100):
             w = rng.standard_normal(spec.param_count)
-            x = rng.standard_normal(spec.input_dim)
+            x = rng.standard_normal(spec.input_dim)[None, :]
             y = (float(rng.integers(0, spec.num_classes)) if spec.kind == "logistic"
                  else float(rng.standard_normal()))
             wt = float(rng.uniform(0.1, 2.0))
-            analytic = grad_weighted(spec, w, x[None, :], np.array([y]), np.array([wt]))
+            analytic = grad_weighted(spec, w, x, np.array([y]), np.array([wt]))
             numeric = np.zeros_like(w)
             for i in range(w.size):
                 up, down = w.copy(), w.copy()

@@ -132,6 +132,7 @@ class TestClientUpdateProperties:
         assert a.beta == float(alpha @ ds.domain_counts(3))
 
     @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergent_training_surfaces_numeric_error(self):
         from agfed.core import NumericError
         rng = make_rng(12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agfed.client import LocalSGDConfig
-from agfed.core import InvalidArgument
+from agfed.core import ClientDataset, InvalidArgument
 from agfed.harness import (
     ExperimentConfig,
     compare_algorithms,
@@ -13,8 +13,6 @@ from agfed.harness import (
     read_metrics_csv,
     run_experiment,
     run_experiment_full,
-    summary_field_names,
-    write_metrics_csv,
 )
 from agfed.server import AlgorithmConfig, RoundReport
 from agfed.tasks import TaskConfig
@@ -56,15 +54,6 @@ class TestRunExperiment:
         reports = run_experiment(_toy_experiment(rounds=4))
         assert [r.round for r in reports] == [1, 2, 3, 4]
 
-    def test_streamed_csv_equals_batch_csv(self, tmp_path):
-        cfg = _toy_experiment(rounds=6, out_dir=str(tmp_path / "run"))
-        run = run_experiment_full(cfg)
-        streamed = (tmp_path / "run" / "metrics.csv").read_text()
-        batch_path = tmp_path / "batch.csv"
-        write_metrics_csv(run.reports, batch_path,
-                          summary_names=summary_field_names(cfg.task))
-        assert streamed == batch_path.read_text()
-
     def test_same_config_byte_identical_outputs(self, tmp_path):
         cfg_a = _toy_experiment(rounds=8, out_dir=str(tmp_path / "a"))
         cfg_b = _toy_experiment(rounds=8, out_dir=str(tmp_path / "b"))
@@ -95,20 +84,16 @@ class TestMetricsCsv:
                           "acc_0,acc_1,comm_params_cumulative,degenerate")
 
     def test_round_trip_exact(self, tmp_path):
-        cfg = _toy_experiment(rounds=9)
-        reports = run_experiment(cfg)
-        path = tmp_path / "m.csv"
-        write_metrics_csv(reports, path, summary_names=summary_field_names(cfg.task))
-        assert read_metrics_csv(path) == reports
+        run = run_experiment_full(_toy_experiment(rounds=9, out_dir=str(tmp_path)))
+        assert read_metrics_csv(tmp_path / "metrics.csv") == list(run.reports)
 
     def test_empty_reports_need_p(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        with pytest.raises(InvalidArgument):
-            write_metrics_csv([], path)
-        write_metrics_csv([], path, p=3, summary_names=["learned_w"])
-        lines = path.read_text().splitlines()
-        assert lines == ["round,L_0,L_1,L_2,lambda_0,lambda_1,lambda_2,worst,"
-                         "learned_w,comm_params_cumulative,degenerate"]
+        # a zero-round run still writes the header, with p domains
+        run_experiment(_toy_experiment(rounds=0, out_dir=str(tmp_path)))
+        lines = (tmp_path / "metrics.csv").read_text().splitlines()
+        assert lines == ["round,L_0,L_1,L_2,L_3,L_4,lambda_0,lambda_1,lambda_2,lambda_3,"
+                         "lambda_4,worst,learned_w,comm_params_cumulative,degenerate"]
+        assert read_metrics_csv(tmp_path / "metrics.csv") == []
 
 
 def _parse_svg_series(path):
@@ -167,6 +152,16 @@ class TestEvaluateAndCompare:
         assert len(metrics["loss"]) == 2
         assert all(v >= 0 for v in metrics["loss"])
         assert all(0 <= v <= 1 for v in metrics["accuracy"])
+
+    def test_evaluate_population_rejects_non_class_label(self):
+        run = run_experiment_full(_cls_experiment(rounds=0))
+        bad = run.population[0]
+        labels = bad.labels.copy()
+        labels[0] = 0.7
+        population = (ClientDataset(bad.client_id, bad.feature_matrix, labels, bad.domains),
+                      *run.population[1:])
+        with pytest.raises(InvalidArgument):
+            evaluate_population(run.spec, run.final_state.w, population, 2)
 
     def test_compare_runs_both_algorithms_on_identical_data(self, tmp_path):
         cfg = _toy_experiment(rounds=3, out_dir=str(tmp_path))

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import agfed.client
+import agfed.server
 from agfed.client import ClientUpdateResult, LocalSGDConfig, compute_client_stats
 from agfed.core import InvalidArgument, make_rng, mixture_uniform
-from agfed.models import ModelSpec, batch_losses
+from agfed.models import ModelSpec, batch_losses, check_batch
 from agfed.server import (
     AggregationSettings,
     AlgorithmConfig,
@@ -24,7 +25,14 @@ from agfed.server import (
     project_simplex,
     run_round,
 )
-from agfed.tasks import TaskConfig, gen_toy_regression
+from agfed.tasks import (
+    TaskConfig,
+    gen_synthetic_classification,
+    gen_toy_regression,
+    model_spec_for,
+    read_datasets,
+    write_datasets,
+)
 
 SCALAR = ModelSpec("scalar-regression")
 
@@ -58,6 +66,13 @@ class TestComputeScaling:
     def test_length_mismatch(self):
         with pytest.raises(InvalidArgument):
             compute_scaling(np.array([0.5, 0.5]), np.array([1.0]))
+
+    def test_negative_inputs_rejected(self):
+        # the scaling vector client_update trusts is non-negative by construction
+        with pytest.raises(InvalidArgument):
+            compute_scaling(np.array([0.5, 0.5]), np.array([-1.0, 2.0]))
+        with pytest.raises(InvalidArgument):
+            compute_scaling(np.array([1.5, -0.5]), np.array([1.0, 2.0]))
 
 
 class TestEffectiveCounts:
@@ -404,6 +419,38 @@ class TestRunRound:
         run_round(initial_state(np.array([1.5]), 5), _algo(clients_per_round=10),
                   SCALAR, _toy(), 1)
         assert len(calls) == 10
+
+    def test_inputs_checked_once_per_client(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return check_batch(*args)
+
+        monkeypatch.setattr(agfed.client, "check_batch", counting)
+        run_round(initial_state(np.array([1.5]), 5), _algo(clients_per_round=10),
+                  SCALAR, _toy(), 1)
+        assert len(calls) == 10
+
+    def test_fractional_label_rejected_before_training(self, tmp_path, monkeypatch):
+        task = TaskConfig(kind="synthetic-classification", p=2, num_clients=4, seed=3,
+                          partition="client-partition", samples_per_client=5)
+        path = tmp_path / "population.txt"
+        write_datasets(gen_synthetic_classification(task), path)
+        lines = path.read_text().splitlines()
+        domain, _, *features = lines[-1].split()
+        lines[-1] = " ".join([domain, "0.7", *features])
+        path.write_text("\n".join(lines) + "\n")
+        population = read_datasets(path)
+
+        def no_training(*args):
+            raise AssertionError("client_update ran on unchecked data")
+
+        monkeypatch.setattr(agfed.server, "client_update", no_training)
+        spec = model_spec_for(task)
+        with pytest.raises(InvalidArgument):
+            run_round(initial_state(np.zeros(spec.param_count), 2),
+                      _algo(clients_per_round=4), spec, population, 1)
 
     def test_masked_params_close_to_plain(self):
         clients = _toy()
