@@ -49,7 +49,7 @@ def as_param_vector(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClientDataset:
     """A client's non-empty local data as three aligned, read-only arrays.
 
@@ -58,13 +58,15 @@ class ClientDataset:
     ``domains`` (n,) int64 tags into ``0..p-1`` of the enclosing task.
     Row order is fixed at generation time; all deterministic shuffles and
     sums key off this order. The domain tags are counted once, here.
+    Equality and hashing are by identity, since arrays have no single
+    truth value to compare fields by.
     """
 
     client_id: int
     feature_matrix: np.ndarray
     labels: np.ndarray
     domains: np.ndarray
-    _tag_counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _tag_counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.array(self.feature_matrix, dtype=np.float64)

@@ -11,6 +11,10 @@ A value whose encoding could push an n-client total out of the signed
 decode range (n * |r * scale| >= 2**63) raises ``MaskRangeError``
 instead of wrapping.
 
+Masking one client's vector of length L in a cohort of n costs one
+(n x L) splitmix64 evaluation, one stream per peer seed, and O(1) numpy
+calls, so O(n * L) work per client.
+
 This is a SIMULATION OF THE AGGREGATION SEMANTICS ONLY. There is no key
 agreement, no cryptographic PRG, and no dropout recovery: pairwise seeds
 come from the harness RNG, and a missing participant is simply a
@@ -119,9 +123,10 @@ _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def _pair_mask(seed: int, length: int) -> np.ndarray:
-    # counter-based splitmix64 stream: fast, deterministic, not cryptographic
-    z = np.uint64(seed) + np.arange(1, length + 1, dtype=np.uint64) * _SM64_GAMMA
+def _pair_masks(seeds: np.ndarray, length: int) -> np.ndarray:
+    # counter-based splitmix64 stream, one row per seed: fast, deterministic,
+    # not cryptographic
+    z = seeds[:, None] + np.arange(1, length + 1, dtype=np.uint64) * _SM64_GAMMA
     z = (z ^ (z >> np.uint64(30))) * _SM64_MIX1
     z = (z ^ (z >> np.uint64(27))) * _SM64_MIX2
     return z ^ (z >> np.uint64(31))
@@ -135,14 +140,11 @@ def mask_set(seeds: PairwiseSeeds, client: int, plain: np.ndarray, *,
         raise InvalidArgument(f"client index {client} outside cohort of {n}")
     scale = 1 << scale_bits
     residues = _encode(plain, scale, n)
-    for j in range(n):
-        if j == client:
-            continue
-        mask = _pair_mask(int(seeds.matrix[client, j]), residues.shape[0])
-        if client < j:
-            residues = residues + mask
-        else:
-            residues = residues - mask
+    masks = _pair_masks(seeds.matrix[client], residues.shape[0])
+    # the lower index of each pair adds the pair's mask and the higher one
+    # subtracts it; sums mod 2**64 are exact in any order
+    residues = (residues + masks[client + 1:].sum(axis=0, dtype=np.uint64)
+                - masks[:client].sum(axis=0, dtype=np.uint64))
     return MaskedVector(residues, scale, client, n)
 
 
@@ -167,9 +169,7 @@ def unmask_sum(masked: list[MaskedVector]) -> np.ndarray:
     if seen != set(range(n)):
         missing = sorted(set(range(n)) - seen)
         raise ProtocolError(f"missing participants {missing}; cannot unmask")
-    total = np.zeros(length, dtype=np.uint64)
-    for mv in masked:
-        total = total + mv.values
+    total = np.sum([mv.values for mv in masked], axis=0, dtype=np.uint64)
     return _decode(total, scale)
 
 

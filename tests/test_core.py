@@ -82,6 +82,15 @@ class TestDatasets:
         with pytest.raises(InvalidArgument):
             ClientDataset(0, np.array([[1.0]]), [1.0], [-1])
 
+    def test_equality_is_identity_and_hashable(self):
+        # comparing field tuples of arrays would raise "truth value ambiguous"
+        x = np.array([[1.0], [2.0]])
+        a = ClientDataset(0, x, [1.0, 2.0], [0, 1])
+        b = ClientDataset(0, x, [1.0, 2.0], [0, 1])
+        assert a == a
+        assert (a == b) is False
+        assert len({a, b, a}) == 2
+
     def test_domain_tags_partition_dataset(self):
         rng = make_rng(7)
         values = np.arange(30, dtype=np.float64)

@@ -13,13 +13,54 @@ from agfed.secagg import (
     PairwiseSeeds,
     ProtocolError,
     SecureSum,
+    _encode,
+    _pair_masks,
     mask_set,
     unmask_sum,
 )
 
+_UINT64_MAX = (1 << 64) - 1
+# splitmix64 outputs 1-3 for seed 0, as published with the generator
+_SPLITMIX64_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
 
 def _seeds(n, key=0):
     return PairwiseSeeds.generate(n, make_rng(key))
+
+
+def _reference_pair_mask(seed, length):
+    # splitmix64 for one seed, counters 1..length
+    z = np.uint64(seed) + np.arange(1, length + 1, dtype=np.uint64) * np.uint64(
+        0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _reference_mask_set(seeds, client, plain, scale_bits=DEFAULT_SCALE_BITS):
+    # one mask per peer, added by the lower index of the pair and
+    # subtracted by the higher
+    residues = _encode(plain, 1 << scale_bits, seeds.n_clients)
+    for j in range(seeds.n_clients):
+        if j == client:
+            continue
+        mask = _reference_pair_mask(int(seeds.matrix[client, j]), residues.shape[0])
+        if client < j:
+            residues = residues + mask
+        else:
+            residues = residues - mask
+    return residues
+
+
+@st.composite
+def _seed_matrices(draw):
+    """Symmetric seed matrices, random or with every entry near 2**64 - 1."""
+    n = draw(st.integers(1, 40))
+    rng = make_rng(draw(st.integers(0, 2**31 - 1)))
+    if draw(st.booleans()):
+        upper = np.triu(_UINT64_MAX - rng.integers(0, 16, size=(n, n), dtype=np.uint64), 1)
+        return PairwiseSeeds(upper + upper.T)
+    return PairwiseSeeds.generate(n, rng)
 
 
 class TestMasking:
@@ -85,6 +126,28 @@ class TestMasking:
     def test_client_index_out_of_cohort_rejected(self):
         with pytest.raises(Exception):
             mask_set(_seeds(2), 5, np.zeros(2))
+
+
+class TestPairMasks:
+    def test_splitmix64_known_answer(self):
+        seed0 = np.array([0], dtype=np.uint64)
+        assert _pair_masks(seed0, 3).tolist() == [_SPLITMIX64_SEED0]
+        assert _reference_pair_mask(0, 3).tolist() == _SPLITMIX64_SEED0
+
+    def test_rows_equal_single_seed_streams(self):
+        seeds = np.array([0, 1, 2**63, _UINT64_MAX - 1, _UINT64_MAX], dtype=np.uint64)
+        masks = _pair_masks(seeds, 6)
+        assert masks.shape == (5, 6) and masks.dtype == np.uint64
+        for k in range(seeds.shape[0]):
+            assert np.array_equal(masks[k], _pair_masks(seeds[k:k + 1], 6)[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_seed_matrices(), st.integers(1, 12), st.integers(0, 2**31 - 1))
+    def test_mask_set_matches_per_peer_reference(self, seeds, length, key):
+        plain = make_rng(key).uniform(-1e3, 1e3, size=length)
+        for client in range(seeds.n_clients):
+            masked = mask_set(seeds, client, plain)
+            assert np.array_equal(masked.values, _reference_mask_set(seeds, client, plain))
 
 
 class TestProtocol:
