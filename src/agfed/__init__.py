@@ -6,9 +6,10 @@ baseline, with simulated secure aggregation and communication-cost
 accounting.
 """
 
-from .client import ClientUpdateResult, LocalSGDConfig, client_update, compute_client_stats
+from .client import LocalSGDConfig, client_update, compute_client_stats
 from .core import (
     ClientDataset,
+    Cohort,
     DomainStats,
     InvalidArgument,
     NumericError,
@@ -44,7 +45,7 @@ __all__ = [
     "AggregationSettings",
     "AlgorithmConfig",
     "ClientDataset",
-    "ClientUpdateResult",
+    "Cohort",
     "DomainStats",
     "ExperimentConfig",
     "InvalidArgument",

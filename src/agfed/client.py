@@ -1,11 +1,13 @@
 """Per-round client work: domain statistics and weighted local SGD.
 
-A selected client answers two requests with the incoming parameters:
+The server puts two requests to the whole cohort at once, each over the
+cohort's gathered rows (a ``core.Cohort``):
 
-1. ``compute_client_stats``: per-domain sample counts and summed losses
-   evaluated at the incoming parameters (before any training), which
-   the server gathers once per round, and
-2. ``client_update``: E epochs of minibatch SGD on the scaled objective
+1. ``compute_client_stats``: every client's per-domain sample counts and
+   summed losses, evaluated at the incoming parameters (before any
+   training), from one ``batch_losses`` call, and
+2. ``client_update``: E epochs of minibatch SGD, every client on its own
+   scaled objective
 
        sum_i alpha_i * sum_{j in domain i} loss(w, x_j, y_j) / beta
 
@@ -14,36 +16,40 @@ A selected client answers two requests with the incoming parameters:
    full-batch gradient matches the objective's gradient exactly, and
    rescaling alpha by a constant cancels out of the update.
 
+What stays per client is what the protocol and the determinism contract
+need: each client's counts and loss sums are its own row of the result
+and leave only through the server's cohort sum; each client shuffles
+with its own ``rng_seed``, so it draws the same minibatches as it would
+alone; and beta is each client's own ``np.dot(alpha, counts)``. The
+clients step in lockstep: step s of an epoch takes every client's s-th
+minibatch in one ``grad_weighted`` call per minibatch size (one call
+when the clients are of equal size). A client with fewer rows than
+another runs out of minibatches first and sits the later steps out.
+Nothing is padded, and ``grad_weighted`` computes each stacked
+minibatch as it would alone, so every client's result equals that of
+training it alone bit for bit.
+
 A client whose populated domains all carry zero scaling weight has
-beta = 0; its statistics still count, but its update signals a skip
-(no parameter update) rather than failing.
+beta = 0; its statistics still count, but it keeps the incoming
+parameters and signals a skip rather than failing.
 
-Inputs are checked once per client and round: ``compute_client_stats``
-runs ``models.check_batch`` on the incoming parameters and the client's
-data before anything else touches them. ``client_update`` trusts that
-check and a scaling vector from ``server.compute_scaling`` (or all-ones
-for FedAvg); its SGD loop does arithmetic only. A blow-up during local
-SGD surfaces as ``NumericError`` when ``ClientUpdateResult`` receives
-non-finite parameters.
-
-``client_update`` is a pure function of its arguments; a harness may run
-all selected clients of a round concurrently as long as it reduces the
-results in ascending client id order.
+Inputs are checked once per round: ``compute_client_stats`` runs
+``models.check_batch`` on the incoming parameters and the cohort's rows
+before anything else touches them. ``client_update`` trusts that check
+and a scaling vector from ``server.compute_scaling`` (or all-ones for
+FedAvg); its SGD loop does arithmetic only. A blow-up during local SGD
+surfaces as ``NumericError`` from one finiteness check on the cohort's
+new parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    ClientDataset,
-    DomainStats,
-    InvalidArgument,
-    as_param_vector,
-    make_rng,
-)
+from .core import Cohort, InvalidArgument, NumericError, make_rng
 from .models import ModelSpec, batch_losses, check_batch, grad_weighted
 
 
@@ -64,78 +70,98 @@ class LocalSGDConfig:
             raise InvalidArgument("learning_rate must be > 0")
 
 
-@dataclass(frozen=True)
-class ClientUpdateResult:
-    """What local training returns: new parameters and weight beta.
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Sums of the consecutive segments of ``values`` with the given lengths.
 
-    The client's statistics are not part of it; the server gathers them
-    with ``compute_client_stats`` before training. ``beta == 0`` marks a
-    skipped client: its statistics count but it makes no parameter update.
+    Segments of one length are summed as the rows of one matrix, so each
+    sum runs in numpy's pairwise order for its length, the order that
+    ``segment.sum()`` uses. An empty segment sums to 0.
     """
-
-    new_params: np.ndarray
-    beta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "new_params", as_param_vector(self.new_params))
-        if self.beta < 0:
-            raise InvalidArgument("beta must be >= 0")
-
-    @property
-    def skipped(self) -> bool:
-        return self.beta == 0.0
+    sums = np.zeros(lengths.shape[0])
+    starts = np.cumsum(lengths) - lengths
+    for length in set(lengths.tolist()) - {0}:
+        segs = np.flatnonzero(lengths == length)
+        sums[segs] = values[starts[segs, None] + np.arange(length)].sum(axis=1)
+    return sums
 
 
 def compute_client_stats(
     spec: ModelSpec,
     w: np.ndarray,
-    data: ClientDataset,
-    p: int,
-) -> DomainStats:
-    """Counts and summed losses per domain, evaluated at ``w``.
+    cohort: Cohort,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every client's counts and summed losses per domain, evaluated at ``w``.
 
-    The round's check of ``w`` and of the client's data happens here.
+    Returns two (m, p) arrays. Row k of the loss sums adds client k's
+    losses of each domain in its row order, as summing them alone would,
+    so the sums equal a per-client evaluation bit for bit (but for a
+    logistic client of one row, whose 1-row matrix product takes another
+    BLAS path and may differ in the last bit). The round's check of
+    ``w`` and of the cohort's rows happens here.
     """
-    check_batch(spec, w, data.feature_matrix, data.labels)
-    counts = data.domain_counts(p)
-    losses = batch_losses(spec, w, data.feature_matrix, data.labels)
-    loss_sums = np.zeros(p)
-    for i in range(p):
-        if counts[i]:
-            loss_sums[i] = float(losses[data.domains == i].sum())
-    return DomainStats(counts, loss_sums)
+    check_batch(spec, w, cohort.x, cohort.y)
+    losses = batch_losses(spec, w, cohort.x, cohort.y)
+    m, p = cohort.counts.shape
+    owners = np.repeat(np.arange(m), cohort.sizes)
+    by_client_domain = np.argsort(owners * p + cohort.domains, kind="stable")
+    loss_sums = _segment_sums(losses[by_client_domain], cohort.counts.ravel()).reshape(m, p)
+    if not np.all(np.isfinite(loss_sums)):
+        raise NumericError("loss sums contain NaN or Inf")
+    return cohort.counts, loss_sums
 
 
 def client_update(
     spec: ModelSpec,
     w_in: np.ndarray,
     alpha: np.ndarray,
-    data: ClientDataset,
+    cohort: Cohort,
     cfg: LocalSGDConfig,
-    rng_seed: int,
-) -> ClientUpdateResult:
-    """E epochs of scaled local SGD starting from ``w_in``.
+    rng_seeds: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """E epochs of scaled local SGD for every cohort client, from ``w_in``.
 
-    The per-epoch shuffle is keyed by ``rng_seed`` only, so the result is
-    a deterministic function of the arguments. The last minibatch of an
-    epoch may be short; it is kept, not dropped. Trusts that
-    ``compute_client_stats`` checked ``w_in`` and ``data`` this round and
-    that ``alpha`` is a finite, non-negative vector of length p.
+    Returns the (m, P) new parameters and the (m,) betas; a client with
+    beta == 0 is skipped and keeps ``w_in``. Client k's per-epoch shuffle
+    is keyed by ``rng_seeds[k]`` only, so the result is a deterministic
+    function of the arguments. The last minibatch of an epoch may be
+    short; it is kept, not dropped. Trusts that ``compute_client_stats``
+    checked ``w_in`` and the cohort this round and that ``alpha`` is a
+    finite, non-negative vector of length p.
     """
-    beta = float(np.dot(alpha, data.domain_counts(alpha.shape[0])))
-    if beta == 0.0:
-        return ClientUpdateResult(w_in, 0.0)
+    betas = np.array([float(np.dot(alpha, counts)) for counts in cohort.counts])
+    params = np.tile(w_in, (len(cohort), 1))
+    live = np.flatnonzero(betas != 0.0)
+    if live.size:
+        params[live] = _lockstep_sgd(spec, params[live], alpha, cohort, live,
+                                     betas[live, None], cfg, rng_seeds)
+    if not np.all(np.isfinite(params)):
+        raise NumericError("local SGD produced NaN or Inf parameters")
+    return params, betas
 
-    x = data.feature_matrix
-    y = data.labels
-    sample_weights = alpha[data.domains]
-    n = len(data)
-    rng = make_rng(rng_seed)
-    w = np.array(w_in, dtype=np.float64)
+
+def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng_seeds):
+    """Local SGD of the cohort clients ``live``, one minibatch each per step."""
+    sizes = cohort.sizes[live]
+    starts = cohort.offsets[live]
+    width = min(cfg.batch_size, int(sizes.max()))
+    n_steps = -(-int(sizes.max()) // width)
+    # rows each client draws at each step; one gradient call per step and
+    # minibatch size, so no client's minibatch is padded
+    drawn = np.clip(sizes[:, None] - width * np.arange(n_steps), 0, width)
+    groups = [(s, np.flatnonzero(drawn[:, s] == rows), rows)
+              for s in range(n_steps) for rows in set(drawn[:, s].tolist()) - {0}]
+    sample_weights = alpha[cohort.domains]
+    # client k's epoch order fills the first sizes[k] slots of row k
+    slots = np.zeros((live.size, n_steps * width), dtype=np.int64)
+    filled = np.arange(n_steps * width) < sizes[:, None]
+    rngs = [make_rng(rng_seeds[k]) for k in live]
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            g = grad_weighted(spec, w, x[idx], y[idx], sample_weights[idx])
-            w -= cfg.learning_rate * (g / beta)
-    return ClientUpdateResult(w, beta)
+        slots[filled] = np.concatenate(
+            [start + rng.permutation(n) for rng, start, n in zip(rngs, starts, sizes)])
+        batches = slots.reshape(live.size, n_steps, width)
+        for s, clients, rows in groups:
+            idx = batches[clients, s, :rows]
+            g = grad_weighted(spec, w[clients], cohort.x[idx], cohort.y[idx],
+                              sample_weights[idx])
+            w[clients] -= cfg.learning_rate * (g / betas[clients])
+    return w

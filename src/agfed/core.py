@@ -16,7 +16,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -57,16 +58,14 @@ class ClientDataset:
     target for regression or a class index for classification) and
     ``domains`` (n,) int64 tags into ``0..p-1`` of the enclosing task.
     Row order is fixed at generation time; all deterministic shuffles and
-    sums key off this order. The domain tags are counted once, here.
-    Equality and hashing are by identity, since arrays have no single
-    truth value to compare fields by.
+    sums key off this order. Equality and hashing are by identity, since
+    arrays have no single truth value to compare fields by.
     """
 
     client_id: int
     feature_matrix: np.ndarray
     labels: np.ndarray
     domains: np.ndarray
-    _tag_counts: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         x = np.array(self.feature_matrix, dtype=np.float64)
@@ -89,22 +88,56 @@ class ClientDataset:
         object.__setattr__(self, "feature_matrix", x)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "domains", d)
-        object.__setattr__(self, "_tag_counts", np.bincount(d).astype(np.int64))
 
     def __len__(self) -> int:
         return self.labels.shape[0]
 
-    def domain_counts(self, p: int) -> np.ndarray:
-        """Number of samples per domain, length ``p``."""
-        tags = self._tag_counts.shape[0]
-        if tags > p:
-            raise InvalidArgument(
-                f"client {self.client_id} has domain tag >= p={p}"
-            )
-        counts = np.zeros(p, dtype=np.int64)
-        counts[:tags] = self._tag_counts
-        counts.flags.writeable = False
-        return counts
+
+@dataclass(frozen=True, eq=False)
+class Cohort:
+    """One round's cohort with its clients' rows gathered into shared arrays.
+
+    Client k (in the order the cohort was gathered) owns rows
+    ``offsets[k]:offsets[k+1]`` of ``x``, ``y`` and ``domains``, in its
+    own row order; ``counts[k]`` holds its sample count per domain
+    ``0..p-1``. The rows are copies, gathered once per round.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    domains: np.ndarray
+    offsets: np.ndarray
+    counts: np.ndarray
+
+    @staticmethod
+    def gather(clients: Sequence[ClientDataset], p: int) -> "Cohort":
+        """Concatenate the clients' rows in the given order and count domains."""
+        if not clients:
+            raise InvalidArgument("cohort needs at least one client")
+        if len({c.feature_matrix.shape[1] for c in clients}) != 1:
+            raise InvalidArgument("cohort clients differ in feature dimension")
+        sizes = np.array([len(c) for c in clients])
+        domains = np.concatenate([c.domains for c in clients])
+        if domains.max() >= p:
+            owner = int(np.searchsorted(np.cumsum(sizes), np.argmax(domains >= p), "right"))
+            raise InvalidArgument(f"client {clients[owner].client_id} has domain tag >= p={p}")
+        owners = np.repeat(np.arange(len(clients)), sizes)
+        return Cohort(
+            x=np.concatenate([c.feature_matrix for c in clients]),
+            y=np.concatenate([c.labels for c in clients]),
+            domains=domains,
+            offsets=np.concatenate([[0], np.cumsum(sizes)]),
+            counts=np.bincount(owners * p + domains, minlength=len(clients) * p)
+            .reshape(len(clients), p),
+        )
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Number of rows per client."""
+        return np.diff(self.offsets)
 
 
 def mixture_uniform(p: int) -> np.ndarray:

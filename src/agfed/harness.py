@@ -43,6 +43,13 @@ class ExperimentConfig:
     csv_name: str = "metrics.csv"
     plots: bool = True
 
+    def __post_init__(self):
+        if self.algorithm.clients_per_round > self.task.num_clients:
+            raise InvalidArgument(
+                f"clients_per_round={self.algorithm.clients_per_round} exceeds "
+                f"num_clients={self.task.num_clients}"
+            )
+
     @property
     def seed(self) -> int:
         return self.task.seed

@@ -11,11 +11,14 @@ Three small closed-form families:
 The training protocol only ever touches models through the vectorized
 ``batch_losses`` and ``grad_weighted`` (a single sample is a 1-row
 batch), so any gradient-oracle model would slot in here.
+``grad_weighted`` takes a leading axis of stacked minibatches, so the
+clients of a cohort can share one call per local step without changing
+any client's numbers.
 
 ``check_batch`` is the one rule for what a valid model input is. The
-round calls it once per client before that client's data meets the
-model; ``batch_losses``, ``grad_weighted`` and ``predict_classes`` then
-trust their inputs and do arithmetic only.
+round calls it once, on the cohort's gathered rows, before they meet
+the model; ``batch_losses``, ``grad_weighted`` and ``predict_classes``
+then trust their inputs and do arithmetic only.
 """
 
 from __future__ import annotations
@@ -91,13 +94,13 @@ def check_batch(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) ->
 
 
 def _with_bias(x: np.ndarray) -> np.ndarray:
-    return np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     # max-subtraction keeps exp() in range; invariant under constant shifts
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def batch_losses(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -108,7 +111,9 @@ def batch_losses(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -
     if spec.kind == "scalar-regression":
         return (w[0] - y) ** 2
     if spec.kind == "linear-regression":
-        pred = _with_bias(x) @ w
+        # an elementwise row sum, not BLAS: a row's prediction must not
+        # depend on how many rows share its batch
+        pred = np.sum(_with_bias(x) * w, axis=-1)
         return (pred - y) ** 2
     weights = w.reshape(spec.num_classes, spec.input_dim + 1)
     logits = _with_bias(x) @ weights.T
@@ -125,22 +130,26 @@ def grad_weighted(
 ) -> np.ndarray:
     """Gradient of the weighted loss sum: grad of sum_j weights_j * loss_j.
 
-    The sum is unnormalized; any averaging is the caller's concern.
-    Trusts that ``check_batch`` accepted ``(w, x, y)`` and that
-    ``weights`` is a non-negative vector with one entry per row.
+    Takes any leading batch axes: parameters ``(..., P)``, features
+    ``(..., b, d)``, labels and weights ``(..., b)``; returns ``(..., P)``.
+    Local SGD passes a leading cohort axis, one minibatch per client;
+    a single batch is the case without one. Each batch's gradient is
+    computed by the same BLAS call on the same shapes as when it is
+    passed alone, so stacking keeps every bit. The sum is unnormalized;
+    any averaging is the caller's concern. Trusts that ``check_batch``
+    accepted ``(w, x, y)`` and that ``weights`` is non-negative.
     """
     if spec.kind == "scalar-regression":
-        return np.array([float(np.sum(weights * 2.0 * (w[0] - y)))])
-    if spec.kind == "linear-regression":
-        xb = _with_bias(x)
-        residual = xb @ w - y
-        return xb.T @ (weights * 2.0 * residual)
-    wmat = w.reshape(spec.num_classes, spec.input_dim + 1)
+        return np.sum(weights * 2.0 * (w[..., :1] - y), axis=-1, keepdims=True)
     xb = _with_bias(x)
-    logp = _log_softmax(xb @ wmat.T)
-    probs = np.exp(logp)
-    probs[np.arange(x.shape[0]), y.astype(np.int64)] -= 1.0
-    return ((probs * weights[:, None]).T @ xb).reshape(-1)
+    if spec.kind == "linear-regression":
+        residual = np.matmul(xb, w[..., None])[..., 0] - y
+        return np.matmul((weights * 2.0 * residual)[..., None, :], xb)[..., 0, :]
+    wmat = w.reshape(w.shape[:-1] + (spec.num_classes, spec.input_dim + 1))
+    probs = np.exp(_log_softmax(np.matmul(xb, np.swapaxes(wmat, -1, -2))))
+    # d loss / d logits = softmax - one-hot(label)
+    probs = probs - (y[..., None] == np.arange(spec.num_classes))
+    return np.matmul(np.swapaxes(probs * weights[..., None], -1, -2), xb).reshape(w.shape)
 
 
 def predict_classes(spec: ModelSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -51,7 +51,8 @@ def _encode(plain: np.ndarray, scale: int, n_clients: int) -> np.ndarray:
     plain = np.asarray(plain, dtype=np.float64)
     scaled = np.rint(plain * scale)
     limit = min(_ENCODE_LIMIT, _DECODE_LIMIT / n_clients)
-    if np.any(~np.isfinite(scaled)) or np.any(np.abs(scaled) >= limit):
+    # NaN and +-inf fail the comparison too
+    if not (np.abs(scaled) < limit).all():
         raise MaskRangeError(
             f"value magnitude exceeds fixed-point range for a cohort of {n_clients} "
             f"(|r * {scale}| >= min(2**62, 2**63 / {n_clients}))"

@@ -3,15 +3,19 @@
 One round of the agnostic algorithm:
 
 1. sample clients uniformly without replacement,
-2. gather each client's per-domain counts and summed losses, evaluated
-   once at the current parameters (before training), through one cohort
-   sum (secure aggregation when masked),
+2. gather the cohort's rows once and evaluate every client's per-domain
+   counts and summed losses at the current parameters (before training)
+   in one ``compute_client_stats`` call; the rows of that (m x 2p) stats
+   matrix meet in one cohort sum, client by client (secure aggregation
+   when masked),
 3. build the scaling vector alpha_i = lambda_i / N_i (zero when N_i = 0),
    where N comes either from this round's exact counts (two-phase-exact)
    or from a sliding-window average of previous rounds (windowed),
-4. run the scaled local SGD on every selected client,
+4. run the scaled local SGD of every selected client in one
+   ``client_update`` call, the clients stepping in lockstep, each on its
+   own shuffle,
 5. aggregate parameters weighted by each client's beta, through the same
-   cohort sum,
+   cohort sum over the rows of the (m x P+1) matrix of beta*w and beta,
 6. ascend the domain weights lambda on the observed per-domain average
    losses, by exponentiated gradient or by projected gradient.
 
@@ -25,9 +29,8 @@ In windowed mode round 1 is always degenerate (empty window => alpha = 0);
 it exists to seed the window with counts.
 
 ``ServerState`` is an immutable snapshot; ``run_round`` returns a new one.
-Client updates are pure and could run concurrently, but every reduction
-happens on the orchestration thread in ascending client id order so
-floating-point sums stay deterministic.
+The cohort is sorted by client id, and every reduction over clients runs
+in that order, so floating-point sums stay deterministic.
 """
 
 from __future__ import annotations
@@ -37,9 +40,10 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .client import ClientUpdateResult, LocalSGDConfig, client_update, compute_client_stats
+from .client import LocalSGDConfig, client_update, compute_client_stats
 from .core import (
     ClientDataset,
+    Cohort,
     DomainStats,
     InvalidArgument,
     NumericError,
@@ -189,46 +193,49 @@ def effective_counts(
 
 
 def cohort_sum(
-    vectors: Sequence[np.ndarray],
+    vectors: np.ndarray,
     mask_rng: np.random.Generator | None,
     scale_bits: int,
 ) -> np.ndarray:
-    """Sum of the cohort's vectors; the per-client vectors never leave here.
+    """Sum of the rows of an (m x L) matrix, one row per cohort client.
 
-    Without ``mask_rng`` the vectors are added in list order starting
-    from zeros. With it, each vector is fed into a ``SecureSum`` keyed by
-    fresh pairwise seeds, and only the aggregate is ever read; integers
-    (such as counts) survive the fixed-point wire bit-exactly.
+    The per-client rows never leave here. Without ``mask_rng`` the rows
+    are added in order starting from zeros. With it, each row is fed
+    into a ``SecureSum`` keyed by fresh pairwise seeds, one client at a
+    time, and only the aggregate is ever read; integers (such as counts)
+    survive the fixed-point wire bit-exactly.
     """
     if mask_rng is None:
-        total = np.zeros(len(vectors[0]))
+        total = np.zeros(vectors.shape[1])
         for v in vectors:
             total = total + v
         return total
-    seeds = PairwiseSeeds.generate(len(vectors), mask_rng)
-    collector = SecureSum(seeds, len(vectors[0]), scale_bits=scale_bits)
+    seeds = PairwiseSeeds.generate(vectors.shape[0], mask_rng)
+    collector = SecureSum(seeds, vectors.shape[1], scale_bits=scale_bits)
     for rank, v in enumerate(vectors):
         collector.submit(rank, v)
     return collector.aggregate()
 
 
 def aggregate_params(
-    results: Sequence[ClientUpdateResult],
+    params: np.ndarray,
+    betas: np.ndarray,
     mask_rng: np.random.Generator | None = None,
     scale_bits: int = DEFAULT_SCALE_BITS,
 ) -> np.ndarray:
-    """Beta-weighted mean of client parameters, from one ``cohort_sum``.
+    """Beta-weighted mean of the (m x P) client parameters, from one ``cohort_sum``.
 
-    Callers pass results in ascending client id order. With ``mask_rng``
+    Callers pass the rows in ascending client id order, with the (m,)
+    betas alongside (a skipped client has beta 0). With ``mask_rng``
     the sums of beta*w and of beta are each quantized to the fixed-point
     grid, at most n/(2*2**scale_bits) per coordinate, and the division by
     the total beta amplifies that error by 1/total beta (exactly so when
     the total beta lies on the grid). Raises ``DegenerateRound`` when no
     client carries positive weight.
     """
-    if not results:
+    if betas.shape[0] == 0:
         raise DegenerateRound("empty cohort")
-    total = cohort_sum([np.append(r.beta * r.new_params, r.beta) for r in results],
+    total = cohort_sum(np.column_stack([betas[:, None] * params, betas]),
                        mask_rng, scale_bits)
     if total[-1] <= 0.0:
         raise DegenerateRound("no client carried positive aggregation weight")
@@ -320,9 +327,11 @@ def run_round(
     picked = sample_rng.choice(len(population), size=cfg.clients_per_round, replace=False)
     clients = sorted((population[i] for i in picked), key=lambda c: c.client_id)
 
-    stats = [compute_client_stats(spec, state.w, c, p) for c in clients]
+    cohort = Cohort.gather(clients, p)
+
+    client_counts, client_loss_sums = compute_client_stats(spec, state.w, cohort)
     total = cohort_sum(
-        [np.concatenate([s.counts.astype(np.float64), s.loss_sums]) for s in stats],
+        np.concatenate([client_counts.astype(np.float64), client_loss_sums], axis=1),
         make_rng(seed, t, _TAG_STATS_MASK) if settings.mask_stats else None,
         settings.scale_bits,
     )
@@ -337,15 +346,15 @@ def run_round(
         exact = round_stats.counts if cfg.scaling_mode == "two-phase-exact" else None
         alpha = compute_scaling(state.lam, effective_counts(state, cfg.scaling_mode, exact))
 
-    results = [
-        client_update(spec, state.w, alpha, c, cfg.local, derive_seed(seed, t, c.client_id))
-        for c in clients
-    ]
+    params, betas = client_update(
+        spec, state.w, alpha, cohort, cfg.local,
+        [derive_seed(seed, t, c.client_id) for c in clients],
+    )
 
     degenerate = False
     try:
         new_w = aggregate_params(
-            results,
+            params, betas,
             make_rng(seed, t, _TAG_PARAMS_MASK) if settings.mask_params else None,
             settings.scale_bits,
         )

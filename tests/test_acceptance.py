@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from agfed.client import LocalSGDConfig, compute_client_stats
-from agfed.core import ClientDataset, make_rng
+from agfed.core import ClientDataset, Cohort, make_rng
 from agfed.harness import ExperimentConfig, compare_algorithms, run_experiment
 from agfed.models import ModelSpec, batch_losses, grad_weighted
 from agfed.secagg import (
@@ -114,16 +114,17 @@ def test_criterion_2_identity_property():
     worst = 0.0
     for _ in range(50):
         spec, w, lam, clients, p = _identity_instance(rng)
-        stats = [compute_client_stats(spec, w, c, p) for c in clients]
-        counts = np.sum([s.counts for s in stats], axis=0)
-        loss_sums = np.sum([s.loss_sums for s in stats], axis=0)
+        client_counts, client_loss_sums = compute_client_stats(
+            spec, w, Cohort.gather(clients, p))
+        counts = client_counts.sum(axis=0)
+        loss_sums = client_loss_sums.sum(axis=0)
         alpha = compute_scaling(lam, counts.astype(np.float64))
 
         lhs_num = lhs_den = 0.0
-        for s in stats:
-            beta = float(alpha @ s.counts)
+        for n_k, l_k in zip(client_counts, client_loss_sums):
+            beta = float(alpha @ n_k)
             if beta > 0:
-                lhs_num += beta * (float(alpha @ s.loss_sums) / beta)
+                lhs_num += beta * (float(alpha @ l_k) / beta)
                 lhs_den += beta
         lhs = lhs_num / lhs_den
         rhs = float(lam @ (loss_sums / counts))

@@ -119,6 +119,19 @@ class TestErrors:
         assert "scale_bits" in err
         assert err.count("\n") == 1
 
+    def test_cohort_larger_than_population_rejected_before_setup(self, capsys, tmp_path):
+        # with zero rounds nothing would ever sample the cohort
+        config = Path(__file__).resolve().parent.parent / "configs" / "classification.ini"
+        code = main(["run", "--config", str(config),
+                     "--set", "algorithm.clients_per_round=41",
+                     "--set", "algorithm.rounds=0", "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidArgument: ")
+        assert "clients_per_round" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_inconsistent_config_rejected(self, config_path, capsys):
         # three centers but p overridden to 2
         code = main(["run", "--config", str(config_path), "--set", "task.p=2"])

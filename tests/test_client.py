@@ -1,13 +1,20 @@
-"""Client-side round work: stats computation and weighted local SGD."""
+"""Client-side round work: stats computation and weighted local SGD.
+
+Both requests run over a whole cohort at once; most tests here use a
+cohort of one client. ``_reference_round_clients`` keeps the per-client
+loop they replaced, and the cohort path must agree with it.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agfed.client import LocalSGDConfig, client_update, compute_client_stats
-from agfed.core import ClientDataset, InvalidArgument, make_rng
-from agfed.models import ModelSpec, batch_losses
+from agfed.core import ClientDataset, Cohort, InvalidArgument, NumericError, make_rng
+from agfed.models import ModelSpec, batch_losses, grad_weighted
 
 SCALAR = ModelSpec("scalar-regression")
 
@@ -24,48 +31,91 @@ def _random_client(rng, n=12, p=3):
                          rng.integers(0, p, size=n))
 
 
+def _stats(w, ds, p):
+    """Counts and loss sums of a one-client cohort."""
+    counts, loss_sums = compute_client_stats(SCALAR, w, Cohort.gather([ds], p))
+    return counts[0], loss_sums[0]
+
+
+def _update(w, alpha, ds, cfg, seed):
+    """New parameters and beta of a one-client cohort."""
+    params, betas = client_update(SCALAR, w, alpha, Cohort.gather([ds], alpha.shape[0]),
+                                  cfg, [seed])
+    return params[0], betas[0]
+
+
+def _reference_round_clients(spec, w, alpha, clients, p, cfg, seeds):
+    """Stats and local SGD one client at a time: the loop the cohort calls replaced.
+
+    Returns (m, p) counts and loss sums, (m, P) new parameters and (m,)
+    betas, like the two cohort calls together.
+    """
+    counts, loss_sums, params, betas = [], [], [], []
+    for data, seed in zip(clients, seeds):
+        x, y, domains = data.feature_matrix, data.labels, data.domains
+        n_k = np.bincount(domains, minlength=p)
+        losses = batch_losses(spec, w, x, y)
+        counts.append(n_k)
+        loss_sums.append([float(losses[domains == i].sum()) if n_k[i] else 0.0
+                          for i in range(p)])
+        beta = float(np.dot(alpha, n_k))
+        w_k = np.array(w, dtype=np.float64)
+        if beta != 0.0:
+            sample_weights = alpha[domains]
+            rng = make_rng(seed)
+            for _ in range(cfg.epochs):
+                order = rng.permutation(len(data))
+                for start in range(0, len(data), cfg.batch_size):
+                    idx = order[start:start + cfg.batch_size]
+                    g = grad_weighted(spec, w_k, x[idx], y[idx], sample_weights[idx])
+                    w_k -= cfg.learning_rate * (g / beta)
+        params.append(w_k)
+        betas.append(beta)
+    return np.array(counts), np.array(loss_sums), np.array(params), np.array(betas)
+
+
 class TestComputeClientStats:
     def test_single_domain_client(self):
         ds = _client([[], [1.0, 2.0, 3.0]])
-        stats = compute_client_stats(SCALAR, np.array([0.0]), ds, 2)
-        assert stats.counts.tolist() == [0, 3]
-        assert stats.loss_sums[0] == 0.0
-        assert stats.loss_sums[1] == pytest.approx(1 + 4 + 9, rel=1e-12)
+        counts, loss_sums = _stats(np.array([0.0]), ds, 2)
+        assert counts.tolist() == [0, 3]
+        assert loss_sums[0] == 0.0
+        assert loss_sums[1] == pytest.approx(1 + 4 + 9, rel=1e-12)
 
     def test_singleton(self):
         ds = _client([[0.5]])  # loss at w=0 is 0.25
-        stats = compute_client_stats(SCALAR, np.array([0.0]), ds, 2)
-        assert stats.counts.tolist() == [1, 0]
-        assert stats.loss_sums.tolist() == pytest.approx([0.25, 0.0], abs=1e-15)
+        counts, loss_sums = _stats(np.array([0.0]), ds, 2)
+        assert counts.tolist() == [1, 0]
+        assert loss_sums.tolist() == pytest.approx([0.25, 0.0], abs=1e-15)
 
     def test_two_domain_averages(self):
         # domain 0: 2 samples with average loss 0.5; domain 1: 4 samples, average 1.0
         a = np.sqrt(0.5)
         ds = _client([[a, a], [1.0, 1.0, 1.0, 1.0]])
-        stats = compute_client_stats(SCALAR, np.array([0.0]), ds, 2)
-        assert stats.counts.tolist() == [2, 4]
-        assert stats.loss_sums[0] == pytest.approx(1.0, rel=1e-12)
-        assert stats.loss_sums[1] == pytest.approx(4.0, rel=1e-12)
+        counts, loss_sums = _stats(np.array([0.0]), ds, 2)
+        assert counts.tolist() == [2, 4]
+        assert loss_sums[0] == pytest.approx(1.0, rel=1e-12)
+        assert loss_sums[1] == pytest.approx(4.0, rel=1e-12)
 
     def test_three_samples_same_loss(self):
         # scalar model at w=0; x = sqrt(0.2) gives loss exactly 0.2
         x = math.sqrt(0.2)
-        stats = compute_client_stats(SCALAR, np.array([0.0]), _client([[x, x, x]]), 1)
-        assert stats.counts.tolist() == [3]
-        assert stats.loss_sums[0] == pytest.approx(0.6, abs=1e-12)
+        counts, loss_sums = _stats(np.array([0.0]), _client([[x, x, x]]), 1)
+        assert counts.tolist() == [3]
+        assert loss_sums[0] == pytest.approx(0.6, abs=1e-12)
 
     def test_empty_domain(self):
-        stats = compute_client_stats(SCALAR, np.array([0.0]), _client([[1.0]]), 2)
-        assert stats.counts[1] == 0
-        assert stats.loss_sums[1] == 0.0
+        counts, loss_sums = _stats(np.array([0.0]), _client([[1.0]]), 2)
+        assert counts[1] == 0
+        assert loss_sums[1] == 0.0
 
     def test_domain_sums_cover_total(self):
         ds = _random_client(make_rng(5), n=10)
         w = np.array([0.3])
-        stats = compute_client_stats(SCALAR, w, ds, 3)
+        counts, loss_sums = _stats(w, ds, 3)
         total = float(batch_losses(SCALAR, w, ds.feature_matrix, ds.labels).sum())
-        assert stats.counts.tolist() == [3, 3, 4]
-        assert float(stats.loss_sums.sum()) == pytest.approx(total, rel=1e-12)
+        assert counts.tolist() == [3, 3, 4]
+        assert float(loss_sums.sum()) == pytest.approx(total, rel=1e-12)
 
 
 class TestClientUpdateExamples:
@@ -74,27 +124,25 @@ class TestClientUpdateExamples:
         # w <- 0 - 0.1 * (2 * (0 - 1) * 1 / 1) = 0.2
         ds = _client([[1.0], []])
         cfg = LocalSGDConfig(epochs=1, batch_size=8, learning_rate=0.1)
-        res = client_update(SCALAR, np.array([0.0]), np.array([1.0, 0.0]), ds, cfg, 0)
-        assert res.beta == 1.0
-        assert res.new_params[0] == pytest.approx(0.2, abs=1e-15)
-        assert not res.skipped
+        w, beta = _update(np.array([0.0]), np.array([1.0, 0.0]), ds, cfg, 0)
+        assert beta == 1.0
+        assert w[0] == pytest.approx(0.2, abs=1e-15)
 
     def test_zero_alpha_is_skip_signal(self):
         ds = _client([[1.0], []])
         cfg = LocalSGDConfig(1, 8, 0.1)
-        res = client_update(SCALAR, np.array([0.3]), np.array([0.0, 1.0]), ds, cfg, 0)
-        assert res.skipped
-        assert res.beta == 0.0
-        assert np.array_equal(res.new_params, np.array([0.3]))
+        w, beta = _update(np.array([0.3]), np.array([0.0, 1.0]), ds, cfg, 0)
+        assert beta == 0.0
+        assert np.array_equal(w, np.array([0.3]))
 
     def test_two_domains_weighted_gradient(self):
         # x0=1 (domain 0, alpha 2), x1=2 (domain 1, alpha 1), beta = 3
         # full-batch grad = (2*2*(0-1) + 1*2*(0-2)) / 3 = -8/3
         ds = _client([[1.0], [2.0]])
         cfg = LocalSGDConfig(1, 8, 0.1)
-        res = client_update(SCALAR, np.array([0.0]), np.array([2.0, 1.0]), ds, cfg, 0)
-        assert res.beta == pytest.approx(3.0)
-        assert res.new_params[0] == pytest.approx(0.1 * 8.0 / 3.0, rel=1e-15)
+        w, beta = _update(np.array([0.0]), np.array([2.0, 1.0]), ds, cfg, 0)
+        assert beta == pytest.approx(3.0)
+        assert w[0] == pytest.approx(0.1 * 8.0 / 3.0, rel=1e-15)
 
 
 class TestClientUpdateProperties:
@@ -103,57 +151,56 @@ class TestClientUpdateProperties:
         ds = _random_client(rng)
         cfg = LocalSGDConfig(1, 100, 0.05)  # full batch
         alpha = np.array([0.2, 0.5, 0.3])
-        base = client_update(SCALAR, np.array([0.1]), alpha, ds, cfg, 9)
+        base_w, base_beta = _update(np.array([0.1]), alpha, ds, cfg, 9)
         for c in (2.0, 17.5, 1e-3):
-            scaled = client_update(SCALAR, np.array([0.1]), c * alpha, ds, cfg, 9)
-            assert np.allclose(scaled.new_params, base.new_params, rtol=0, atol=1e-12)
-            assert scaled.beta == pytest.approx(c * base.beta, rel=1e-12)
+            w, beta = _update(np.array([0.1]), c * alpha, ds, cfg, 9)
+            assert np.allclose(w, base_w, rtol=0, atol=1e-12)
+            assert beta == pytest.approx(c * base_beta, rel=1e-12)
 
     def test_p1_reduces_to_unweighted_local_training(self):
         rng = make_rng(4)
         ds = _random_client(rng, n=10, p=1)
         cfg = LocalSGDConfig(epochs=3, batch_size=4, learning_rate=0.05)
         n_total = 40  # pretend cohort-wide count
-        afa = client_update(SCALAR, np.array([0.2]), np.array([1.0 / n_total]), ds, cfg, 5)
-        plain = client_update(SCALAR, np.array([0.2]), np.array([1.0]), ds, cfg, 5)
-        assert np.allclose(afa.new_params, plain.new_params, rtol=0, atol=1e-12)
+        afa, _ = _update(np.array([0.2]), np.array([1.0 / n_total]), ds, cfg, 5)
+        plain, _ = _update(np.array([0.2]), np.array([1.0]), ds, cfg, 5)
+        assert np.allclose(afa, plain, rtol=0, atol=1e-12)
 
     def test_deterministic_in_all_arguments(self):
         rng = make_rng(9)
         ds = _random_client(rng)
         cfg = LocalSGDConfig(3, 4, 0.1)
         alpha = np.array([1.0, 0.5, 2.0])
-        args = (SCALAR, np.array([0.5]), alpha, ds, cfg, 1234)
-        a = client_update(*args)
-        b = client_update(*args)
-        assert np.array_equal(a.new_params, b.new_params)
-        assert a.beta == b.beta
+        args = (np.array([0.5]), alpha, ds, cfg, 1234)
+        a_w, a_beta = _update(*args)
+        b_w, b_beta = _update(*args)
+        assert np.array_equal(a_w, b_w)
+        assert a_beta == b_beta
         # beta is exactly the alpha-weighted count sum
-        assert a.beta == float(alpha @ ds.domain_counts(3))
+        assert a_beta == float(alpha @ np.bincount(ds.domains, minlength=3))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergent_training_surfaces_numeric_error(self):
-        from agfed.core import NumericError
         rng = make_rng(12)
         ds = _random_client(rng)
         cfg = LocalSGDConfig(epochs=2000, batch_size=100, learning_rate=1e150)
         with pytest.raises(NumericError):
-            client_update(SCALAR, np.array([1.0]), np.ones(3), ds, cfg, 0)
+            _update(np.array([1.0]), np.ones(3), ds, cfg, 0)
 
     def test_seed_changes_minibatch_trajectory(self):
         rng = make_rng(10)
         ds = _random_client(rng, n=16)
         cfg = LocalSGDConfig(2, 3, 0.1)
-        a = client_update(SCALAR, np.array([0.5]), np.ones(3), ds, cfg, 1)
-        b = client_update(SCALAR, np.array([0.5]), np.ones(3), ds, cfg, 2)
+        a, _ = _update(np.array([0.5]), np.ones(3), ds, cfg, 1)
+        b, _ = _update(np.array([0.5]), np.ones(3), ds, cfg, 2)
         # different shuffles visit minibatches in different orders
-        assert not np.array_equal(a.new_params, b.new_params)
+        assert not np.array_equal(a, b)
         # but a full-batch pass is shuffle-independent
         full = LocalSGDConfig(1, 100, 0.1)
-        fa = client_update(SCALAR, np.array([0.5]), np.ones(3), ds, full, 1)
-        fb = client_update(SCALAR, np.array([0.5]), np.ones(3), ds, full, 2)
-        assert np.allclose(fa.new_params, fb.new_params, atol=0)
+        fa, _ = _update(np.array([0.5]), np.ones(3), ds, full, 1)
+        fb, _ = _update(np.array([0.5]), np.ones(3), ds, full, 2)
+        assert np.allclose(fa, fb, atol=0)
 
 
 class TestLocalSGDConfig:
@@ -166,3 +213,97 @@ class TestLocalSGDConfig:
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(InvalidArgument):
             LocalSGDConfig(**kwargs)
+
+
+_KINDS = ("scalar-regression", "linear-regression", "logistic")
+
+
+@st.composite
+def _rounds(draw):
+    """A cohort, its model and one round's inputs, for the reference check."""
+    kind = draw(st.sampled_from(_KINDS))
+    dim = 1 if kind == "scalar-regression" else draw(st.integers(1, 3))
+    spec = ModelSpec(kind, input_dim=dim,
+                     num_classes=draw(st.integers(2, 3)) if kind == "logistic" else 0)
+    p = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 25), min_size=1, max_size=6))
+    # zero-weight domains make clients that hold only those skip (beta = 0)
+    zero_domains = draw(st.sets(st.integers(0, p - 1), max_size=p))
+    cfg = LocalSGDConfig(epochs=draw(st.integers(1, 3)),
+                         batch_size=draw(st.integers(1, 30)), learning_rate=0.05)
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    clients = []
+    for cid, n in enumerate(sizes):
+        # some clients draw from one domain only, so skips are common
+        domains = (np.full(n, rng.integers(0, p)) if rng.random() < 0.4
+                   else rng.integers(0, p, size=n))
+        labels = (rng.integers(0, spec.num_classes, size=n).astype(float)
+                  if kind == "logistic" else rng.standard_normal(n))
+        clients.append(ClientDataset(3 * cid + 1, rng.standard_normal((n, dim)),
+                                     labels, domains))
+    alpha = rng.uniform(0.1, 2.0, size=p)
+    alpha[list(zero_domains)] = 0.0
+    w = rng.standard_normal(spec.param_count)
+    seeds = [int(s) for s in rng.integers(0, 2**63, size=len(sizes))]
+    return spec, w, alpha, clients, p, cfg, seeds
+
+
+class TestCohortMatchesPerClientLoop:
+    @settings(max_examples=200, deadline=None)
+    @given(_rounds())
+    def test_cohort_calls_match_reference(self, round_inputs):
+        spec, w, alpha, clients, p, cfg, seeds = round_inputs
+        ref_counts, ref_loss_sums, ref_params, ref_betas = _reference_round_clients(
+            spec, w, alpha, clients, p, cfg, seeds)
+        cohort = Cohort.gather(clients, p)
+        counts, loss_sums = compute_client_stats(spec, w, cohort)
+        params, betas = client_update(spec, w, alpha, cohort, cfg, seeds)
+        assert np.array_equal(counts, ref_counts)
+        assert np.array_equal(betas == 0.0, ref_betas == 0.0)
+        assert np.array_equal(betas, ref_betas)
+        np.testing.assert_allclose(loss_sums, ref_loss_sums, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(params, ref_params, rtol=1e-12, atol=0)
+
+    def test_ragged_cohort_with_skipped_client(self):
+        # sizes 3, 7 and 12 with batch 5: 1, 2 and 3 steps, short last
+        # minibatches of 3, 2 and 2 rows; the domain-1-only client skips
+        rng = make_rng(21)
+        clients = [ClientDataset(k, rng.standard_normal((n, 1)), rng.standard_normal(n), d)
+                   for k, (n, d) in enumerate([(3, [0, 0, 0]), (7, [1] * 7),
+                                               (12, [0, 1] * 6)])]
+        alpha = np.array([0.5, 0.0])
+        cfg = LocalSGDConfig(epochs=2, batch_size=5, learning_rate=0.1)
+        w = np.array([0.4])
+        cohort = Cohort.gather(clients, 2)
+        params, betas = client_update(SCALAR, w, alpha, cohort, cfg, [5, 6, 7])
+        _, _, ref_params, ref_betas = _reference_round_clients(
+            SCALAR, w, alpha, clients, 2, cfg, [5, 6, 7])
+        assert betas.tolist() == [1.5, 0.0, 3.0]
+        assert np.array_equal(params[1], w)
+        assert np.array_equal(params, ref_params)
+        assert np.array_equal(betas, ref_betas)
+
+    def test_unmasked_sums_keep_pairwise_order(self):
+        # 40 same-domain rows: a sequential sum differs from numpy's
+        # pairwise one in the last bits, and the cohort must use the latter
+        rng = make_rng(8)
+        clients = [ClientDataset(k, rng.standard_normal((40, 1)),
+                                 rng.standard_normal(40) * 10.0, np.zeros(40))
+                   for k in range(3)]
+        w = np.array([0.1])
+        _, loss_sums = compute_client_stats(SCALAR, w, Cohort.gather(clients, 1))
+        _, ref_loss_sums, _, _ = _reference_round_clients(
+            SCALAR, w, np.ones(1), clients, 1, LocalSGDConfig(1, 1, 0.1), [0, 1, 2])
+        assert np.array_equal(loss_sums, ref_loss_sums)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_one_diverging_client_fails_the_cohort(self):
+        rng = make_rng(13)
+        calm = ClientDataset(0, np.zeros((4, 1)), np.zeros(4), np.zeros(4))
+        wild = ClientDataset(1, rng.standard_normal((4, 1)), 1e200 * rng.standard_normal(4),
+                             np.zeros(4))
+        cfg = LocalSGDConfig(epochs=50, batch_size=4, learning_rate=1e150)
+        with pytest.raises(NumericError):
+            client_update(SCALAR, np.array([1.0]), np.ones(1), Cohort.gather([calm, wild], 1),
+                          cfg, [0, 1])

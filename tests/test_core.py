@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from agfed.core import (
     ClientDataset,
+    Cohort,
     DomainStats,
     InvalidArgument,
     derive_seed,
@@ -95,21 +96,21 @@ class TestDatasets:
         rng = make_rng(7)
         values = np.arange(30, dtype=np.float64)
         ds = ClientDataset(3, values[:, None], values, rng.integers(0, 4, size=30))
-        assert int(ds.domain_counts(4).sum()) == len(ds)
+        assert int(Cohort.gather([ds], 4).counts.sum()) == len(ds)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=40), st.integers(0, 3))
     def test_domain_counts_equal_bincount(self, tags, extra):
         p = max(tags) + 1 + extra
         ds = ClientDataset(0, np.zeros((len(tags), 1)), np.zeros(len(tags)), tags)
-        counts = ds.domain_counts(p)
+        counts = Cohort.gather([ds], p).counts[0]
         assert counts.dtype == np.int64
         assert np.array_equal(counts, np.bincount(tags, minlength=p))
 
     def test_domain_tag_above_p_rejected(self):
         ds = ClientDataset(0, np.array([[0.0]]), [0.0], [5])
         with pytest.raises(InvalidArgument):
-            ds.domain_counts(3)
+            Cohort.gather([ds], 3)
 
     def test_arrays_are_read_only(self):
         ds = ClientDataset(0, np.array([[1.0]]), [2.0], [0])
@@ -119,6 +120,33 @@ class TestDatasets:
             ds.labels[0] = 9.0
         with pytest.raises(ValueError):
             ds.domains[0] = 1
+
+
+class TestCohort:
+    def test_gather_concatenates_rows_in_client_order(self):
+        a = ClientDataset(4, np.array([[1.0], [2.0]]), [1.0, 2.0], [1, 1])
+        b = ClientDataset(9, np.array([[3.0], [4.0], [5.0]]), [3.0, 4.0, 5.0], [0, 2, 0])
+        cohort = Cohort.gather([a, b], 3)
+        assert len(cohort) == 2
+        assert cohort.x[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert cohort.y.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert cohort.domains.tolist() == [1, 1, 0, 2, 0]
+        assert cohort.offsets.tolist() == [0, 2, 5]
+        assert cohort.sizes.tolist() == [2, 3]
+        assert cohort.counts.dtype == np.int64
+        assert cohort.counts.tolist() == [[0, 2, 0], [2, 0, 1]]
+
+    def test_domain_tag_above_p_names_the_client(self):
+        ok = ClientDataset(1, np.zeros((2, 1)), [0.0, 0.0], [0, 1])
+        bad = ClientDataset(7, np.zeros((2, 1)), [0.0, 0.0], [0, 3])
+        with pytest.raises(InvalidArgument, match="client 7"):
+            Cohort.gather([ok, bad], 2)
+
+    def test_mixed_feature_dimensions_rejected(self):
+        one = ClientDataset(0, np.zeros((1, 1)), [0.0], [0])
+        two = ClientDataset(1, np.zeros((1, 2)), [0.0], [0])
+        with pytest.raises(InvalidArgument):
+            Cohort.gather([one, two], 1)
 
 
 class TestSeeds:

@@ -123,6 +123,11 @@ class TestMasking:
         with pytest.raises(MaskRangeError):
             mask_set(seeds, 0, too_big)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(MaskRangeError):
+            mask_set(_seeds(2), 0, np.array([0.5, bad]))
+
     def test_client_index_out_of_cohort_rejected(self):
         with pytest.raises(Exception):
             mask_set(_seeds(2), 5, np.zeros(2))

@@ -7,8 +7,8 @@ import pytest
 
 import agfed.client
 import agfed.server
-from agfed.client import ClientUpdateResult, LocalSGDConfig, compute_client_stats
-from agfed.core import InvalidArgument, make_rng, mixture_uniform
+from agfed.client import LocalSGDConfig, compute_client_stats
+from agfed.core import Cohort, InvalidArgument, make_rng, mixture_uniform
 from agfed.models import ModelSpec, batch_losses, check_batch
 from agfed.server import (
     AggregationSettings,
@@ -101,46 +101,47 @@ class TestEffectiveCounts:
             effective_counts(self._state(), "windowed", np.array([1, 2]))
 
 
-def _result(params, beta):
-    return ClientUpdateResult(np.asarray(params, dtype=np.float64), beta)
+def _rows(*clients):
+    """The (m x P) params and (m,) betas of (params, beta) pairs."""
+    params = np.array([w for w, _ in clients], dtype=np.float64)
+    return params, np.array([beta for _, beta in clients], dtype=np.float64)
 
 
 class TestAggregateParams:
     def test_weighted_mean(self):
-        out = aggregate_params([_result([0.0], 1.0), _result([4.0], 3.0)])
+        out = aggregate_params(*_rows(([0.0], 1.0), ([4.0], 3.0)))
         assert out.tolist() == [3.0]
 
     def test_single_client_identity(self):
-        out = aggregate_params([_result([1.5, -2.0], 2.0)])
+        out = aggregate_params(*_rows(([1.5, -2.0], 2.0)))
         assert out.tolist() == [1.5, -2.0]
 
     def test_equal_weights_opposite_params_cancel(self):
-        out = aggregate_params([_result([3.0, -1.0], 2.0), _result([-3.0, 1.0], 2.0)])
+        out = aggregate_params(*_rows(([3.0, -1.0], 2.0), ([-3.0, 1.0], 2.0)))
         assert out.tolist() == [0.0, 0.0]
 
     def test_zero_total_weight_degenerate(self):
         with pytest.raises(DegenerateRound):
-            aggregate_params([_result([1.0], 0.0), _result([2.0], 0.0)])
+            aggregate_params(*_rows(([1.0], 0.0), ([2.0], 0.0)))
 
     def test_skipped_clients_ignored(self):
-        out = aggregate_params([_result([9.0], 0.0), _result([4.0], 2.0)])
+        out = aggregate_params(*_rows(([9.0], 0.0), ([4.0], 2.0)))
         assert out.tolist() == [4.0]
 
     def test_masked_matches_plain_within_quantization(self):
         # betas on the fixed-point grid make the masked total beta exact, so
         # the only error is the n/(2*scale) of the sum of beta*w, over total beta
         rng = make_rng(11)
-        results = [_result(rng.uniform(-5, 5, size=3), k / 16)
-                   for k in rng.integers(0, 9, size=7)]
-        plain = aggregate_params(results)
-        masked = aggregate_params(results, make_rng(12), 20)
-        total_beta = sum(r.beta for r in results)
-        bound = len(results) / (2.0 * 2 ** 20) / total_beta
+        betas = rng.integers(0, 9, size=7) / 16
+        params = rng.uniform(-5, 5, size=(7, 3))
+        plain = aggregate_params(params, betas)
+        masked = aggregate_params(params, betas, make_rng(12), 20)
+        bound = len(betas) / (2.0 * 2 ** 20) / betas.sum()
         assert np.all(np.abs(masked - plain) <= bound)
 
     def test_masked_zero_total_weight_degenerate(self):
         with pytest.raises(DegenerateRound):
-            aggregate_params([_result([1.0], 0.0), _result([2.0], 0.0)], make_rng(3))
+            aggregate_params(*_rows(([1.0], 0.0), ([2.0], 0.0)), make_rng(3))
 
 
 class TestExponentiatedGradient:
@@ -288,14 +289,15 @@ class TestRunRound:
         plain = AggregationSettings(mask_stats=False, mask_params=False)
         _, report = run_round(state, cfg, SCALAR, clients, 3, settings=plain)
 
-        stats = [compute_client_stats(SCALAR, state.w, c, 5) for c in clients]
-        counts = np.sum([s.counts for s in stats], axis=0)
+        client_counts, client_loss_sums = compute_client_stats(
+            SCALAR, state.w, Cohort.gather(clients, 5))
+        counts = client_counts.sum(axis=0)
         alpha = compute_scaling(state.lam, counts.astype(float))
         lhs_num = lhs_den = 0.0
-        for s in stats:
-            beta = float(alpha @ s.counts)
+        for n_k, l_k in zip(client_counts, client_loss_sums):
+            beta = float(alpha @ n_k)
             if beta > 0:
-                objective = float(alpha @ s.loss_sums) / beta
+                objective = float(alpha @ l_k) / beta
                 lhs_num += beta * objective
                 lhs_den += beta
         lhs = lhs_num / lhs_den
@@ -309,14 +311,15 @@ class TestRunRound:
         masked = AggregationSettings(mask_stats=True)
         _, report = run_round(state, cfg, SCALAR, clients, 3, settings=masked)
 
-        stats = [compute_client_stats(SCALAR, state.w, c, 5) for c in clients]
-        counts = np.sum([s.counts for s in stats], axis=0)
+        client_counts, client_loss_sums = compute_client_stats(
+            SCALAR, state.w, Cohort.gather(clients, 5))
+        counts = client_counts.sum(axis=0)
         alpha = compute_scaling(state.lam, counts.astype(float))
         lhs_num = lhs_den = 0.0
-        for s in stats:
-            beta = float(alpha @ s.counts)
+        for n_k, l_k in zip(client_counts, client_loss_sums):
+            beta = float(alpha @ n_k)
             if beta > 0:
-                lhs_num += float(alpha @ s.loss_sums)
+                lhs_num += float(alpha @ l_k)
                 lhs_den += beta
         lhs = lhs_num / lhs_den
         rhs = float(np.dot(state.lam, report.per_domain_loss))
@@ -356,7 +359,7 @@ class TestRunRound:
             state, _ = run_round(state, cfg, SCALAR, clients, 4)
             assert len(state.window) == min(t + 1, 3)
         # whole population selected every round: every entry is the full count
-        full = np.sum([c.domain_counts(5) for c in clients], axis=0)
+        full = Cohort.gather(clients, 5).counts.sum(axis=0)
         for entry in state.window:
             assert np.array_equal(entry, full)
 
@@ -409,6 +412,7 @@ class TestRunRound:
         assert report.worst_domain_loss == max(report.per_domain_loss)
 
     def test_losses_evaluated_once_per_client(self, monkeypatch):
+        # one batch_losses call on the cohort's gathered rows, once a round
         calls = []
 
         def counting(*args):
@@ -418,9 +422,11 @@ class TestRunRound:
         monkeypatch.setattr(agfed.client, "batch_losses", counting)
         run_round(initial_state(np.array([1.5]), 5), _algo(clients_per_round=10),
                   SCALAR, _toy(), 1)
-        assert len(calls) == 10
+        assert len(calls) == 1
+        assert calls[0][2].shape[0] == 10 * 10  # ten clients of ten rows each
 
     def test_inputs_checked_once_per_client(self, monkeypatch):
+        # one check_batch call covers every client's rows, once a round
         calls = []
 
         def counting(*args):
@@ -430,7 +436,8 @@ class TestRunRound:
         monkeypatch.setattr(agfed.client, "check_batch", counting)
         run_round(initial_state(np.array([1.5]), 5), _algo(clients_per_round=10),
                   SCALAR, _toy(), 1)
-        assert len(calls) == 10
+        assert len(calls) == 1
+        assert calls[0][2].shape[0] == 10 * 10
 
     def test_fractional_label_rejected_before_training(self, tmp_path, monkeypatch):
         task = TaskConfig(kind="synthetic-classification", p=2, num_clients=4, seed=3,

@@ -55,7 +55,7 @@ class TestToyRegression:
         clients, _ = gen_toy_regression(cfg)
         total = sum(len(c) for c in clients)
         assert total == cfg.p * cfg.points_per_domain
-        by_domain = np.sum([c.domain_counts(cfg.p) for c in clients], axis=0)
+        by_domain = np.bincount(np.concatenate([c.domains for c in clients]), minlength=cfg.p)
         assert by_domain.tolist() == [40] * cfg.p
 
     def test_identical_domain_variance(self):
