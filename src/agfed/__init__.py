@@ -24,7 +24,7 @@ from .harness import (
     run_experiment_full,
 )
 from .models import ModelSpec
-from .secagg import MaskedVector, PairwiseSeeds, SecureSum, mask_set, unmask_sum
+from .secagg import MaskedVector, PairwiseSeeds, SecureSum, mask_set
 from .server import (
     AggregationSettings,
     AlgorithmConfig,
@@ -77,5 +77,4 @@ __all__ = [
     "run_experiment",
     "run_experiment_full",
     "run_round",
-    "unmask_sum",
 ]

@@ -116,14 +116,15 @@ def client_update(
     alpha: np.ndarray,
     cohort: Cohort,
     cfg: LocalSGDConfig,
-    rng_seeds: Sequence[int],
+    rng_seeds: Sequence[int] | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """E epochs of scaled local SGD for every cohort client, from ``w_in``.
 
     Returns the (m, P) new parameters and the (m,) betas; a client with
     beta == 0 is skipped and keeps ``w_in``. Client k's per-epoch shuffle
-    is keyed by ``rng_seeds[k]`` only, so the result is a deterministic
-    function of the arguments. The last minibatch of an epoch may be
+    is keyed by ``rng_seeds[k]`` only (a seed in 0..2**64 - 1, as
+    ``derive_seed`` returns), so the result is a deterministic function
+    of the arguments. The last minibatch of an epoch may be
     short; it is kept, not dropped. Trusts that ``compute_client_stats``
     checked ``w_in`` and the cohort this round and that ``alpha`` is a
     finite, non-negative vector of length p.
@@ -154,7 +155,7 @@ def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng_seeds):
     # client k's epoch order fills the first sizes[k] slots of row k
     slots = np.zeros((live.size, n_steps * width), dtype=np.int64)
     filled = np.arange(n_steps * width) < sizes[:, None]
-    rngs = [make_rng(rng_seeds[k]) for k in live]
+    rngs = make_rng(np.asarray(rng_seeds, dtype=np.uint64)[live])
     for _ in range(cfg.epochs):
         slots[filled] = np.concatenate(
             [start + rng.permutation(n) for rng, start, n in zip(rngs, starts, sizes)])

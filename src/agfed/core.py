@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # Absolute tolerance for the simplex sum-to-one invariant.
 SIMPLEX_ATOL = 1e-12
@@ -193,17 +194,100 @@ class DomainStats:
         object.__setattr__(self, "loss_sums", loss_sums)
 
 
-def derive_seed(*parts: int) -> int:
+_MASK32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# numpy's SeedSequence output hash (numpy/random/bit_generator.pyx): word k
+# of ``generate_state`` is pool[k % 4] xor-ed with INIT_B * MULT_B**k,
+# multiplied by the next power and xor-shifted right by 16, all mod 2**32.
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+# PCG64 seeds from 4 uint64 words, that is 8 uint32 words of output
+_PCG64_WORDS = 8
+_HASH_POWERS = np.array([_INIT_B * _MULT_B ** k & _MASK32 for k in range(_PCG64_WORDS + 1)],
+                        dtype=np.uint32)
+_POOL_INDEX = np.arange(_PCG64_WORDS) % 4
+
+
+def _words(part: int) -> list[int]:
+    """The uint32 words numpy makes of ``part & (2**64 - 1)``, low word first."""
+    value = int(part) & _MASK64
+    return [value & _MASK32] + ([value >> 32] if value >> 32 else [])
+
+
+def _is_batch(parts: tuple) -> bool:
+    return bool(parts) and isinstance(parts[-1], np.ndarray) and parts[-1].ndim > 0
+
+
+def _seed_sequence(parts: tuple) -> np.random.SeedSequence:
+    # a uint32 array skips numpy's per-int coercion of the entropy; for a
+    # single row numpy's own generate_state is cheaper than the batch hash
+    return np.random.SeedSequence(
+        np.array([word for part in parts for word in _words(part)], dtype=np.uint32))
+
+
+def _batch_states(parts: tuple, n_words: int) -> np.ndarray:
+    """``SeedSequence((*head, v)).generate_state(n_words // 2, np.uint64)``
+    for each entry v of the 1-D array that ends ``parts``, one row each."""
+    *head, last = parts
+    if last.ndim != 1 or last.dtype.kind not in "iu":
+        raise InvalidArgument(
+            f"the last seed part must be a 1-D integer array, got {last.dtype} "
+            f"of shape {last.shape}")
+    prefix = [word for part in head for word in _words(part)]
+    values = last.astype(np.int64 if last.dtype.kind == "i" else np.uint64).view(np.uint64)
+    words = np.empty((values.shape[0], len(prefix) + 2), dtype=np.uint32)
+    words[:, :len(prefix)] = prefix
+    words[:, -2] = (values & _MASK32).astype(np.uint32)
+    words[:, -1] = (values >> 32).astype(np.uint32)
+    # a value below 2**32 is one word, as numpy coerces a Python int
+    lengths = len(prefix) + 1 + (words[:, -1] != 0)
+    pools = np.array([np.random.SeedSequence(row[:n]).pool
+                      for row, n in zip(words, lengths.tolist())],
+                     dtype=np.uint32).reshape(-1, 4)
+    # np.take keeps C order, so ``view`` pairs each uint64's two words
+    state = ((np.take(pools, _POOL_INDEX[:n_words], axis=1) ^ _HASH_POWERS[:n_words])
+             * _HASH_POWERS[1:n_words + 1])
+    state ^= state >> 16
+    # the low word first, as numpy assembles uint64 output
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+class _PresetState(ISeedSequence):
+    """Hands PCG64 the state words its seed sequence would generate."""
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != self._state.shape[0] or np.dtype(dtype) != np.uint64:
+            raise InvalidArgument(f"preset state holds {self._state.shape[0]} uint64 words")
+        return self._state
+
+
+def derive_seed(*parts):
     """Stable 64-bit seed from integer parts, e.g. (seed, round, client_id).
 
     Keying per-client streams off (global seed, round, client id) makes
-    results independent of client execution order.
+    results independent of client execution order. The result equals
+    ``int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])``
+    with every part taken mod 2**64. When the last part is a 1-D integer
+    array, returns a uint64 array with one seed per entry, each equal to
+    the scalar call on that entry.
     """
-    ss = np.random.SeedSequence([int(part) & 0xFFFFFFFFFFFFFFFF for part in parts])
-    return int(ss.generate_state(1, np.uint64)[0])
+    if _is_batch(parts):
+        return _batch_states(parts, 2)[:, 0]
+    return int(_seed_sequence(parts).generate_state(1, np.uint64)[0])
 
 
-def make_rng(*parts: int) -> np.random.Generator:
-    """Deterministic generator keyed by integer parts."""
-    ss = np.random.SeedSequence([int(part) & 0xFFFFFFFFFFFFFFFF for part in parts])
-    return np.random.Generator(np.random.PCG64(ss))
+def make_rng(*parts):
+    """Deterministic generator keyed by integer parts.
+
+    The generator equals ``Generator(PCG64(SeedSequence(parts)))`` draw
+    for draw, with every part taken mod 2**64. When the last part is a
+    1-D integer array, returns a list with one generator per entry, each
+    equal to the scalar call on that entry.
+    """
+    if _is_batch(parts):
+        return [np.random.Generator(np.random.PCG64(_PresetState(state)))
+                for state in _batch_states(parts, _PCG64_WORDS)]
+    return np.random.Generator(np.random.PCG64(_seed_sequence(parts)))

@@ -11,9 +11,15 @@ A value whose encoding could push an n-client total out of the signed
 decode range (n * |r * scale| >= 2**63) raises ``MaskRangeError``
 instead of wrapping.
 
-Masking one client's vector of length L in a cohort of n costs one
-(n x L) splitmix64 evaluation, one stream per peer seed, and O(1) numpy
-calls, so O(n * L) work per client.
+Both clients of a pair expand their shared seed into the same
+splitmix64 stream, so a cohort sum needs each pair's stream once: the
+first ``mask_set`` for a vector length L evaluates all n(n-1)/2 x L
+stream values in one vectorised call and reduces them into each
+client's signed mask row, cached on the cohort's ``PairwiseSeeds``.
+Every ``mask_set`` then costs O(1) numpy calls: encode, add the row.
+This is not the whole-cohort scatter form: each client still submits
+its own vector through its own ``mask_set`` call, and the cached rows
+hold nothing the public seed matrix does not already fix.
 
 This is a SIMULATION OF THE AGGREGATION SEMANTICS ONLY. There is no key
 agreement, no cryptographic PRG, and no dropout recovery: pairwise seeds
@@ -67,7 +73,7 @@ def _decode(residues: np.ndarray, scale: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairwiseSeeds:
-    """Symmetric matrix of shared pair seeds for an n-client cohort."""
+    """Symmetric matrix of shared pair seeds for an n-client cohort (n >= 1)."""
 
     matrix: np.ndarray
 
@@ -75,15 +81,27 @@ class PairwiseSeeds:
         m = np.asarray(self.matrix, dtype=np.uint64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidArgument(f"seed matrix must be square, got shape {m.shape}")
+        if m.shape[0] < 1:
+            raise InvalidArgument("cohort needs at least one client")
         if not np.array_equal(m, m.T):
             raise InvalidArgument("seed matrix must be symmetric")
         m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_mask_rows", {})
 
     @property
     def n_clients(self) -> int:
         return self.matrix.shape[0]
+
+    def _masks(self, length: int) -> np.ndarray:
+        """Every client's summed pair masks for vectors of ``length``, one row each."""
+        rows = self._mask_rows.get(length)
+        if rows is None:
+            rows = _signed_mask_rows(self.matrix, length)
+            rows.flags.writeable = False
+            self._mask_rows[length] = rows
+        return rows
 
     @staticmethod
     def generate(n_clients: int, rng: np.random.Generator) -> "PairwiseSeeds":
@@ -101,8 +119,8 @@ class PairwiseSeeds:
 class MaskedVector:
     """Fixed-point residues of one client's vector plus all pair masks.
 
-    ``client_index`` and ``n_clients`` are protocol bookkeeping so the
-    unmasking side can detect an incomplete cohort.
+    ``client_index`` and ``n_clients`` are protocol bookkeeping: the slot
+    the residues fill and the size of the cohort they were masked for.
     """
 
     values: np.ndarray
@@ -126,52 +144,49 @@ _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 
 def _pair_masks(seeds: np.ndarray, length: int) -> np.ndarray:
     # counter-based splitmix64 stream, one row per seed: fast, deterministic,
-    # not cryptographic
+    # not cryptographic; in place, since a cohort's stream matrix is the
+    # largest array of a masked round
     z = seeds[:, None] + np.arange(1, length + 1, dtype=np.uint64) * _SM64_GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _SM64_MIX1
-    z = (z ^ (z >> np.uint64(27))) * _SM64_MIX2
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(30)
+    z *= _SM64_MIX1
+    z ^= z >> np.uint64(27)
+    z *= _SM64_MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _signed_mask_rows(matrix: np.ndarray, length: int) -> np.ndarray:
+    # pair (i, j), i < j, adds its stream to row i and subtracts it from
+    # row j; sums mod 2**64 are exact in any order
+    n = matrix.shape[0]
+    lower, higher = np.triu_indices(n, k=1)  # pairs grouped by lower index
+    streams = _pair_masks(matrix[lower, higher], length)
+    rows = np.zeros((n, length), dtype=np.uint64)
+    if n > 1:
+        rows[:-1] += np.add.reduceat(streams, np.searchsorted(lower, np.arange(n - 1)))
+        by_higher = np.argsort(higher, kind="stable")
+        rows[1:] -= np.add.reduceat(streams[by_higher],
+                                    np.searchsorted(higher[by_higher], np.arange(1, n)))
+    return rows
+
+
+def _check_client(client: int, n: int) -> None:
+    if not 0 <= client < n:
+        raise InvalidArgument(f"client index {client} outside cohort of {n}")
 
 
 def mask_set(seeds: PairwiseSeeds, client: int, plain: np.ndarray, *,
              scale_bits: int = DEFAULT_SCALE_BITS) -> MaskedVector:
-    """Encode and mask one client's vector for the cohort in ``seeds``."""
+    """Encode and mask one client's vector for the cohort in ``seeds``.
+
+    The lower index of each pair adds the pair's mask and the higher one
+    subtracts it, so the masks of a full cohort cancel.
+    """
     n = seeds.n_clients
-    if not 0 <= client < n:
-        raise InvalidArgument(f"client index {client} outside cohort of {n}")
+    _check_client(client, n)
     scale = 1 << scale_bits
     residues = _encode(plain, scale, n)
-    masks = _pair_masks(seeds.matrix[client], residues.shape[0])
-    # the lower index of each pair adds the pair's mask and the higher one
-    # subtracts it; sums mod 2**64 are exact in any order
-    residues = (residues + masks[client + 1:].sum(axis=0, dtype=np.uint64)
-                - masks[:client].sum(axis=0, dtype=np.uint64))
-    return MaskedVector(residues, scale, client, n)
-
-
-def unmask_sum(masked: list[MaskedVector]) -> np.ndarray:
-    """Sum a full cohort's masked vectors and decode the plaintext sum.
-
-    Only the sum is recoverable; individual contributions stay hidden
-    behind the pair masks.
-    """
-    if not masked:
-        raise ProtocolError("no masked vectors to aggregate")
-    n = masked[0].n_clients
-    scale = masked[0].scale
-    length = masked[0].values.shape[0]
-    seen = set()
-    for mv in masked:
-        if mv.n_clients != n or mv.scale != scale or mv.values.shape[0] != length:
-            raise ProtocolError("masked vectors disagree on cohort, scale, or length")
-        if mv.client_index in seen:
-            raise ProtocolError(f"duplicate submission from client {mv.client_index}")
-        seen.add(mv.client_index)
-    if seen != set(range(n)):
-        missing = sorted(set(range(n)) - seen)
-        raise ProtocolError(f"missing participants {missing}; cannot unmask")
-    total = np.sum([mv.values for mv in masked], axis=0, dtype=np.uint64)
-    return _decode(total, scale)
+    return MaskedVector(residues + seeds._masks(residues.shape[0])[client], scale, client, n)
 
 
 class SecureSum:
@@ -201,10 +216,11 @@ class SecureSum:
             raise InvalidArgument(
                 f"expected vector of length {self._length}, got shape {plain.shape}"
             )
+        _check_client(client, self.n_clients)
         if client in self._submitted:
             raise ProtocolError(f"duplicate submission from client {client}")
         mv = mask_set(self._seeds, client, plain, scale_bits=self._scale_bits)
-        self._total = self._total + mv.values
+        self._total += mv.values
         self._submitted.add(client)
 
     def aggregate(self) -> np.ndarray:

@@ -348,7 +348,7 @@ def run_round(
 
     params, betas = client_update(
         spec, state.w, alpha, cohort, cfg.local,
-        [derive_seed(seed, t, c.client_id) for c in clients],
+        derive_seed(seed, t, np.array([c.client_id for c in clients])),
     )
 
     degenerate = False

@@ -149,6 +149,20 @@ class TestCohort:
             Cohort.gather([one, two], 1)
 
 
+# seed parts at the word boundaries of numpy's uint32 coercion, plus any
+# value that wraps mod 2**64
+_SEED_PART = (st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, -2**32])
+              | st.integers(-2**64, 2**64))
+
+
+def _numpy_entropy(parts):
+    return [part % 2**64 for part in parts]
+
+
+def _numpy_rng(parts):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_numpy_entropy(parts))))
+
+
 class TestSeeds:
     def test_derive_seed_deterministic(self):
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
@@ -163,3 +177,36 @@ class TestSeeds:
         a2 = make_rng(5, 1).standard_normal(4)
         assert np.array_equal(a, a2)
         assert not np.array_equal(a, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_SEED_PART, min_size=1, max_size=5))
+    def test_scalar_parts_match_numpy(self, parts):
+        # five parts of two words each pass numpy's 4-word pool, so its
+        # second mixing loop runs too
+        ss = np.random.SeedSequence(_numpy_entropy(parts))
+        assert derive_seed(*parts) == int(ss.generate_state(1, np.uint64)[0])
+        assert np.array_equal(make_rng(*parts).bit_generator.random_raw(4),
+                              _numpy_rng(parts).bit_generator.random_raw(4))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_SEED_PART, max_size=4),
+           st.lists(_SEED_PART.filter(lambda v: -2**63 <= v < 2**63), max_size=6),
+           st.booleans())
+    def test_array_last_part_matches_numpy_per_entry(self, head, last, unsigned):
+        values = (np.array([v % 2**64 for v in last], dtype=np.uint64) if unsigned
+                  else np.array(last, dtype=np.int64))
+        seeds = derive_seed(*head, values)
+        rngs = make_rng(*head, values)
+        assert seeds.dtype == np.uint64 and len(rngs) == len(last)
+        for value, seed, rng in zip(last, seeds.tolist(), rngs):
+            ss = np.random.SeedSequence(_numpy_entropy(head + [value]))
+            assert seed == int(ss.generate_state(1, np.uint64)[0])
+            assert np.array_equal(rng.bit_generator.random_raw(4),
+                                  _numpy_rng(head + [value]).bit_generator.random_raw(4))
+
+    @pytest.mark.parametrize("last", [np.zeros(2), np.zeros((2, 2), dtype=np.int64)])
+    def test_non_integer_or_2d_last_part_rejected(self, last):
+        with pytest.raises(InvalidArgument):
+            derive_seed(1, last)
+        with pytest.raises(InvalidArgument):
+            make_rng(1, last)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agfed.core import make_rng
+from agfed.core import InvalidArgument, make_rng
 from agfed.secagg import (
     DEFAULT_SCALE_BITS,
     MaskRangeError,
@@ -16,7 +16,6 @@ from agfed.secagg import (
     _encode,
     _pair_masks,
     mask_set,
-    unmask_sum,
 )
 
 _UINT64_MAX = (1 << 64) - 1
@@ -35,6 +34,13 @@ def _reference_pair_mask(seed, length):
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
+
+
+def _secure_sum(seeds, plains):
+    acc = SecureSum(seeds, len(plains[0]))
+    for i, plain in enumerate(plains):
+        acc.submit(i, plain)
+    return acc.aggregate()
 
 
 def _reference_mask_set(seeds, client, plain, scale_bits=DEFAULT_SCALE_BITS):
@@ -71,7 +77,7 @@ class TestMasking:
         scale = 1 << DEFAULT_SCALE_BITS
         expected = np.rint(plain * scale).astype(np.int64).astype(np.uint64)
         assert np.array_equal(mv.values, expected)
-        assert np.array_equal(unmask_sum([mv]), plain)
+        assert np.array_equal(_secure_sum(seeds, [plain]), plain)
 
     def test_two_client_masks_are_complementary(self):
         seeds = _seeds(2)
@@ -89,23 +95,21 @@ class TestMasking:
         for mv in masked:
             total = total + mv.values
         assert np.all(total == 0)  # mask cancellation is exact mod 2**64
-        assert np.array_equal(unmask_sum(masked), np.zeros(5))
+        assert np.array_equal(_secure_sum(seeds, [np.zeros(5)] * n), np.zeros(5))
 
     def test_integer_counts_bit_exact(self):
         rng = make_rng(3)
         n = 6
         seeds = _seeds(n, key=9)
         plains = [rng.integers(0, 1000, size=8).astype(np.float64) for _ in range(n)]
-        masked = [mask_set(seeds, i, plains[i]) for i in range(n)]
-        assert np.array_equal(unmask_sum(masked), sum(plains))
+        assert np.array_equal(_secure_sum(seeds, plains), sum(plains))
 
     def test_real_vector_sum_within_fixed_point_bound(self):
         rng = make_rng(4)
         n = 50
         seeds = _seeds(n, key=11)
         plains = [rng.uniform(-100, 100, size=16) for _ in range(n)]
-        masked = [mask_set(seeds, i, plains[i]) for i in range(n)]
-        decoded = unmask_sum(masked)
+        decoded = _secure_sum(seeds, plains)
         oracle = np.sum(np.stack(plains), axis=0)
         bound = n / (2.0 * (1 << DEFAULT_SCALE_BITS))
         assert np.all(np.abs(decoded - oracle) <= bound)
@@ -129,8 +133,14 @@ class TestMasking:
             mask_set(_seeds(2), 0, np.array([0.5, bad]))
 
     def test_client_index_out_of_cohort_rejected(self):
-        with pytest.raises(Exception):
-            mask_set(_seeds(2), 5, np.zeros(2))
+        # checked before the cached mask rows are indexed, where -1 would
+        # silently pick the last client's row
+        seeds = _seeds(2)
+        for client in (-1, 2, 5):
+            with pytest.raises(InvalidArgument, match="outside cohort of 2"):
+                mask_set(seeds, client, np.zeros(2))
+            with pytest.raises(InvalidArgument, match="outside cohort of 2"):
+                SecureSum(seeds, 2).submit(client, np.zeros(2))
 
 
 class TestPairMasks:
@@ -154,30 +164,47 @@ class TestPairMasks:
             masked = mask_set(seeds, client, plain)
             assert np.array_equal(masked.values, _reference_mask_set(seeds, client, plain))
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_cohorts_match_reference(self, n):
+        seeds = _seeds(n, key=17)
+        plain = np.array([0.25, -7.5, 3.0])
+        for client in range(n):
+            assert np.array_equal(mask_set(seeds, client, plain).values,
+                                  _reference_mask_set(seeds, client, plain))
+
+    def test_seeds_reused_across_vector_lengths(self):
+        # the cached mask rows are per length; a second length must not
+        # read the first one's rows
+        seeds = _seeds(5, key=18)
+        for length in (3, 8, 3):
+            plain = np.arange(length, dtype=np.float64) - 1.5
+            for client in range(5):
+                assert np.array_equal(mask_set(seeds, client, plain).values,
+                                      _reference_mask_set(seeds, client, plain))
+
 
 class TestProtocol:
     def test_missing_participant_is_protocol_error(self):
-        seeds = _seeds(3, key=5)
-        masked = [mask_set(seeds, i, np.ones(2)) for i in range(2)]
-        with pytest.raises(ProtocolError):
-            unmask_sum(masked)
+        acc = SecureSum(_seeds(3, key=5), 2)
+        acc.submit(0, np.ones(2))
+        acc.submit(2, np.ones(2))
+        with pytest.raises(ProtocolError, match=r"missing participants \[1\]"):
+            acc.aggregate()
 
     def test_duplicate_participant_is_protocol_error(self):
-        seeds = _seeds(2, key=6)
-        mv = mask_set(seeds, 0, np.ones(2))
+        # the rejected resubmission leaves the total untouched
+        acc = SecureSum(_seeds(2, key=6), 2)
+        acc.submit(0, np.ones(2))
         with pytest.raises(ProtocolError):
-            unmask_sum([mv, mv])
+            acc.submit(0, np.full(2, 5.0))
+        acc.submit(1, np.ones(2))
+        assert acc.aggregate().tolist() == [2.0, 2.0]
 
-    def test_empty_cohort_is_protocol_error(self):
-        with pytest.raises(ProtocolError):
-            unmask_sum([])
-
-    def test_inconsistent_scale_is_protocol_error(self):
-        seeds = _seeds(2, key=7)
-        a = mask_set(seeds, 0, np.ones(2), scale_bits=20)
-        b = mask_set(seeds, 1, np.ones(2), scale_bits=16)
-        with pytest.raises(ProtocolError):
-            unmask_sum([a, b])
+    def test_empty_cohort_rejected(self):
+        with pytest.raises(InvalidArgument):
+            PairwiseSeeds(np.zeros((0, 0), dtype=np.uint64))
+        with pytest.raises(InvalidArgument):
+            PairwiseSeeds.generate(0, make_rng(0))
 
     def test_seed_matrix_must_be_symmetric(self):
         with pytest.raises(Exception):
@@ -244,8 +271,7 @@ def test_fuzzed_sums_within_bound(n, length, key):
     rng = make_rng(key)
     seeds = PairwiseSeeds.generate(n, rng)
     plains = [rng.uniform(-50, 50, size=length) for _ in range(n)]
-    masked = [mask_set(seeds, i, plains[i]) for i in range(n)]
-    decoded = unmask_sum(masked)
+    decoded = _secure_sum(seeds, plains)
     oracle = np.sum(np.stack(plains), axis=0)
     bound = n / (2.0 * (1 << DEFAULT_SCALE_BITS))
     assert np.all(np.abs(decoded - oracle) <= bound)
