@@ -13,6 +13,7 @@ from .core import (
     DomainStats,
     InvalidArgument,
     NumericError,
+    Population,
     mixture_uniform,
 )
 from .harness import (
@@ -54,6 +55,7 @@ __all__ = [
     "ModelSpec",
     "NumericError",
     "PairwiseSeeds",
+    "Population",
     "RoundReport",
     "SecureSum",
     "ServerState",

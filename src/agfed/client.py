@@ -1,7 +1,8 @@
 """Per-round client work: domain statistics and weighted local SGD.
 
 The server puts two requests to the whole cohort at once, each over the
-cohort's gathered rows (a ``core.Cohort``):
+cohort's rows, taken from the pooled population by one index (a
+``core.Cohort``):
 
 1. ``compute_client_stats``: every client's per-domain sample counts and
    summed losses, evaluated at the incoming parameters (before any

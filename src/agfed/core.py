@@ -1,7 +1,8 @@
 """Shared value types for the federated min-max simulator.
 
-Array-backed client datasets, mixture weights over domains, scaling
-vectors, and the per-domain count/loss statistics exchanged each round.
+The pooled client population and a round's cohort of it, mixture
+weights over domains, scaling vectors, and the per-domain count/loss
+statistics exchanged each round.
 Everything here is an immutable value: dataclasses are frozen and numpy
 arrays are made read-only, so instances can be shared freely across
 threads.
@@ -16,7 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -53,14 +54,12 @@ def as_param_vector(values) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClientDataset:
-    """A client's non-empty local data as three aligned, read-only arrays.
+    """One client's rows: (n, d) features, (n,) labels, (n,) domain tags.
 
-    ``feature_matrix`` is (n, d) float64, ``labels`` (n,) float64 (a real
-    target for regression or a class index for classification) and
-    ``domains`` (n,) int64 tags into ``0..p-1`` of the enclosing task.
-    Row order is fixed at generation time; all deterministic shuffles and
-    sums key off this order. Equality and hashing are by identity, since
-    arrays have no single truth value to compare fields by.
+    What indexing a ``Population`` returns, over read-only views of its
+    pooled arrays, and the input of ``Population.from_clients``, which
+    checks it. Equality and hashing are by identity, since arrays have
+    no single truth value to compare fields by.
     """
 
     client_id: int
@@ -68,40 +67,104 @@ class ClientDataset:
     labels: np.ndarray
     domains: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.labels)
+
+
+@dataclass(frozen=True, eq=False)
+class Population:
+    """Every client's rows pooled into shared, read-only arrays.
+
+    Client k owns rows ``offsets[k]:offsets[k+1]`` of ``x`` ((N, d)
+    float64), ``y`` ((N,) float64 labels: real targets or class indices)
+    and ``domains`` ((N,) int64 tags into ``0..p-1``), in its own row
+    order; ``client_ids[k]`` is its id and ``counts[k]`` its sample count
+    per domain. Everything is checked and counted once here, so a round
+    indexes the arrays without checks. ``len`` is the client count;
+    indexing or iterating yields each client as a ``ClientDataset``.
+    The arrays given are made read-only; they are copied only when they
+    have another dtype.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    domains: np.ndarray
+    offsets: np.ndarray
+    client_ids: np.ndarray
+    p: int
+    counts: np.ndarray = field(init=False)
+
     def __post_init__(self):
-        x = np.array(self.feature_matrix, dtype=np.float64)
-        if x.ndim != 2:
-            raise InvalidArgument(
-                f"client {self.client_id} features must be 2-D, got shape {x.shape}"
-            )
-        if x.shape[0] == 0:
-            raise InvalidArgument(f"client {self.client_id} has no samples")
-        x.flags.writeable = False
-        y = as_vector(self.labels, name="labels")
-        d = as_vector(self.domains, dtype=np.int64, name="domains")
-        if not x.shape[0] == y.shape[0] == d.shape[0]:
-            raise InvalidArgument(
-                f"client {self.client_id} has {x.shape[0]} feature rows, "
-                f"{y.shape[0]} labels and {d.shape[0]} domain tags"
-            )
-        if np.any(d < 0):
-            raise InvalidArgument(f"client {self.client_id} has a domain tag < 0")
-        object.__setattr__(self, "feature_matrix", x)
-        object.__setattr__(self, "labels", y)
-        object.__setattr__(self, "domains", d)
+        for name, dtype in (("x", np.float64), ("y", np.float64), ("domains", np.int64),
+                            ("offsets", np.int64), ("client_ids", np.int64)):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        x, d, offsets, ids = self.x, self.domains, self.offsets, self.client_ids
+        n_rows = x.shape[0] if x.ndim == 2 else -1
+        if self.p < 1 or self.y.shape != (n_rows,) or d.shape != (n_rows,):
+            raise InvalidArgument(f"need p >= 1, (N, d) features and (N,) labels and domains, "
+                                  f"got p={self.p}, shapes {x.shape}, {self.y.shape}, {d.shape}")
+        if not (ids.ndim == 1 and ids.shape[0] >= 1 and offsets.shape == (ids.shape[0] + 1,)
+                and offsets[0] == 0 and offsets[-1] == n_rows):
+            raise InvalidArgument(f"need one id per client and offsets from 0 to {n_rows}, "
+                                  f"got shapes {ids.shape} and {offsets.shape}")
+        sizes = np.diff(offsets)
+        if np.any(sizes < 1):
+            raise InvalidArgument(f"client {ids[np.argmax(sizes < 1)]} has no samples")
+        owners = np.repeat(np.arange(ids.shape[0]), sizes)
+        bad = (d < 0) | (d >= self.p)
+        if bad.any():
+            raise InvalidArgument(f"client {ids[owners[np.argmax(bad)]]} has a domain tag "
+                                  f"outside 0..{self.p - 1}")
+        counts = np.bincount(owners * self.p + d, minlength=ids.shape[0] * self.p)
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts.reshape(ids.shape[0], self.p))
+
+    @staticmethod
+    def from_clients(clients: Sequence[ClientDataset], p: int) -> "Population":
+        """Pool the clients' rows in the given order."""
+        if not clients:
+            raise InvalidArgument("population needs at least one client")
+        xs = [np.asarray(c.feature_matrix, dtype=np.float64) for c in clients]
+        for c, x in zip(clients, xs):
+            if (x.ndim != 2 or x.shape[1] != xs[0].shape[1]
+                    or not x.shape[0] == len(c.labels) == len(c.domains)):
+                raise InvalidArgument(
+                    f"client {c.client_id} needs {xs[0].shape[1:]} feature rows, one label "
+                    f"and one domain tag per row, got shapes {x.shape}, {len(c.labels)}, "
+                    f"{len(c.domains)}")
+        return Population(
+            np.concatenate(xs),
+            np.concatenate([c.labels for c in clients]),
+            np.concatenate([c.domains for c in clients]),
+            np.concatenate([[0], np.cumsum([len(c) for c in clients])]),
+            [c.client_id for c in clients],
+            p,
+        )
 
     def __len__(self) -> int:
-        return self.labels.shape[0]
+        return self.client_ids.shape[0]
+
+    def __getitem__(self, k: int) -> ClientDataset:
+        k = range(len(self))[k]
+        rows = slice(self.offsets[k], self.offsets[k + 1])
+        return ClientDataset(int(self.client_ids[k]), self.x[rows], self.y[rows],
+                             self.domains[rows])
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
 
 
 @dataclass(frozen=True, eq=False)
 class Cohort:
-    """One round's cohort with its clients' rows gathered into shared arrays.
+    """One round's clients: their rows taken from a ``Population`` by one index.
 
-    Client k (in the order the cohort was gathered) owns rows
+    Client k (in the order of ``members``) owns rows
     ``offsets[k]:offsets[k+1]`` of ``x``, ``y`` and ``domains``, in its
-    own row order; ``counts[k]`` holds its sample count per domain
-    ``0..p-1``. The rows are copies, gathered once per round.
+    own row order; ``counts[k]`` and ``client_ids[k]`` are its rows of
+    the population's table and ids. The population was checked when
+    built, so nothing is checked again here.
     """
 
     x: np.ndarray
@@ -109,28 +172,20 @@ class Cohort:
     domains: np.ndarray
     offsets: np.ndarray
     counts: np.ndarray
+    client_ids: np.ndarray
 
     @staticmethod
-    def gather(clients: Sequence[ClientDataset], p: int) -> "Cohort":
-        """Concatenate the clients' rows in the given order and count domains."""
-        if not clients:
+    def gather(population: Population, members: np.ndarray) -> "Cohort":
+        """The rows of the clients at positions ``members``, in that order."""
+        members = np.asarray(members, dtype=np.int64)
+        if members.shape[0] == 0:
             raise InvalidArgument("cohort needs at least one client")
-        if len({c.feature_matrix.shape[1] for c in clients}) != 1:
-            raise InvalidArgument("cohort clients differ in feature dimension")
-        sizes = np.array([len(c) for c in clients])
-        domains = np.concatenate([c.domains for c in clients])
-        if domains.max() >= p:
-            owner = int(np.searchsorted(np.cumsum(sizes), np.argmax(domains >= p), "right"))
-            raise InvalidArgument(f"client {clients[owner].client_id} has domain tag >= p={p}")
-        owners = np.repeat(np.arange(len(clients)), sizes)
-        return Cohort(
-            x=np.concatenate([c.feature_matrix for c in clients]),
-            y=np.concatenate([c.labels for c in clients]),
-            domains=domains,
-            offsets=np.concatenate([[0], np.cumsum(sizes)]),
-            counts=np.bincount(owners * p + domains, minlength=len(clients) * p)
-            .reshape(len(clients), p),
-        )
+        starts = population.offsets[members]
+        sizes = population.offsets[members + 1] - starts
+        offsets = np.concatenate([[0], np.cumsum(sizes)])
+        rows = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
+        return Cohort(population.x[rows], population.y[rows], population.domains[rows],
+                      offsets, population.counts[members], population.client_ids[members])
 
     def __len__(self) -> int:
         return self.counts.shape[0]
@@ -194,18 +249,60 @@ class DomainStats:
         object.__setattr__(self, "loss_sums", loss_sums)
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx), all mod 2**32.
+# Its hashmix xors a value with the current constant, multiplies it by the
+# next and folds the high half down (v ^ v >> 16). The constants run
+# INIT * MULT**k, one step per call whatever the data: from INIT_A in the
+# entropy mix, and from INIT_B in ``generate_state``, whose word k hashes
+# pool[k % 4]. Its mix(x, y) folds MIX_L * x - MIX_R * y.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-# numpy's SeedSequence output hash (numpy/random/bit_generator.pyx): word k
-# of ``generate_state`` is pool[k % 4] xor-ed with INIT_B * MULT_B**k,
-# multiplied by the next power and xor-shifted right by 16, all mod 2**32.
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 # PCG64 seeds from 4 uint64 words, that is 8 uint32 words of output
 _PCG64_WORDS = 8
-_HASH_POWERS = np.array([_INIT_B * _MULT_B ** k & _MASK32 for k in range(_PCG64_WORDS + 1)],
-                        dtype=np.uint32)
 _POOL_INDEX = np.arange(_PCG64_WORDS) % 4
+# From this many rows on, ``_mix_pools`` beats one SeedSequence per row
+# (about 20-30 rows on a 2-core x86 host; the toy cohort is 10)
+_NUMPY_MIX_ROWS = 32
+
+
+def _powers(init: int, mult: int, count: int) -> np.ndarray:
+    return np.multiply.accumulate(np.array([init] + [mult] * (count - 1), dtype=np.uint32),
+                                  dtype=np.uint32)
+
+
+def _fold(value: np.ndarray) -> np.ndarray:
+    return value ^ (value >> 16)
+
+
+_HASH_B = _powers(_INIT_B, _MULT_B, _PCG64_WORDS + 1)
+
+
+def _mix_pools(words: np.ndarray) -> np.ndarray:
+    """numpy's 4-word SeedSequence pool of each row of an (m, w) uint32 entropy array.
+
+    Each step hashes one word into all of its targets at once: no
+    target of a step is read by another target of the same step.
+    """
+    m, w = words.shape
+    # 4 hashmix calls fill the pool, 12 mix it, 4 take each word past it
+    consts = _powers(_INIT_A, _MULT_A, 4 * max(4, w) + 1)
+    entropy = np.zeros((m, max(4, w)), dtype=np.uint32)
+    entropy[:, :w] = words
+    pool = _fold((entropy[:, :4] ^ consts[:4]) * consts[1:5])
+    k = 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        hashed = _fold((pool[:, src, None] ^ consts[k:k + 3]) * consts[k + 1:k + 4])
+        pool[:, dst] = _fold(_MIX_L * pool[:, dst] - _MIX_R * hashed)
+        k += 3
+    for src in range(4, w):
+        hashed = _fold((entropy[:, src, None] ^ consts[k:k + 4]) * consts[k + 1:k + 5])
+        pool = _fold(_MIX_L * pool - _MIX_R * hashed)
+        k += 4
+    return pool
 
 
 def _words(part: int) -> list[int]:
@@ -241,13 +338,18 @@ def _batch_states(parts: tuple, n_words: int) -> np.ndarray:
     words[:, -1] = (values >> 32).astype(np.uint32)
     # a value below 2**32 is one word, as numpy coerces a Python int
     lengths = len(prefix) + 1 + (words[:, -1] != 0)
-    pools = np.array([np.random.SeedSequence(row[:n]).pool
-                      for row, n in zip(words, lengths.tolist())],
-                     dtype=np.uint32).reshape(-1, 4)
+    if values.shape[0] < _NUMPY_MIX_ROWS:
+        pools = np.array([np.random.SeedSequence(row[:n]).pool
+                          for row, n in zip(words, lengths.tolist())],
+                         dtype=np.uint32).reshape(-1, 4)
+    else:
+        pools = np.empty((values.shape[0], 4), dtype=np.uint32)
+        for n in set(lengths.tolist()):
+            rows = lengths == n
+            pools[rows] = _mix_pools(words[rows, :n])
     # np.take keeps C order, so ``view`` pairs each uint64's two words
-    state = ((np.take(pools, _POOL_INDEX[:n_words], axis=1) ^ _HASH_POWERS[:n_words])
-             * _HASH_POWERS[1:n_words + 1])
-    state ^= state >> 16
+    state = _fold((np.take(pools, _POOL_INDEX[:n_words], axis=1) ^ _HASH_B[:n_words])
+                  * _HASH_B[1:n_words + 1])
     # the low word first, as numpy assembles uint64 output
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
 

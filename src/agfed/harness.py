@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ClientDataset, InvalidArgument
+from .core import InvalidArgument, Population
 from .models import ModelSpec, batch_losses, check_batch, predict_classes
 from .server import (
     AggregationSettings,
@@ -61,7 +61,7 @@ class ExperimentRun:
 
     reports: tuple[RoundReport, ...]
     final_state: ServerState
-    population: tuple[ClientDataset, ...]
+    population: Population
     spec: ModelSpec
     oracle: float | None
 
@@ -73,53 +73,34 @@ def summary_field_names(task: TaskConfig) -> tuple[str, ...]:
     return tuple(f"acc_{i}" for i in range(task.p))
 
 
-def _pooled_arrays(population: Sequence[ClientDataset]):
-    x = np.concatenate([c.feature_matrix for c in population])
-    y = np.concatenate([c.labels for c in population])
-    d = np.concatenate([c.domains for c in population])
-    return x, y, d
+def _domain_means(values: np.ndarray, masks: list[np.ndarray]) -> tuple[float, ...]:
+    """Mean of ``values`` over each domain's rows; 0.0 for an empty domain."""
+    return tuple(float(values[m].mean()) if m.any() else 0.0 for m in masks)
 
 
 def evaluate_population(
     spec: ModelSpec,
     w: np.ndarray,
-    population: Sequence[ClientDataset],
+    population: Population,
     p: int,
 ) -> dict[str, tuple[float, ...]]:
     """Population-level per-domain mean loss (and accuracy for classifiers)."""
-    x, y, d = _pooled_arrays(population)
+    x, y = population.x, population.y
     check_batch(spec, w, x, y)
-    losses = batch_losses(spec, w, x, y)
-    mean_loss = []
-    for i in range(p):
-        mask = d == i
-        mean_loss.append(float(losses[mask].mean()) if mask.any() else 0.0)
-    out = {"loss": tuple(mean_loss)}
+    masks = [population.domains == i for i in range(p)]
+    out = {"loss": _domain_means(batch_losses(spec, w, x, y), masks)}
     if spec.kind == "logistic":
-        pred = predict_classes(spec, w, x)
-        acc = []
-        for i in range(p):
-            mask = d == i
-            acc.append(float((pred[mask] == y[mask].astype(np.int64)).mean())
-                       if mask.any() else 0.0)
-        out["accuracy"] = tuple(acc)
+        out["accuracy"] = _domain_means(predict_classes(spec, w, x) == y.astype(np.int64),
+                                        masks)
     return out
 
 
-def _summary_fn(task: TaskConfig, spec: ModelSpec, population: Sequence[ClientDataset]):
+def _summary_fn(task: TaskConfig, spec: ModelSpec, population: Population):
     if task.kind == "toy-regression":
         return lambda w: (float(w[0]),)
-    x, y, d = _pooled_arrays(population)
-    y_int = y.astype(np.int64)
-    masks = [d == i for i in range(task.p)]
-
-    def per_domain_accuracy(w: np.ndarray) -> tuple[float, ...]:
-        pred = predict_classes(spec, w, x)
-        return tuple(
-            float((pred[m] == y_int[m]).mean()) if m.any() else 0.0 for m in masks
-        )
-
-    return per_domain_accuracy
+    y_int = population.y.astype(np.int64)
+    masks = [population.domains == i for i in range(task.p)]
+    return lambda w: _domain_means(predict_classes(spec, w, population.x) == y_int, masks)
 
 
 def _csv_header(p: int, summary_names: Sequence[str]) -> list[str]:
@@ -245,7 +226,7 @@ def run_experiment_full(cfg: ExperimentConfig) -> ExperimentRun:
     if out_dir is not None and cfg.plots and reports:
         emit_plots(reports, out_dir / "plot", summary_names=names)
 
-    return ExperimentRun(tuple(reports), state, tuple(population), spec, oracle)
+    return ExperimentRun(tuple(reports), state, population, spec, oracle)
 
 
 @dataclass(frozen=True)

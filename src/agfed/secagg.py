@@ -14,12 +14,13 @@ instead of wrapping.
 Both clients of a pair expand their shared seed into the same
 splitmix64 stream, so a cohort sum needs each pair's stream once: the
 first ``mask_set`` for a vector length L evaluates all n(n-1)/2 x L
-stream values in one vectorised call and reduces them into each
-client's signed mask row, cached on the cohort's ``PairwiseSeeds``.
+stream values, in vectorised blocks of lower-index clients that bound
+the memory they take at once, and reduces them into each client's
+signed mask row, cached on the cohort's ``PairwiseSeeds``.
 Every ``mask_set`` then costs O(1) numpy calls: encode, add the row.
 This is not the whole-cohort scatter form: each client still submits
 its own vector through its own ``mask_set`` call, and the cached rows
-hold nothing the public seed matrix does not already fix.
+hold nothing the public pair seeds do not already fix.
 
 This is a SIMULATION OF THE AGGREGATION SEMANTICS ONLY. There is no key
 agreement, no cryptographic PRG, and no dropout recovery: pairwise seeds
@@ -43,6 +44,8 @@ _MODULUS = 1 << 64
 # n * max|encoding| below the signed decode range, so sums cannot wrap.
 _ENCODE_LIMIT = float(1 << 62)
 _DECODE_LIMIT = float(1 << 63)
+# Pair-stream words expanded at once when building a cohort's mask rows
+_BLOCK_WORDS = 1 << 17
 
 
 class MaskRangeError(ValueError):
@@ -73,32 +76,34 @@ def _decode(residues: np.ndarray, scale: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PairwiseSeeds:
-    """Symmetric matrix of shared pair seeds for an n-client cohort (n >= 1)."""
+    """Shared pair seeds of an n-client cohort (n >= 1).
 
-    matrix: np.ndarray
+    ``upper`` holds one uint64 seed per pair (i, j), i < j, in
+    ``np.triu_indices(n, k=1)`` order: pairs grouped by lower index. It
+    is taken as given and made read-only, not copied.
+    """
+
+    n_clients: int
+    upper: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.uint64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidArgument(f"seed matrix must be square, got shape {m.shape}")
-        if m.shape[0] < 1:
+        if self.n_clients < 1:
             raise InvalidArgument("cohort needs at least one client")
-        if not np.array_equal(m, m.T):
-            raise InvalidArgument("seed matrix must be symmetric")
-        m = m.copy()
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
+        upper = np.asarray(self.upper, dtype=np.uint64)
+        pairs = self.n_clients * (self.n_clients - 1) // 2
+        if upper.shape != (pairs,):
+            raise InvalidArgument(f"a cohort of {self.n_clients} has {pairs} pair seeds, "
+                                  f"got shape {upper.shape}")
+        upper.flags.writeable = False
+        object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "_mask_rows", {})
-
-    @property
-    def n_clients(self) -> int:
-        return self.matrix.shape[0]
 
     def _masks(self, length: int) -> np.ndarray:
         """Every client's summed pair masks for vectors of ``length``, one row each."""
         rows = self._mask_rows.get(length)
         if rows is None:
-            rows = _signed_mask_rows(self.matrix, length)
+            block = max(1, _BLOCK_WORDS // (self.n_clients * length))
+            rows = _signed_mask_rows(self.upper, self.n_clients, length, block)
             rows.flags.writeable = False
             self._mask_rows[length] = rows
         return rows
@@ -107,12 +112,8 @@ class PairwiseSeeds:
     def generate(n_clients: int, rng: np.random.Generator) -> "PairwiseSeeds":
         if n_clients < 1:
             raise InvalidArgument("cohort needs at least one client")
-        m = np.zeros((n_clients, n_clients), dtype=np.uint64)
-        upper = np.triu_indices(n_clients, k=1)
-        pair_seeds = rng.integers(0, _MODULUS, size=upper[0].shape[0], dtype=np.uint64)
-        m[upper] = pair_seeds
-        m[(upper[1], upper[0])] = pair_seeds
-        return PairwiseSeeds(m)
+        pairs = n_clients * (n_clients - 1) // 2
+        return PairwiseSeeds(n_clients, rng.integers(0, _MODULUS, size=pairs, dtype=np.uint64))
 
 
 @dataclass(frozen=True)
@@ -144,7 +145,7 @@ _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 
 def _pair_masks(seeds: np.ndarray, length: int) -> np.ndarray:
     # counter-based splitmix64 stream, one row per seed: fast, deterministic,
-    # not cryptographic; in place, since a cohort's stream matrix is the
+    # not cryptographic; in place, since a block of streams is the
     # largest array of a masked round
     z = seeds[:, None] + np.arange(1, length + 1, dtype=np.uint64) * _SM64_GAMMA
     z ^= z >> np.uint64(30)
@@ -155,18 +156,25 @@ def _pair_masks(seeds: np.ndarray, length: int) -> np.ndarray:
     return z
 
 
-def _signed_mask_rows(matrix: np.ndarray, length: int) -> np.ndarray:
+def _signed_mask_rows(upper: np.ndarray, n: int, length: int, block: int) -> np.ndarray:
     # pair (i, j), i < j, adds its stream to row i and subtracts it from
-    # row j; sums mod 2**64 are exact in any order
-    n = matrix.shape[0]
-    lower, higher = np.triu_indices(n, k=1)  # pairs grouped by lower index
-    streams = _pair_masks(matrix[lower, higher], length)
+    # row j; sums mod 2**64 are exact in any order. The streams are
+    # expanded for ``block`` lower indices at a time, which bounds the
+    # transient at block * (n - 1) x length words.
     rows = np.zeros((n, length), dtype=np.uint64)
-    if n > 1:
-        rows[:-1] += np.add.reduceat(streams, np.searchsorted(lower, np.arange(n - 1)))
+    # first[i]: position of pair (i, i + 1) in ``upper``
+    first = np.arange(n) * (2 * n - np.arange(n) - 1) // 2
+    for a in range(0, n - 1, block):
+        lowers = np.arange(a, min(a + block, n - 1))  # each has a pair
+        starts = first[lowers] - first[a]
+        streams = _pair_masks(upper[first[a]:first[lowers[-1] + 1]], length)
+        rows[a:lowers[-1] + 1] += np.add.reduceat(streams, starts)
+        partners = n - 1 - lowers
+        higher = (np.arange(streams.shape[0]) - np.repeat(starts, partners)
+                  + np.repeat(lowers + 1, partners))
         by_higher = np.argsort(higher, kind="stable")
-        rows[1:] -= np.add.reduceat(streams[by_higher],
-                                    np.searchsorted(higher[by_higher], np.arange(1, n)))
+        rows[a + 1:] -= np.add.reduceat(streams[by_higher],
+                                        np.searchsorted(higher[by_higher], np.arange(a + 1, n)))
     return rows
 
 

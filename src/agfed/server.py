@@ -3,8 +3,9 @@
 One round of the agnostic algorithm:
 
 1. sample clients uniformly without replacement,
-2. gather the cohort's rows once and evaluate every client's per-domain
-   counts and summed losses at the current parameters (before training)
+2. take the cohort's rows from the pooled population by one index and
+   evaluate every client's per-domain counts (read off the population's
+   table) and summed losses at the current parameters (before training)
    in one ``compute_client_stats`` call; the rows of that (m x 2p) stats
    matrix meet in one cohort sum, client by client (secure aggregation
    when masked),
@@ -36,17 +37,17 @@ in that order, so floating-point sums stay deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal
 
 import numpy as np
 
 from .client import LocalSGDConfig, client_update, compute_client_stats
 from .core import (
-    ClientDataset,
     Cohort,
     DomainStats,
     InvalidArgument,
     NumericError,
+    Population,
     as_param_vector,
     derive_seed,
     make_rng,
@@ -304,7 +305,7 @@ def run_round(
     state: ServerState,
     cfg: AlgorithmConfig,
     spec: ModelSpec,
-    population: Sequence[ClientDataset],
+    population: Population,
     seed: int,
     *,
     settings: AggregationSettings = AggregationSettings(),
@@ -321,13 +322,14 @@ def run_round(
         raise InvalidArgument(
             f"population of {len(population)} cannot supply {cfg.clients_per_round} clients"
         )
+    if population.p != p:
+        raise InvalidArgument(f"population has p={population.p} domains, lambda has {p}")
     t = state.round + 1
 
     sample_rng = make_rng(seed, t, _TAG_SAMPLING)
     picked = sample_rng.choice(len(population), size=cfg.clients_per_round, replace=False)
-    clients = sorted((population[i] for i in picked), key=lambda c: c.client_id)
-
-    cohort = Cohort.gather(clients, p)
+    cohort = Cohort.gather(
+        population, picked[np.argsort(population.client_ids[picked], kind="stable")])
 
     client_counts, client_loss_sums = compute_client_stats(spec, state.w, cohort)
     total = cohort_sum(
@@ -348,7 +350,7 @@ def run_round(
 
     params, betas = client_update(
         spec, state.w, alpha, cohort, cfg.local,
-        derive_seed(seed, t, np.array([c.client_id for c in clients])),
+        derive_seed(seed, t, cohort.client_ids),
     )
 
     degenerate = False

@@ -19,8 +19,8 @@ Two desk-scale tasks:
 Both support the two partition schemes: ``client-partition`` (every
 client's samples share one domain) and ``data-partition`` (clients mix
 domains). Generation is a pure function of the config seed, and each
-generator writes a client's samples straight into the arrays of its
-``ClientDataset``.
+generator writes its samples into the pooled arrays of one
+``core.Population``, client after client.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .core import ClientDataset, InvalidArgument, make_rng
+from .core import InvalidArgument, Population, make_rng
 from .models import ModelSpec
 
 TaskKind = Literal["toy-regression", "synthetic-classification"]
@@ -153,7 +153,15 @@ def _split_counts(total: int, weights: Sequence[float]) -> list[int]:
     return [int(c) for c in counts]
 
 
-def gen_toy_regression(cfg: TaskConfig) -> tuple[list[ClientDataset], float]:
+def _dealt(order: np.ndarray, n_clients: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deal ``order`` round-robin to ``n_clients``: client k gets
+    ``order[k::n_clients]``. Returns the dealt entries client by client
+    and each client's count."""
+    hands = np.arange(order.shape[0]) % n_clients
+    return order[np.argsort(hands, kind="stable")], np.bincount(hands, minlength=n_clients)
+
+
+def gen_toy_regression(cfg: TaskConfig) -> tuple[Population, float]:
     """Toy 1-D population plus the analytic min-max oracle.
 
     Domain i holds ``points_per_domain`` points ``centers[i] + offsets``
@@ -171,26 +179,19 @@ def gen_toy_regression(cfg: TaskConfig) -> tuple[list[ClientDataset], float]:
     values = np.concatenate([center + offsets for center in cfg.centers])
     domains = np.repeat(np.arange(cfg.p), cfg.points_per_domain)
 
-    def client(cid: int, picks: np.ndarray) -> ClientDataset:
-        return ClientDataset(cid, values[picks, None], values[picks], domains[picks])
-
-    clients: list[ClientDataset] = []
     if cfg.partition == "data-partition":
-        order = rng.permutation(values.shape[0])
-        for cid in range(cfg.num_clients):
-            clients.append(client(cid, order[cid::cfg.num_clients]))
+        picks, sizes = _dealt(rng.permutation(values.shape[0]), cfg.num_clients)
     else:
-        per_domain = _split_counts(cfg.num_clients, [1.0] * cfg.p)
-        cid = 0
-        for i in range(cfg.p):
-            first = i * cfg.points_per_domain
-            order = rng.permutation(cfg.points_per_domain)
-            for local in range(per_domain[i]):
-                clients.append(client(cid, first + order[local::per_domain[i]]))
-                cid += 1
+        dealt = [_dealt(i * cfg.points_per_domain + rng.permutation(cfg.points_per_domain), k)
+                 for i, k in enumerate(_split_counts(cfg.num_clients, [1.0] * cfg.p))]
+        picks = np.concatenate([hand for hand, _ in dealt])
+        sizes = np.concatenate([counts for _, counts in dealt])
 
+    population = Population(values[picks, None], values[picks], domains[picks],
+                            np.concatenate([[0], np.cumsum(sizes)]),
+                            np.arange(cfg.num_clients), cfg.p)
     oracle = (min(cfg.centers) + max(cfg.centers)) / 2.0
-    return clients, oracle
+    return population, oracle
 
 
 def _domain_directions(p: int, input_dim: int) -> np.ndarray:
@@ -202,7 +203,7 @@ def _domain_directions(p: int, input_dim: int) -> np.ndarray:
     return dirs
 
 
-def gen_synthetic_classification(cfg: TaskConfig) -> list[ClientDataset]:
+def gen_synthetic_classification(cfg: TaskConfig) -> Population:
     """Gaussian-mixture classification population over p domains.
 
     With ``client-partition`` the client population is split by
@@ -225,75 +226,65 @@ def gen_synthetic_classification(cfg: TaskConfig) -> list[ClientDataset]:
 
     # Per sample, in this order: the domain (data partition only), the
     # label, then the feature noise; batching the draws would change the data.
-    clients: list[ClientDataset] = []
-    for cid, (n, fixed_domain) in enumerate(zip(sizes, client_domains)):
-        x = np.empty((n, cfg.input_dim))
-        y = np.empty(n)
-        d = np.empty(n, dtype=np.int64)
-        for j in range(n):
-            dom = (fixed_domain if fixed_domain is not None
-                   else int(rng.choice(cfg.p, p=mixing)))
-            label = int(rng.integers(0, 2))
-            mean = (2 * label - 1) * (cfg.margins[dom] / 2.0) * directions[dom]
-            x[j] = mean + cfg.noise * rng.standard_normal(cfg.input_dim)
-            y[j], d[j] = label, dom
-        clients.append(ClientDataset(cid, x, y, d))
-    return clients
+    total = sum(sizes)
+    x = np.empty((total, cfg.input_dim))
+    y = np.empty(total)
+    d = np.empty(total, dtype=np.int64)
+    j = 0
+    for fixed_domain in (dom for n, dom in zip(sizes, client_domains) for _ in range(n)):
+        dom = (fixed_domain if fixed_domain is not None
+               else int(rng.choice(cfg.p, p=mixing)))
+        label = int(rng.integers(0, 2))
+        mean = (2 * label - 1) * (cfg.margins[dom] / 2.0) * directions[dom]
+        x[j] = mean + cfg.noise * rng.standard_normal(cfg.input_dim)
+        y[j], d[j] = label, dom
+        j += 1
+    return Population(x, y, d, np.concatenate([[0], np.cumsum(sizes)]),
+                      np.arange(cfg.num_clients), cfg.p)
 
 
-def generate_population(cfg: TaskConfig) -> tuple[list[ClientDataset], float | None]:
+def generate_population(cfg: TaskConfig) -> tuple[Population, float | None]:
     """Dispatch to the task's generator; oracle is None unless the task has one."""
     if cfg.kind == "toy-regression":
         return gen_toy_regression(cfg)
     return gen_synthetic_classification(cfg), None
 
 
-def write_datasets(clients: Sequence[ClientDataset], path: str | Path) -> None:
+def write_datasets(population: Population, path: str | Path) -> None:
     """Line-oriented text dump: per sample ``domain label features...``.
 
     Clients are delimited by ``# client <id>`` header lines so the file
-    round-trips back into ClientDatasets.
+    round-trips back into a population.
     """
     path = Path(path)
     lines: list[str] = []
-    for c in clients:
+    for c in population:
         lines.append(f"# client {c.client_id}")
-        for x, label, domain in zip(c.feature_matrix, c.labels, c.domains):
+        for x, label, domain in zip(c.feature_matrix.tolist(), c.labels.tolist(),
+                                    c.domains.tolist()):
             feats = " ".join(f"{v:.17g}" for v in x)
             lines.append(f"{domain} {label:.17g} {feats}")
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_datasets(path: str | Path) -> list[ClientDataset]:
-    """Parse a file written by ``write_datasets``."""
-    clients: list[ClientDataset] = []
-    current_id: int | None = None
+def read_datasets(path: str | Path, p: int | None = None) -> Population:
+    """Parse a file written by ``write_datasets``; ``p`` defaults to one
+    more than the largest domain tag."""
+    ids: list[int] = []
+    offsets: list[int] = []
     rows: list[list[str]] = []
-
-    def flush():
-        if current_id is None:
-            return
-        if len({len(r) for r in rows}) != 1:
-            raise InvalidArgument(
-                f"client {current_id} has no samples or mixes feature dimensions"
-            )
-        features = np.array([[float(v) for v in r[2:]] for r in rows])
-        labels = np.array([float(r[1]) for r in rows])
-        domains = np.array([int(r[0]) for r in rows])
-        clients.append(ClientDataset(current_id, features, labels, domains))
-
     for raw in Path(path).read_text().splitlines():
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("# client"):
-            flush()
-            current_id = int(line.split()[-1])
-            rows = []
-            continue
-        parts = line.split()
-        if current_id is None or len(parts) < 3:
-            raise InvalidArgument(f"malformed dataset line: {raw!r}")
-        rows.append(parts)
-    flush()
-    return clients
+            ids.append(int(line.split()[-1]))
+            offsets.append(len(rows))
+        elif line:
+            if not ids or len(line.split()) < 3:
+                raise InvalidArgument(f"malformed dataset line: {raw!r}")
+            rows.append(line.split())
+    if not rows or len({len(r) for r in rows}) != 1:
+        raise InvalidArgument(f"{path} holds no samples or mixes feature dimensions")
+    domains = np.array([int(r[0]) for r in rows])
+    table = np.array([[float(v) for v in r[1:]] for r in rows])
+    return Population(table[:, 1:], table[:, 0], domains, offsets + [len(rows)], ids,
+                      1 + int(domains.max()) if p is None else p)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from agfed.client import LocalSGDConfig, compute_client_stats
-from agfed.core import ClientDataset, Cohort, make_rng
+from agfed.core import ClientDataset, Cohort, Population, make_rng
 from agfed.harness import ExperimentConfig, compare_algorithms, run_experiment
 from agfed.models import ModelSpec, batch_losses, grad_weighted
 from agfed.secagg import (
@@ -114,7 +114,7 @@ def test_criterion_2_identity_property():
     for _ in range(50):
         spec, w, lam, clients, p = _identity_instance(rng)
         client_counts, client_loss_sums = compute_client_stats(
-            spec, w, Cohort.gather(clients, p))
+            spec, w, Cohort.gather(Population.from_clients(clients, p), np.arange(len(clients))))
         counts = client_counts.sum(axis=0)
         loss_sums = client_loss_sums.sum(axis=0)
         alpha = compute_scaling(lam, counts.astype(np.float64))

@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agfed.client import LocalSGDConfig, client_update, compute_client_stats
-from agfed.core import ClientDataset, Cohort, InvalidArgument, NumericError, make_rng
+from agfed.core import (
+    ClientDataset,
+    Cohort,
+    InvalidArgument,
+    NumericError,
+    Population,
+    make_rng,
+)
 from agfed.models import ModelSpec, batch_losses, grad_weighted
 
 SCALAR = ModelSpec("scalar-regression")
@@ -31,15 +38,20 @@ def _random_client(rng, n=12, p=3):
                          rng.integers(0, p, size=n))
 
 
+def _cohort(clients, p):
+    """All of the clients, in the given order, as one round's cohort."""
+    return Cohort.gather(Population.from_clients(clients, p), np.arange(len(clients)))
+
+
 def _stats(w, ds, p):
     """Counts and loss sums of a one-client cohort."""
-    counts, loss_sums = compute_client_stats(SCALAR, w, Cohort.gather([ds], p))
+    counts, loss_sums = compute_client_stats(SCALAR, w, _cohort([ds], p))
     return counts[0], loss_sums[0]
 
 
 def _update(w, alpha, ds, cfg, seed):
     """New parameters and beta of a one-client cohort."""
-    params, betas = client_update(SCALAR, w, alpha, Cohort.gather([ds], alpha.shape[0]),
+    params, betas = client_update(SCALAR, w, alpha, _cohort([ds], alpha.shape[0]),
                                   cfg, [seed])
     return params[0], betas[0]
 
@@ -255,7 +267,7 @@ class TestCohortMatchesPerClientLoop:
         spec, w, alpha, clients, p, cfg, seeds = round_inputs
         ref_counts, ref_loss_sums, ref_params, ref_betas = _reference_round_clients(
             spec, w, alpha, clients, p, cfg, seeds)
-        cohort = Cohort.gather(clients, p)
+        cohort = _cohort(clients, p)
         counts, loss_sums = compute_client_stats(spec, w, cohort)
         params, betas = client_update(spec, w, alpha, cohort, cfg, seeds)
         assert np.array_equal(counts, ref_counts)
@@ -274,7 +286,7 @@ class TestCohortMatchesPerClientLoop:
         alpha = np.array([0.5, 0.0])
         cfg = LocalSGDConfig(epochs=2, batch_size=5, learning_rate=0.1)
         w = np.array([0.4])
-        cohort = Cohort.gather(clients, 2)
+        cohort = _cohort(clients, 2)
         params, betas = client_update(SCALAR, w, alpha, cohort, cfg, [5, 6, 7])
         _, _, ref_params, ref_betas = _reference_round_clients(
             SCALAR, w, alpha, clients, 2, cfg, [5, 6, 7])
@@ -288,10 +300,10 @@ class TestCohortMatchesPerClientLoop:
         # pairwise one in the last bits, and the cohort must use the latter
         rng = make_rng(8)
         clients = [ClientDataset(k, rng.standard_normal((40, 1)),
-                                 rng.standard_normal(40) * 10.0, np.zeros(40))
+                                 rng.standard_normal(40) * 10.0, np.zeros(40, dtype=np.int64))
                    for k in range(3)]
         w = np.array([0.1])
-        _, loss_sums = compute_client_stats(SCALAR, w, Cohort.gather(clients, 1))
+        _, loss_sums = compute_client_stats(SCALAR, w, _cohort(clients, 1))
         _, ref_loss_sums, _, _ = _reference_round_clients(
             SCALAR, w, np.ones(1), clients, 1, LocalSGDConfig(1, 1, 0.1), [0, 1, 2])
         assert np.array_equal(loss_sums, ref_loss_sums)
@@ -305,5 +317,5 @@ class TestCohortMatchesPerClientLoop:
                              np.zeros(4))
         cfg = LocalSGDConfig(epochs=50, batch_size=4, learning_rate=1e150)
         with pytest.raises(NumericError):
-            client_update(SCALAR, np.array([1.0]), np.ones(1), Cohort.gather([calm, wild], 1),
+            client_update(SCALAR, np.array([1.0]), np.ones(1), _cohort([calm, wild], 1),
                           cfg, [0, 1])

@@ -1,4 +1,4 @@
-"""Core value types: mixture weights, domain stats, datasets."""
+"""Core value types: mixture weights, domain stats, populations, seeds."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from agfed.core import (
     Cohort,
     DomainStats,
     InvalidArgument,
+    Population,
     derive_seed,
     make_rng,
     mixture_uniform,
@@ -64,24 +65,31 @@ class TestDomainStats:
 
 
 class TestDatasets:
+    """A client's rows are checked when pooled into a population."""
+
     def test_empty_client_rejected(self):
-        with pytest.raises(InvalidArgument):
-            ClientDataset(0, np.empty((0, 1)), [], [])
+        with pytest.raises(InvalidArgument, match="client 0 has no samples"):
+            Population.from_clients([ClientDataset(0, np.empty((0, 1)), [], [])], 1)
 
     def test_features_not_2d_rejected(self):
         with pytest.raises(InvalidArgument):
-            ClientDataset(0, np.array([1.0, 2.0]), [1.0, 1.0], [0, 0])
+            Population.from_clients([ClientDataset(0, np.array([1.0, 2.0]), [1.0, 1.0],
+                                                   [0, 0])], 1)
 
     def test_arrays_differ_in_length_rejected(self):
         x = np.ones((3, 1))
         with pytest.raises(InvalidArgument):
-            ClientDataset(0, x, [1.0, 1.0], [0, 0, 0])
+            Population.from_clients([ClientDataset(0, x, [1.0, 1.0], [0, 0, 0])], 1)
         with pytest.raises(InvalidArgument):
-            ClientDataset(0, x, [1.0, 1.0, 1.0], [0, 0])
+            Population.from_clients([ClientDataset(0, x, [1.0, 1.0, 1.0], [0, 0])], 1)
+        # totals that agree across clients do not hide misaligned clients
+        with pytest.raises(InvalidArgument, match="client 0"):
+            Population.from_clients([ClientDataset(0, x, [1.0] * 4, [0] * 4),
+                                     ClientDataset(1, x, [1.0] * 2, [0] * 2)], 1)
 
     def test_negative_domain_rejected(self):
         with pytest.raises(InvalidArgument):
-            ClientDataset(0, np.array([[1.0]]), [1.0], [-1])
+            Population.from_clients([ClientDataset(0, np.array([[1.0]]), [1.0], [-1])], 1)
 
     def test_equality_is_identity_and_hashable(self):
         # comparing field tuples of arrays would raise "truth value ambiguous"
@@ -96,24 +104,24 @@ class TestDatasets:
         rng = make_rng(7)
         values = np.arange(30, dtype=np.float64)
         ds = ClientDataset(3, values[:, None], values, rng.integers(0, 4, size=30))
-        assert int(Cohort.gather([ds], 4).counts.sum()) == len(ds)
+        assert int(Population.from_clients([ds], 4).counts.sum()) == len(ds)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=40), st.integers(0, 3))
     def test_domain_counts_equal_bincount(self, tags, extra):
         p = max(tags) + 1 + extra
         ds = ClientDataset(0, np.zeros((len(tags), 1)), np.zeros(len(tags)), tags)
-        counts = Cohort.gather([ds], p).counts[0]
+        counts = Population.from_clients([ds], p).counts[0]
         assert counts.dtype == np.int64
         assert np.array_equal(counts, np.bincount(tags, minlength=p))
 
     def test_domain_tag_above_p_rejected(self):
         ds = ClientDataset(0, np.array([[0.0]]), [0.0], [5])
         with pytest.raises(InvalidArgument):
-            Cohort.gather([ds], 3)
+            Population.from_clients([ds], 3)
 
     def test_arrays_are_read_only(self):
-        ds = ClientDataset(0, np.array([[1.0]]), [2.0], [0])
+        ds = Population.from_clients([ClientDataset(0, np.array([[1.0]]), [2.0], [0])], 1)[0]
         with pytest.raises(ValueError):
             ds.feature_matrix[0, 0] = 9.0
         with pytest.raises(ValueError):
@@ -126,8 +134,10 @@ class TestCohort:
     def test_gather_concatenates_rows_in_client_order(self):
         a = ClientDataset(4, np.array([[1.0], [2.0]]), [1.0, 2.0], [1, 1])
         b = ClientDataset(9, np.array([[3.0], [4.0], [5.0]]), [3.0, 4.0, 5.0], [0, 2, 0])
-        cohort = Cohort.gather([a, b], 3)
+        c = ClientDataset(2, np.array([[6.0]]), [6.0], [1])
+        cohort = Cohort.gather(Population.from_clients([c, a, b], 3), [1, 2])
         assert len(cohort) == 2
+        assert cohort.client_ids.tolist() == [4, 9]
         assert cohort.x[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert cohort.y.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert cohort.domains.tolist() == [1, 1, 0, 2, 0]
@@ -140,13 +150,79 @@ class TestCohort:
         ok = ClientDataset(1, np.zeros((2, 1)), [0.0, 0.0], [0, 1])
         bad = ClientDataset(7, np.zeros((2, 1)), [0.0, 0.0], [0, 3])
         with pytest.raises(InvalidArgument, match="client 7"):
-            Cohort.gather([ok, bad], 2)
+            Population.from_clients([ok, bad], 2)
 
     def test_mixed_feature_dimensions_rejected(self):
         one = ClientDataset(0, np.zeros((1, 1)), [0.0], [0])
         two = ClientDataset(1, np.zeros((1, 2)), [0.0], [0])
         with pytest.raises(InvalidArgument):
-            Cohort.gather([one, two], 1)
+            Population.from_clients([one, two], 1)
+
+
+@st.composite
+def _populations(draw):
+    """Ragged clients with unsorted, non-contiguous ids, plus a cohort of them."""
+    p = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=12))
+    ids = draw(st.lists(st.integers(0, 10_000), min_size=len(sizes), max_size=len(sizes),
+                        unique=True))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 3))
+    clients = [ClientDataset(cid, rng.standard_normal((n, dim)), rng.standard_normal(n),
+                             rng.integers(0, p, size=n)) for cid, n in zip(ids, sizes)]
+    members = draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1, max_size=len(sizes),
+                            unique=True))
+    return clients, p, members
+
+
+class TestPopulation:
+    @settings(max_examples=150, deadline=None)
+    @given(_populations())
+    def test_cohort_index_equals_concatenated_clients(self, case):
+        clients, p, members = case
+        population = Population.from_clients(clients, p)
+        cohort = Cohort.gather(population, np.array(members))
+        chosen = [clients[k] for k in members]
+        assert np.array_equal(cohort.x, np.concatenate([c.feature_matrix for c in chosen]))
+        assert np.array_equal(cohort.y, np.concatenate([c.labels for c in chosen]))
+        assert np.array_equal(cohort.domains, np.concatenate([c.domains for c in chosen]))
+        assert cohort.sizes.tolist() == [len(c) for c in chosen]
+        assert cohort.client_ids.tolist() == [c.client_id for c in chosen]
+        assert np.array_equal(cohort.counts,
+                              [np.bincount(c.domains, minlength=p) for c in chosen])
+
+    @settings(max_examples=50, deadline=None)
+    @given(_populations())
+    def test_indexing_yields_each_client_as_a_view(self, case):
+        clients, p, _ = case
+        population = Population.from_clients(clients, p)
+        assert len(population) == len(clients)
+        for ours, theirs in zip(population, clients):
+            assert ours.client_id == theirs.client_id and len(ours) == len(theirs)
+            assert np.array_equal(ours.feature_matrix, theirs.feature_matrix)
+            assert np.shares_memory(ours.feature_matrix, population.x)
+        assert population[-1].client_id == clients[-1].client_id
+
+    def test_domain_tag_at_or_above_p_names_the_client(self):
+        with pytest.raises(InvalidArgument, match="client 12 has a domain tag outside 0..1"):
+            Population(np.zeros((3, 1)), np.zeros(3), [0, 1, 2], [0, 1, 3], [5, 12], 2)
+
+    def test_empty_client_names_the_client(self):
+        with pytest.raises(InvalidArgument, match="client 8 has no samples"):
+            Population(np.zeros((2, 1)), np.zeros(2), [0, 0], [0, 2, 2], [7, 8], 1)
+
+    @pytest.mark.parametrize("offsets, ids", [([0, 2], [0, 1]), ([0, 1], [0]), ([1, 2], [0]),
+                                              ([0], [])])
+    def test_offsets_must_cover_the_rows_once(self, offsets, ids):
+        with pytest.raises(InvalidArgument):
+            Population(np.zeros((2, 1)), np.zeros(2), [0, 0], offsets, ids, 1)
+
+    def test_arrays_are_read_only(self):
+        population = Population(np.zeros((2, 1)), np.zeros(2), [0, 0], [0, 2], [0], 1)
+        for arr in (population.x, population.y, population.domains, population.counts,
+                    population.offsets, population.client_ids):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
 
 # seed parts at the word boundaries of numpy's uint32 coercion, plus any
@@ -203,6 +279,23 @@ class TestSeeds:
             assert seed == int(ss.generate_state(1, np.uint64)[0])
             assert np.array_equal(rng.bit_generator.random_raw(4),
                                   _numpy_rng(head + [value]).bit_generator.random_raw(4))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_SEED_PART, min_size=1, max_size=5),
+           st.lists(st.integers(0, 2**32 - 1), min_size=16, max_size=40),
+           st.lists(st.integers(2**32, 2**64 - 1), min_size=16, max_size=40),
+           st.randoms(use_true_random=False))
+    def test_batch_mixing_one_and_two_word_values_matches_numpy(self, head, small, large,
+                                                                 order):
+        # the last part is one uint32 word below 2**32 and two above, so
+        # one batch holds rows of two entropy lengths; 32 rows or more
+        # take the numpy port of numpy's entropy mix
+        last = small + large
+        order.shuffle(last)
+        seeds = derive_seed(*head, np.array(last, dtype=np.uint64))
+        for value, seed in zip(last, seeds.tolist()):
+            ss = np.random.SeedSequence(_numpy_entropy(head + [value]))
+            assert seed == int(ss.generate_state(1, np.uint64)[0])
 
     @pytest.mark.parametrize("last", [np.zeros(2), np.zeros((2, 2), dtype=np.int64)])
     def test_non_integer_or_2d_last_part_rejected(self, last):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from agfed.client import LocalSGDConfig
-from agfed.core import ClientDataset, InvalidArgument
+from agfed.core import ClientDataset, InvalidArgument, Population
 from agfed.harness import (
     ExperimentConfig,
     compare_algorithms,
@@ -158,8 +158,9 @@ class TestEvaluateAndCompare:
         bad = run.population[0]
         labels = bad.labels.copy()
         labels[0] = 0.7
-        population = (ClientDataset(bad.client_id, bad.feature_matrix, labels, bad.domains),
-                      *run.population[1:])
+        population = Population.from_clients(
+            [ClientDataset(bad.client_id, bad.feature_matrix, labels, bad.domains),
+             *list(run.population)[1:]], 2)
         with pytest.raises(InvalidArgument):
             evaluate_population(run.spec, run.final_state.w, population, 2)
 

@@ -15,6 +15,7 @@ from agfed.secagg import (
     SecureSum,
     _encode,
     _pair_masks,
+    _signed_mask_rows,
     mask_set,
 )
 
@@ -43,6 +44,13 @@ def _secure_sum(seeds, plains):
     return acc.aggregate()
 
 
+def _pair_seed(seeds, i, j):
+    """The seed clients i and j share, looked up in ``np.triu_indices`` order."""
+    lower, higher = np.triu_indices(seeds.n_clients, k=1)
+    pair = np.flatnonzero((lower == min(i, j)) & (higher == max(i, j)))[0]
+    return int(seeds.upper[pair])
+
+
 def _reference_mask_set(seeds, client, plain, scale_bits=DEFAULT_SCALE_BITS):
     # one mask per peer, added by the lower index of the pair and
     # subtracted by the higher
@@ -50,7 +58,7 @@ def _reference_mask_set(seeds, client, plain, scale_bits=DEFAULT_SCALE_BITS):
     for j in range(seeds.n_clients):
         if j == client:
             continue
-        mask = _reference_pair_mask(int(seeds.matrix[client, j]), residues.shape[0])
+        mask = _reference_pair_mask(_pair_seed(seeds, client, j), residues.shape[0])
         if client < j:
             residues = residues + mask
         else:
@@ -59,13 +67,13 @@ def _reference_mask_set(seeds, client, plain, scale_bits=DEFAULT_SCALE_BITS):
 
 
 @st.composite
-def _seed_matrices(draw):
-    """Symmetric seed matrices, random or with every entry near 2**64 - 1."""
+def _pair_seeds(draw):
+    """Cohort pair seeds, random or with every seed near 2**64 - 1."""
     n = draw(st.integers(1, 40))
     rng = make_rng(draw(st.integers(0, 2**31 - 1)))
     if draw(st.booleans()):
-        upper = np.triu(_UINT64_MAX - rng.integers(0, 16, size=(n, n), dtype=np.uint64), 1)
-        return PairwiseSeeds(upper + upper.T)
+        pairs = n * (n - 1) // 2
+        return PairwiseSeeds(n, _UINT64_MAX - rng.integers(0, 16, size=pairs, dtype=np.uint64))
     return PairwiseSeeds.generate(n, rng)
 
 
@@ -157,7 +165,7 @@ class TestPairMasks:
             assert np.array_equal(masks[k], _pair_masks(seeds[k:k + 1], 6)[0])
 
     @settings(max_examples=60, deadline=None)
-    @given(_seed_matrices(), st.integers(1, 12), st.integers(0, 2**31 - 1))
+    @given(_pair_seeds(), st.integers(1, 12), st.integers(0, 2**31 - 1))
     def test_mask_set_matches_per_peer_reference(self, seeds, length, key):
         plain = make_rng(key).uniform(-1e3, 1e3, size=length)
         for client in range(seeds.n_clients):
@@ -183,6 +191,28 @@ class TestPairMasks:
                                       _reference_mask_set(seeds, client, plain))
 
 
+class TestBlockedMaskRows:
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 300])
+    def test_blocks_match_one_unblocked_pass(self, n):
+        # block 8: n = 7, 8 and 9 end inside, on and just past a block edge
+        seeds = _seeds(n, key=n)
+        unblocked = _signed_mask_rows(seeds.upper, n, 5, max(n, 1))
+        for block in (1, 8, 64):
+            assert np.array_equal(_signed_mask_rows(seeds.upper, n, 5, block), unblocked)
+
+    def test_rows_are_the_signed_pair_sums(self):
+        n = 9
+        seeds = _seeds(n, key=23)
+        rows = _signed_mask_rows(seeds.upper, n, 4, 2)
+        for i in range(n):
+            expected = np.zeros(4, dtype=np.uint64)
+            for j in range(n):
+                if j != i:
+                    stream = _reference_pair_mask(_pair_seed(seeds, i, j), 4)
+                    expected = expected + stream if i < j else expected - stream
+            assert np.array_equal(rows[i], expected)
+
+
 class TestProtocol:
     def test_missing_participant_is_protocol_error(self):
         acc = SecureSum(_seeds(3, key=5), 2)
@@ -202,13 +232,14 @@ class TestProtocol:
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(InvalidArgument):
-            PairwiseSeeds(np.zeros((0, 0), dtype=np.uint64))
+            PairwiseSeeds(0, np.zeros(0, dtype=np.uint64))
         with pytest.raises(InvalidArgument):
             PairwiseSeeds.generate(0, make_rng(0))
 
-    def test_seed_matrix_must_be_symmetric(self):
-        with pytest.raises(Exception):
-            PairwiseSeeds(np.array([[0, 1], [2, 0]], dtype=np.uint64))
+    def test_seed_vector_must_hold_one_seed_per_pair(self):
+        for n, shape in ((3, 2), (3, 4), (2, (1, 1)), (1, 1)):
+            with pytest.raises(InvalidArgument, match="pair seeds"):
+                PairwiseSeeds(n, np.zeros(shape, dtype=np.uint64))
 
 
 class TestSecureSum:

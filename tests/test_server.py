@@ -290,7 +290,7 @@ class TestRunRound:
         _, report = run_round(state, cfg, SCALAR, clients, 3, settings=plain)
 
         client_counts, client_loss_sums = compute_client_stats(
-            SCALAR, state.w, Cohort.gather(clients, 5))
+            SCALAR, state.w, Cohort.gather(clients, np.arange(len(clients))))
         counts = client_counts.sum(axis=0)
         alpha = compute_scaling(state.lam, counts.astype(float))
         lhs_num = lhs_den = 0.0
@@ -312,7 +312,7 @@ class TestRunRound:
         _, report = run_round(state, cfg, SCALAR, clients, 3, settings=masked)
 
         client_counts, client_loss_sums = compute_client_stats(
-            SCALAR, state.w, Cohort.gather(clients, 5))
+            SCALAR, state.w, Cohort.gather(clients, np.arange(len(clients))))
         counts = client_counts.sum(axis=0)
         alpha = compute_scaling(state.lam, counts.astype(float))
         lhs_num = lhs_den = 0.0
@@ -359,7 +359,7 @@ class TestRunRound:
             state, _ = run_round(state, cfg, SCALAR, clients, 4)
             assert len(state.window) == min(t + 1, 3)
         # whole population selected every round: every entry is the full count
-        full = Cohort.gather(clients, 5).counts.sum(axis=0)
+        full = clients.counts.sum(axis=0)
         for entry in state.window:
             assert np.array_equal(entry, full)
 

@@ -175,6 +175,73 @@ class TestSyntheticClassification:
             _cls_cfg(mixing=(0.5, 0.5))  # mixing is data-partition only
 
 
+class TestClassificationDistribution:
+    """The whole-array draw keeps the generator's distributions.
+
+    Fixed seeds; every tolerance is five standard errors of the
+    estimate unless stated otherwise.
+    """
+
+    P3 = dict(p=3, margins=(2.0, 1.0, 0.5), shares=(0.5, 0.3, 0.2), noise=0.7, input_dim=3)
+
+    def test_class_balance(self):
+        population = gen_synthetic_classification(_cls_cfg(num_clients=500, seed=11))
+        n = population.y.shape[0]
+        assert set(np.unique(population.y).tolist()) == {0.0, 1.0}
+        assert abs(population.y.mean() - 0.5) <= 5 * 0.5 / np.sqrt(n)
+
+    @pytest.mark.parametrize("partition", ["client-partition", "data-partition"])
+    def test_domain_means_along_direction_are_half_margins(self, partition):
+        cfg = _cls_cfg(partition=partition, num_clients=300, seed=12, **self.P3)
+        population = gen_synthetic_classification(cfg)
+        x, y, d = population.x, population.y, population.domains
+        for i, margin in enumerate(cfg.margins):
+            angle = np.pi * i / cfg.p
+            along = x[:, :2] @ np.array([np.cos(angle), np.sin(angle)])
+            for label, sign in ((0.0, -1.0), (1.0, 1.0)):
+                rows = (d == i) & (y == label)
+                tolerance = 5 * cfg.noise / np.sqrt(rows.sum())
+                assert abs(along[rows].mean() - sign * margin / 2) <= tolerance
+
+    def test_noise_standard_deviation(self):
+        cfg = _cls_cfg(num_clients=300, seed=13, **self.P3)
+        population = gen_synthetic_classification(cfg)
+        x, y, d = population.x, population.y, population.domains
+        angles = np.pi * d / cfg.p
+        means = ((2 * y - 1) * np.asarray(cfg.margins)[d] / 2)[:, None] * np.column_stack(
+            [np.cos(angles), np.sin(angles), np.zeros_like(angles)])
+        residual = (x - means).ravel()
+        # the standard error of a sample standard deviation is sigma / sqrt(2n)
+        assert abs(residual.mean()) <= 5 * cfg.noise / np.sqrt(residual.size)
+        assert abs(residual.std() - cfg.noise) <= 5 * cfg.noise / np.sqrt(2 * residual.size)
+
+    def test_data_partition_domain_frequencies_follow_mixing(self):
+        cfg = _cls_cfg(partition="data-partition", num_clients=400, seed=14, p=3,
+                       margins=(2.0, 1.0, 0.5), mixing=(0.6, 0.3, 0.1))
+        population = gen_synthetic_classification(cfg)
+        n = population.domains.shape[0]
+        freq = np.bincount(population.domains, minlength=3) / n
+        mixing = np.array(cfg.mixing)
+        assert np.all(np.abs(freq - mixing) <= 5 * np.sqrt(mixing * (1 - mixing) / n))
+
+    def test_client_partition_splits_clients_by_shares(self):
+        cfg = _cls_cfg(num_clients=100, seed=15, **self.P3)
+        population = gen_synthetic_classification(cfg)
+        # exact largest-remainder split; each client holds one domain, in order
+        assert np.array_equal(population.counts > 0,
+                              np.repeat(np.eye(3, dtype=bool), [50, 30, 20], axis=0))
+        assert np.array_equal(population.counts.sum(axis=1), np.full(100, 20))
+
+    def test_ragged_sizes_cover_the_range(self):
+        cfg = _cls_cfg(num_clients=600, seed=16, samples_per_client=(3, 9))
+        sizes = np.diff(gen_synthetic_classification(cfg).offsets)
+        assert sizes.min() == 3 and sizes.max() == 9
+        # uniform on 7 values: each count within five standard errors of 600 / 7
+        expected = 600 / 7
+        assert np.all(np.abs(np.bincount(sizes - 3, minlength=7) - expected)
+                      <= 5 * np.sqrt(expected * 6 / 7))
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("make", [
         lambda seed: gen_toy_regression(_toy_cfg(seed=seed))[0],
