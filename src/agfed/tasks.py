@@ -18,9 +18,12 @@ Two desk-scale tasks:
 
 Both support the two partition schemes: ``client-partition`` (every
 client's samples share one domain) and ``data-partition`` (clients mix
-domains). Generation is a pure function of the config seed, and each
+domains). Generation is a pure function of the config seed. Each
 generator writes its samples into the pooled arrays of one
-``core.Population``, client after client.
+``core.Population``, client after client. The classification generator
+draws whole arrays, in this order: the client sizes (for a ``lo..hi``
+range only), every sample's domain (data partition only), every label,
+then the (N x d) feature noise.
 """
 
 from __future__ import annotations
@@ -130,13 +133,6 @@ def initial_params_for(cfg: TaskConfig) -> np.ndarray:
     return np.zeros(model_spec_for(cfg).param_count)
 
 
-def _client_sizes(cfg: TaskConfig, rng: np.random.Generator, n_clients: int) -> list[int]:
-    if isinstance(cfg.samples_per_client, tuple):
-        lo, hi = cfg.samples_per_client
-        return [int(rng.integers(lo, hi + 1)) for _ in range(n_clients)]
-    return [cfg.samples_per_client] * n_clients
-
-
 def _split_counts(total: int, weights: Sequence[float]) -> list[int]:
     """Largest-remainder allocation of ``total`` slots, each part >= 1."""
     weights = np.asarray(weights, dtype=np.float64)
@@ -209,37 +205,30 @@ def gen_synthetic_classification(cfg: TaskConfig) -> Population:
     With ``client-partition`` the client population is split by
     ``shares`` (the minority domain gets fewer clients); with
     ``data-partition`` every sample's domain is drawn from ``mixing``
-    (uniform when unset).
+    (uniform when unset). A sample of domain i with label c in {0, 1}
+    is (2c - 1) * margins[i] / 2 along domain i's direction, plus
+    Gaussian noise of standard deviation ``noise`` per coordinate.
     """
     if cfg.kind != "synthetic-classification":
         raise InvalidArgument("config is not a synthetic-classification task")
     rng = make_rng(cfg.seed, _TAG_CLASSIFICATION)
-    directions = _domain_directions(cfg.p, cfg.input_dim)
-    sizes = _client_sizes(cfg, rng, cfg.num_clients)
-
-    mixing = np.asarray(cfg.mixing if cfg.mixing is not None else [1.0 / cfg.p] * cfg.p)
+    if isinstance(cfg.samples_per_client, tuple):
+        lo, hi = cfg.samples_per_client
+        sizes = rng.integers(lo, hi + 1, size=cfg.num_clients)
+    else:
+        sizes = np.full(cfg.num_clients, cfg.samples_per_client)
+    total = int(sizes.sum())
     if cfg.partition == "client-partition":
         per_domain = _split_counts(cfg.num_clients, cfg.shares)
-        client_domains = [i for i, n in enumerate(per_domain) for _ in range(n)]
+        domains = np.repeat(np.repeat(np.arange(cfg.p), per_domain), sizes)
     else:
-        client_domains = [None] * cfg.num_clients
-
-    # Per sample, in this order: the domain (data partition only), the
-    # label, then the feature noise; batching the draws would change the data.
-    total = sum(sizes)
-    x = np.empty((total, cfg.input_dim))
-    y = np.empty(total)
-    d = np.empty(total, dtype=np.int64)
-    j = 0
-    for fixed_domain in (dom for n, dom in zip(sizes, client_domains) for _ in range(n)):
-        dom = (fixed_domain if fixed_domain is not None
-               else int(rng.choice(cfg.p, p=mixing)))
-        label = int(rng.integers(0, 2))
-        mean = (2 * label - 1) * (cfg.margins[dom] / 2.0) * directions[dom]
-        x[j] = mean + cfg.noise * rng.standard_normal(cfg.input_dim)
-        y[j], d[j] = label, dom
-        j += 1
-    return Population(x, y, d, np.concatenate([[0], np.cumsum(sizes)]),
+        mixing = cfg.mixing if cfg.mixing is not None else [1.0 / cfg.p] * cfg.p
+        domains = rng.choice(cfg.p, size=total, p=mixing)
+    labels = rng.integers(0, 2, size=total)
+    half_margins = (2 * labels - 1) * (np.asarray(cfg.margins)[domains] / 2.0)
+    x = (half_margins[:, None] * _domain_directions(cfg.p, cfg.input_dim)[domains]
+         + cfg.noise * rng.standard_normal((total, cfg.input_dim)))
+    return Population(x, labels, domains, np.concatenate([[0], np.cumsum(sizes)]),
                       np.arange(cfg.num_clients), cfg.p)
 
 

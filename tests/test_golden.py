@@ -9,7 +9,10 @@ on purpose.
 
 The population digests pin the ``write_datasets`` text of generated
 populations, one per task and partition scheme, so a change to the
-generators or to ``ClientDataset`` must keep every sample's bytes.
+generators or to the pooled ``Population`` layout must keep every
+sample's bytes, or re-pin the digests it moves and say why. The
+classification digests were re-pinned when that generator moved from a
+per-sample loop to whole-array draws; the toy digests were not moved.
 
 Pinned on Python 3.11 with numpy 2.4.6; plots are off because they do
 not feed the CSV.
@@ -46,14 +49,14 @@ CASES = [
                  "4c9e6e01249f39da39b3745cf0886170d87e1bc377da8668272dbf895c5556f0",
                  id="toy-windowed-projected"),
     pytest.param("classification.ini", {},
-                 "39658abaef601d550a2132b5f4a5223dcee7d64170b13625cd38b30c17bcd1c6",
+                 "0f8c4e560bcf212bd9eda04838de75b303f2271d1fe68f7511222b4990d6a355",
                  id="classification"),
     pytest.param("classification.ini", {"algorithm.algorithm": "fedavg"},
-                 "74762796c14db599e070f1ccd169d6685297f6c8d21a8bc5944a46823a64133a",
+                 "647eb02f798d52f8ef2275c1d5c02527e614e228ddba0f83e1dd2fce5f47dc3f",
                  id="classification-fedavg"),
     pytest.param("classification.ini", {"algorithm.rounds": "50",
                                         "secure_aggregation.mask_params": "true"},
-                 "6e5bd225b8ef5826530cccd6c57293166fa4a7f527f78cf7cc9a0c4c5382fdd8",
+                 "0443ac607611b3c515ea6d4a0ab6e03c2a1357e5d78f730b35e53251e3310867",
                  id="classification-masked-params"),
 ]
 
@@ -78,12 +81,12 @@ POPULATIONS = [
                  id="toy-client-partition"),
     pytest.param(dict(kind="synthetic-classification", p=2, num_clients=40, seed=1,
                       partition="client-partition", samples_per_client=20),
-                 "7d560e6c520d99fdaf78c49d38084d85b47a613684a787faffae497b8f226790",
+                 "7212b1b6e1463e21e695df9d3ff5dba427eaffee96e3a37bc52869b013e9aa5d",
                  id="classification-client-partition"),
     pytest.param(dict(kind="synthetic-classification", p=3, num_clients=30, seed=5,
                       partition="data-partition", samples_per_client=(3, 9),
                       margins=(2.0, 1.0, 0.5), mixing=(0.5, 0.3, 0.2)),
-                 "caccba0850c66760b562a98d10a274c8cbf83151d252efdf41a2f7a84ca25e4f",
+                 "76282415fbe9d7af180c7ba9d523f0654ab28c50f47520c99065ae8705a715ab",
                  id="classification-data-partition"),
 ]
 
