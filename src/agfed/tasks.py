@@ -256,9 +256,8 @@ def write_datasets(population: Population, path: str | Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_datasets(path: str | Path, p: int | None = None) -> Population:
-    """Parse a file written by ``write_datasets``; ``p`` defaults to one
-    more than the largest domain tag."""
+def read_datasets(path: str | Path, p: int) -> Population:
+    """Parse a file written by ``write_datasets`` for a task with ``p`` domains."""
     ids: list[int] = []
     offsets: list[int] = []
     rows: list[list[str]] = []
@@ -275,5 +274,4 @@ def read_datasets(path: str | Path, p: int | None = None) -> Population:
         raise InvalidArgument(f"{path} holds no samples or mixes feature dimensions")
     domains = np.array([int(r[0]) for r in rows])
     table = np.array([[float(v) for v in r[1:]] for r in rows])
-    return Population(table[:, 1:], table[:, 0], domains, offsets + [len(rows)], ids,
-                      1 + int(domains.max()) if p is None else p)
+    return Population(table[:, 1:], table[:, 0], domains, offsets + [len(rows)], ids, p)

@@ -448,7 +448,7 @@ class TestRunRound:
         domain, _, *features = lines[-1].split()
         lines[-1] = " ".join([domain, "0.7", *features])
         path.write_text("\n".join(lines) + "\n")
-        population = read_datasets(path)
+        population = read_datasets(path, task.p)
 
         def no_training(*args):
             raise AssertionError("client_update ran on unchecked data")

@@ -268,7 +268,7 @@ class TestSerialization:
         clients = gen_synthetic_classification(_cls_cfg(num_clients=6))
         path = tmp_path / "data.txt"
         write_datasets(clients, path)
-        back = read_datasets(path)
+        back = read_datasets(path, clients.p)
         assert len(back) == len(clients)
         for orig, loaded in zip(clients, back):
             assert orig.client_id == loaded.client_id
@@ -288,8 +288,17 @@ class TestSerialization:
         float(fields[1])         # label parses
         float(fields[2])         # feature parses
 
+    def test_read_keeps_the_given_p(self, tmp_path):
+        path = tmp_path / "data.txt"
+        path.write_text("# client 4\n0 1.0 2.0\n1 0.5 3.0\n")  # no sample of domain 2
+        back = read_datasets(path, 3)
+        assert back.p == 3
+        assert back.counts.tolist() == [[1, 1, 0]]
+        with pytest.raises(InvalidArgument, match="client 4"):
+            read_datasets(path, 1)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 1.0 2.0\n")  # sample before any client header
         with pytest.raises(InvalidArgument):
-            read_datasets(path)
+            read_datasets(path, 1)
