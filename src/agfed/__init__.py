@@ -20,8 +20,6 @@ from .harness import (
     ExperimentConfig,
     compare_algorithms,
     emit_plots,
-    read_metrics_csv,
-    run_experiment,
     run_experiment_full,
 )
 from .models import ModelSpec
@@ -75,8 +73,6 @@ __all__ = [
     "mask_set",
     "mixture_uniform",
     "project_simplex",
-    "read_metrics_csv",
-    "run_experiment",
     "run_experiment_full",
     "run_round",
 ]

@@ -17,18 +17,21 @@ cohort's rows, taken from the pooled population by one index (a
    full-batch gradient matches the objective's gradient exactly, and
    rescaling alpha by a constant cancels out of the update.
 
-What stays per client is what the protocol and the determinism contract
-need: each client's counts and loss sums are its own row of the result
-and leave only through the server's cohort sum; each client shuffles
-with its own ``rng_seed``, so it draws the same minibatches as it would
-alone; and beta is each client's own ``np.dot(alpha, counts)``. The
-clients step in lockstep: step s of an epoch takes every client's s-th
-minibatch in one ``grad_weighted`` call per minibatch size (one call
-when the clients are of equal size). A client with fewer rows than
-another runs out of minibatches first and sits the later steps out.
-Nothing is padded, and ``grad_weighted`` computes each stacked
-minibatch as it would alone, so every client's result equals that of
-training it alone bit for bit.
+What stays per client is what the protocol needs: each client's counts
+and loss sums are its own row of the result and leave only through the
+server's cohort sum, and beta is each client's own ``np.dot(alpha,
+counts)``. The minibatch order is drawn for the whole cohort from one
+generator per round: each epoch gives every cohort row a uniform key,
+and each client visits its own rows in key order. A client's shuffle
+therefore depends on the round's ``rng_seed`` and on its place in the
+cohort, not on its id alone. The clients step in lockstep: step s of an
+epoch takes every client's s-th minibatch in one ``grad_weighted`` call
+per minibatch size (one call when the clients are of equal size). A
+client with fewer rows than another runs out of minibatches first and
+sits the later steps out. Nothing is padded, and ``grad_weighted``
+computes each stacked minibatch as it would alone, so every client's
+result equals that of training it alone, on the same minibatches, bit
+for bit.
 
 A client whose populated domains all carry zero scaling weight has
 beta = 0; its statistics still count, but it keeps the incoming
@@ -46,7 +49,6 @@ new parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -117,34 +119,35 @@ def client_update(
     alpha: np.ndarray,
     cohort: Cohort,
     cfg: LocalSGDConfig,
-    rng_seeds: Sequence[int] | np.ndarray,
+    rng_seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """E epochs of scaled local SGD for every cohort client, from ``w_in``.
 
     Returns the (m, P) new parameters and the (m,) betas; a client with
-    beta == 0 is skipped and keeps ``w_in``. Client k's per-epoch shuffle
-    is keyed by ``rng_seeds[k]`` only (a seed in 0..2**64 - 1, as
-    ``derive_seed`` returns), so the result is a deterministic function
-    of the arguments. The last minibatch of an epoch may be
-    short; it is kept, not dropped. Trusts that ``compute_client_stats``
-    checked ``w_in`` and the cohort this round and that ``alpha`` is a
-    finite, non-negative vector of length p.
+    beta == 0 is skipped and keeps ``w_in``. Every epoch draws one
+    uniform key per cohort row from ``make_rng(rng_seed)`` (a seed in
+    0..2**64 - 1, as ``derive_seed`` returns), skipped clients' rows
+    included, and each client visits its rows in the stable order of
+    their keys; so the result is a deterministic function of the
+    arguments. The last minibatch of an epoch may be short; it is kept,
+    not dropped. Trusts that ``compute_client_stats`` checked ``w_in``
+    and the cohort this round and that ``alpha`` is a finite,
+    non-negative vector of length p.
     """
     betas = np.array([float(np.dot(alpha, counts)) for counts in cohort.counts])
     params = np.tile(w_in, (len(cohort), 1))
-    live = np.flatnonzero(betas != 0.0)
-    if live.size:
+    live = betas != 0.0
+    if live.any():
         params[live] = _lockstep_sgd(spec, params[live], alpha, cohort, live,
-                                     betas[live, None], cfg, rng_seeds)
+                                     betas[live, None], cfg, rng_seed)
     if not np.all(np.isfinite(params)):
         raise NumericError("local SGD produced NaN or Inf parameters")
     return params, betas
 
 
-def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng_seeds):
-    """Local SGD of the cohort clients ``live``, one minibatch each per step."""
+def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng_seed):
+    """Local SGD of the cohort clients where ``live``, one minibatch each per step."""
     sizes = cohort.sizes[live]
-    starts = cohort.offsets[live]
     width = min(cfg.batch_size, int(sizes.max()))
     n_steps = -(-int(sizes.max()) // width)
     # rows each client draws at each step; one gradient call per step and
@@ -154,13 +157,15 @@ def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng_seeds):
               for s in range(n_steps) for rows in set(drawn[:, s].tolist()) - {0}]
     sample_weights = alpha[cohort.domains]
     # client k's epoch order fills the first sizes[k] slots of row k
-    slots = np.zeros((live.size, n_steps * width), dtype=np.int64)
+    slots = np.zeros((sizes.shape[0], n_steps * width), dtype=np.int64)
     filled = np.arange(n_steps * width) < sizes[:, None]
-    rngs = make_rng(np.asarray(rng_seeds, dtype=np.uint64)[live])
+    owners = np.repeat(np.arange(len(cohort)), cohort.sizes)
+    live_rows = live[owners]
+    rng = make_rng(rng_seed)
     for _ in range(cfg.epochs):
-        slots[filled] = np.concatenate(
-            [start + rng.permutation(n) for rng, start, n in zip(rngs, starts, sizes)])
-        batches = slots.reshape(live.size, n_steps, width)
+        keys = rng.random(owners.shape[0])
+        slots[filled] = np.lexsort((keys, owners))[live_rows]
+        batches = slots.reshape(sizes.shape[0], n_steps, width)
         for s, clients, rows in groups:
             idx = batches[clients, s, :rows]
             g = grad_weighted(spec, w[clients], cohort.x[idx], cohort.y[idx],

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # Absolute tolerance for the simplex sum-to-one invariant.
 SIMPLEX_ATOL = 1e-12
@@ -80,10 +79,11 @@ class Population:
     and ``domains`` ((N,) int64 tags into ``0..p-1``), in its own row
     order; ``client_ids[k]`` is its id and ``counts[k]`` its sample count
     per domain. Everything is checked and counted once here, so a round
-    indexes the arrays without checks. ``len`` is the client count;
-    indexing or iterating yields each client as a ``ClientDataset``.
-    The arrays given are made read-only; they are copied only when they
-    have another dtype.
+    indexes the arrays without checks; tags, offsets and ids that are
+    not whole numbers are rejected, not truncated. ``len`` is the client
+    count; indexing or iterating yields each client as a
+    ``ClientDataset``. The arrays given are made read-only; they are
+    copied only when they have another dtype.
     """
 
     x: np.ndarray
@@ -97,7 +97,12 @@ class Population:
     def __post_init__(self):
         for name, dtype in (("x", np.float64), ("y", np.float64), ("domains", np.int64),
                             ("offsets", np.int64), ("client_ids", np.int64)):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
+            arr = np.asarray(getattr(self, name))
+            # a cast to int64 would truncate a fraction, so reject it first
+            if (dtype is np.int64 and arr.dtype.kind not in "biu"
+                    and not np.all(np.isfinite(arr) & (np.floor(arr) == arr))):
+                raise InvalidArgument(f"{name} must hold whole numbers")
+            arr = np.asarray(arr, dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         x, d, offsets, ids = self.x, self.domains, self.offsets, self.client_ids
@@ -249,60 +254,8 @@ class DomainStats:
         object.__setattr__(self, "loss_sums", loss_sums)
 
 
-# numpy's SeedSequence (numpy/random/bit_generator.pyx), all mod 2**32.
-# Its hashmix xors a value with the current constant, multiplies it by the
-# next and folds the high half down (v ^ v >> 16). The constants run
-# INIT * MULT**k, one step per call whatever the data: from INIT_A in the
-# entropy mix, and from INIT_B in ``generate_state``, whose word k hashes
-# pool[k % 4]. Its mix(x, y) folds MIX_L * x - MIX_R * y.
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-# PCG64 seeds from 4 uint64 words, that is 8 uint32 words of output
-_PCG64_WORDS = 8
-_POOL_INDEX = np.arange(_PCG64_WORDS) % 4
-# From this many rows on, ``_mix_pools`` beats one SeedSequence per row
-# (about 20-30 rows on a 2-core x86 host; the toy cohort is 10)
-_NUMPY_MIX_ROWS = 32
-
-
-def _powers(init: int, mult: int, count: int) -> np.ndarray:
-    return np.multiply.accumulate(np.array([init] + [mult] * (count - 1), dtype=np.uint32),
-                                  dtype=np.uint32)
-
-
-def _fold(value: np.ndarray) -> np.ndarray:
-    return value ^ (value >> 16)
-
-
-_HASH_B = _powers(_INIT_B, _MULT_B, _PCG64_WORDS + 1)
-
-
-def _mix_pools(words: np.ndarray) -> np.ndarray:
-    """numpy's 4-word SeedSequence pool of each row of an (m, w) uint32 entropy array.
-
-    Each step hashes one word into all of its targets at once: no
-    target of a step is read by another target of the same step.
-    """
-    m, w = words.shape
-    # 4 hashmix calls fill the pool, 12 mix it, 4 take each word past it
-    consts = _powers(_INIT_A, _MULT_A, 4 * max(4, w) + 1)
-    entropy = np.zeros((m, max(4, w)), dtype=np.uint32)
-    entropy[:, :w] = words
-    pool = _fold((entropy[:, :4] ^ consts[:4]) * consts[1:5])
-    k = 4
-    for src in range(4):
-        dst = [i for i in range(4) if i != src]
-        hashed = _fold((pool[:, src, None] ^ consts[k:k + 3]) * consts[k + 1:k + 4])
-        pool[:, dst] = _fold(_MIX_L * pool[:, dst] - _MIX_R * hashed)
-        k += 3
-    for src in range(4, w):
-        hashed = _fold((entropy[:, src, None] ^ consts[k:k + 4]) * consts[k + 1:k + 5])
-        pool = _fold(_MIX_L * pool - _MIX_R * hashed)
-        k += 4
-    return pool
 
 
 def _words(part: int) -> list[int]:
@@ -311,85 +264,27 @@ def _words(part: int) -> list[int]:
     return [value & _MASK32] + ([value >> 32] if value >> 32 else [])
 
 
-def _is_batch(parts: tuple) -> bool:
-    return bool(parts) and isinstance(parts[-1], np.ndarray) and parts[-1].ndim > 0
-
-
 def _seed_sequence(parts: tuple) -> np.random.SeedSequence:
-    # a uint32 array skips numpy's per-int coercion of the entropy; for a
-    # single row numpy's own generate_state is cheaper than the batch hash
+    # a uint32 array skips numpy's per-int coercion of the entropy
     return np.random.SeedSequence(
         np.array([word for part in parts for word in _words(part)], dtype=np.uint32))
 
 
-def _batch_states(parts: tuple, n_words: int) -> np.ndarray:
-    """``SeedSequence((*head, v)).generate_state(n_words // 2, np.uint64)``
-    for each entry v of the 1-D array that ends ``parts``, one row each."""
-    *head, last = parts
-    if last.ndim != 1 or last.dtype.kind not in "iu":
-        raise InvalidArgument(
-            f"the last seed part must be a 1-D integer array, got {last.dtype} "
-            f"of shape {last.shape}")
-    prefix = [word for part in head for word in _words(part)]
-    values = last.astype(np.int64 if last.dtype.kind == "i" else np.uint64).view(np.uint64)
-    words = np.empty((values.shape[0], len(prefix) + 2), dtype=np.uint32)
-    words[:, :len(prefix)] = prefix
-    words[:, -2] = (values & _MASK32).astype(np.uint32)
-    words[:, -1] = (values >> 32).astype(np.uint32)
-    # a value below 2**32 is one word, as numpy coerces a Python int
-    lengths = len(prefix) + 1 + (words[:, -1] != 0)
-    if values.shape[0] < _NUMPY_MIX_ROWS:
-        pools = np.array([np.random.SeedSequence(row[:n]).pool
-                          for row, n in zip(words, lengths.tolist())],
-                         dtype=np.uint32).reshape(-1, 4)
-    else:
-        pools = np.empty((values.shape[0], 4), dtype=np.uint32)
-        for n in set(lengths.tolist()):
-            rows = lengths == n
-            pools[rows] = _mix_pools(words[rows, :n])
-    # np.take keeps C order, so ``view`` pairs each uint64's two words
-    state = _fold((np.take(pools, _POOL_INDEX[:n_words], axis=1) ^ _HASH_B[:n_words])
-                  * _HASH_B[1:n_words + 1])
-    # the low word first, as numpy assembles uint64 output
-    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+def derive_seed(*parts) -> int:
+    """Stable 64-bit seed from integer parts, e.g. (seed, round, stream tag).
 
-
-class _PresetState(ISeedSequence):
-    """Hands PCG64 the state words its seed sequence would generate."""
-
-    def __init__(self, state: np.ndarray):
-        self._state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != self._state.shape[0] or np.dtype(dtype) != np.uint64:
-            raise InvalidArgument(f"preset state holds {self._state.shape[0]} uint64 words")
-        return self._state
-
-
-def derive_seed(*parts):
-    """Stable 64-bit seed from integer parts, e.g. (seed, round, client_id).
-
-    Keying per-client streams off (global seed, round, client id) makes
-    results independent of client execution order. The result equals
-    ``int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])``
-    with every part taken mod 2**64. When the last part is a 1-D integer
-    array, returns a uint64 array with one seed per entry, each equal to
-    the scalar call on that entry.
+    Keying each stream off (global seed, round, tag) makes it independent
+    of every other stream and of the order streams are drawn in. The
+    result equals ``int(np.random.SeedSequence(parts).generate_state(1,
+    np.uint64)[0])`` with every part taken mod 2**64.
     """
-    if _is_batch(parts):
-        return _batch_states(parts, 2)[:, 0]
     return int(_seed_sequence(parts).generate_state(1, np.uint64)[0])
 
 
-def make_rng(*parts):
+def make_rng(*parts) -> np.random.Generator:
     """Deterministic generator keyed by integer parts.
 
     The generator equals ``Generator(PCG64(SeedSequence(parts)))`` draw
-    for draw, with every part taken mod 2**64. When the last part is a
-    1-D integer array, returns a list with one generator per entry, each
-    equal to the scalar call on that entry.
+    for draw, with every part taken mod 2**64.
     """
-    if _is_batch(parts):
-        return [np.random.Generator(np.random.PCG64(_PresetState(state)))
-                for state in _batch_states(parts, _PCG64_WORDS)]
     return np.random.Generator(np.random.PCG64(_seed_sequence(parts)))

@@ -1,6 +1,6 @@
 """Experiment runner: wiring, round loop, metrics files, and comparison.
 
-``run_experiment`` generates the task population, runs T rounds of the
+``run_experiment_full`` generates the task population, runs T rounds of the
 configured algorithm, and (when an output directory is set) streams one
 CSV row per round and emits the two summary plots: the model summary
 over rounds and the domain-weight trajectories over rounds.
@@ -125,33 +125,6 @@ def _csv_row(r: RoundReport) -> list[str]:
     )
 
 
-def read_metrics_csv(path: str | Path) -> list[RoundReport]:
-    """Parse a metrics CSV back into reports (exact float round-trip)."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise InvalidArgument(f"{path} is empty; expected at least a header")
-    header = rows[0]
-    p = sum(1 for name in header if name.startswith("L_"))
-    worst_at = header.index("worst")
-    comm_at = header.index("comm_params_cumulative")
-    reports = []
-    for row in rows[1:]:
-        reports.append(
-            RoundReport(
-                round=int(row[0]),
-                per_domain_loss=tuple(float(v) for v in row[1:1 + p]),
-                lam=tuple(float(v) for v in row[1 + p:1 + 2 * p]),
-                worst_domain_loss=float(row[worst_at]),
-                model_summary=tuple(float(v) for v in row[worst_at + 1:comm_at]),
-                comm_params_cumulative=int(row[comm_at]),
-                degenerate=bool(int(row[comm_at + 1])),
-            )
-        )
-    return reports
-
-
 def emit_plots(
     reports: Sequence[RoundReport],
     path_prefix: str | Path,
@@ -183,13 +156,11 @@ def emit_plots(
     return model_path, lambda_path
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[RoundReport]:
-    """Execute T rounds; returns the reports (and writes outputs if set)."""
-    return list(run_experiment_full(cfg).reports)
-
-
 def run_experiment_full(cfg: ExperimentConfig) -> ExperimentRun:
-    """Like ``run_experiment`` but keeps the final state and population."""
+    """Execute T rounds; returns the reports, the final state and the population.
+
+    Writes the metrics CSV and plots when an output directory is set.
+    """
     task = cfg.task
     population, oracle = generate_population(task)
     spec = model_spec_for(task)

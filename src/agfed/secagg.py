@@ -74,13 +74,14 @@ def _decode(residues: np.ndarray, scale: int) -> np.ndarray:
     return residues.astype(np.int64).astype(np.float64) / scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairwiseSeeds:
     """Shared pair seeds of an n-client cohort (n >= 1).
 
     ``upper`` holds one uint64 seed per pair (i, j), i < j, in
     ``np.triu_indices(n, k=1)`` order: pairs grouped by lower index. It
-    is taken as given and made read-only, not copied.
+    is taken as given and made read-only, not copied. Equality and
+    hashing are by identity, as for ``core.ClientDataset``.
     """
 
     n_clients: int

@@ -13,8 +13,8 @@ One round of the agnostic algorithm:
    where N comes either from this round's exact counts (two-phase-exact)
    or from a sliding-window average of previous rounds (windowed),
 4. run the scaled local SGD of every selected client in one
-   ``client_update`` call, the clients stepping in lockstep, each on its
-   own shuffle,
+   ``client_update`` call, the clients stepping in lockstep, their
+   minibatches shuffled from one seed for the round's cohort,
 5. aggregate parameters weighted by each client's beta, through the same
    cohort sum over the rows of the (m x P+1) matrix of beta*w and beta,
 6. ascend the domain weights lambda on the observed per-domain average
@@ -65,6 +65,7 @@ ScalingMode = Literal["two-phase-exact", "windowed"]
 _TAG_SAMPLING = 1
 _TAG_STATS_MASK = 2
 _TAG_PARAMS_MASK = 3
+_TAG_LOCAL_SGD = 4
 
 
 class DegenerateRound(RuntimeError):
@@ -350,7 +351,7 @@ def run_round(
 
     params, betas = client_update(
         spec, state.w, alpha, cohort, cfg.local,
-        derive_seed(seed, t, cohort.client_ids),
+        derive_seed(seed, t, _TAG_LOCAL_SGD),
     )
 
     degenerate = False

@@ -11,7 +11,7 @@ import pytest
 
 from agfed.client import LocalSGDConfig, compute_client_stats
 from agfed.core import ClientDataset, Cohort, Population, make_rng
-from agfed.harness import ExperimentConfig, compare_algorithms, run_experiment
+from agfed.harness import ExperimentConfig, compare_algorithms, run_experiment_full
 from agfed.models import ModelSpec, batch_losses, grad_weighted
 from agfed.secagg import (
     DEFAULT_SCALE_BITS,
@@ -56,7 +56,7 @@ def test_criterion_1_toy_min_max_regression():
     """5 domains, 50 clients, EG, T=1000: |w| <= 0.05, extremes carry lambda."""
     start = time.time()
     cfg = ExperimentConfig(task=_toy_task(), algorithm=_toy_algorithm())
-    reports = run_experiment(cfg)
+    reports = run_experiment_full(cfg).reports
     elapsed = time.time() - start
 
     final = reports[-1]
@@ -300,7 +300,7 @@ def test_criterion_7_communication_accounting():
             for algorithm in ("afa", "fedavg"):
                 algo = _toy_algorithm(algorithm=algorithm, clients_per_round=c,
                                       rounds=t, local=LocalSGDConfig(1, 10, 0.1))
-                reports = run_experiment(ExperimentConfig(task=task, algorithm=algo))
+                reports = run_experiment_full(ExperimentConfig(task=task, algorithm=algo)).reports
                 expected = t * comm_cost_per_round(algorithm, c, 1, p)
                 assert reports[-1].comm_params_cumulative == expected
 
@@ -308,7 +308,7 @@ def test_criterion_7_communication_accounting():
                           seed=3, partition="client-partition", samples_per_client=8,
                           margins=(2.0, 0.5), shares=(0.85, 0.15))
     algo = _toy_algorithm(clients_per_round=3, rounds=4, local=LocalSGDConfig(1, 8, 0.1))
-    reports = run_experiment(ExperimentConfig(task=cls_task, algorithm=algo))
+    reports = run_experiment_full(ExperimentConfig(task=cls_task, algorithm=algo)).reports
     assert reports[-1].comm_params_cumulative == 4 * comm_cost_per_round("afa", 3, 6, 2)
     _passed(7, "counter formula exact across 500 fuzzed configs and real runs")
 
@@ -358,8 +358,8 @@ def test_criterion_9_determinism_byte_identical(tmp_path):
     for name, base in (("toy", toy), ("cls", cls)):
         a = replace(base, out_dir=str(tmp_path / name / "a"))
         b = replace(base, out_dir=str(tmp_path / name / "b"))
-        run_experiment(a)
-        run_experiment(b)
+        run_experiment_full(a)
+        run_experiment_full(b)
         bytes_a = (tmp_path / name / "a" / "metrics.csv").read_bytes()
         bytes_b = (tmp_path / name / "b" / "metrics.csv").read_bytes()
         assert bytes_a == bytes_b, f"{name}: runs differ"

@@ -1,12 +1,12 @@
 """Command-line interface: run, compare, overrides, error reporting."""
 
+import csv
 from pathlib import Path
 
 import pytest
 
 from agfed.cli import main
 from agfed.config import load_config
-from agfed.harness import read_metrics_csv
 
 CONFIG = """
 [task]
@@ -37,6 +37,12 @@ def config_path(tmp_path):
     return path
 
 
+def _data_rows(path):
+    """Rows of a metrics CSV below its header."""
+    with open(path, newline="") as fh:
+        return len(list(csv.reader(fh))) - 1
+
+
 class TestRunCommand:
     def test_run_writes_metrics_and_plots(self, config_path, tmp_path, capsys):
         out = tmp_path / "out"
@@ -45,7 +51,7 @@ class TestRunCommand:
         assert (out / "metrics.csv").exists()
         assert (out / "plot_model.svg").exists()
         assert (out / "plot_lambda.svg").exists()
-        assert len(read_metrics_csv(out / "metrics.csv")) == 4
+        assert _data_rows(out / "metrics.csv") == 4
         assert "completed 4 rounds" in capsys.readouterr().out
 
     def test_set_override_changes_rounds(self, config_path, tmp_path):
@@ -53,7 +59,7 @@ class TestRunCommand:
         code = main(["run", "--config", str(config_path), "--out-dir", str(out),
                      "--set", "algorithm.rounds=2"])
         assert code == 0
-        assert len(read_metrics_csv(out / "metrics.csv")) == 2
+        assert _data_rows(out / "metrics.csv") == 2
 
     def test_seed_flag_overrides_task_seed(self, config_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -52,18 +52,23 @@ def _stats(w, ds, p):
 def _update(w, alpha, ds, cfg, seed):
     """New parameters and beta of a one-client cohort."""
     params, betas = client_update(SCALAR, w, alpha, _cohort([ds], alpha.shape[0]),
-                                  cfg, [seed])
+                                  cfg, seed)
     return params[0], betas[0]
 
 
-def _reference_round_clients(spec, w, alpha, clients, p, cfg, seeds):
+def _reference_round_clients(spec, w, alpha, clients, p, cfg, seed):
     """Stats and local SGD one client at a time: the loop the cohort calls replaced.
 
     Returns (m, p) counts and loss sums, (m, P) new parameters and (m,)
-    betas, like the two cohort calls together.
+    betas, like the two cohort calls together. Each epoch draws one key
+    per row of the whole cohort from ``make_rng(seed)``, and each client
+    visits its rows in the stable argsort of its own slice of the keys.
     """
+    offsets = np.cumsum([0] + [len(c) for c in clients])
+    rng = make_rng(seed)
+    epoch_keys = [rng.random(offsets[-1]) for _ in range(cfg.epochs)]
     counts, loss_sums, params, betas = [], [], [], []
-    for data, seed in zip(clients, seeds):
+    for k, data in enumerate(clients):
         x, y, domains = data.feature_matrix, data.labels, data.domains
         n_k = np.bincount(domains, minlength=p)
         losses = batch_losses(spec, w, x, y)
@@ -74,9 +79,8 @@ def _reference_round_clients(spec, w, alpha, clients, p, cfg, seeds):
         w_k = np.array(w, dtype=np.float64)
         if beta != 0.0:
             sample_weights = alpha[domains]
-            rng = make_rng(seed)
-            for _ in range(cfg.epochs):
-                order = rng.permutation(len(data))
+            for keys in epoch_keys:
+                order = np.argsort(keys[offsets[k]:offsets[k + 1]], kind="stable")
                 for start in range(0, len(data), cfg.batch_size):
                     idx = order[start:start + cfg.batch_size]
                     g = grad_weighted(spec, w_k, x[idx], y[idx], sample_weights[idx])
@@ -256,20 +260,20 @@ def _rounds(draw):
     alpha = rng.uniform(0.1, 2.0, size=p)
     alpha[list(zero_domains)] = 0.0
     w = rng.standard_normal(spec.param_count)
-    seeds = [int(s) for s in rng.integers(0, 2**63, size=len(sizes))]
-    return spec, w, alpha, clients, p, cfg, seeds
+    seed = int(rng.integers(0, 2**63))
+    return spec, w, alpha, clients, p, cfg, seed
 
 
 class TestCohortMatchesPerClientLoop:
     @settings(max_examples=200, deadline=None)
     @given(_rounds())
     def test_cohort_calls_match_reference(self, round_inputs):
-        spec, w, alpha, clients, p, cfg, seeds = round_inputs
+        spec, w, alpha, clients, p, cfg, seed = round_inputs
         ref_counts, ref_loss_sums, ref_params, ref_betas = _reference_round_clients(
-            spec, w, alpha, clients, p, cfg, seeds)
+            spec, w, alpha, clients, p, cfg, seed)
         cohort = _cohort(clients, p)
         counts, loss_sums = compute_client_stats(spec, w, cohort)
-        params, betas = client_update(spec, w, alpha, cohort, cfg, seeds)
+        params, betas = client_update(spec, w, alpha, cohort, cfg, seed)
         assert np.array_equal(counts, ref_counts)
         assert np.array_equal(betas == 0.0, ref_betas == 0.0)
         assert np.array_equal(betas, ref_betas)
@@ -287,9 +291,9 @@ class TestCohortMatchesPerClientLoop:
         cfg = LocalSGDConfig(epochs=2, batch_size=5, learning_rate=0.1)
         w = np.array([0.4])
         cohort = _cohort(clients, 2)
-        params, betas = client_update(SCALAR, w, alpha, cohort, cfg, [5, 6, 7])
+        params, betas = client_update(SCALAR, w, alpha, cohort, cfg, 5)
         _, _, ref_params, ref_betas = _reference_round_clients(
-            SCALAR, w, alpha, clients, 2, cfg, [5, 6, 7])
+            SCALAR, w, alpha, clients, 2, cfg, 5)
         assert betas.tolist() == [1.5, 0.0, 3.0]
         assert np.array_equal(params[1], w)
         assert np.array_equal(params, ref_params)
@@ -305,7 +309,7 @@ class TestCohortMatchesPerClientLoop:
         w = np.array([0.1])
         _, loss_sums = compute_client_stats(SCALAR, w, _cohort(clients, 1))
         _, ref_loss_sums, _, _ = _reference_round_clients(
-            SCALAR, w, np.ones(1), clients, 1, LocalSGDConfig(1, 1, 0.1), [0, 1, 2])
+            SCALAR, w, np.ones(1), clients, 1, LocalSGDConfig(1, 1, 0.1), 0)
         assert np.array_equal(loss_sums, ref_loss_sums)
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -318,4 +322,4 @@ class TestCohortMatchesPerClientLoop:
         cfg = LocalSGDConfig(epochs=50, batch_size=4, learning_rate=1e150)
         with pytest.raises(NumericError):
             client_update(SCALAR, np.array([1.0]), np.ones(1), _cohort([calm, wild], 1),
-                          cfg, [0, 1])
+                          cfg, 0)

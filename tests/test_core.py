@@ -217,6 +217,24 @@ class TestPopulation:
         with pytest.raises(InvalidArgument):
             Population(np.zeros((2, 1)), np.zeros(2), [0, 0], offsets, ids, 1)
 
+    @pytest.mark.parametrize("name, domains, offsets, ids", [
+        ("domains", [0.9, 1.7], [0, 2], [0]),
+        ("domains", [np.nan, 0.0], [0, 2], [0]),
+        ("offsets", [0, 0], [0.0, 1.5, 2.0], [0, 1]),
+        ("client_ids", [0, 0], [0, 2], [0.5]),
+    ], ids=["fractional-domains", "nan-domains", "fractional-offsets", "fractional-ids"])
+    def test_fractional_index_arrays_rejected(self, name, domains, offsets, ids):
+        # an int64 cast would truncate them and accept the population
+        with pytest.raises(InvalidArgument, match=f"{name} must hold whole numbers"):
+            Population(np.zeros((2, 1)), [0.0, 0.0], domains, offsets, ids, 2)
+
+    def test_whole_float_index_arrays_accepted(self):
+        population = Population(np.zeros((2, 1)), [0.0, 0.0], [0.0, 1.0], [0.0, 2.0],
+                                [3.0], 2)
+        assert population.domains.tolist() == [0, 1]
+        assert population.domains.dtype == np.int64
+        assert population.counts.tolist() == [[1, 1]]
+
     def test_arrays_are_read_only(self):
         population = Population(np.zeros((2, 1)), np.zeros(2), [0, 0], [0, 2], [0], 1)
         for arr in (population.x, population.y, population.domains, population.counts,
@@ -263,43 +281,3 @@ class TestSeeds:
         assert derive_seed(*parts) == int(ss.generate_state(1, np.uint64)[0])
         assert np.array_equal(make_rng(*parts).bit_generator.random_raw(4),
                               _numpy_rng(parts).bit_generator.random_raw(4))
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.lists(_SEED_PART, max_size=4),
-           st.lists(_SEED_PART.filter(lambda v: -2**63 <= v < 2**63), max_size=6),
-           st.booleans())
-    def test_array_last_part_matches_numpy_per_entry(self, head, last, unsigned):
-        values = (np.array([v % 2**64 for v in last], dtype=np.uint64) if unsigned
-                  else np.array(last, dtype=np.int64))
-        seeds = derive_seed(*head, values)
-        rngs = make_rng(*head, values)
-        assert seeds.dtype == np.uint64 and len(rngs) == len(last)
-        for value, seed, rng in zip(last, seeds.tolist(), rngs):
-            ss = np.random.SeedSequence(_numpy_entropy(head + [value]))
-            assert seed == int(ss.generate_state(1, np.uint64)[0])
-            assert np.array_equal(rng.bit_generator.random_raw(4),
-                                  _numpy_rng(head + [value]).bit_generator.random_raw(4))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(_SEED_PART, min_size=1, max_size=5),
-           st.lists(st.integers(0, 2**32 - 1), min_size=16, max_size=40),
-           st.lists(st.integers(2**32, 2**64 - 1), min_size=16, max_size=40),
-           st.randoms(use_true_random=False))
-    def test_batch_mixing_one_and_two_word_values_matches_numpy(self, head, small, large,
-                                                                 order):
-        # the last part is one uint32 word below 2**32 and two above, so
-        # one batch holds rows of two entropy lengths; 32 rows or more
-        # take the numpy port of numpy's entropy mix
-        last = small + large
-        order.shuffle(last)
-        seeds = derive_seed(*head, np.array(last, dtype=np.uint64))
-        for value, seed in zip(last, seeds.tolist()):
-            ss = np.random.SeedSequence(_numpy_entropy(head + [value]))
-            assert seed == int(ss.generate_state(1, np.uint64)[0])
-
-    @pytest.mark.parametrize("last", [np.zeros(2), np.zeros((2, 2), dtype=np.int64)])
-    def test_non_integer_or_2d_last_part_rejected(self, last):
-        with pytest.raises(InvalidArgument):
-            derive_seed(1, last)
-        with pytest.raises(InvalidArgument):
-            make_rng(1, last)

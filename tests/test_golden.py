@@ -5,7 +5,13 @@ config. These digests pin that output on every round path: AFA and
 FedAvg, masked and plain statistics, masked parameters, and windowed
 scaling with the projected lambda update. A change that moves any of
 them moves the last bits of some reported number and must re-pin them
-on purpose.
+on purpose. The shipped configs train full-batch, where the shuffle
+only orders one gradient sum per client; ``toy-minibatch`` (3-row
+minibatches, two epochs) pins which rows each minibatch takes. The four
+full-batch toy digests were re-pinned, and ``toy-minibatch`` pinned,
+when local SGD moved from one shuffle generator per client to one per
+round; the masked-params toy digest (quantized) and the classification
+digests did not move.
 
 The population digests pin the ``write_datasets`` text of generated
 populations, one per task and partition scheme, so a change to the
@@ -31,14 +37,14 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CASES = [
     pytest.param("toy.ini", {"algorithm.rounds": "200"},
-                 "534048409c8cdfac353d6425f09bbfa69d29954a46bad282cee80b1328e3173a",
+                 "e276fca80ecef81dc400bf1a2abacc206378268c124d062f76695661f29a8938",
                  id="toy"),
     pytest.param("toy.ini", {"algorithm.rounds": "100", "algorithm.algorithm": "fedavg"},
-                 "d7eb1eb41a77e9c8e7befddee544f01af3d74357fa7541f35269fcd407c88466",
+                 "2c0dd2c54824d370af035c9348c3acf7ffa0e625bfc2aece4ef619f5225100d9",
                  id="toy-fedavg"),
     pytest.param("toy.ini", {"algorithm.rounds": "100",
                              "secure_aggregation.mask_stats": "false"},
-                 "4bca6f232e0c85fc27a732dad56249d9681830b9709d27e204811a333360771f",
+                 "d62198362542a30717e789222224f46662cffd5109824237c69506ab21920fb5",
                  id="toy-plain-stats"),
     pytest.param("toy.ini", {"algorithm.rounds": "100",
                              "secure_aggregation.mask_params": "true"},
@@ -46,8 +52,12 @@ CASES = [
                  id="toy-masked-params"),
     pytest.param("toy.ini", {"algorithm.rounds": "100", "algorithm.scaling_mode": "windowed",
                              "algorithm.lambda_update": "projected-sgd"},
-                 "4c9e6e01249f39da39b3745cf0886170d87e1bc377da8668272dbf895c5556f0",
+                 "287454fde16b92a94379902b241c4f4adeac26f8a1c3f02b677a195e3fa4b1ba",
                  id="toy-windowed-projected"),
+    pytest.param("toy.ini", {"algorithm.rounds": "100", "algorithm.batch_size": "3",
+                             "algorithm.epochs": "2"},
+                 "1e676753451c34ea69f6b693a8523652786c427c57607cadf185f01414024645",
+                 id="toy-minibatch"),
     pytest.param("classification.ini", {},
                  "0f8c4e560bcf212bd9eda04838de75b303f2271d1fe68f7511222b4990d6a355",
                  id="classification"),

@@ -1,5 +1,7 @@
 """Experiment runner, metrics CSV, plots, and comparison."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,6 @@ from agfed.harness import (
     compare_algorithms,
     emit_plots,
     evaluate_population,
-    read_metrics_csv,
-    run_experiment,
     run_experiment_full,
 )
 from agfed.server import AlgorithmConfig, RoundReport
@@ -51,26 +51,26 @@ class TestRunExperiment:
         assert csv_text.count("\n") == 1  # header only
 
     def test_reports_match_rounds(self):
-        reports = run_experiment(_toy_experiment(rounds=4))
+        reports = run_experiment_full(_toy_experiment(rounds=4)).reports
         assert [r.round for r in reports] == [1, 2, 3, 4]
 
     def test_same_config_byte_identical_outputs(self, tmp_path):
         cfg_a = _toy_experiment(rounds=8, out_dir=str(tmp_path / "a"))
         cfg_b = _toy_experiment(rounds=8, out_dir=str(tmp_path / "b"))
-        run_experiment(cfg_a)
-        run_experiment(cfg_b)
+        run_experiment_full(cfg_a)
+        run_experiment_full(cfg_b)
         assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
                (tmp_path / "b" / "metrics.csv").read_bytes()
 
     def test_comm_accounting_cumulative(self):
         t = 7
-        afa = run_experiment(_toy_experiment(rounds=t))
+        afa = run_experiment_full(_toy_experiment(rounds=t)).reports
         assert afa[-1].comm_params_cumulative == t * (2 * 10 * 1 + 4 * 10 * 5)
-        fed = run_experiment(_toy_experiment(rounds=t, algorithm="fedavg"))
+        fed = run_experiment_full(_toy_experiment(rounds=t, algorithm="fedavg")).reports
         assert fed[-1].comm_params_cumulative == t * (2 * 10 * 1)
 
     def test_classification_summary_is_per_domain_accuracy(self):
-        reports = run_experiment(_cls_experiment(rounds=3))
+        reports = run_experiment_full(_cls_experiment(rounds=3)).reports
         assert len(reports[-1].model_summary) == 2
         assert all(0.0 <= v <= 1.0 for v in reports[-1].model_summary)
 
@@ -78,22 +78,28 @@ class TestRunExperiment:
 class TestMetricsCsv:
     def test_header_schema(self, tmp_path):
         cfg = _cls_experiment(rounds=2, out_dir=str(tmp_path))
-        run_experiment(cfg)
+        run_experiment_full(cfg)
         header = (tmp_path / "metrics.csv").read_text().splitlines()[0]
         assert header == ("round,L_0,L_1,lambda_0,lambda_1,worst,"
                           "acc_0,acc_1,comm_params_cumulative,degenerate")
 
     def test_round_trip_exact(self, tmp_path):
+        # every field parses back to the reported value, bit for bit
         run = run_experiment_full(_toy_experiment(rounds=9, out_dir=str(tmp_path)))
-        assert read_metrics_csv(tmp_path / "metrics.csv") == list(run.reports)
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(run.reports)
+        for row, r in zip(rows, run.reports):
+            assert [float(v) for v in row] == [
+                r.round, *r.per_domain_loss, *r.lam, r.worst_domain_loss, *r.model_summary,
+                r.comm_params_cumulative, r.degenerate]
 
     def test_empty_reports_need_p(self, tmp_path):
         # a zero-round run still writes the header, with p domains
-        run_experiment(_toy_experiment(rounds=0, out_dir=str(tmp_path)))
+        run_experiment_full(_toy_experiment(rounds=0, out_dir=str(tmp_path)))
         lines = (tmp_path / "metrics.csv").read_text().splitlines()
         assert lines == ["round,L_0,L_1,L_2,L_3,L_4,lambda_0,lambda_1,lambda_2,lambda_3,"
                          "lambda_4,worst,learned_w,comm_params_cumulative,degenerate"]
-        assert read_metrics_csv(tmp_path / "metrics.csv") == []
 
 
 def _parse_svg_series(path):
@@ -107,7 +113,7 @@ def _parse_svg_series(path):
 class TestPlots:
     def test_lambda_plot_series_sum_to_one(self, tmp_path):
         cfg = _toy_experiment(rounds=12)
-        reports = run_experiment(cfg)
+        reports = run_experiment_full(cfg).reports
         model_path, lambda_path = emit_plots(reports, tmp_path / "plot",
                                              summary_names=["learned_w"])
         assert model_path.exists() and lambda_path.exists()
@@ -117,7 +123,7 @@ class TestPlots:
         assert np.allclose(per_round, 1.0, atol=1e-9)
 
     def test_point_count_per_series_equals_rounds(self, tmp_path):
-        reports = run_experiment(_toy_experiment(rounds=7))
+        reports = run_experiment_full(_toy_experiment(rounds=7)).reports
         model_path, lambda_path = emit_plots(reports, tmp_path / "plot",
                                              summary_names=["learned_w"])
         for path in (model_path, lambda_path):

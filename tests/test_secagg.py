@@ -236,6 +236,13 @@ class TestProtocol:
         with pytest.raises(InvalidArgument):
             PairwiseSeeds.generate(0, make_rng(0))
 
+    def test_equality_is_identity_and_hashable(self):
+        # comparing field tuples of arrays would raise "truth value ambiguous"
+        a, b = _seeds(3), _seeds(3)
+        assert a == a
+        assert (a == b) is False
+        assert len({a, b, a}) == 2
+
     def test_seed_vector_must_hold_one_seed_per_pair(self):
         for n, shape in ((3, 2), (3, 4), (2, (1, 1)), (1, 1)):
             with pytest.raises(InvalidArgument, match="pair seeds"):
