@@ -10,7 +10,6 @@ from .client import LocalSGDConfig, client_update, compute_client_stats
 from .core import (
     ClientDataset,
     Cohort,
-    DomainStats,
     InvalidArgument,
     NumericError,
     Population,
@@ -45,7 +44,6 @@ __all__ = [
     "AlgorithmConfig",
     "ClientDataset",
     "Cohort",
-    "DomainStats",
     "ExperimentConfig",
     "InvalidArgument",
     "LocalSGDConfig",

@@ -60,9 +60,9 @@ from .models import ModelSpec, batch_losses, check_batch, grad_weighted
 class LocalSGDConfig:
     """Client-side SGD hyperparameters: epochs, minibatch size, step size."""
 
-    epochs: int
-    batch_size: int
-    learning_rate: float
+    epochs: int = 1
+    batch_size: int = 32
+    learning_rate: float = 0.1
 
     def __post_init__(self):
         if self.epochs < 1:

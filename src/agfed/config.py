@@ -1,8 +1,12 @@
-"""Experiment config files: INI sections [task] / [algorithm] / [output].
+"""Experiment config files: INI sections [task], [algorithm],
+[secure_aggregation] and [output]; any key can be overridden by its dotted
+name (``--set task.p=5``).
 
-Every field can be overridden on the command line by its dotted name
-(``--set task.p=5``). Unknown keys are rejected rather than ignored so a
-typo cannot silently fall back to a default.
+One table per section maps each key to its parser and is the only list of
+keys: an unknown key (or a [task] key the configured kind does not read) is
+rejected so a typo cannot silently fall back to a default, and a value that
+fails to parse is reported with its dotted name. A key left out is not
+passed on, so every default is the dataclasses' own.
 """
 
 from __future__ import annotations
@@ -17,18 +21,6 @@ from .server import AggregationSettings, AlgorithmConfig
 from .tasks import TaskConfig
 
 _SECTIONS = ("task", "algorithm", "secure_aggregation", "output")
-
-_TASK_KEYS = {
-    "kind", "p", "num_clients", "seed", "partition", "samples_per_client",
-    "centers", "points_per_domain", "spread", "init_value",
-    "margins", "shares", "mixing", "noise", "input_dim", "num_classes",
-}
-_ALGORITHM_KEYS = {
-    "algorithm", "lambda_update", "scaling_mode", "clients_per_round",
-    "rounds", "lambda_lr", "window_len", "epochs", "batch_size", "learning_rate",
-}
-_SECAGG_KEYS = {"mask_stats", "mask_params", "scale_bits"}
-_OUTPUT_KEYS = {"dir", "csv", "plots"}
 
 
 def _parse_bool(value: str) -> bool:
@@ -45,10 +37,41 @@ def _parse_floats(value: str) -> tuple[float, ...]:
 
 
 def _parse_samples(value: str) -> int | tuple[int, int]:
-    if ":" in value:
-        lo, hi = value.split(":", 1)
-        return (int(lo), int(hi))
-    return int(value)
+    lo, colon, hi = value.partition(":")
+    return (int(lo), int(hi)) if colon else int(value)
+
+
+# [task] keys every kind reads; all of them are required
+_TASK = {"kind": str, "p": int, "num_clients": int, "seed": int, "partition": str}
+# the [task] keys that only one kind reads
+_TASK_KIND = {
+    "toy-regression": {"centers": _parse_floats, "points_per_domain": int, "spread": float,
+                       "init_value": float},
+    "synthetic-classification": {"samples_per_client": _parse_samples, "margins": _parse_floats,
+                                 "shares": _parse_floats, "mixing": _parse_floats,
+                                 "noise": float, "input_dim": int, "num_classes": int},
+}
+_ALGORITHM = {"algorithm": str, "lambda_update": str, "scaling_mode": str,
+              "clients_per_round": int, "rounds": int, "lambda_lr": float, "window_len": int}
+# [algorithm] keys that configure AlgorithmConfig.local
+_LOCAL_SGD = {"epochs": int, "batch_size": int, "learning_rate": float}
+_SECURE_AGGREGATION = {"mask_stats": _parse_bool, "mask_params": _parse_bool, "scale_bits": int}
+# [output] key -> (ExperimentConfig field, parser)
+_OUTPUT = {"dir": ("out_dir", str), "csv": ("csv_name", str), "plots": ("plots", _parse_bool)}
+
+
+def _parse(section: str, table: dict, raw: dict[str, str], where: str = "") -> dict:
+    """Each key's parsed value; a key the table lacks is rejected."""
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise InvalidArgument(f"unknown keys in [{section}]{where}: {unknown}")
+    parsed = {}
+    for key, value in raw.items():
+        try:
+            parsed[key] = table[key](value)
+        except ValueError as exc:  # InvalidArgument included
+            raise InvalidArgument(f"{section}.{key}: {exc}") from exc
+    return parsed
 
 
 def load_config(
@@ -60,16 +83,14 @@ def load_config(
 ) -> ExperimentConfig:
     """Parse a config file, apply dotted-name overrides, and validate."""
     parser = configparser.ConfigParser()
-    read = parser.read(str(path))
-    if not read:
+    if not parser.read(str(path)):
         raise InvalidArgument(f"cannot read config file {path}")
 
     values: dict[str, dict[str, str]] = {s: {} for s in _SECTIONS}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise InvalidArgument(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            values[section][key] = value
+        values[section].update(parser.items(section))
 
     for dotted, value in (overrides or {}).items():
         if "." not in dotted:
@@ -84,69 +105,21 @@ def load_config(
     if out_dir is not None:
         values["output"]["dir"] = out_dir
 
-    for section, allowed in (
-        ("task", _TASK_KEYS),
-        ("algorithm", _ALGORITHM_KEYS),
-        ("secure_aggregation", _SECAGG_KEYS),
-        ("output", _OUTPUT_KEYS),
-    ):
-        unknown = set(values[section]) - allowed
-        if unknown:
-            raise InvalidArgument(f"unknown keys in [{section}]: {sorted(unknown)}")
-
-    t = values["task"]
-    for required in ("kind", "p", "num_clients", "seed", "partition"):
-        if required not in t:
+    for required in _TASK:
+        if required not in values["task"]:
             raise InvalidArgument(f"[task] is missing required key {required!r}")
-    task_kwargs: dict = {
-        "kind": t["kind"],
-        "p": int(t["p"]),
-        "num_clients": int(t["num_clients"]),
-        "seed": int(t["seed"]),
-        "partition": t["partition"],
-    }
-    if "samples_per_client" in t:
-        task_kwargs["samples_per_client"] = _parse_samples(t["samples_per_client"])
-    for key, conv in (
-        ("centers", _parse_floats), ("points_per_domain", int), ("spread", float),
-        ("init_value", float), ("margins", _parse_floats), ("shares", _parse_floats),
-        ("mixing", _parse_floats), ("noise", float), ("input_dim", int),
-        ("num_classes", int),
-    ):
-        if key in t:
-            task_kwargs[key] = conv(t[key])
-    task = TaskConfig(**task_kwargs)
+    kind = values["task"]["kind"]
+    if kind not in _TASK_KIND:
+        raise InvalidArgument(f"unknown task kind {kind!r}")
+    task = _parse("task", {**_TASK, **_TASK_KIND[kind]}, values["task"], f" for kind {kind!r}")
 
-    a = values["algorithm"]
-    local = LocalSGDConfig(
-        epochs=int(a.get("epochs", "1")),
-        batch_size=int(a.get("batch_size", "32")),
-        learning_rate=float(a.get("learning_rate", "0.1")),
-    )
-    algorithm = AlgorithmConfig(
-        algorithm=a.get("algorithm", "afa"),
-        lambda_update=a.get("lambda_update", "eg"),
-        scaling_mode=a.get("scaling_mode", "two-phase-exact"),
-        clients_per_round=int(a.get("clients_per_round", "10")),
-        rounds=int(a.get("rounds", "100")),
-        lambda_lr=float(a.get("lambda_lr", "0.01")),
-        window_len=int(a.get("window_len", "10")),
-        local=local,
-    )
-
-    s = values["secure_aggregation"]
-    aggregation = AggregationSettings(
-        mask_stats=_parse_bool(s.get("mask_stats", "true")),
-        mask_params=_parse_bool(s.get("mask_params", "false")),
-        scale_bits=int(s.get("scale_bits", "20")),
-    )
-
-    o = values["output"]
+    algorithm = _parse("algorithm", {**_ALGORITHM, **_LOCAL_SGD}, values["algorithm"])
+    local = LocalSGDConfig(**{k: algorithm.pop(k) for k in _LOCAL_SGD if k in algorithm})
+    output = _parse("output", {k: parse for k, (_, parse) in _OUTPUT.items()}, values["output"])
     return ExperimentConfig(
-        task=task,
-        algorithm=algorithm,
-        aggregation=aggregation,
-        out_dir=o.get("dir"),
-        csv_name=o.get("csv", "metrics.csv"),
-        plots=_parse_bool(o.get("plots", "true")),
+        task=TaskConfig(**task),
+        algorithm=AlgorithmConfig(**algorithm, local=local),
+        aggregation=AggregationSettings(
+            **_parse("secure_aggregation", _SECURE_AGGREGATION, values["secure_aggregation"])),
+        **{_OUTPUT[k][0]: v for k, v in output.items()},
     )

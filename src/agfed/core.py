@@ -1,8 +1,7 @@
 """Shared value types for the federated min-max simulator.
 
 The pooled client population and a round's cohort of it, mixture
-weights over domains, scaling vectors, and the per-domain count/loss
-statistics exchanged each round.
+weights over domains, scaling vectors, and deterministic seeds.
 Everything here is an immutable value: dataclasses are frozen and numpy
 arrays are made read-only, so instances can be shared freely across
 threads.
@@ -223,35 +222,6 @@ def validate_mixture(lam: np.ndarray) -> np.ndarray:
     if abs(total - 1.0) > SIMPLEX_ATOL:
         raise InvalidArgument(f"mixture weights must sum to 1, got {total!r}")
     return lam
-
-
-@dataclass(frozen=True)
-class DomainStats:
-    """Per-domain sample counts and summed (not averaged) losses.
-
-    ``loss_sums[i]`` holds the sum of per-sample losses over domain ``i``,
-    i.e. count * average loss, so aggregation across clients is a plain
-    element-wise sum.
-    """
-
-    counts: np.ndarray
-    loss_sums: np.ndarray
-
-    def __post_init__(self):
-        counts = as_vector(self.counts, dtype=np.int64, name="counts")
-        loss_sums = as_vector(self.loss_sums, name="loss_sums")
-        if counts.shape != loss_sums.shape:
-            raise InvalidArgument(
-                f"counts ({counts.shape}) and loss_sums ({loss_sums.shape}) differ in length"
-            )
-        if np.any(counts < 0):
-            raise InvalidArgument("counts must be non-negative")
-        if not np.all(np.isfinite(loss_sums)):
-            raise NumericError("loss sums contain NaN or Inf")
-        if np.any((counts == 0) & (loss_sums != 0.0)):
-            raise InvalidArgument("a domain with zero samples must have zero summed loss")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "loss_sums", loss_sums)
 
 
 _MASK32 = 0xFFFFFFFF

@@ -44,7 +44,6 @@ import numpy as np
 from .client import LocalSGDConfig, client_update, compute_client_stats
 from .core import (
     Cohort,
-    DomainStats,
     InvalidArgument,
     NumericError,
     Population,
@@ -103,7 +102,7 @@ class AlgorithmConfig:
     rounds: int = 100
     lambda_lr: float = 0.01
     window_len: int = 10
-    local: LocalSGDConfig = field(default_factory=lambda: LocalSGDConfig(1, 32, 0.1))
+    local: LocalSGDConfig = field(default_factory=LocalSGDConfig)
 
     def __post_init__(self):
         if self.algorithm not in ("fedavg", "afa"):
@@ -339,14 +338,16 @@ def run_round(
         settings.scale_bits,
     )
     counts = np.rint(total[:p]).astype(np.int64)
+    counts.flags.writeable = False
     loss_sums = total[p:].copy()
     loss_sums[counts == 0] = 0.0
-    round_stats = DomainStats(counts, loss_sums)
+    if not np.all(np.isfinite(loss_sums)):  # a plain sum of finite terms can overflow
+        raise NumericError("cohort loss sums contain NaN or Inf")
 
     if fedavg:
         alpha = np.ones(p)
     else:
-        exact = round_stats.counts if cfg.scaling_mode == "two-phase-exact" else None
+        exact = counts if cfg.scaling_mode == "two-phase-exact" else None
         alpha = compute_scaling(state.lam, effective_counts(state, cfg.scaling_mode, exact))
 
     params, betas = client_update(
@@ -365,10 +366,8 @@ def run_round(
         degenerate, new_w = True, state.w
 
     per_domain_loss = np.zeros(p)
-    populated = round_stats.counts > 0
-    per_domain_loss[populated] = (
-        round_stats.loss_sums[populated] / round_stats.counts[populated]
-    )
+    populated = counts > 0
+    per_domain_loss[populated] = loss_sums[populated] / counts[populated]
 
     if fedavg or degenerate:
         new_lam = state.lam
@@ -377,7 +376,7 @@ def run_round(
     else:
         new_lam = lambda_update_projected_sgd(state.lam, per_domain_loss, cfg.lambda_lr)
 
-    window = (state.window + (round_stats.counts,))[-cfg.window_len:]
+    window = (state.window + (counts,))[-cfg.window_len:]
     comm = state.comm_params_total + comm_cost_per_round(
         cfg.algorithm, cfg.clients_per_round, spec.param_count, p
     )

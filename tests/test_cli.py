@@ -1,12 +1,20 @@
 """Command-line interface: run, compare, overrides, error reporting."""
 
 import csv
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args
 
 import pytest
 
+from agfed import config
 from agfed.cli import main
+from agfed.client import LocalSGDConfig
 from agfed.config import load_config
+from agfed.core import InvalidArgument
+from agfed.harness import ExperimentConfig
+from agfed.server import AggregationSettings, AlgorithmConfig
+from agfed.tasks import TaskConfig, TaskKind
 
 CONFIG = """
 [task]
@@ -138,6 +146,27 @@ class TestErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("pair", ["task.p=two", "algorithm.rounds=1.5",
+                                      "secure_aggregation.mask_stats=maybe"])
+    def test_unparsable_value_names_its_key(self, config_path, capsys, pair):
+        code = main(["run", "--config", str(config_path), "--set", pair])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: InvalidArgument: {pair.split('=')[0]}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, pair", [
+        ("classification.ini", "task.centers=9"),
+        ("classification.ini", "task.init_value=0.5"),
+        ("toy.ini", "task.margins=1 2"),
+        ("toy.ini", "task.samples_per_client=5"),
+    ])
+    def test_task_key_of_the_other_kind_rejected(self, name, pair):
+        path = Path(__file__).resolve().parent.parent / "configs" / name
+        key, value = pair.split("=")
+        with pytest.raises(InvalidArgument, match=f"for kind .*{key.split('.')[1]}"):
+            load_config(path, {key: value})
+
     def test_inconsistent_config_rejected(self, config_path, capsys):
         # three centers but p overridden to 2
         code = main(["run", "--config", str(config_path), "--set", "task.p=2"])
@@ -159,3 +188,36 @@ class TestShippedConfigs:
         assert cfg.task.num_clients == 50
         assert cfg.algorithm.lambda_update == "eg"
         assert cfg.aggregation.mask_stats and not cfg.aggregation.mask_params
+
+
+def _names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
+
+
+class TestKeyTables:
+    """The key tables are the only list of keys, and they miss no field."""
+
+    def test_tables_cover_exactly_the_dataclass_fields(self):
+        assert set(config._TASK_KIND) == set(get_args(TaskKind))
+        task_keys = set(config._TASK)
+        for kind_keys in config._TASK_KIND.values():
+            assert not task_keys & set(kind_keys)
+        assert task_keys.union(*config._TASK_KIND.values()) == _names(TaskConfig)
+        assert (set(config._ALGORITHM) | set(config._LOCAL_SGD)
+                == _names(AlgorithmConfig) - {"local"} | _names(LocalSGDConfig))
+        assert set(config._SECURE_AGGREGATION) == _names(AggregationSettings)
+        output_fields = {field for field, _ in config._OUTPUT.values()}
+        assert output_fields == {"out_dir", "csv_name", "plots"}
+        assert output_fields == _names(ExperimentConfig) - {"task", "algorithm", "aggregation"}
+
+    def test_task_only_file_takes_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "task.ini"
+        path.write_text("[task]\nkind = toy-regression\np = 5\nnum_clients = 50\n"
+                        "seed = 3\npartition = data-partition\n")
+        cfg = load_config(path)
+        assert cfg.task == TaskConfig("toy-regression", 5, 50, 3, "data-partition")
+        assert cfg.algorithm == AlgorithmConfig()
+        assert cfg.aggregation == AggregationSettings()
+        defaults = {f.name: f.default for f in fields(ExperimentConfig)}
+        for name in ("out_dir", "csv_name", "plots"):
+            assert getattr(cfg, name) == defaults[name]

@@ -1,4 +1,4 @@
-"""Core value types: mixture weights, domain stats, populations, seeds."""
+"""Core value types: mixture weights, populations, seeds."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from agfed.core import (
     ClientDataset,
     Cohort,
-    DomainStats,
     InvalidArgument,
     Population,
     derive_seed,
@@ -48,20 +47,6 @@ class TestMixtureValidation:
 
     def test_good_mixture_accepted(self):
         validate_mixture(np.array([0.25, 0.75]))
-
-
-class TestDomainStats:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(InvalidArgument):
-            DomainStats(np.zeros(2, dtype=np.int64), np.zeros(3))
-
-    def test_zero_count_requires_zero_loss(self):
-        with pytest.raises(InvalidArgument):
-            DomainStats(np.array([0, 1]), np.array([0.5, 0.5]))
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(InvalidArgument):
-            DomainStats(np.array([-1, 1]), np.array([0.0, 0.5]))
 
 
 class TestDatasets:

@@ -8,7 +8,15 @@ import pytest
 import agfed.client
 import agfed.server
 from agfed.client import LocalSGDConfig, compute_client_stats
-from agfed.core import Cohort, InvalidArgument, make_rng, mixture_uniform
+from agfed.core import (
+    ClientDataset,
+    Cohort,
+    InvalidArgument,
+    NumericError,
+    Population,
+    make_rng,
+    mixture_uniform,
+)
 from agfed.models import ModelSpec, batch_losses, check_batch
 from agfed.server import (
     AggregationSettings,
@@ -327,6 +335,15 @@ class TestRunRound:
         bound = float(np.dot(state.lam, quant / np.maximum(counts, 1))) + 1e-9
         assert abs(lhs - rhs) <= bound
 
+    def test_overflowing_plain_stats_sum_raises(self):
+        # each client's loss sum (1e308) is finite; their plain sum is not
+        clients = Population.from_clients(
+            [ClientDataset(k, np.zeros((1, 1)), [1e154], [0]) for k in range(2)], 1)
+        plain = AggregationSettings(mask_stats=False)
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="cohort loss sums"):
+            run_round(initial_state(np.array([0.0]), 1), _algo(algorithm="fedavg",
+                      clients_per_round=2), SCALAR, clients, 1, settings=plain)
+
     def test_comm_counter_increments(self):
         clients = _toy()
         state = initial_state(np.array([1.5]), 5)
@@ -362,6 +379,7 @@ class TestRunRound:
         full = clients.counts.sum(axis=0)
         for entry in state.window:
             assert np.array_equal(entry, full)
+            assert not entry.flags.writeable  # the state is an immutable snapshot
 
     def test_lambda_stays_on_simplex_every_round(self):
         clients = _toy()
