@@ -49,7 +49,7 @@ _TASK_KIND = {
                        "init_value": float},
     "synthetic-classification": {"samples_per_client": _parse_samples, "margins": _parse_floats,
                                  "shares": _parse_floats, "mixing": _parse_floats,
-                                 "noise": float, "input_dim": int, "num_classes": int},
+                                 "noise": float, "input_dim": int},
 }
 _ALGORITHM = {"algorithm": str, "lambda_update": str, "scaling_mode": str,
               "clients_per_round": int, "rounds": int, "lambda_lr": float, "window_len": int}
@@ -82,7 +82,9 @@ def load_config(
     out_dir: str | None = None,
 ) -> ExperimentConfig:
     """Parse a config file, apply dotted-name overrides, and validate."""
-    parser = configparser.ConfigParser()
+    # a section header cannot hold a line break, so no file can name the
+    # default section and a [DEFAULT] section is an unknown one
+    parser = configparser.ConfigParser(default_section="\n")
     if not parser.read(str(path)):
         raise InvalidArgument(f"cannot read config file {path}")
 

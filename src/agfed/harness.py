@@ -129,22 +129,19 @@ def emit_plots(
     reports: Sequence[RoundReport],
     path_prefix: str | Path,
     *,
-    summary_names: Sequence[str] | None = None,
+    summary_names: Sequence[str],
 ) -> tuple[Path, Path]:
     """Write the model-summary and domain-weight plots as SVG files."""
     if not reports:
         raise InvalidArgument("cannot plot an empty report list")
     prefix = Path(path_prefix)
     rounds = [r.round for r in reports]
-    n_summary = len(reports[0].model_summary)
-    names = list(summary_names or [f"summary_{i}" for i in range(n_summary)])
-    if len(names) != n_summary:
+    if len(summary_names) != len(reports[0].model_summary):
         raise InvalidArgument("summary name count differs from summary fields")
 
     model_path = prefix.with_name(prefix.name + "_model.svg")
-    series = [(names[i], [r.model_summary[i] for r in reports]) for i in range(n_summary)]
-    if not series:
-        series = [("worst_domain_loss", [r.worst_domain_loss for r in reports])]
+    series = [(name, [r.model_summary[i] for r in reports])
+              for i, name in enumerate(summary_names)]
     write_line_plot(model_path, rounds, series,
                     title="Model summary over training rounds", y_label="summary")
 
@@ -205,7 +202,6 @@ class AlgorithmOutcome:
     """Final-model population metrics for one algorithm of a comparison."""
 
     algorithm: str
-    reports: tuple[RoundReport, ...]
     per_domain_loss: tuple[float, ...]
     per_domain_accuracy: tuple[float, ...] | None
     worst_domain_loss: float
@@ -237,7 +233,6 @@ def compare_algorithms(
         outcomes.append(
             AlgorithmOutcome(
                 algorithm=name,
-                reports=run.reports,
                 per_domain_loss=losses,
                 per_domain_accuracy=metrics.get("accuracy"),
                 worst_domain_loss=max(losses),

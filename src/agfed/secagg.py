@@ -225,9 +225,9 @@ class SecureSum:
             raise InvalidArgument(
                 f"expected vector of length {self._length}, got shape {plain.shape}"
             )
-        _check_client(client, self.n_clients)
         if client in self._submitted:
             raise ProtocolError(f"duplicate submission from client {client}")
+        # mask_set checks the client index
         mv = mask_set(self._seeds, client, plain, scale_bits=self._scale_bits)
         self._total += mv.values
         self._submitted.add(client)

@@ -32,6 +32,11 @@ it exists to seed the window with counts.
 ``ServerState`` is an immutable snapshot; ``run_round`` returns a new one.
 The cohort is sorted by client id, and every reduction over clients runs
 in that order, so floating-point sums stay deterministic.
+
+Each fact of a round is checked once and trusted after: lambda by
+``ServerState.__post_init__``, the losses by ``run_round``'s check of the
+cohort loss sums, and the counts by construction (cohort sums of
+non-negative integers, one per domain).
 """
 
 from __future__ import annotations
@@ -156,13 +161,11 @@ def initial_state(w0: np.ndarray, p: int) -> ServerState:
 
 
 def compute_scaling(lam: np.ndarray, effective_counts: np.ndarray) -> np.ndarray:
-    """alpha_i = lambda_i / N_i, with alpha_i = 0 wherever N_i = 0."""
-    lam = validate_mixture(lam)
+    """alpha_i = lambda_i / N_i, with alpha_i = 0 wherever N_i = 0.
+
+    Trusts lambda and the counts (see the module docstring).
+    """
     counts = np.asarray(effective_counts, dtype=np.float64)
-    if counts.shape != lam.shape:
-        raise InvalidArgument("lambda and counts differ in length")
-    if np.any(counts < 0):
-        raise InvalidArgument("effective counts must be >= 0")
     alpha = np.zeros_like(lam)
     populated = counts > 0
     alpha[populated] = lam[populated] / counts[populated]
@@ -207,10 +210,9 @@ def cohort_sum(
     survive the fixed-point wire bit-exactly.
     """
     if mask_rng is None:
-        total = np.zeros(vectors.shape[1])
-        for v in vectors:
-            total = total + v
-        return total
+        # in order, as a loop from zeros would add them; + 0.0 turns a
+        # -0.0 total into the loop's +0.0
+        return np.add.accumulate(vectors, axis=0)[-1] + 0.0
     seeds = PairwiseSeeds.generate(vectors.shape[0], mask_rng)
     collector = SecureSum(seeds, vectors.shape[1], scale_bits=scale_bits)
     for rank, v in enumerate(vectors):
@@ -261,14 +263,10 @@ def lambda_update_eg(lam: np.ndarray, domain_losses: np.ndarray, lr: float) -> n
 
     Losses are shifted by their max before exponentiation; the shift
     cancels in the normalization, so the update is invariant to adding a
-    constant to every loss and cannot overflow for lr > 0.
+    constant to every loss and cannot overflow for lr > 0. Trusts lambda
+    and the losses (see the module docstring).
     """
-    lam = validate_mixture(lam)
     losses = np.asarray(domain_losses, dtype=np.float64)
-    if losses.shape != lam.shape:
-        raise InvalidArgument("lambda and losses differ in length")
-    if not np.all(np.isfinite(losses)):
-        raise NumericError("domain losses contain NaN or Inf")
     shifted = losses - losses.max()
     weights = lam * np.exp(lr * shifted)
     total = float(weights.sum())
@@ -280,13 +278,11 @@ def lambda_update_eg(lam: np.ndarray, domain_losses: np.ndarray, lr: float) -> n
 def lambda_update_projected_sgd(
     lam: np.ndarray, domain_losses: np.ndarray, lr: float
 ) -> np.ndarray:
-    """Additive ascent step followed by Euclidean projection onto the simplex."""
-    lam = validate_mixture(lam)
+    """Additive ascent step followed by Euclidean projection onto the simplex.
+
+    Trusts lambda and the losses (see the module docstring).
+    """
     losses = np.asarray(domain_losses, dtype=np.float64)
-    if losses.shape != lam.shape:
-        raise InvalidArgument("lambda and losses differ in length")
-    if not np.all(np.isfinite(losses)):
-        raise NumericError("domain losses contain NaN or Inf")
     return project_simplex(lam + lr * losses)
 
 
@@ -339,8 +335,8 @@ def run_round(
     )
     counts = np.rint(total[:p]).astype(np.int64)
     counts.flags.writeable = False
-    loss_sums = total[p:].copy()
-    loss_sums[counts == 0] = 0.0
+    # a domain with no samples sums to exactly 0 on either path
+    loss_sums = total[p:]
     if not np.all(np.isfinite(loss_sums)):  # a plain sum of finite terms can overflow
         raise NumericError("cohort loss sums contain NaN or Inf")
 

@@ -65,13 +65,16 @@ class TaskConfig:
     mixing: tuple[float, ...] | None = None
     noise: float = 0.5
     input_dim: int = 2
-    num_classes: int = 2
 
     def __post_init__(self):
         if self.kind not in ("toy-regression", "synthetic-classification"):
             raise InvalidArgument(f"unknown task kind {self.kind!r}")
         if self.partition not in ("client-partition", "data-partition"):
             raise InvalidArgument(f"unknown partition {self.partition!r}")
+        for name in ("spread", "init_value", "noise", "centers", "margins", "shares", "mixing"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise InvalidArgument(f"{name} must be finite, got {value!r}")
         if self.p < 1:
             raise InvalidArgument("p must be >= 1")
         if self.num_clients < 1:
@@ -97,8 +100,6 @@ class TaskConfig:
             if self.partition == "client-partition" and self.num_clients < self.p:
                 raise InvalidArgument("client partition needs at least one client per domain")
         else:
-            if self.num_classes != 2:
-                raise InvalidArgument("classification generator is binary (num_classes=2)")
             if self.input_dim < 2:
                 raise InvalidArgument("classification needs input_dim >= 2")
             if len(self.margins) != self.p:
@@ -123,7 +124,7 @@ def model_spec_for(cfg: TaskConfig) -> ModelSpec:
     """Hypothesis class matching the task."""
     if cfg.kind == "toy-regression":
         return ModelSpec("scalar-regression")
-    return ModelSpec("logistic", input_dim=cfg.input_dim, num_classes=cfg.num_classes)
+    return ModelSpec("logistic", input_dim=cfg.input_dim, num_classes=2)
 
 
 def initial_params_for(cfg: TaskConfig) -> np.ndarray:

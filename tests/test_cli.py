@@ -167,6 +167,36 @@ class TestErrors:
         with pytest.raises(InvalidArgument, match=f"for kind .*{key.split('.')[1]}"):
             load_config(path, {key: value})
 
+    @pytest.mark.parametrize("name, pairs", [
+        ("toy.ini", ["task.spread=nan"]),
+        ("toy.ini", ["task.init_value=inf"]),
+        ("toy.ini", ["task.centers=-2 -1 nan 1 2"]),
+        ("classification.ini", ["task.margins=nan nan"]),
+        ("classification.ini", ["task.noise=-inf"]),
+        ("classification.ini", ["task.shares=0.85 nan"]),
+        ("classification.ini", ["task.partition=data-partition", "task.mixing=nan nan"]),
+    ])
+    def test_non_finite_task_knob_rejected_before_the_run(self, tmp_path, capsys,
+                                                          name, pairs):
+        config = Path(__file__).resolve().parent.parent / "configs" / name
+        out = tmp_path / "out"
+        sets = [arg for pair in pairs for arg in ("--set", pair)]
+        code = main(["run", "--config", str(config), *sets, "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        knob = pairs[-1].split("=")[0].split(".")[1]
+        assert err.startswith(f"error: InvalidArgument: {knob} must be finite")
+        assert err.count("\n") == 1
+        assert not (out / "metrics.csv").exists()
+
+    def test_default_section_is_an_unknown_section(self, tmp_path):
+        toy = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
+        text = toy.read_text().replace("seed = 42\n", "")
+        path = tmp_path / "default.ini"
+        path.write_text("[DEFAULT]\nseed = 42\n\n" + text)
+        with pytest.raises(InvalidArgument, match=r"unknown config section \[DEFAULT\]"):
+            load_config(path)
+
     def test_inconsistent_config_rejected(self, config_path, capsys):
         # three centers but p overridden to 2
         code = main(["run", "--config", str(config_path), "--set", "task.p=2"])

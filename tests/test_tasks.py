@@ -168,8 +168,6 @@ class TestSyntheticClassification:
         with pytest.raises(InvalidArgument):
             _cls_cfg(shares=(1.0,))
         with pytest.raises(InvalidArgument):
-            _cls_cfg(num_classes=3)
-        with pytest.raises(InvalidArgument):
             _cls_cfg(partition="data-partition", mixing=(0.7, 0.7))
         with pytest.raises(InvalidArgument):
             _cls_cfg(mixing=(0.5, 0.5))  # mixing is data-partition only
