@@ -17,10 +17,13 @@ first ``mask_set`` for a vector length L evaluates all n(n-1)/2 x L
 stream values, in vectorised blocks of lower-index clients that bound
 the memory they take at once, and reduces them into each client's
 signed mask row, cached on the cohort's ``PairwiseSeeds``.
-Every ``mask_set`` then costs O(1) numpy calls: encode, add the row.
-This is not the whole-cohort scatter form: each client still submits
-its own vector through its own ``mask_set`` call, and the cached rows
-hold nothing the public pair seeds do not already fix.
+``mask_set`` and ``SecureSum.submit`` take one client index or a 1-D
+array of them, so a whole cohort is masked and submitted in one call of
+O(1) numpy operations: encode the (m x L) matrix, add the clients' mask
+rows, add the rows into the total. Each client's message is still its
+own masked row, encode(v_i) plus its signed pair masks, and the server
+still reads only the total; the cached rows hold nothing the public
+pair seeds do not already fix.
 
 This is a SIMULATION OF THE AGGREGATION SEMANTICS ONLY. There is no key
 agreement, no cryptographic PRG, and no dropout recovery: pairwise seeds
@@ -119,21 +122,24 @@ class PairwiseSeeds:
 
 @dataclass(frozen=True)
 class MaskedVector:
-    """Fixed-point residues of one client's vector plus all pair masks.
+    """Fixed-point residues of clients' vectors plus all their pair masks.
 
-    ``client_index`` and ``n_clients`` are protocol bookkeeping: the slot
-    the residues fill and the size of the cohort they were masked for.
+    ``values`` is one client's (L,) message or a (k, L) stack of them,
+    one row per client. ``client_index`` and ``n_clients`` are protocol
+    bookkeeping: the slot (an int) or slots (a 1-D index array) the
+    residues fill and the size of the cohort they were masked for.
     """
 
     values: np.ndarray
     scale: int
-    client_index: int
+    client_index: int | np.ndarray
     n_clients: int
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.uint64)
-        if v.ndim != 1:
-            raise InvalidArgument("masked values must be a 1-D residue vector")
+        if v.ndim not in (1, 2):
+            raise InvalidArgument("masked values must be a 1-D residue vector "
+                                  "or a 2-D stack of them")
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -179,30 +185,42 @@ def _signed_mask_rows(upper: np.ndarray, n: int, length: int, block: int) -> np.
     return rows
 
 
-def _check_client(client: int, n: int) -> None:
-    if not 0 <= client < n:
-        raise InvalidArgument(f"client index {client} outside cohort of {n}")
-
-
-def mask_set(seeds: PairwiseSeeds, client: int, plain: np.ndarray, *,
+def mask_set(seeds: PairwiseSeeds, client: int | np.ndarray, plain: np.ndarray, *,
              scale_bits: int = DEFAULT_SCALE_BITS) -> MaskedVector:
-    """Encode and mask one client's vector for the cohort in ``seeds``.
+    """Encode and mask one client's vector, or a batch of clients' vectors.
 
-    The lower index of each pair adds the pair's mask and the higher one
-    subtracts it, so the masks of a full cohort cancel.
+    ``client`` is one index with ``plain`` of shape (L,), or a 1-D array
+    of k indices with ``plain`` of shape (k, L), row r belonging to
+    client ``client[r]``. The values are ``_encode(plain)`` plus each
+    client's summed pair masks, one row per client: the lower index of
+    each pair adds the pair's mask and the higher one subtracts it, so
+    the masks of a full cohort cancel.
     """
     n = seeds.n_clients
-    _check_client(client, n)
+    clients = np.asarray(client)
+    plain = np.asarray(plain, dtype=np.float64)
+    if (clients.ndim > 1 or clients.dtype.kind not in "iu"
+            or plain.ndim != clients.ndim + 1 or plain.shape[:-1] != clients.shape):
+        raise InvalidArgument(f"client indices of shape {clients.shape} ({clients.dtype}) "
+                              f"do not match vectors of shape {plain.shape}")
+    # checked before the cached mask rows are indexed, where -1 would
+    # silently pick the last client's row
+    bad = clients[(clients < 0) | (clients >= n)]
+    if bad.size:
+        raise InvalidArgument(f"client indices {np.unique(bad).tolist()} "
+                              f"outside cohort of {n}")
     scale = 1 << scale_bits
     residues = _encode(plain, scale, n)
-    return MaskedVector(residues + seeds._masks(residues.shape[0])[client], scale, client, n)
+    return MaskedVector(residues + seeds._masks(plain.shape[-1])[clients], scale, client, n)
 
 
 class SecureSum:
     """Write-only accumulator: clients submit, the server reads one sum.
 
     The public surface deliberately exposes no per-client data. Submitted
-    vectors are masked immediately and only the modular total is kept.
+    vectors, one client's or a batch of clients' rows, are masked
+    immediately and only their modular total is kept, with one
+    submission count per client.
     """
 
     def __init__(self, seeds: PairwiseSeeds, length: int, *,
@@ -213,28 +231,39 @@ class SecureSum:
         self._length = length
         self._scale_bits = scale_bits
         self._total = np.zeros(length, dtype=np.uint64)
-        self._submitted: set[int] = set()
+        self._counts = np.zeros(seeds.n_clients, dtype=np.int64)
 
     @property
     def n_clients(self) -> int:
         return self._seeds.n_clients
 
-    def submit(self, client: int, plain: np.ndarray) -> None:
+    def submit(self, client: int | np.ndarray, plain: np.ndarray) -> None:
+        """Add one client's (L,) vector, or the (k, L) rows of a 1-D index array.
+
+        Checks the shape, then the indices (``InvalidArgument`` names
+        those outside the cohort), then duplicates within the batch or
+        against earlier submissions (``ProtocolError``); a rejected batch
+        leaves the total untouched.
+        """
+        clients = np.asarray(client)
         plain = np.asarray(plain, dtype=np.float64)
-        if plain.shape != (self._length,):
+        if plain.shape[-1:] != (self._length,):
             raise InvalidArgument(
-                f"expected vector of length {self._length}, got shape {plain.shape}"
+                f"expected vectors of length {self._length}, got shape {plain.shape}"
             )
-        if client in self._submitted:
-            raise ProtocolError(f"duplicate submission from client {client}")
-        # mask_set checks the client index
-        mv = mask_set(self._seeds, client, plain, scale_bits=self._scale_bits)
-        self._total += mv.values
-        self._submitted.add(client)
+        # mask_set checks that the indices match the rows and lie in the cohort
+        mv = mask_set(self._seeds, clients, plain, scale_bits=self._scale_bits)
+        counts = self._counts + np.bincount(clients.reshape(-1).astype(np.intp),
+                                            minlength=self.n_clients)
+        if (counts > 1).any():
+            raise ProtocolError(
+                f"duplicate submission from clients {np.flatnonzero(counts > 1).tolist()}")
+        self._total += mv.values.reshape(-1, self._length).sum(axis=0)
+        self._counts = counts
 
     def aggregate(self) -> np.ndarray:
         """Decoded sum over the full cohort; errors if anyone is missing."""
-        if self._submitted != set(range(self.n_clients)):
-            missing = sorted(set(range(self.n_clients)) - self._submitted)
-            raise ProtocolError(f"missing participants {missing}; cannot unmask")
+        missing = np.flatnonzero(self._counts == 0)
+        if missing.size:
+            raise ProtocolError(f"missing participants {missing.tolist()}; cannot unmask")
         return _decode(self._total, 1 << self._scale_bits)

@@ -7,8 +7,8 @@ One round of the agnostic algorithm:
    evaluate every client's per-domain counts (read off the population's
    table) and summed losses at the current parameters (before training)
    in one ``compute_client_stats`` call; the rows of that (m x 2p) stats
-   matrix meet in one cohort sum, client by client (secure aggregation
-   when masked),
+   matrix meet in one cohort sum (secure aggregation when masked, each
+   row one client's masked message, all submitted in one call),
 3. build the scaling vector alpha_i = lambda_i / N_i (zero when N_i = 0),
    where N comes either from this round's exact counts (two-phase-exact)
    or from a sliding-window average of previous rounds (windowed),
@@ -204,10 +204,11 @@ def cohort_sum(
     """Sum of the rows of an (m x L) matrix, one row per cohort client.
 
     The per-client rows never leave here. Without ``mask_rng`` the rows
-    are added in order starting from zeros. With it, each row is fed
-    into a ``SecureSum`` keyed by fresh pairwise seeds, one client at a
-    time, and only the aggregate is ever read; integers (such as counts)
-    survive the fixed-point wire bit-exactly.
+    are added in order starting from zeros. With it, the whole matrix is
+    submitted to a ``SecureSum`` keyed by fresh pairwise seeds in one
+    call, row r as client r's masked message, and only the aggregate is
+    ever read; integers (such as counts) survive the fixed-point wire
+    bit-exactly.
     """
     if mask_rng is None:
         # in order, as a loop from zeros would add them; + 0.0 turns a
@@ -215,8 +216,7 @@ def cohort_sum(
         return np.add.accumulate(vectors, axis=0)[-1] + 0.0
     seeds = PairwiseSeeds.generate(vectors.shape[0], mask_rng)
     collector = SecureSum(seeds, vectors.shape[1], scale_bits=scale_bits)
-    for rank, v in enumerate(vectors):
-        collector.submit(rank, v)
+    collector.submit(np.arange(vectors.shape[0]), vectors)
     return collector.aggregate()
 
 

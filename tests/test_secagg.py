@@ -149,6 +149,17 @@ class TestMasking:
                 mask_set(seeds, client, np.zeros(2))
             with pytest.raises(InvalidArgument, match="outside cohort of 2"):
                 SecureSum(seeds, 2).submit(client, np.zeros(2))
+        # inside an index array, the error names every bad index once
+        for clients, named in (([0, -1], r"\[-1\]"), ([2, 1], r"\[2\]"),
+                               ([2, -1, 2], r"\[-1, 2\]")):
+            plains = np.zeros((len(clients), 2))
+            with pytest.raises(InvalidArgument, match=named + " outside cohort of 2"):
+                mask_set(seeds, np.array(clients), plains)
+            acc = SecureSum(seeds, 2)
+            with pytest.raises(InvalidArgument, match=named + " outside cohort of 2"):
+                acc.submit(np.array(clients), plains)
+            acc.submit(np.arange(2), np.ones((2, 2)))  # nothing was counted
+            assert acc.aggregate().tolist() == [2.0, 2.0]
 
 
 class TestPairMasks:
@@ -167,10 +178,17 @@ class TestPairMasks:
     @settings(max_examples=60, deadline=None)
     @given(_pair_seeds(), st.integers(1, 12), st.integers(0, 2**31 - 1))
     def test_mask_set_matches_per_peer_reference(self, seeds, length, key):
-        plain = make_rng(key).uniform(-1e3, 1e3, size=length)
+        rng = make_rng(key)
+        plain = rng.uniform(-1e3, 1e3, size=length)
         for client in range(seeds.n_clients):
             masked = mask_set(seeds, client, plain)
             assert np.array_equal(masked.values, _reference_mask_set(seeds, client, plain))
+        # an index array, in cohort order or any other, gives the stacked rows
+        plains = rng.uniform(-1e3, 1e3, size=(seeds.n_clients, length))
+        for clients in (np.arange(seeds.n_clients), rng.permutation(seeds.n_clients)):
+            stacked = np.stack([_reference_mask_set(seeds, c, v)
+                                for c, v in zip(clients, plains)])
+            assert np.array_equal(mask_set(seeds, clients, plains).values, stacked)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_cohorts_match_reference(self, n):
@@ -220,6 +238,11 @@ class TestProtocol:
         acc.submit(2, np.ones(2))
         with pytest.raises(ProtocolError, match=r"missing participants \[1\]"):
             acc.aggregate()
+        # a partial batch names every client it left out
+        acc = SecureSum(_seeds(5, key=5), 2)
+        acc.submit(np.array([3, 0]), np.ones((2, 2)))
+        with pytest.raises(ProtocolError, match=r"missing participants \[1, 2, 4\]"):
+            acc.aggregate()
 
     def test_duplicate_participant_is_protocol_error(self):
         # the rejected resubmission leaves the total untouched
@@ -229,6 +252,16 @@ class TestProtocol:
             acc.submit(0, np.full(2, 5.0))
         acc.submit(1, np.ones(2))
         assert acc.aggregate().tolist() == [2.0, 2.0]
+        # across batches: a batch that repeats one earlier client is
+        # rejected whole, fresh clients in it included
+        acc = SecureSum(_seeds(4, key=6), 2)
+        acc.submit(np.array([0, 1]), np.ones((2, 2)))
+        with pytest.raises(ProtocolError, match=r"clients \[1\]"):
+            acc.submit(np.array([2, 1]), np.full((2, 2), 5.0))
+        with pytest.raises(ProtocolError, match="missing participants"):
+            acc.aggregate()
+        acc.submit(np.array([3, 2]), np.ones((2, 2)))
+        assert acc.aggregate().tolist() == [4.0, 4.0]
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(InvalidArgument):
@@ -269,6 +302,29 @@ class TestSecureSum:
         acc.submit(0, np.ones(2))
         with pytest.raises(ProtocolError):
             acc.submit(0, np.ones(2))
+        # the same index twice inside one batch
+        acc = SecureSum(_seeds(3, key=10), 2)
+        with pytest.raises(ProtocolError, match=r"clients \[2\]"):
+            acc.submit(np.array([2, 0, 2]), np.ones((3, 2)))
+        acc.submit(np.arange(3), np.ones((3, 2)))  # nothing was counted
+        assert acc.aggregate().tolist() == [3.0, 3.0]
+
+    def test_rows_must_match_the_indices(self):
+        seeds = _seeds(3, key=14)
+        for clients, plains in (
+            (np.arange(2), np.ones(2)),           # 1-D vector for an index array
+            (np.arange(2), np.ones((3, 2))),      # one row too many
+            (0, np.ones((1, 2))),                 # a stack for one index
+            (np.arange(2).reshape(1, 2), np.ones((1, 2, 2))),  # 2-D indices
+            (np.array([0.0, 1.0]), np.ones((2, 2))),           # float indices
+        ):
+            with pytest.raises(InvalidArgument, match="do not match"):
+                mask_set(seeds, clients, plains)
+            with pytest.raises(InvalidArgument, match="do not match"):
+                SecureSum(seeds, 2).submit(clients, plains)
+        for plains in (np.ones((3, 3)), np.ones(1), np.float64(1.0)):
+            with pytest.raises(InvalidArgument, match="of length 2"):
+                SecureSum(seeds, 2).submit(np.arange(3), plains)
 
     def test_cohort_total_past_decode_range_raises_not_wraps(self):
         # each encoding (2**61.5) passes the per-vector 2**62 limit, but four

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import agfed.client
 import agfed.core
@@ -19,6 +21,7 @@ from agfed.core import (
     mixture_uniform,
 )
 from agfed.models import ModelSpec, batch_losses, check_batch
+from agfed.secagg import PairwiseSeeds, SecureSum
 from agfed.server import (
     AggregationSettings,
     AlgorithmConfig,
@@ -122,6 +125,36 @@ class TestPlainCohortSum:
             expected = expected + v
         out = cohort_sum(vectors, None, 20)
         assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+def _per_client_masked_sum(vectors, mask_rng, scale_bits):
+    """The masked cohort sum as one ``submit`` per client, in rank order."""
+    seeds = PairwiseSeeds.generate(vectors.shape[0], mask_rng)
+    collector = SecureSum(seeds, vectors.shape[1], scale_bits=scale_bits)
+    for rank, v in enumerate(vectors):
+        collector.submit(rank, v)
+    return collector.aggregate()
+
+
+class TestMaskedCohortSum:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 60), st.integers(1, 8), st.integers(16, 24), st.booleans(),
+           st.integers(0, 2**31 - 1))
+    def test_matches_per_client_submits_within_fixed_point_bound(
+            self, m, length, scale_bits, integer, key):
+        rng = make_rng(key)
+        if integer:
+            vectors = rng.integers(-1000, 1000, size=(m, length)).astype(np.float64)
+        else:
+            vectors = rng.uniform(-1e3, 1e3, size=(m, length))
+        out = cohort_sum(vectors, make_rng(key, 1), scale_bits)
+        expected = _per_client_masked_sum(vectors, make_rng(key, 1), scale_bits)
+        assert out.tobytes() == expected.tobytes()
+        plain = cohort_sum(vectors, None, scale_bits)
+        if integer:
+            assert np.array_equal(out, plain)
+        else:
+            assert np.all(np.abs(out - plain) <= m / (2.0 * 2 ** scale_bits))
 
 
 class TestAggregateParams:
