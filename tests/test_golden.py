@@ -7,7 +7,10 @@ scaling with the projected lambda update. A change that moves any of
 them moves the last bits of some reported number and must re-pin them
 on purpose. The shipped configs train full-batch, where the shuffle
 only orders one gradient sum per client; ``toy-minibatch`` (3-row
-minibatches, two epochs) pins which rows each minibatch takes. The four
+minibatches, two epochs) pins which rows each minibatch takes, and
+``classification-ragged-minibatch`` does the same for the logistic
+model on clients of 5 to 30 rows, whose minibatches differ in count and
+size within a step. The four
 full-batch toy digests were re-pinned, and ``toy-minibatch`` pinned,
 when local SGD moved from one shuffle generator per client to one per
 round; the masked-params toy digest (quantized) and the classification
@@ -68,6 +71,13 @@ CASES = [
                                         "secure_aggregation.mask_params": "true"},
                  "0443ac607611b3c515ea6d4a0ab6e03c2a1357e5d78f730b35e53251e3310867",
                  id="classification-masked-params"),
+    pytest.param("classification.ini", {"algorithm.rounds": "30",
+                                        "task.partition": "data-partition",
+                                        "task.samples_per_client": "5:30",
+                                        "algorithm.batch_size": "7", "algorithm.epochs": "2",
+                                        "secure_aggregation.mask_params": "true"},
+                 "1e0e91d5e66f5d5359c7672fc124c6fe0c620ed8187b6e8d61035d80506cb0bc",
+                 id="classification-ragged-minibatch"),
 ]
 
 
