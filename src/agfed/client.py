@@ -2,7 +2,9 @@
 
 The server puts two requests to the whole cohort at once, each over the
 cohort's rows, taken from the pooled population by one index (a
-``core.Cohort``):
+``core.Cohort``). The rows are augmented, features followed by a ones
+column, as the model kernels take them, so neither phase copies a
+feature matrix to add a bias:
 
 1. ``compute_client_stats``: every client's per-domain sample counts and
    summed losses, evaluated at the incoming parameters (before any
@@ -24,11 +26,13 @@ counts)``. The minibatch order is drawn for the whole cohort from one
 generator per round: each epoch gives every cohort row a uniform key,
 and each client visits its own rows in key order. A client's shuffle
 therefore depends on the round's ``rng_seed`` and on its place in the
-cohort, not on its id alone. The clients step in lockstep: step s of an
-epoch takes every client's s-th minibatch in one ``grad_weighted`` call
-per minibatch size (one call when the clients are of equal size). A
-client with fewer rows than another runs out of minibatches first and
-sits the later steps out. Nothing is padded, and ``grad_weighted``
+cohort, not on its id alone. All orders come from one row-wise stable
+argsort of a (clients x slots) key matrix, padded past each client's
+size with a key above every draw. The clients step in lockstep: step s
+of an epoch takes every client's s-th minibatch in one ``grad_weighted``
+call per minibatch size (one call when the clients are of equal size).
+A client with fewer rows than another runs out of minibatches first and
+sits the later steps out. No minibatch is padded, and ``grad_weighted``
 computes each stacked minibatch as it would alone, so every client's
 result equals that of training it alone, on the same minibatches, bit
 for bit.
@@ -102,11 +106,10 @@ def compute_client_stats(
     BLAS path and may differ in the last bit). The round's check of
     ``w`` and of the cohort's rows happens here.
     """
-    check_batch(spec, w, cohort.x, cohort.y)
-    losses = batch_losses(spec, w, cohort.x, cohort.y)
+    check_batch(spec, w, cohort.xb, cohort.y)
+    losses = batch_losses(spec, w, cohort.xb, cohort.y)
     m, p = cohort.counts.shape
-    owners = np.repeat(np.arange(m), cohort.sizes)
-    by_client_domain = np.argsort(owners * p + cohort.domains, kind="stable")
+    by_client_domain = np.argsort(cohort.owners * p + cohort.domains, kind="stable")
     loss_sums = _segment_sums(losses[by_client_domain], cohort.counts.ravel()).reshape(m, p)
     if not np.all(np.isfinite(loss_sums)):
         raise NumericError("loss sums contain NaN or Inf")
@@ -156,19 +159,22 @@ def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng_seed):
     groups = [(s, np.flatnonzero(drawn[:, s] == rows), rows)
               for s in range(n_steps) for rows in set(drawn[:, s].tolist()) - {0}]
     sample_weights = alpha[cohort.domains]
-    # client k's epoch order fills the first sizes[k] slots of row k
-    slots = np.zeros((sizes.shape[0], n_steps * width), dtype=np.int64)
+    # client k's keys fill the first sizes[k] slots of row k; the padding
+    # key 2.0 exceeds every draw in [0, 1), so a stable sort of row k puts
+    # the positions of client k's rows, in key order, first
+    slot_keys = np.full((sizes.shape[0], n_steps * width), 2.0)
     filled = np.arange(n_steps * width) < sizes[:, None]
-    owners = np.repeat(np.arange(len(cohort)), cohort.sizes)
-    live_rows = live[owners]
+    live_rows = live[cohort.owners]
+    starts = cohort.offsets[:-1][live, None]
     rng = make_rng(rng_seed)
     for _ in range(cfg.epochs):
-        keys = rng.random(owners.shape[0])
-        slots[filled] = np.lexsort((keys, owners))[live_rows]
+        keys = rng.random(cohort.owners.shape[0])
+        slot_keys[filled] = keys[live_rows]
+        slots = starts + np.argsort(slot_keys, axis=1, kind="stable")
         batches = slots.reshape(sizes.shape[0], n_steps, width)
         for s, clients, rows in groups:
             idx = batches[clients, s, :rows]
-            g = grad_weighted(spec, w[clients], cohort.x[idx], cohort.y[idx],
+            g = grad_weighted(spec, w[clients], cohort.xb[idx], cohort.y[idx],
                               sample_weights[idx])
             w[clients] -= cfg.learning_rate * (g / betas[clients])
     return w

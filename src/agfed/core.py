@@ -1,7 +1,10 @@
 """Shared value types for the federated min-max simulator.
 
 The pooled client population and a round's cohort of it, mixture
-weights over domains, scaling vectors, and deterministic seeds.
+weights over domains, scaling vectors, and deterministic seeds. The
+population stores its features once, as the augmented rows (features,
+then a ones column) that the model kernels take, and a cohort gathers
+its rows from there, so no round copies features to add a bias.
 Everything here is an immutable value: dataclasses are frozen and numpy
 arrays are made read-only, so instances can be shared freely across
 threads.
@@ -77,12 +80,16 @@ class Population:
     float64), ``y`` ((N,) float64 labels: real targets or class indices)
     and ``domains`` ((N,) int64 tags into ``0..p-1``), in its own row
     order; ``client_ids[k]`` is its id and ``counts[k]`` its sample count
-    per domain. Everything is checked and counted once here, so a round
+    per domain. The features are stored once, as the augmented rows the
+    model kernels take: ``xb`` is the (N, d + 1) C-contiguous matrix of
+    the features followed by a column of ones, and ``x`` is its first d
+    columns. Everything is checked and counted once here, so a round
     indexes the arrays without checks; tags, offsets and ids that are
     not whole numbers are rejected, not truncated. ``len`` is the client
     count; indexing or iterating yields each client as a
-    ``ClientDataset``. The arrays given are made read-only; they are
-    copied only when they have another dtype.
+    ``ClientDataset``. The features given are copied into ``xb``; the
+    other arrays given are made read-only and copied only when they have
+    another dtype.
     """
 
     x: np.ndarray
@@ -91,10 +98,11 @@ class Population:
     offsets: np.ndarray
     client_ids: np.ndarray
     p: int
+    xb: np.ndarray = field(init=False)
     counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name, dtype in (("x", np.float64), ("y", np.float64), ("domains", np.int64),
+        for name, dtype in (("y", np.float64), ("domains", np.int64),
                             ("offsets", np.int64), ("client_ids", np.int64)):
             arr = np.asarray(getattr(self, name))
             # a cast to int64 would truncate a fraction, so reject it first
@@ -104,7 +112,8 @@ class Population:
             arr = np.asarray(arr, dtype=dtype)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        x, d, offsets, ids = self.x, self.domains, self.offsets, self.client_ids
+        x = np.asarray(self.x, dtype=np.float64)
+        d, offsets, ids = self.domains, self.offsets, self.client_ids
         n_rows = x.shape[0] if x.ndim == 2 else -1
         if self.p < 1 or self.y.shape != (n_rows,) or d.shape != (n_rows,):
             raise InvalidArgument(f"need p >= 1, (N, d) features and (N,) labels and domains, "
@@ -124,6 +133,14 @@ class Population:
         counts = np.bincount(owners * self.p + d, minlength=ids.shape[0] * self.p)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts.reshape(ids.shape[0], self.p))
+        # one strided copy per column: cheaper than a concatenate with ones
+        xb = np.empty((n_rows, x.shape[1] + 1))
+        for j in range(x.shape[1]):
+            xb[:, j] = x[:, j]
+        xb[:, -1] = 1.0
+        xb.flags.writeable = False
+        object.__setattr__(self, "xb", xb)
+        object.__setattr__(self, "x", xb[:, :-1])
 
     @staticmethod
     def from_clients(clients: Sequence[ClientDataset], p: int) -> "Population":
@@ -165,16 +182,20 @@ class Cohort:
     """One round's clients: their rows taken from a ``Population`` by one index.
 
     Client k (in the order of ``members``) owns rows
-    ``offsets[k]:offsets[k+1]`` of ``x``, ``y`` and ``domains``, in its
-    own row order; ``counts[k]`` and ``client_ids[k]`` are its rows of
-    the population's table and ids. The population was checked when
-    built, so nothing is checked again here.
+    ``offsets[k]:offsets[k+1]`` of ``xb`` (augmented rows of the
+    population's ``xb``), ``y`` and ``domains``, in its own row order;
+    ``sizes[k]`` is its row count, ``owners`` gives each row's client,
+    and ``counts[k]`` and ``client_ids[k]`` are its rows of the
+    population's table and ids. The population was checked when built,
+    so nothing is checked again here.
     """
 
-    x: np.ndarray
+    xb: np.ndarray
     y: np.ndarray
     domains: np.ndarray
     offsets: np.ndarray
+    sizes: np.ndarray
+    owners: np.ndarray
     counts: np.ndarray
     client_ids: np.ndarray
 
@@ -187,17 +208,14 @@ class Cohort:
         starts = population.offsets[members]
         sizes = population.offsets[members + 1] - starts
         offsets = np.concatenate([[0], np.cumsum(sizes)])
-        rows = np.repeat(starts - offsets[:-1], sizes) + np.arange(offsets[-1])
-        return Cohort(population.x[rows], population.y[rows], population.domains[rows],
-                      offsets, population.counts[members], population.client_ids[members])
+        owners = np.repeat(np.arange(members.shape[0]), sizes)
+        rows = (starts - offsets[:-1])[owners] + np.arange(offsets[-1])
+        return Cohort(population.xb[rows], population.y[rows], population.domains[rows],
+                      offsets, sizes, owners, population.counts[members],
+                      population.client_ids[members])
 
     def __len__(self) -> int:
         return self.counts.shape[0]
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Number of rows per client."""
-        return np.diff(self.offsets)
 
 
 def mixture_uniform(p: int) -> np.ndarray:

@@ -85,12 +85,12 @@ def evaluate_population(
     p: int,
 ) -> dict[str, tuple[float, ...]]:
     """Population-level per-domain mean loss (and accuracy for classifiers)."""
-    x, y = population.x, population.y
-    check_batch(spec, w, x, y)
+    xb, y = population.xb, population.y
+    check_batch(spec, w, xb, y)
     masks = [population.domains == i for i in range(p)]
-    out = {"loss": _domain_means(batch_losses(spec, w, x, y), masks)}
+    out = {"loss": _domain_means(batch_losses(spec, w, xb, y), masks)}
     if spec.kind == "logistic":
-        out["accuracy"] = _domain_means(predict_classes(spec, w, x) == y.astype(np.int64),
+        out["accuracy"] = _domain_means(predict_classes(spec, w, xb) == y.astype(np.int64),
                                         masks)
     return out
 
@@ -100,7 +100,7 @@ def _summary_fn(task: TaskConfig, spec: ModelSpec, population: Population):
         return lambda w: (float(w[0]),)
     y_int = population.y.astype(np.int64)
     masks = [population.domains == i for i in range(task.p)]
-    return lambda w: _domain_means(predict_classes(spec, w, population.x) == y_int, masks)
+    return lambda w: _domain_means(predict_classes(spec, w, population.xb) == y_int, masks)
 
 
 def _csv_header(p: int, summary_names: Sequence[str]) -> list[str]:

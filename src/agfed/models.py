@@ -15,10 +15,18 @@ batch), so any gradient-oracle model would slot in here.
 clients of a cohort can share one call per local step without changing
 any client's numbers.
 
+The kernels take augmented rows: an (n, input_dim + 1) matrix ``xb``
+whose last column is all ones, so an affine map is one product with the
+flat parameters and no call builds a bias column. ``core.Population``
+stores its features that way once, and a round's ``core.Cohort`` takes
+its rows from there. The scalar model reads no features at all.
+
 ``check_batch`` is the one rule for what a valid model input is. The
 round calls it once, on the cohort's gathered rows, before they meet
 the model; ``batch_losses``, ``grad_weighted`` and ``predict_classes``
-then trust their inputs and do arithmetic only.
+then trust their inputs and do arithmetic only. It checks the width of
+the augmented rows, not that their last column holds ones: the
+population guarantees that when it builds them.
 """
 
 from __future__ import annotations
@@ -65,13 +73,13 @@ class ModelSpec:
         return self.num_classes * (self.input_dim + 1)
 
 
-def check_batch(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+def check_batch(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> None:
     """Reject a batch the kernels below cannot take as it is.
 
     ``w`` must be a finite 1-D vector of ``param_count`` entries
-    (``NumericError`` when it is not finite), ``x`` an (n, input_dim)
-    matrix and ``y`` one label per row; a logistic model's labels must
-    be integer classes in ``0..num_classes-1``.
+    (``NumericError`` when it is not finite), ``xb`` an (n, input_dim +
+    1) matrix of augmented rows and ``y`` one label per row; a logistic
+    model's labels must be integer classes in ``0..num_classes-1``.
     """
     if w.ndim != 1 or w.shape[0] != spec.param_count:
         raise InvalidArgument(
@@ -79,11 +87,12 @@ def check_batch(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) ->
         )
     if not np.all(np.isfinite(w)):
         raise NumericError("model parameters contain NaN or Inf")
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+    if xb.ndim != 2 or xb.shape[1] != spec.input_dim + 1:
         raise InvalidArgument(
-            f"expected an (n, {spec.input_dim}) feature matrix, got shape {x.shape}"
+            f"expected (n, {spec.input_dim + 1}) rows of input_dim={spec.input_dim} "
+            f"features and a bias column, got shape {xb.shape}"
         )
-    if y.shape != (x.shape[0],):
+    if y.shape != (xb.shape[0],):
         raise InvalidArgument("features and labels differ in length")
     if spec.kind == "logistic" and not np.all(
         (y >= 0) & (y < spec.num_classes) & (y == np.floor(y))
@@ -93,55 +102,49 @@ def check_batch(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) ->
         )
 
 
-def _with_bias(x: np.ndarray) -> np.ndarray:
-    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     # max-subtraction keeps exp() in range; invariant under constant shifts
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def batch_losses(spec: ModelSpec, w: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def batch_losses(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Non-negative per-sample losses of a batch at parameters ``w``.
 
-    Trusts that ``check_batch`` accepted ``(w, x, y)``.
+    Trusts that ``check_batch`` accepted ``(w, xb, y)``.
     """
     if spec.kind == "scalar-regression":
         return (w[0] - y) ** 2
     if spec.kind == "linear-regression":
         # an elementwise row sum, not BLAS: a row's prediction must not
         # depend on how many rows share its batch
-        pred = np.sum(_with_bias(x) * w, axis=-1)
+        pred = np.sum(xb * w, axis=-1)
         return (pred - y) ** 2
     weights = w.reshape(spec.num_classes, spec.input_dim + 1)
-    logits = _with_bias(x) @ weights.T
-    logp = _log_softmax(logits)
-    return -logp[np.arange(x.shape[0]), y.astype(np.int64)]
+    logp = _log_softmax(xb @ weights.T)
+    return -logp[np.arange(xb.shape[0]), y.astype(np.int64)]
 
 
 def grad_weighted(
     spec: ModelSpec,
     w: np.ndarray,
-    x: np.ndarray,
+    xb: np.ndarray,
     y: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
     """Gradient of the weighted loss sum: grad of sum_j weights_j * loss_j.
 
-    Takes any leading batch axes: parameters ``(..., P)``, features
-    ``(..., b, d)``, labels and weights ``(..., b)``; returns ``(..., P)``.
+    Takes any leading batch axes: parameters ``(..., P)``, augmented rows
+    ``(..., b, d + 1)``, labels and weights ``(..., b)``; returns ``(..., P)``.
     Local SGD passes a leading cohort axis, one minibatch per client;
     a single batch is the case without one. Each batch's gradient is
     computed by the same BLAS call on the same shapes as when it is
     passed alone, so stacking keeps every bit. The sum is unnormalized;
     any averaging is the caller's concern. Trusts that ``check_batch``
-    accepted ``(w, x, y)`` and that ``weights`` is non-negative.
+    accepted ``(w, xb, y)`` and that ``weights`` is non-negative.
     """
     if spec.kind == "scalar-regression":
         return np.sum(weights * 2.0 * (w[..., :1] - y), axis=-1, keepdims=True)
-    xb = _with_bias(x)
     if spec.kind == "linear-regression":
         residual = np.matmul(xb, w[..., None])[..., 0] - y
         return np.matmul((weights * 2.0 * residual)[..., None, :], xb)[..., 0, :]
@@ -152,11 +155,19 @@ def grad_weighted(
     return np.matmul(np.swapaxes(probs * weights[..., None], -1, -2), xb).reshape(w.shape)
 
 
-def predict_classes(spec: ModelSpec, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Argmax class predictions of a logistic model.
+def predict_classes(spec: ModelSpec, w: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """Class of the largest logit per row; a tie goes to the lower class.
 
-    Trusts that ``spec`` is logistic and that ``check_batch`` accepted
-    ``w`` and ``x``.
+    A strict ``>`` scan over the class columns: class c wins a row only
+    when its logit exceeds every lower class's, so ties keep the lower
+    class, as ``argmax`` does, without a generic reduction over a few
+    columns. Trusts that ``spec`` is logistic and that ``check_batch``
+    accepted ``w`` and ``xb``.
     """
-    wmat = w.reshape(spec.num_classes, spec.input_dim + 1)
-    return np.argmax(_with_bias(x) @ wmat.T, axis=1)
+    logits = xb @ w.reshape(spec.num_classes, spec.input_dim + 1).T
+    best = (logits[:, 1] > logits[:, 0]).astype(np.int64)
+    top = logits[:, 0]
+    for c in range(2, spec.num_classes):
+        top = np.maximum(top, logits[:, c - 1])
+        best[logits[:, c] > top] = c
+    return best

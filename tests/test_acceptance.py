@@ -215,7 +215,7 @@ def test_criterion_5_gradient_checks():
         rng = make_rng(5, spec.param_count)
         for _ in range(100):
             w = rng.standard_normal(spec.param_count)
-            x = rng.standard_normal(spec.input_dim)[None, :]
+            x = np.append(rng.standard_normal(spec.input_dim), 1.0)[None, :]
             y = (float(rng.integers(0, spec.num_classes)) if spec.kind == "logistic"
                  else float(rng.standard_normal()))
             wt = float(rng.uniform(0.1, 2.0))

@@ -63,13 +63,15 @@ def _reference_round_clients(spec, w, alpha, clients, p, cfg, seed):
     betas, like the two cohort calls together. Each epoch draws one key
     per row of the whole cohort from ``make_rng(seed)``, and each client
     visits its rows in the stable argsort of its own slice of the keys.
+    The kernels take each client's rows augmented with a ones column.
     """
     offsets = np.cumsum([0] + [len(c) for c in clients])
     rng = make_rng(seed)
     epoch_keys = [rng.random(offsets[-1]) for _ in range(cfg.epochs)]
     counts, loss_sums, params, betas = [], [], [], []
     for k, data in enumerate(clients):
-        x, y, domains = data.feature_matrix, data.labels, data.domains
+        x = np.column_stack([data.feature_matrix, np.ones(len(data))])
+        y, domains = data.labels, data.domains
         n_k = np.bincount(domains, minlength=p)
         losses = batch_losses(spec, w, x, y)
         counts.append(n_k)
@@ -129,7 +131,8 @@ class TestComputeClientStats:
         ds = _random_client(make_rng(5), n=10)
         w = np.array([0.3])
         counts, loss_sums = _stats(w, ds, 3)
-        total = float(batch_losses(SCALAR, w, ds.feature_matrix, ds.labels).sum())
+        xb = np.column_stack([ds.feature_matrix, np.ones(len(ds))])
+        total = float(batch_losses(SCALAR, w, xb, ds.labels).sum())
         assert counts.tolist() == [3, 3, 4]
         assert float(loss_sums.sum()) == pytest.approx(total, rel=1e-12)
 

@@ -123,11 +123,13 @@ class TestCohort:
         cohort = Cohort.gather(Population.from_clients([c, a, b], 3), [1, 2])
         assert len(cohort) == 2
         assert cohort.client_ids.tolist() == [4, 9]
-        assert cohort.x[:, 0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert cohort.xb.tolist() == [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0], [4.0, 1.0],
+                                      [5.0, 1.0]]
         assert cohort.y.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
         assert cohort.domains.tolist() == [1, 1, 0, 2, 0]
         assert cohort.offsets.tolist() == [0, 2, 5]
         assert cohort.sizes.tolist() == [2, 3]
+        assert cohort.owners.tolist() == [0, 0, 1, 1, 1]
         assert cohort.counts.dtype == np.int64
         assert cohort.counts.tolist() == [[0, 2, 0], [2, 0, 1]]
 
@@ -168,10 +170,13 @@ class TestPopulation:
         population = Population.from_clients(clients, p)
         cohort = Cohort.gather(population, np.array(members))
         chosen = [clients[k] for k in members]
-        assert np.array_equal(cohort.x, np.concatenate([c.feature_matrix for c in chosen]))
+        assert np.array_equal(cohort.xb[:, :-1],
+                              np.concatenate([c.feature_matrix for c in chosen]))
+        assert np.all(cohort.xb[:, -1] == 1.0)
         assert np.array_equal(cohort.y, np.concatenate([c.labels for c in chosen]))
         assert np.array_equal(cohort.domains, np.concatenate([c.domains for c in chosen]))
         assert cohort.sizes.tolist() == [len(c) for c in chosen]
+        assert cohort.owners.tolist() == [k for k, c in enumerate(chosen) for _ in range(len(c))]
         assert cohort.client_ids.tolist() == [c.client_id for c in chosen]
         assert np.array_equal(cohort.counts,
                               [np.bincount(c.domains, minlength=p) for c in chosen])

@@ -1,6 +1,8 @@
 """Model losses and gradients, checked against independent oracles.
 
 A single sample is a 1-row batch of ``batch_losses`` / ``grad_weighted``.
+The kernels take augmented rows (features, then a ones column), as the
+population stores them; ``_rows`` builds them from plain features.
 Invalid inputs are rejected by ``check_batch``; the kernels trust it.
 """
 
@@ -8,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from agfed.core import InvalidArgument, NumericError, make_rng
 from agfed.models import (
@@ -24,20 +28,26 @@ LOGISTIC = ModelSpec("logistic", input_dim=2, num_classes=3)
 ALL_SPECS = [SCALAR, LINEAR, LOGISTIC]
 
 
+def _rows(x):
+    """Augmented rows of the features ``x``: each row, then a 1."""
+    x = np.atleast_2d(x)
+    return np.column_stack([x, np.ones(x.shape[0])])
+
+
 def _loss(spec, w, x, y):
-    """Loss of the single sample (x, y) at ``w``."""
-    return float(batch_losses(spec, w, np.atleast_2d(x), np.array([y]))[0])
+    """Loss of the single sample (x, y) at ``w``; ``x`` holds the features only."""
+    return float(batch_losses(spec, w, _rows(x), np.array([y]))[0])
 
 
 def _random_instance(spec, rng):
-    """Random parameters and one sample as a 1-row batch (x, y)."""
+    """Random parameters and one sample as a 1-row augmented batch (xb, y)."""
     w = rng.standard_normal(spec.param_count)
     x = rng.standard_normal(spec.input_dim)
     if spec.kind == "logistic":
         y = float(rng.integers(0, spec.num_classes))
     else:
         y = float(rng.standard_normal())
-    return w, x[None, :], np.array([y])
+    return w, _rows(x), np.array([y])
 
 
 def _random_batch(spec, rng, n, draw_weight):
@@ -53,7 +63,7 @@ def _random_batch(spec, rng, n, draw_weight):
 def finite_difference_grad(spec, w, x, y, weights, h=1e-5):
     """Central-difference oracle for the weighted-batch gradient."""
     def objective(params):
-        return sum(wt * _loss(spec, params, x[j], y[j]) for j, wt in enumerate(weights))
+        return sum(wt * _loss(spec, params, x[j, :-1], y[j]) for j, wt in enumerate(weights))
 
     g = np.zeros_like(w)
     for i in range(w.size):
@@ -91,19 +101,24 @@ class TestLossExamples:
     def test_dimension_mismatch_rejected(self):
         # wrong parameter count, then wrong feature dimension
         with pytest.raises(InvalidArgument):
-            check_batch(SCALAR, np.array([0.0, 0.0]), np.ones((1, 1)), np.zeros(1))
+            check_batch(SCALAR, np.array([0.0, 0.0]), np.ones((1, 2)), np.zeros(1))
         with pytest.raises(InvalidArgument):
             check_batch(LINEAR, np.zeros(4), np.ones((1, 2)), np.zeros(1))
 
+    def test_rows_without_the_bias_column_rejected_naming_input_dim(self):
+        with pytest.raises(InvalidArgument, match="input_dim=3"):
+            check_batch(LINEAR, np.zeros(4), np.ones((1, 3)), np.zeros(1))
+        check_batch(LINEAR, np.zeros(4), np.ones((1, 4)), np.zeros(1))
+
     def test_non_finite_params_rejected(self):
         with pytest.raises(NumericError):
-            check_batch(SCALAR, np.array([np.nan]), np.ones((1, 1)), np.ones(1))
+            check_batch(SCALAR, np.array([np.nan]), np.ones((1, 2)), np.ones(1))
 
 
 class TestCheckBatch:
     def test_labels_and_features_differ_in_length(self):
         with pytest.raises(InvalidArgument):
-            check_batch(LINEAR, np.zeros(4), np.ones((3, 3)), np.zeros(2))
+            check_batch(LINEAR, np.zeros(4), np.ones((3, 4)), np.zeros(2))
 
     @pytest.mark.parametrize("label", [-1.0, 2.0, 0.7, np.nan])
     def test_logistic_label_not_a_class_rejected(self, label):
@@ -111,12 +126,12 @@ class TestCheckBatch:
         spec = ModelSpec("logistic", input_dim=2, num_classes=2)
         y = np.array([0.0, label])
         with pytest.raises(InvalidArgument):
-            check_batch(spec, np.zeros(spec.param_count), np.ones((2, 2)), y)
+            check_batch(spec, np.zeros(spec.param_count), np.ones((2, 3)), y)
 
 
 class TestGradExamples:
     def test_scalar_single_sample(self):
-        g = grad_weighted(SCALAR, np.array([0.0]), np.array([[1.0]]), np.array([1.0]),
+        g = grad_weighted(SCALAR, np.array([0.0]), np.array([[1.0, 1.0]]), np.array([1.0]),
                           np.array([1.0]))
         assert g.tolist() == [-2.0]
 
@@ -176,10 +191,53 @@ class TestLogisticNumerics:
     def test_predict_classes(self):
         rng = make_rng(19)
         w = rng.standard_normal(LOGISTIC.param_count)
-        x = rng.standard_normal((6, 2))
-        preds = predict_classes(LOGISTIC, w, x)
+        xb = _rows(rng.standard_normal((6, 2)))
+        preds = predict_classes(LOGISTIC, w, xb)
         assert preds.shape == (6,)
         assert set(preds.tolist()) <= {0, 1, 2}
+
+    def test_predict_classes_ties_go_to_the_lower_class(self):
+        # logits per row: (0, 0, 0), (0, 1, 1), (0, -1, 0), (0, 0, 1)
+        w = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0]]).ravel()
+        xb = _rows([[0.0, 0.0], [1.0, 0.0], [-1.0, 1.0], [0.0, 1.0]])
+        assert predict_classes(LOGISTIC, w, xb).tolist() == [0, 1, 0, 2]
+        # a bias of 1 on class 0 ties or beats every other class on each row
+        w[2] = 1.0
+        assert predict_classes(LOGISTIC, w, xb).tolist() == [0, 0, 0, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 3), st.integers(1, 30),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_predict_classes_equals_argmax(self, classes, dim, n, seed, small_integers):
+        # small integer weights and features give exact dot products, so
+        # logit ties are common; otherwise one class repeats another's
+        # weights, which ties those two classes on every row
+        spec = ModelSpec("logistic", input_dim=dim, num_classes=classes)
+        rng = make_rng(seed)
+        if small_integers:
+            w = rng.integers(-2, 3, size=spec.param_count).astype(float)
+            xb = _rows(rng.integers(-2, 3, size=(n, dim)).astype(float))
+        else:
+            wmat = rng.standard_normal((classes, dim + 1))
+            wmat[rng.integers(1, classes)] = wmat[rng.integers(0, classes)]
+            w = wmat.ravel()
+            xb = _rows(rng.standard_normal((n, dim)))
+        expected = np.argmax(xb @ w.reshape(classes, dim + 1).T, axis=1)
+        assert np.array_equal(predict_classes(spec, w, xb), expected)
+
+
+class TestRowLocality:
+    @pytest.mark.parametrize("n", [2, 7, 64, 1000])
+    def test_linear_regression_row_loss_does_not_depend_on_its_batch(self, n):
+        # a client's loss sums must not change with the cohort it is gathered in
+        rng = make_rng(41, n)
+        w = rng.standard_normal(LINEAR.param_count)
+        xb = _rows(rng.standard_normal((n, LINEAR.input_dim)) * 10.0)
+        y = rng.standard_normal(n)
+        batch = batch_losses(LINEAR, w, xb, y)
+        for j in range(n):
+            row = batch_losses(LINEAR, w, xb[j:j + 1], y[j:j + 1])
+            assert row.tobytes() == batch[j:j + 1].tobytes()
 
 
 class TestGradWeightedShapes:

@@ -97,9 +97,15 @@ class TestToyRegression:
                        partition="data-partition")
 
 
+def _pooled_rows(clients):
+    """The clients' features pooled as the augmented rows the kernels take."""
+    x = np.concatenate([c.feature_matrix for c in clients])
+    return np.column_stack([x, np.ones(x.shape[0])])
+
+
 def _centralized_fit(spec, clients, iters=400, lr=0.5):
     """Full-batch GD on pooled data: the centralized training oracle."""
-    x = np.concatenate([c.feature_matrix for c in clients])
+    x = _pooled_rows(clients)
     y = np.concatenate([c.labels for c in clients])
     w = np.zeros(spec.param_count)
     for _ in range(iters):
@@ -109,7 +115,7 @@ def _centralized_fit(spec, clients, iters=400, lr=0.5):
 
 
 def _per_domain_mean_loss(spec, w, clients, p):
-    x = np.concatenate([c.feature_matrix for c in clients])
+    x = _pooled_rows(clients)
     y = np.concatenate([c.labels for c in clients])
     d = np.concatenate([c.domains for c in clients])
     losses = batch_losses(spec, w, x, y)

@@ -1,9 +1,17 @@
-"""Tooling guards: the benchmark tracer still finds what it patches."""
+"""Tooling guards: the benchmark still finds what it patches and calls."""
 
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import pytest
+
+import agfed.cli
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = BENCH / "tracing.py"
+RUN = BENCH / "run.py"
 
 
 def _load_tracing():
@@ -11,6 +19,30 @@ def _load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    """``perfbench/run.py`` as a module, with the environment it sets undone.
+
+    It pins BLAS threads in ``os.environ`` when imported and imports its
+    sibling modules by bare name, so ``perfbench`` stays on the path for
+    the test.
+    """
+    monkeypatch.syspath_prepend(str(BENCH))
+    saved = dict(os.environ)
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
+        for name in ("speed", "tracing"):
+            sys.modules.pop(name, None)
 
 
 def test_every_traced_target_resolves():
@@ -21,3 +53,24 @@ def test_every_traced_target_resolves():
     missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in targets
                if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_every_benchmark_probe_target_resolves(bench_run):
+    # the untraced benchmark times rounds by wrapping these names
+    patches = bench_run.Probe(agfed, None).patches()
+    assert patches
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}" for owner, attr, _ in patches
+               if not callable(getattr(owner, attr, None))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("workload", ["toy", "scale-masked"])
+def test_benchmark_operation_checks_pass_on_a_short_run(bench_run, tmp_path, workload):
+    # one untraced operation: the CLI run under the probe's patches, then
+    # check_outputs, which evaluates the final model through the harness
+    plan = bench_run.make_plan(agfed, bench_run.WORKLOADS[workload], None,
+                               tmp_path / "op", 2)
+    op = bench_run.run_op(agfed, plan, traced=False)
+    assert op.error is None
+    assert len(op.round_s) == 2
+    assert op.final_worst_loss > 0.0
