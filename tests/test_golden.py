@@ -10,7 +10,10 @@ only orders one gradient sum per client; ``toy-minibatch`` (3-row
 minibatches, two epochs) pins which rows each minibatch takes, and
 ``classification-ragged-minibatch`` does the same for the logistic
 model on clients of 5 to 30 rows, whose minibatches differ in count and
-size within a step. The four
+size within a step. ``classification-scale-masked`` (1000 clients,
+cohort 100) and ``classification-cohort-1000`` (a cohort of 1000, whose
+pair-mask rows are built in several blocks of lower indices) pin the
+masked cohort sums at scale. The four
 full-batch toy digests were re-pinned, and ``toy-minibatch`` pinned,
 when local SGD moved from one shuffle generator per client to one per
 round; the masked-params toy digest (quantized) and the classification
@@ -78,6 +81,18 @@ CASES = [
                                         "secure_aggregation.mask_params": "true"},
                  "1e0e91d5e66f5d5359c7672fc124c6fe0c620ed8187b6e8d61035d80506cb0bc",
                  id="classification-ragged-minibatch"),
+    pytest.param("classification.ini", {"task.num_clients": "1000",
+                                        "algorithm.clients_per_round": "100",
+                                        "algorithm.rounds": "10",
+                                        "secure_aggregation.mask_params": "true"},
+                 "8c6d2cbb63fc690fa7ddbcc45ade673af27cd5dc858bb4b651025a4b74da8210",
+                 id="classification-scale-masked"),
+    pytest.param("classification.ini", {"task.num_clients": "1000",
+                                        "algorithm.clients_per_round": "1000",
+                                        "algorithm.rounds": "3",
+                                        "secure_aggregation.mask_params": "true"},
+                 "a00142e96f27f65c677694d51d23be34dd0e45b54abd55b4d7f4b5f088e8fab0",
+                 id="classification-cohort-1000"),
 ]
 
 
