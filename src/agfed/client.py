@@ -21,21 +21,22 @@ feature matrix to add a bias:
 
 What stays per client is what the protocol needs: each client's counts
 and loss sums are its own row of the result and leave only through the
-server's cohort sum, and beta is each client's own ``np.dot(alpha,
-counts)``. The minibatch order is drawn for the whole cohort from one
-generator per round: each epoch gives every cohort row a uniform key,
-and each client visits its own rows in key order. A client's shuffle
-therefore depends on the round's ``rng_seed`` and on its place in the
-cohort, not on its id alone. All orders come from one row-wise stable
-argsort of a (clients x slots) key matrix, padded past each client's
-size with a key above every draw. The clients step in lockstep: step s
-of an epoch takes every client's s-th minibatch in one ``grad_weighted``
-call per minibatch size (one call when the clients are of equal size).
-A client with fewer rows than another runs out of minibatches first and
-sits the later steps out. No minibatch is padded, and ``grad_weighted``
-computes each stacked minibatch as it would alone, so every client's
-result equals that of training it alone, on the same minibatches, bit
-for bit.
+server's cohort sum, and beta is each client's own dot product of alpha
+with its counts, computed for the cohort in one stacked ``np.matmul``
+that rounds as a per-client ``np.dot`` does. The minibatch order is
+drawn for the whole cohort from one generator per round: each epoch
+gives every cohort row a uniform key, and each client visits its own
+rows in key order. A client's shuffle therefore depends on the round's
+``rng_seed`` and on its place in the cohort, not on its id alone. All
+orders come from one row-wise stable argsort of a (clients x slots) key
+matrix, padded past each client's size with a key above every draw. The
+clients step in lockstep: step s of an epoch takes every client's s-th
+minibatch in one ``grad_weighted`` call per minibatch size (one call
+when the clients are of equal size). A client with fewer rows than
+another runs out of minibatches first and sits the later steps out. No
+minibatch is padded, and ``grad_weighted`` computes each stacked
+minibatch as it would alone, so every client's result equals that of
+training it alone, on the same minibatches, bit for bit.
 
 A client whose populated domains all carry zero scaling weight has
 beta = 0; its statistics still count, but it keeps the incoming
@@ -92,6 +93,16 @@ def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _betas(alpha: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each row's ``float(np.dot(alpha, counts[k]))``, bit for bit, in one call.
+
+    A stack of (1 x p) @ (p x 1) products rounds as the per-row dot
+    does; ``counts @ alpha``, ``(counts * alpha).sum(1)`` and ``einsum``
+    may differ from it in the last bit.
+    """
+    return np.matmul(counts.astype(np.float64)[:, None, :], alpha[:, None])[:, 0, 0]
+
+
 def compute_client_stats(
     spec: ModelSpec,
     w: np.ndarray,
@@ -137,7 +148,7 @@ def client_update(
     and the cohort this round and that ``alpha`` is a finite,
     non-negative vector of length p.
     """
-    betas = np.array([float(np.dot(alpha, counts)) for counts in cohort.counts])
+    betas = _betas(alpha, cohort.counts)
     params = np.tile(w_in, (len(cohort), 1))
     live = betas != 0.0
     if live.any():

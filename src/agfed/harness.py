@@ -78,6 +78,17 @@ def _domain_means(values: np.ndarray, masks: list[np.ndarray]) -> tuple[float, .
     return tuple(float(values[m].mean()) if m.any() else 0.0 for m in masks)
 
 
+def _domain_accuracy(correct: np.ndarray, masks: list[np.ndarray]) -> tuple[float, ...]:
+    """Share of ``correct`` rows in each domain's mask; 0.0 for an empty domain.
+
+    Counts are exact, so each share equals the domain's boolean-mask
+    mean bit for bit, without gathering the domain's rows.
+    """
+    sizes = [np.count_nonzero(m) for m in masks]
+    return tuple(float(np.count_nonzero(correct & m) / size) if size else 0.0
+                 for m, size in zip(masks, sizes))
+
+
 def evaluate_population(
     spec: ModelSpec,
     w: np.ndarray,
@@ -90,8 +101,8 @@ def evaluate_population(
     masks = [population.domains == i for i in range(p)]
     out = {"loss": _domain_means(batch_losses(spec, w, xb, y), masks)}
     if spec.kind == "logistic":
-        out["accuracy"] = _domain_means(predict_classes(spec, w, xb) == y.astype(np.int64),
-                                        masks)
+        out["accuracy"] = _domain_accuracy(predict_classes(spec, w, xb) == y.astype(np.int64),
+                                           masks)
     return out
 
 
@@ -100,7 +111,7 @@ def _summary_fn(task: TaskConfig, spec: ModelSpec, population: Population):
         return lambda w: (float(w[0]),)
     y_int = population.y.astype(np.int64)
     masks = [population.domains == i for i in range(task.p)]
-    return lambda w: _domain_means(predict_classes(spec, w, population.xb) == y_int, masks)
+    return lambda w: _domain_accuracy(predict_classes(spec, w, population.xb) == y_int, masks)
 
 
 def _csv_header(p: int, summary_names: Sequence[str]) -> list[str]:

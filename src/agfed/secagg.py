@@ -16,7 +16,16 @@ splitmix64 stream, so a cohort sum needs each pair's stream once: the
 first ``mask_set`` for a vector length L evaluates all n(n-1)/2 x L
 stream values, in vectorised blocks of lower-index clients that bound
 the memory they take at once, and reduces them into each client's
-signed mask row, cached on the cohort's ``PairwiseSeeds``.
+signed mask row, cached on the cohort's ``PairwiseSeeds``. Where each
+pair's stream goes depends only on n and the block size, so that index
+layout (each block's slice of the seeds, where each lower index's pairs
+start, and the order and starts of the pairs grouped by higher index) is
+built once per (n, block) and kept in a small module-level cache as
+read-only arrays; a sum then only hashes, gathers and reduces. The
+cache holds no seed and no client data, and at most 8 layouts. A layout
+takes one index per pair plus a few per client and block: O(n(n-1)/2)
+words, the order of the seeds each masked sum draws anyway, so the
+blocks still bound the temporary memory of a sum.
 ``mask_set`` and ``SecureSum.submit`` take one client index or a 1-D
 array of them, so a whole cohort is masked and submitted in one call of
 O(1) numpy operations: encode the (m x L) matrix, add the clients' mask
@@ -33,7 +42,9 @@ protocol error. Do not mistake this module for a security implementation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,37 +163,65 @@ _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 
 def _pair_masks(seeds: np.ndarray, length: int) -> np.ndarray:
     # counter-based splitmix64 stream, one row per seed: fast, deterministic,
-    # not cryptographic; in place, since a block of streams is the
-    # largest array of a masked round
-    z = seeds[:, None] + np.arange(1, length + 1, dtype=np.uint64) * _SM64_GAMMA
+    # not cryptographic. Word k of every stream is one contiguous row of a
+    # (length, seeds) array, so each step runs over the seeds; in place,
+    # since a block of streams is the largest array of a masked round.
+    # Returns the (seeds, length) transposed view.
+    z = (np.arange(1, length + 1, dtype=np.uint64) * _SM64_GAMMA)[:, None] + seeds
     z ^= z >> np.uint64(30)
     z *= _SM64_MIX1
     z ^= z >> np.uint64(27)
     z *= _SM64_MIX2
     z ^= z >> np.uint64(31)
-    return z
+    return z.T
+
+
+class _PairBlock(NamedTuple):
+    """Where the pairs of one block of lower-index clients go."""
+
+    lowers: slice               # clients a..b-1, the lower index of each pair
+    pairs: slice                # their pairs' seeds in ``upper``
+    lower_starts: np.ndarray    # reduceat starts of each lower's pairs
+    by_higher: np.ndarray       # the pairs, stably grouped by higher index
+    higher_starts: np.ndarray   # reduceat starts of higher a+1..n-1 in that order
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_layout(n: int, block: int) -> tuple[_PairBlock, ...]:
+    """The blocks of ``block`` lower indices of an n-client cohort's pairs."""
+    # first[i]: position of pair (i, i + 1) in ``upper``
+    first = np.arange(n) * (2 * n - np.arange(n) - 1) // 2
+    blocks = []
+    for a in range(0, n - 1, block):
+        lowers = np.arange(a, min(a + block, n - 1))  # each has a pair
+        starts = first[lowers] - first[a]
+        end = first[lowers[-1] + 1]
+        partners = n - 1 - lowers
+        higher = (np.arange(end - first[a]) - np.repeat(starts, partners)
+                  + np.repeat(lowers + 1, partners))
+        by_higher = np.argsort(higher, kind="stable")
+        # every higher index a+1..n-1 pairs with lower a, so no group is empty
+        higher_starts = np.searchsorted(higher[by_higher], np.arange(a + 1, n))
+        for arr in (starts, by_higher, higher_starts):
+            arr.flags.writeable = False
+        blocks.append(_PairBlock(slice(a, lowers[-1] + 1), slice(first[a], end),
+                                 starts, by_higher, higher_starts))
+    return tuple(blocks)
 
 
 def _signed_mask_rows(upper: np.ndarray, n: int, length: int, block: int) -> np.ndarray:
     # pair (i, j), i < j, adds its stream to row i and subtracts it from
     # row j; sums mod 2**64 are exact in any order. The streams are
     # expanded for ``block`` lower indices at a time, which bounds the
-    # transient at block * (n - 1) x length words.
-    rows = np.zeros((n, length), dtype=np.uint64)
-    # first[i]: position of pair (i, i + 1) in ``upper``
-    first = np.arange(n) * (2 * n - np.arange(n) - 1) // 2
-    for a in range(0, n - 1, block):
-        lowers = np.arange(a, min(a + block, n - 1))  # each has a pair
-        starts = first[lowers] - first[a]
-        streams = _pair_masks(upper[first[a]:first[lowers[-1] + 1]], length)
-        rows[a:lowers[-1] + 1] += np.add.reduceat(streams, starts)
-        partners = n - 1 - lowers
-        higher = (np.arange(streams.shape[0]) - np.repeat(starts, partners)
-                  + np.repeat(lowers + 1, partners))
-        by_higher = np.argsort(higher, kind="stable")
-        rows[a + 1:] -= np.add.reduceat(streams[by_higher],
-                                        np.searchsorted(higher[by_higher], np.arange(a + 1, n)))
-    return rows
+    # transient at block * (n - 1) x length words. Words run along the
+    # rows of ``cols`` (length x n), so both reductions run over pairs.
+    cols = np.zeros((length, n), dtype=np.uint64)
+    for b in _pair_layout(n, block):
+        words = _pair_masks(upper[b.pairs], length).T
+        cols[:, b.lowers] += np.add.reduceat(words, b.lower_starts, axis=1)
+        cols[:, b.lowers.start + 1:] -= np.add.reduceat(
+            np.take(words, b.by_higher, axis=1), b.higher_starts, axis=1)
+    return cols.T
 
 
 def mask_set(seeds: PairwiseSeeds, client: int | np.ndarray, plain: np.ndarray, *,

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from agfed.client import LocalSGDConfig, client_update, compute_client_stats
+from agfed.client import LocalSGDConfig, _betas, client_update, compute_client_stats
 from agfed.core import (
     ClientDataset,
     Cohort,
@@ -162,6 +163,19 @@ class TestClientUpdateExamples:
         w, beta = _update(np.array([0.0]), np.array([2.0, 1.0]), ds, cfg, 0)
         assert beta == pytest.approx(3.0)
         assert w[0] == pytest.approx(0.1 * 8.0 / 3.0, rel=1e-15)
+
+
+class TestBetas:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda p: hnp.arrays(
+               np.float64, p, elements=st.one_of(st.just(0.0), st.floats(1e-9, 1e3)))),
+           st.integers(1, 300), st.integers(0, 2**32 - 1))
+    def test_one_call_equals_per_client_dot(self, alpha, m, key):
+        # np.dot rounds like a fused multiply-add, and the cohort's betas
+        # keep its last bit; an unpopulated domain gives a zero alpha
+        counts = make_rng(key).integers(0, 1000, size=(m, alpha.shape[0]))
+        expected = np.array([float(np.dot(alpha, row)) for row in counts])
+        assert _betas(alpha, counts).tobytes() == expected.tobytes()
 
 
 class TestClientUpdateProperties:

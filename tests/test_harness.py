@@ -9,6 +9,7 @@ from agfed.client import LocalSGDConfig
 from agfed.core import ClientDataset, InvalidArgument, Population
 from agfed.harness import (
     ExperimentConfig,
+    _domain_accuracy,
     compare_algorithms,
     emit_plots,
     evaluate_population,
@@ -158,6 +159,18 @@ class TestEvaluateAndCompare:
         assert len(metrics["loss"]) == 2
         assert all(v >= 0 for v in metrics["loss"])
         assert all(0 <= v <= 1 for v in metrics["accuracy"])
+
+    @pytest.mark.parametrize("p, rows, key", [(1, 1, 0), (3, 50, 1), (5, 2000, 2), (4, 7, 3)])
+    def test_domain_accuracy_equals_boolean_mask_means(self, p, rows, key):
+        rng = np.random.default_rng(key)
+        # domain p - 1 is left empty whenever p > 1
+        domains = rng.integers(0, max(p - 1, 1), size=rows)
+        correct = rng.random(rows) < rng.random()
+        masks = [domains == i for i in range(p)]
+        expected = tuple(float(correct[m].mean()) if m.any() else 0.0 for m in masks)
+        got = _domain_accuracy(correct, masks)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        assert all(type(v) is float for v in got)
 
     def test_evaluate_population_rejects_non_class_label(self):
         run = run_experiment_full(_cls_experiment(rounds=0))

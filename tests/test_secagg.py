@@ -14,6 +14,7 @@ from agfed.secagg import (
     ProtocolError,
     SecureSum,
     _encode,
+    _pair_layout,
     _pair_masks,
     _signed_mask_rows,
     mask_set,
@@ -64,6 +65,16 @@ def _reference_mask_set(seeds, client, plain, scale_bits=DEFAULT_SCALE_BITS):
         else:
             residues = residues - mask
     return residues
+
+
+def _reference_rows(seeds, length):
+    """Every client's signed mask row, scattering each pair's stream once."""
+    lower, higher = np.triu_indices(seeds.n_clients, k=1)
+    streams = _reference_pair_mask(seeds.upper[:, None], length)
+    rows = np.zeros((seeds.n_clients, length), dtype=np.uint64)
+    np.add.at(rows, lower, streams)
+    np.subtract.at(rows, higher, streams)
+    return rows
 
 
 @st.composite
@@ -229,6 +240,53 @@ class TestBlockedMaskRows:
                     stream = _reference_pair_mask(_pair_seed(seeds, i, j), 4)
                     expected = expected + stream if i < j else expected - stream
             assert np.array_equal(rows[i], expected)
+
+
+class TestPairLayoutCache:
+    # (n, length, block): block None takes mask_set's own block size
+    SHAPES = [(7, 5, None), (9, 5, None), (7, 3, None), (9, 5, 4), (7, 5, 4),
+              (300, 5, 8), (300, 5, None), (300, 5, 64), (7, 5, None)]
+
+    def test_interleaved_shapes_match_reference(self):
+        for key, (n, length, block) in enumerate(self.SHAPES):
+            seeds = _seeds(n, key=key)
+            if block is not None:
+                rows = _signed_mask_rows(seeds.upper, n, length, block)
+                assert np.array_equal(rows, _reference_rows(seeds, length))
+                assert [(b.lowers.start, b.lowers.stop) for b in _pair_layout(n, block)] == [
+                    (a, min(a + block, n - 1)) for a in range(0, n - 1, block)]
+                continue
+            plains = make_rng(key).uniform(-1e3, 1e3, size=(n, length))
+            masked = mask_set(seeds, np.arange(n), plains).values
+            if n > 9:  # the per-peer reference is O(n**3) for a whole cohort
+                assert np.array_equal(masked, _encode(plains, 1 << DEFAULT_SCALE_BITS, n)
+                                      + _reference_rows(seeds, length))
+                continue
+            for client in range(n):
+                assert np.array_equal(masked[client],
+                                      _reference_mask_set(seeds, client, plains[client]))
+
+    def test_layout_arrays_are_read_only(self):
+        for b in _pair_layout(300, 8):
+            for arr in (b.lower_starts, b.by_higher, b.higher_starts):
+                with pytest.raises(ValueError):
+                    arr[0] = 1
+
+    def test_cached_layout_builds_no_index(self, monkeypatch):
+        # after the first sum for an (n, block), a sum only hashes,
+        # gathers and reduces
+        n, length = 40, 3
+        _signed_mask_rows(_seeds(n, key=1).upper, n, length, 6)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("index rebuilt for a cached layout")
+
+        seeds = _seeds(n, key=2)
+        for name in ("argsort", "searchsorted", "repeat"):
+            monkeypatch.setattr(np, name, fail)
+        rows = _signed_mask_rows(seeds.upper, n, length, 6)
+        monkeypatch.undo()
+        assert np.array_equal(rows, _reference_rows(seeds, length))
 
 
 class TestProtocol:
