@@ -10,7 +10,10 @@ only orders one gradient sum per client; ``toy-minibatch`` (3-row
 minibatches, two epochs) pins which rows each minibatch takes, and
 ``classification-ragged-minibatch`` does the same for the logistic
 model on clients of 5 to 30 rows, whose minibatches differ in count and
-size within a step. ``classification-scale-masked`` (1000 clients,
+size within a step. ``classification-single-row-minibatch`` trains the
+logistic model on 1-row minibatches, on clients of 1 to 6 rows: each
+logits product there has one row, which BLAS may take down another
+path than a many-row product. ``classification-scale-masked`` (1000 clients,
 cohort 100) and ``classification-cohort-1000`` (a cohort of 1000, whose
 pair-mask rows are built in several blocks of lower indices) pin the
 masked cohort sums at scale. The four
@@ -81,6 +84,12 @@ CASES = [
                                         "secure_aggregation.mask_params": "true"},
                  "1e0e91d5e66f5d5359c7672fc124c6fe0c620ed8187b6e8d61035d80506cb0bc",
                  id="classification-ragged-minibatch"),
+    pytest.param("classification.ini", {"algorithm.rounds": "30",
+                                        "task.samples_per_client": "1:6",
+                                        "algorithm.batch_size": "1",
+                                        "secure_aggregation.mask_params": "true"},
+                 "067c63c0ae0edf3a86e97eea851555c27d01aa7cfeb38c27e00db89d1d045e1f",
+                 id="classification-single-row-minibatch"),
     pytest.param("classification.ini", {"task.num_clients": "1000",
                                         "algorithm.clients_per_round": "100",
                                         "algorithm.rounds": "10",
