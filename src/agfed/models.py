@@ -27,6 +27,18 @@ the model; ``batch_losses``, ``grad_weighted`` and ``predict_classes``
 then trust their inputs and do arithmetic only. It checks the width of
 the augmented rows, not that their last column holds ones: the
 population guarantees that when it builds them.
+
+The logistic kernels never reduce along the class axis. numpy runs a
+``max`` or ``sum`` over a row of C values as one inner-loop call per
+row, which costs more than the arithmetic when C is 2. The kernels scan
+the C class columns instead, one whole-column operation per class
+(``np.maximum`` for the max, ``+`` left to right for the sum), and get
+the same bits: a max is exact in any order, and numpy adds a row of up
+to 7 values left to right. Logits are taken as (W · xbᵀ)ᵀ, so each
+class's logits are one contiguous row of the product and the scans read
+contiguous memory. The product is not written ``xb @
+np.ascontiguousarray(W.T)``: that form is as fast, but BLAS takes a
+1-row product down another path there, and its last bit moves.
 """
 
 from __future__ import annotations
@@ -103,9 +115,19 @@ def check_batch(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    # max-subtraction keeps exp() in range; invariant under constant shifts
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    # max-subtraction keeps exp() in range; invariant under constant shifts.
+    # The exp-sum adds the class columns left to right, c = 0, 1, ..., C-1:
+    # for C <= 7 that is the order of numpy's sum(axis=-1), bit for bit
+    # (from C = 8 on numpy sums pairwise; this order stays left to right).
+    top = logits[..., 0]
+    for c in range(1, logits.shape[-1]):
+        top = np.maximum(top, logits[..., c])
+    shifted = logits - top[..., None]
+    e = np.exp(shifted)
+    total = e[..., 0]
+    for c in range(1, logits.shape[-1]):
+        total = total + e[..., c]
+    return shifted - np.log(total)[..., None]
 
 
 def batch_losses(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -121,7 +143,7 @@ def batch_losses(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) 
         pred = np.sum(xb * w, axis=-1)
         return (pred - y) ** 2
     weights = w.reshape(spec.num_classes, spec.input_dim + 1)
-    logp = _log_softmax(xb @ weights.T)
+    logp = _log_softmax((weights @ xb.T).T)
     return -logp[np.arange(xb.shape[0]), y.astype(np.int64)]
 
 
@@ -149,7 +171,8 @@ def grad_weighted(
         residual = np.matmul(xb, w[..., None])[..., 0] - y
         return np.matmul((weights * 2.0 * residual)[..., None, :], xb)[..., 0, :]
     wmat = w.reshape(w.shape[:-1] + (spec.num_classes, spec.input_dim + 1))
-    probs = np.exp(_log_softmax(np.matmul(xb, np.swapaxes(wmat, -1, -2))))
+    logits = np.swapaxes(np.matmul(wmat, np.swapaxes(xb, -1, -2)), -1, -2)
+    probs = np.exp(_log_softmax(logits))
     # d loss / d logits = softmax - one-hot(label)
     probs = probs - (y[..., None] == np.arange(spec.num_classes))
     return np.matmul(np.swapaxes(probs * weights[..., None], -1, -2), xb).reshape(w.shape)
@@ -164,7 +187,7 @@ def predict_classes(spec: ModelSpec, w: np.ndarray, xb: np.ndarray) -> np.ndarra
     columns. Trusts that ``spec`` is logistic and that ``check_batch``
     accepted ``w`` and ``xb``.
     """
-    logits = xb @ w.reshape(spec.num_classes, spec.input_dim + 1).T
+    logits = (w.reshape(spec.num_classes, spec.input_dim + 1) @ xb.T).T
     best = (logits[:, 1] > logits[:, 0]).astype(np.int64)
     top = logits[:, 0]
     for c in range(2, spec.num_classes):

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from agfed.core import InvalidArgument, NumericError, make_rng
 from agfed.models import (
+    MODEL_KINDS,
     ModelSpec,
+    _log_softmax,
     batch_losses,
     check_batch,
     grad_weighted,
@@ -32,6 +34,11 @@ def _rows(x):
     """Augmented rows of the features ``x``: each row, then a 1."""
     x = np.atleast_2d(x)
     return np.column_stack([x, np.ones(x.shape[0])])
+
+
+def _same_bits(a, b):
+    """Same shape and the same bits, ±0.0 and NaN payloads included."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _loss(spec, w, x, y):
@@ -245,3 +252,127 @@ class TestGradWeightedShapes:
         assert SCALAR.param_count == 1
         assert LINEAR.param_count == 4
         assert LOGISTIC.param_count == 9
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(MODEL_KINDS), st.integers(2, 5), st.integers(1, 4),
+           st.integers(1, 8), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_stacking_keeps_every_bit(self, kind, classes, dim, m, b, seed):
+        # one stacked call over m minibatches of b rows equals m single calls
+        spec = ModelSpec(kind, input_dim=dim, num_classes=classes if kind == "logistic" else 0)
+        rng = make_rng(seed)
+        w = rng.standard_normal((m, spec.param_count))
+        xb = np.concatenate([rng.standard_normal((m, b, dim)), np.ones((m, b, 1))], axis=-1)
+        if kind == "logistic":
+            y = rng.integers(0, classes, size=(m, b)).astype(float)
+        else:
+            y = rng.standard_normal((m, b))
+        weights = rng.uniform(0.0, 2.0, size=(m, b)) * (rng.random((m, b)) < 0.8)
+        stacked = grad_weighted(spec, w, xb, y, weights)
+        assert stacked.shape == w.shape
+        for i in range(m):
+            alone = grad_weighted(spec, w[i], xb[i], y[i], weights[i])
+            assert _same_bits(stacked[i], alone)
+
+
+# The logistic kernels as they were written with class-axis reductions
+# and logits taken as xb @ W.T; the kernels must keep their every bit.
+def _reduction_log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _reduction_batch_losses(spec, w, xb, y):
+    weights = w.reshape(spec.num_classes, spec.input_dim + 1)
+    logp = _reduction_log_softmax(xb @ weights.T)
+    return -logp[np.arange(xb.shape[0]), y.astype(np.int64)]
+
+
+def _reduction_grad_weighted(spec, w, xb, y, weights):
+    wmat = w.reshape(w.shape[:-1] + (spec.num_classes, spec.input_dim + 1))
+    probs = np.exp(_reduction_log_softmax(np.matmul(xb, np.swapaxes(wmat, -1, -2))))
+    probs = probs - (y[..., None] == np.arange(spec.num_classes))
+    return np.matmul(np.swapaxes(probs * weights[..., None], -1, -2), xb).reshape(w.shape)
+
+
+def _reduction_predict_classes(spec, w, xb):
+    return np.argmax(xb @ w.reshape(spec.num_classes, spec.input_dim + 1).T, axis=-1)
+
+
+SMALL_VALUES = np.array([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+
+
+@st.composite
+def _logistic_inputs(draw):
+    """A logistic spec with parameters and rows of leading shape ``lead``.
+
+    ``lead`` is () for one batch or (m,) for m stacked minibatches; a
+    batch has 1 row about a third of the time. Values are either small
+    integers with signed zeros, which give exact logit ties and -0.0
+    logits, or normals at a scale from 0.01 to 50; sometimes one class
+    repeats another's weights, which ties those two classes on every
+    row, and some sample weights are zero.
+    """
+    classes, dim = draw(st.integers(2, 7)), draw(st.integers(1, 5))
+    lead = draw(st.sampled_from([(), (1,), (2,), (7,), (100,)]))
+    rows = draw(st.one_of(st.just(1), st.integers(1, 50)))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = ModelSpec("logistic", input_dim=dim, num_classes=classes)
+    if draw(st.booleans()):
+        wmat = rng.choice(SMALL_VALUES, size=lead + (classes, dim + 1))
+        x = rng.choice(SMALL_VALUES, size=lead + (rows, dim))
+    else:
+        scale = draw(st.sampled_from([0.01, 1.0, 50.0]))
+        wmat = rng.standard_normal(lead + (classes, dim + 1)) * scale
+        x = rng.standard_normal(lead + (rows, dim)) * scale
+    if draw(st.booleans()):
+        wmat[..., rng.integers(1, classes), :] = wmat[..., rng.integers(0, classes), :]
+    xb = np.concatenate([x, np.ones(lead + (rows, 1))], axis=-1)
+    y = rng.integers(0, classes, size=lead + (rows,)).astype(float)
+    weights = rng.uniform(0.0, 3.0, size=lead + (rows,)) * (rng.random(lead + (rows,)) < 0.7)
+    return spec, wmat.reshape(lead + (-1,)), xb, y, weights
+
+
+class TestLogisticKernelsKeepTheReductionBits:
+    @settings(max_examples=300, deadline=None)
+    @given(_logistic_inputs())
+    def test_kernels_match_the_reduction_formulas(self, inputs):
+        spec, w, xb, y, weights = inputs
+        assert _same_bits(grad_weighted(spec, w, xb, y, weights),
+                          _reduction_grad_weighted(spec, w, xb, y, weights))
+        if w.ndim == 1:
+            assert _same_bits(batch_losses(spec, w, xb, y),
+                              _reduction_batch_losses(spec, w, xb, y))
+            assert np.array_equal(predict_classes(spec, w, xb),
+                                  _reduction_predict_classes(spec, w, xb))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 7), st.integers(1, 20), st.data())
+    def test_log_softmax_matches_the_reduction(self, classes, n, data):
+        values = st.one_of(
+            st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300]),
+            st.floats(-700.0, 700.0),
+        )
+        logits = np.array(data.draw(
+            st.lists(st.lists(values, min_size=classes, max_size=classes),
+                     min_size=n, max_size=n)))
+        assert _same_bits(_log_softmax(logits), _reduction_log_softmax(logits))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(8, 10), st.integers(1, 20), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.01, 1.0, 50.0]))
+    def test_log_softmax_sums_classes_left_to_right_from_8_classes(self, classes, n,
+                                                                    seed, scale):
+        # numpy's sum over 8 or more values is pairwise; the kernel keeps
+        # the left-to-right order of the class columns
+        logits = make_rng(seed).standard_normal((n, classes)) * scale
+        expected = np.empty_like(logits)
+        for i, row in enumerate(logits):
+            top = row[0]
+            for v in row[1:]:
+                top = max(top, v)
+            shifted = row - top
+            total = 0.0
+            for e in np.exp(shifted):
+                total += e
+            expected[i] = shifted - np.log(total)
+        assert _same_bits(_log_softmax(logits), expected)
