@@ -10,7 +10,11 @@ only orders one gradient sum per client; ``toy-minibatch`` (3-row
 minibatches, two epochs) pins which rows each minibatch takes, and
 ``classification-ragged-minibatch`` does the same for the logistic
 model on clients of 5 to 30 rows, whose minibatches differ in count and
-size within a step. ``classification-single-row-minibatch`` trains the
+size within a step. ``classification-ragged-plain-stats`` sums those
+clients' per-domain losses, segments both shorter and longer than 8
+rows, in plain statistics, which expose every bit of each sum (masked
+statistics round it to the fixed-point grid first).
+``classification-single-row-minibatch`` trains the
 logistic model on 1-row minibatches, on clients of 1 to 6 rows: each
 logits product there has one row, which BLAS may take down another
 path than a many-row product. ``classification-scale-masked`` (1000 clients,
@@ -84,6 +88,12 @@ CASES = [
                                         "secure_aggregation.mask_params": "true"},
                  "1e0e91d5e66f5d5359c7672fc124c6fe0c620ed8187b6e8d61035d80506cb0bc",
                  id="classification-ragged-minibatch"),
+    pytest.param("classification.ini", {"algorithm.rounds": "30",
+                                        "task.partition": "data-partition",
+                                        "task.samples_per_client": "5:30",
+                                        "secure_aggregation.mask_stats": "false"},
+                 "19f0e226703803b04ba1d786a915d5590c935e9aeaadf3a69c5f82e6408eca15",
+                 id="classification-ragged-plain-stats"),
     pytest.param("classification.ini", {"algorithm.rounds": "30",
                                         "task.samples_per_client": "1:6",
                                         "algorithm.batch_size": "1",
