@@ -78,17 +78,36 @@ class LocalSGDConfig:
             raise InvalidArgument("learning_rate must be > 0")
 
 
+# numpy adds up to this many values left to right from +0.0; from 8 on
+# it sums pairwise, in an order that depends on the count
+_LEFT_TO_RIGHT = 7
+_ZERO = np.zeros(1)
+_ZERO.flags.writeable = False
+
+
 def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Sums of the consecutive segments of ``values`` with the given lengths.
 
-    Segments of one length are summed as the rows of one matrix, so each
-    sum runs in numpy's pairwise order for its length, the order that
-    ``segment.sum()`` uses. An empty segment sums to 0.
+    Each sum has the bits of ``segment.sum()``. numpy sums a row of at
+    most 7 values left to right, starting from +0.0, so every segment
+    shorter than 8 is one row of a single matrix of width at most 7,
+    padded with +0.0 past its end, and one ``sum(axis=1)`` takes them
+    all: a left-to-right sum that starts from +0.0 is never -0.0, and
+    adding +0.0 to anything else changes no bit. Longer segments are
+    summed pairwise in an order that depends on their length, so the
+    segments of each length >= 8 are summed as the rows of their own
+    matrix. An empty segment sums to +0.0.
     """
-    sums = np.zeros(lengths.shape[0])
-    starts = np.cumsum(lengths) - lengths
-    for length in set(lengths.tolist()) - {0}:
-        segs = np.flatnonzero(lengths == length)
+    starts = lengths.cumsum() - lengths
+    sums = np.empty(lengths.shape[0])
+    short = lengths <= _LEFT_TO_RIGHT
+    short_lengths = lengths[short]
+    slots = np.arange(short_lengths.max(initial=0))
+    # pad slots read the +0.0 appended at index values.shape[0]
+    rows = np.where(slots < short_lengths[:, None], starts[short, None] + slots, values.shape[0])
+    sums[short] = np.concatenate((values, _ZERO))[rows].sum(axis=1)
+    for length in set(lengths[~short].tolist()):
+        segs = (lengths == length).nonzero()[0]
         sums[segs] = values[starts[segs, None] + np.arange(length)].sum(axis=1)
     return sums
 
@@ -120,9 +139,9 @@ def compute_client_stats(
     check_batch(spec, w, cohort.xb, cohort.y)
     losses = batch_losses(spec, w, cohort.xb, cohort.y)
     m, p = cohort.counts.shape
-    by_client_domain = np.argsort(cohort.owners * p + cohort.domains, kind="stable")
+    by_client_domain = (cohort.owners * p + cohort.domains).argsort(kind="stable")
     loss_sums = _segment_sums(losses[by_client_domain], cohort.counts.ravel()).reshape(m, p)
-    if not np.all(np.isfinite(loss_sums)):
+    if not np.isfinite(loss_sums).all():
         raise NumericError("loss sums contain NaN or Inf")
     return cohort.counts, loss_sums
 
@@ -149,12 +168,12 @@ def client_update(
     non-negative vector of length p.
     """
     betas = _betas(alpha, cohort.counts)
-    params = np.tile(w_in, (len(cohort), 1))
+    params = w_in[None, :].repeat(len(cohort), axis=0)
     live = betas != 0.0
     if live.any():
         params[live] = _lockstep_sgd(spec, params[live], alpha, cohort, live,
                                      betas[live, None], cfg, rng_seed)
-    if not np.all(np.isfinite(params)):
+    if not np.isfinite(params).all():
         raise NumericError("local SGD produced NaN or Inf parameters")
     return params, betas
 
@@ -166,8 +185,8 @@ def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng_seed):
     n_steps = -(-int(sizes.max()) // width)
     # rows each client draws at each step; one gradient call per step and
     # minibatch size, so no client's minibatch is padded
-    drawn = np.clip(sizes[:, None] - width * np.arange(n_steps), 0, width)
-    groups = [(s, np.flatnonzero(drawn[:, s] == rows), rows)
+    drawn = np.minimum(np.maximum(sizes[:, None] - width * np.arange(n_steps), 0), width)
+    groups = [(s, (drawn[:, s] == rows).nonzero()[0], rows)
               for s in range(n_steps) for rows in set(drawn[:, s].tolist()) - {0}]
     sample_weights = alpha[cohort.domains]
     # client k's keys fill the first sizes[k] slots of row k; the padding
@@ -181,7 +200,7 @@ def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng_seed):
     for _ in range(cfg.epochs):
         keys = rng.random(cohort.owners.shape[0])
         slot_keys[filled] = keys[live_rows]
-        slots = starts + np.argsort(slot_keys, axis=1, kind="stable")
+        slots = starts + slot_keys.argsort(axis=1, kind="stable")
         batches = slots.reshape(sizes.shape[0], n_steps, width)
         for s, clients, rows in groups:
             idx = batches[clients, s, :rows]

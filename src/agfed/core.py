@@ -48,7 +48,7 @@ def as_vector(values, dtype=np.float64, *, name: str = "vector") -> np.ndarray:
 def as_param_vector(values) -> np.ndarray:
     """Coerce to a parameter vector, rejecting non-finite entries."""
     arr = as_vector(values, name="parameter vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError("parameter vector contains NaN or Inf")
     return arr
 
@@ -207,8 +207,9 @@ class Cohort:
             raise InvalidArgument("cohort needs at least one client")
         starts = population.offsets[members]
         sizes = population.offsets[members + 1] - starts
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        owners = np.repeat(np.arange(members.shape[0]), sizes)
+        offsets = np.zeros(members.shape[0] + 1, dtype=np.int64)
+        sizes.cumsum(out=offsets[1:])
+        owners = np.arange(members.shape[0]).repeat(sizes)
         rows = (starts - offsets[:-1])[owners] + np.arange(offsets[-1])
         return Cohort(population.xb[rows], population.y[rows], population.domains[rows],
                       offsets, sizes, owners, population.counts[members],
@@ -232,9 +233,9 @@ def validate_mixture(lam: np.ndarray) -> np.ndarray:
     lam = as_vector(lam, name="mixture weights")
     if lam.size == 0:
         raise InvalidArgument("mixture weights must be non-empty")
-    if not np.all(np.isfinite(lam)):
+    if not np.isfinite(lam).all():
         raise NumericError("mixture weights contain NaN or Inf")
-    if np.any(lam < 0):
+    if (lam < 0).any():
         raise InvalidArgument(f"mixture weights must be >= 0, got min {lam.min()}")
     total = float(lam.sum())
     if abs(total - 1.0) > SIMPLEX_ATOL:

@@ -97,7 +97,7 @@ def check_batch(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -
         raise InvalidArgument(
             f"expected {spec.param_count} parameters for {spec.kind}, got shape {w.shape}"
         )
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise NumericError("model parameters contain NaN or Inf")
     if xb.ndim != 2 or xb.shape[1] != spec.input_dim + 1:
         raise InvalidArgument(
@@ -106,9 +106,9 @@ def check_batch(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -
         )
     if y.shape != (xb.shape[0],):
         raise InvalidArgument("features and labels differ in length")
-    if spec.kind == "logistic" and not np.all(
+    if spec.kind == "logistic" and not (
         (y >= 0) & (y < spec.num_classes) & (y == np.floor(y))
-    ):
+    ).all():
         raise InvalidArgument(
             f"class labels must be integers in 0..{spec.num_classes - 1}"
         )
@@ -140,7 +140,7 @@ def batch_losses(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) 
     if spec.kind == "linear-regression":
         # an elementwise row sum, not BLAS: a row's prediction must not
         # depend on how many rows share its batch
-        pred = np.sum(xb * w, axis=-1)
+        pred = (xb * w).sum(axis=-1)
         return (pred - y) ** 2
     weights = w.reshape(spec.num_classes, spec.input_dim + 1)
     logp = _log_softmax((weights @ xb.T).T)
@@ -166,7 +166,7 @@ def grad_weighted(
     accepted ``(w, xb, y)`` and that ``weights`` is non-negative.
     """
     if spec.kind == "scalar-regression":
-        return np.sum(weights * 2.0 * (w[..., :1] - y), axis=-1, keepdims=True)
+        return (weights * 2.0 * (w[..., :1] - y)).sum(axis=-1, keepdims=True)
     if spec.kind == "linear-regression":
         residual = np.matmul(xb, w[..., None])[..., 0] - y
         return np.matmul((weights * 2.0 * residual)[..., None, :], xb)[..., 0, :]

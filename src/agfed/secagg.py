@@ -53,8 +53,7 @@ from .core import InvalidArgument
 # Fixed-point scale: reals are stored as round(r * 2**20) residues.
 DEFAULT_SCALE_BITS = 20
 
-_MODULUS = 1 << 64
-# Each encoding stays well inside the modulus, and a cohort of n keeps
+# Each encoding stays well inside the 2**64 modulus, and a cohort of n keeps
 # n * max|encoding| below the signed decode range, so sums cannot wrap.
 _ENCODE_LIMIT = float(1 << 62)
 _DECODE_LIMIT = float(1 << 63)
@@ -125,10 +124,17 @@ class PairwiseSeeds:
 
     @staticmethod
     def generate(n_clients: int, rng: np.random.Generator) -> "PairwiseSeeds":
+        """Fresh seeds for an n-client cohort: n(n-1)/2 words drawn from ``rng``.
+
+        The words are the bit generator's raw 64-bit outputs, which are
+        the words ``rng.integers(0, 2**64, size=pairs, dtype=np.uint64)``
+        returns, and the draw leaves ``rng`` in the same state as that
+        call.
+        """
         if n_clients < 1:
             raise InvalidArgument("cohort needs at least one client")
         pairs = n_clients * (n_clients - 1) // 2
-        return PairwiseSeeds(n_clients, rng.integers(0, _MODULUS, size=pairs, dtype=np.uint64))
+        return PairwiseSeeds(n_clients, rng.bit_generator.random_raw(pairs))
 
 
 @dataclass(frozen=True)
@@ -220,7 +226,7 @@ def _signed_mask_rows(upper: np.ndarray, n: int, length: int, block: int) -> np.
         words = _pair_masks(upper[b.pairs], length).T
         cols[:, b.lowers] += np.add.reduceat(words, b.lower_starts, axis=1)
         cols[:, b.lowers.start + 1:] -= np.add.reduceat(
-            np.take(words, b.by_higher, axis=1), b.higher_starts, axis=1)
+            words.take(b.by_higher, axis=1), b.higher_starts, axis=1)
     return cols.T
 
 
@@ -244,8 +250,8 @@ def mask_set(seeds: PairwiseSeeds, client: int | np.ndarray, plain: np.ndarray, 
                               f"do not match vectors of shape {plain.shape}")
     # checked before the cached mask rows are indexed, where -1 would
     # silently pick the last client's row
-    bad = clients[(clients < 0) | (clients >= n)]
-    if bad.size:
+    if clients.min(initial=0) < 0 or clients.max(initial=0) >= n:
+        bad = clients[(clients < 0) | (clients >= n)]
         raise InvalidArgument(f"client indices {np.unique(bad).tolist()} "
                               f"outside cohort of {n}")
     scale = 1 << scale_bits
@@ -302,7 +308,7 @@ class SecureSum:
 
     def aggregate(self) -> np.ndarray:
         """Decoded sum over the full cohort; errors if anyone is missing."""
-        missing = np.flatnonzero(self._counts == 0)
-        if missing.size:
+        if not self._counts.all():
+            missing = np.flatnonzero(self._counts == 0)
             raise ProtocolError(f"missing participants {missing.tolist()}; cannot unmask")
         return _decode(self._total, 1 << self._scale_bits)

@@ -166,7 +166,7 @@ def compute_scaling(lam: np.ndarray, effective_counts: np.ndarray) -> np.ndarray
     Trusts lambda and the counts (see the module docstring).
     """
     counts = np.asarray(effective_counts, dtype=np.float64)
-    alpha = np.zeros_like(lam)
+    alpha = np.zeros(lam.shape[0])
     populated = counts > 0
     alpha[populated] = lam[populated] / counts[populated]
     return alpha
@@ -238,7 +238,7 @@ def aggregate_params(
     """
     if betas.shape[0] == 0:
         raise DegenerateRound("empty cohort")
-    total = cohort_sum(np.column_stack([betas[:, None] * params, betas]),
+    total = cohort_sum(np.concatenate((betas[:, None] * params, betas[:, None]), axis=1),
                        mask_rng, scale_bits)
     if total[-1] <= 0.0:
         raise DegenerateRound("no client carried positive aggregation weight")
@@ -325,7 +325,7 @@ def run_round(
     sample_rng = make_rng(seed, t, _TAG_SAMPLING)
     picked = sample_rng.choice(len(population), size=cfg.clients_per_round, replace=False)
     cohort = Cohort.gather(
-        population, picked[np.argsort(population.client_ids[picked], kind="stable")])
+        population, picked[population.client_ids[picked].argsort(kind="stable")])
 
     client_counts, client_loss_sums = compute_client_stats(spec, state.w, cohort)
     total = cohort_sum(
@@ -337,7 +337,7 @@ def run_round(
     counts.flags.writeable = False
     # a domain with no samples sums to exactly 0 on either path
     loss_sums = total[p:]
-    if not np.all(np.isfinite(loss_sums)):  # a plain sum of finite terms can overflow
+    if not np.isfinite(loss_sums).all():  # a plain sum of finite terms can overflow
         raise NumericError("cohort loss sums contain NaN or Inf")
 
     if fedavg:
@@ -380,8 +380,8 @@ def run_round(
     new_state = ServerState(t, new_w, new_lam, window, comm)
     report = RoundReport(
         round=t,
-        per_domain_loss=tuple(float(v) for v in per_domain_loss),
-        lam=tuple(float(v) for v in new_lam),
+        per_domain_loss=tuple(per_domain_loss.tolist()),
+        lam=tuple(new_lam.tolist()),
         worst_domain_loss=float(per_domain_loss[populated].max()) if populated.any() else 0.0,
         model_summary=summary_fn(new_w) if summary_fn is not None else (),
         comm_params_cumulative=comm,

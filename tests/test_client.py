@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from agfed.client import LocalSGDConfig, _betas, client_update, compute_client_stats
+from agfed.client import (
+    LocalSGDConfig,
+    _betas,
+    _segment_sums,
+    client_update,
+    compute_client_stats,
+)
 from agfed.core import (
     ClientDataset,
     Cohort,
@@ -163,6 +169,44 @@ class TestClientUpdateExamples:
         w, beta = _update(np.array([0.0]), np.array([2.0, 1.0]), ds, cfg, 0)
         assert beta == pytest.approx(3.0)
         assert w[0] == pytest.approx(0.1 * 8.0 / 3.0, rel=1e-15)
+
+
+_SEGMENT_LENGTHS = st.one_of(
+    st.lists(st.integers(0, 20), max_size=30),
+    st.lists(st.integers(0, 7), min_size=1, max_size=30),
+    st.lists(st.integers(8, 20), min_size=1, max_size=30),
+    st.lists(st.integers(4, 9), min_size=2, max_size=30),  # around the split
+    st.lists(st.sampled_from([0, 0, 0, 0, 0, 1, 3, 9]), max_size=30),
+)
+
+
+@st.composite
+def _segments(draw):
+    """Segment lengths, and values of one magnitude from 1e-300 to 1e300.
+
+    Values of one magnitude with random mantissas make the bits of a sum
+    depend on the order of its additions; a share of them, up to all,
+    are replaced by signed zeros and infinities.
+    """
+    lengths = np.array(draw(_SEGMENT_LENGTHS), dtype=np.int64)
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(lengths.sum())
+    values = rng.uniform(-2.0, 2.0, n) * 10.0 ** draw(st.integers(-300, 300))
+    special = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    values[special] = rng.choice([0.0, -0.0, np.inf, -np.inf], int(special.sum()))
+    return lengths, values
+
+
+class TestSegmentSums:
+    @settings(max_examples=300, deadline=None)
+    @given(_segments())
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_bits_equal_each_segment_sum(self, case):
+        lengths, values = case
+        segments = np.split(values, np.cumsum(lengths)[:-1]) if lengths.size else []
+        expected = np.array([seg.sum() for seg in segments], dtype=np.float64)
+        got = _segment_sums(values, lengths)
+        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 class TestBetas:

@@ -327,6 +327,16 @@ class TestProtocol:
         with pytest.raises(InvalidArgument):
             PairwiseSeeds.generate(0, make_rng(0))
 
+    @pytest.mark.parametrize("n", [1, 2, 10, 100])
+    def test_generate_draws_the_words_of_integers(self, n):
+        # the raw draw returns integers(0, 2**64)'s words and leaves the
+        # generator where that call would
+        rng, ref = make_rng(n), make_rng(n)
+        seeds = PairwiseSeeds.generate(n, rng)
+        words = ref.integers(0, 2**64, size=n * (n - 1) // 2, dtype=np.uint64)
+        assert seeds.upper.tobytes() == words.tobytes()
+        assert rng.random() == ref.random()
+
     def test_equality_is_identity_and_hashable(self):
         # comparing field tuples of arrays would raise "truth value ambiguous"
         a, b = _seeds(3), _seeds(3)
