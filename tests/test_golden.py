@@ -24,7 +24,8 @@ masked cohort sums at scale. The four
 full-batch toy digests were re-pinned, and ``toy-minibatch`` pinned,
 when local SGD moved from one shuffle generator per client to one per
 round; the masked-params toy digest (quantized) and the classification
-digests did not move.
+digests did not move. ``toy-600`` runs the shipped toy config for 600
+rounds, the longest golden run.
 
 The population digests pin the ``write_datasets`` text of generated
 populations, one per task and partition scheme, so a change to the
@@ -52,6 +53,9 @@ CASES = [
     pytest.param("toy.ini", {"algorithm.rounds": "200"},
                  "e276fca80ecef81dc400bf1a2abacc206378268c124d062f76695661f29a8938",
                  id="toy"),
+    pytest.param("toy.ini", {"algorithm.rounds": "600"},
+                 "3013687283e99af834b5df0b5e6c41db642557c8a3bceaa677e5d941cfafd5c0",
+                 id="toy-600"),
     pytest.param("toy.ini", {"algorithm.rounds": "100", "algorithm.algorithm": "fedavg"},
                  "2c0dd2c54824d370af035c9348c3acf7ffa0e625bfc2aece4ef619f5225100d9",
                  id="toy-fedavg"),
