@@ -27,12 +27,12 @@ that rounds as a per-client ``np.dot`` does. The minibatch order is
 drawn for the whole cohort from one generator per round: each epoch
 gives every cohort row a uniform key, and each client visits its own
 rows in key order. A client's shuffle therefore depends on the round's
-``rng_seed`` and on its place in the cohort, not on its id alone. All
-orders come from one row-wise stable argsort of a (clients x slots) key
-matrix, padded past each client's size with a key above every draw. The
-clients step in lockstep: step s of an epoch takes every client's s-th
-minibatch in one ``grad_weighted`` call per minibatch size (one call
-when the clients are of equal size). A client with fewer rows than
+local-SGD generator and on its place in the cohort, not on its id
+alone. All orders come from one row-wise stable argsort of a (clients x
+slots) key matrix, padded past each client's size with a key above
+every draw. The clients step in lockstep: step s of an epoch takes
+every client's s-th minibatch in one ``grad_weighted`` call per
+minibatch size (one call when the clients are of equal size). A client with fewer rows than
 another runs out of minibatches first and sits the later steps out. No
 minibatch is padded, and ``grad_weighted`` computes each stacked
 minibatch as it would alone, so every client's result equals that of
@@ -57,7 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cohort, InvalidArgument, NumericError, make_rng
+from .core import Cohort, InvalidArgument, NumericError
+# perfbench/tracing.py wraps client.make_rng, so the name stays here
+from .core import make_rng  # noqa: F401
 from .models import ModelSpec, batch_losses, check_batch, grad_weighted
 
 
@@ -152,33 +154,32 @@ def client_update(
     alpha: np.ndarray,
     cohort: Cohort,
     cfg: LocalSGDConfig,
-    rng_seed: int,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """E epochs of scaled local SGD for every cohort client, from ``w_in``.
 
     Returns the (m, P) new parameters and the (m,) betas; a client with
     beta == 0 is skipped and keeps ``w_in``. Every epoch draws one
-    uniform key per cohort row from ``make_rng(rng_seed)`` (a seed in
-    0..2**64 - 1, as ``derive_seed`` returns), skipped clients' rows
+    uniform key per cohort row from ``rng``, skipped clients' rows
     included, and each client visits its rows in the stable order of
     their keys; so the result is a deterministic function of the
-    arguments. The last minibatch of an epoch may be short; it is kept,
-    not dropped. Trusts that ``compute_client_stats`` checked ``w_in``
-    and the cohort this round and that ``alpha`` is a finite,
-    non-negative vector of length p.
+    arguments and the generator's state. The last minibatch of an epoch
+    may be short; it is kept, not dropped. Trusts that
+    ``compute_client_stats`` checked ``w_in`` and the cohort this round
+    and that ``alpha`` is a finite, non-negative vector of length p.
     """
     betas = _betas(alpha, cohort.counts)
     params = w_in[None, :].repeat(len(cohort), axis=0)
     live = betas != 0.0
     if live.any():
         params[live] = _lockstep_sgd(spec, params[live], alpha, cohort, live,
-                                     betas[live, None], cfg, rng_seed)
+                                     betas[live, None], cfg, rng)
     if not np.isfinite(params).all():
         raise NumericError("local SGD produced NaN or Inf parameters")
     return params, betas
 
 
-def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng_seed):
+def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng):
     """Local SGD of the cohort clients where ``live``, one minibatch each per step."""
     sizes = cohort.sizes[live]
     width = min(cfg.batch_size, int(sizes.max()))
@@ -196,7 +197,6 @@ def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng_seed):
     filled = np.arange(n_steps * width) < sizes[:, None]
     live_rows = live[cohort.owners]
     starts = cohort.offsets[:-1][live, None]
-    rng = make_rng(rng_seed)
     for _ in range(cfg.epochs):
         keys = rng.random(cohort.owners.shape[0])
         slot_keys[filled] = keys[live_rows]

@@ -1,10 +1,13 @@
 """Shared value types for the federated min-max simulator.
 
 The pooled client population and a round's cohort of it, mixture
-weights over domains, scaling vectors, and deterministic seeds. The
-population stores its features once, as the augmented rows (features,
-then a ones column) that the model kernels take, and a cohort gathers
-its rows from there, so no round copies features to add a bias.
+weights over domains, scaling vectors, and deterministic seeds, derived
+one generator at a time (``make_rng``) or for many rows of seed parts in
+one vectorised pass (``seed_words``, ``seed_states``, ``stored_rng``),
+bit for bit alike. The population stores its features once, as the
+augmented rows (features, then a ones column) that the model kernels
+take, and a cohort gathers its rows from there, so no round copies
+features to add a bias.
 Everything here is an immutable value: dataclasses are frozen and numpy
 arrays are made read-only, so instances can be shared freely across
 threads.
@@ -19,6 +22,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -211,8 +215,11 @@ class Cohort:
         sizes.cumsum(out=offsets[1:])
         owners = np.arange(members.shape[0]).repeat(sizes)
         rows = (starts - offsets[:-1])[owners] + np.arange(offsets[-1])
-        return Cohort(population.xb[rows], population.y[rows], population.domains[rows],
-                      offsets, sizes, owners, population.counts[members],
+        # take gives the rows fancy indexing gives, in a fraction of the
+        # time for 2-D arrays
+        return Cohort(population.xb.take(rows, axis=0), population.y[rows],
+                      population.domains[rows], offsets, sizes, owners,
+                      population.counts.take(members, axis=0),
                       population.client_ids[members])
 
     def __len__(self) -> int:
@@ -277,3 +284,140 @@ def make_rng(*parts) -> np.random.Generator:
     for draw, with every part taken mod 2**64.
     """
     return np.random.Generator(np.random.PCG64(_seed_sequence(parts)))
+
+
+# numpy's SeedSequence hash constants, for its pool of 4 uint32 words.
+# They stay Python ints or uint32 arrays: numpy warns when a uint32
+# scalar overflows, but not when an array does.
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+# PCG64 seeds from 4 uint64 words, that is 8 uint32 words of output
+_STATE_WORDS = 8
+_POOL_OF_WORD = np.arange(_STATE_WORDS) % _POOL
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """``init * mult**k mod 2**32`` for k = 0..count-1, as read-only uint32."""
+    consts = [init]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, dtype=np.uint32)
+    consts.flags.writeable = False
+    return consts
+
+
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, _STATE_WORDS + 1)
+
+
+def _fold(value: np.ndarray) -> np.ndarray:
+    value ^= value >> 16
+    return value
+
+
+def seed_words(*parts) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 entropy ``make_rng`` hashes, one row per entry of the array parts.
+
+    Each part is an integer or a 1-D integer array, the arrays all of one
+    length k; an integer stands for the same value in every row. Row r
+    holds the words ``make_rng`` takes from the r-th entries, every part
+    taken mod 2**64 and split as ``_words`` splits it (one word below
+    2**32, two from there), so rows differ in length. Returns the (k, E)
+    uint32 words, E the longest row's count and zeros past each row's
+    end, and the (k,) word count of each row: the input of
+    ``seed_states``.
+    """
+    columns = np.broadcast_arrays(*(
+        np.atleast_1d(part.astype(np.uint64)) if isinstance(part, np.ndarray)
+        else np.array([int(part) & _MASK64], dtype=np.uint64) for part in parts))
+    k = columns[0].shape[0]
+    words = np.zeros((k, 2 * len(parts)), dtype=np.uint32)
+    lengths = np.zeros(k, dtype=np.int64)
+    rows = np.arange(k)
+    for values in columns:
+        high = (values >> 32).astype(np.uint32)
+        words[rows, lengths] = values.astype(np.uint32)
+        lengths += 1
+        two = (high != 0).nonzero()[0]
+        words[two, lengths[two]] = high[two]
+        lengths[two] += 1
+    return words[:, :lengths.max()], lengths
+
+
+def seed_states(words: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``SeedSequence(words[r, :lengths[r]]).generate_state(4, np.uint64)`` of every row r.
+
+    Returns a (k, 4) uint64 array, bit for bit numpy's state words, from
+    a (k, E) uint32 matrix and the (k,) word count of each row (1..E);
+    words past a row's count are ignored. It runs numpy's ``mix_entropy``
+    for a pool of 4 words and its ``generate_state`` on all rows at once,
+    each hash step over every row: fill the pool with the first 4 words
+    (zeros past a row's end), mix every pool word into the other three,
+    then mix each further word into all four, and hash the pool out.
+    numpy advances one hash constant per hash call, and the calls come in
+    the same order for every row, so step j uses the same constants in
+    each row. A row that ends before a further word keeps its pool.
+    """
+    k, width = words.shape
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL * max(_POOL, width) + 1)
+    head = np.zeros((k, _POOL), dtype=np.uint32)
+    head[:, :width] = words[:, :_POOL]
+    head[np.arange(_POOL) >= lengths[:, None]] = 0
+    pool = _fold((head ^ consts[:_POOL]) * consts[1:_POOL + 1])
+    j = _POOL
+    for src in range(_POOL):
+        # no target of this step is read by another target of it
+        dst = [i for i in range(_POOL) if i != src]
+        hashed = _fold((pool[:, src, None] ^ consts[j:j + 3]) * consts[j + 1:j + 4])
+        pool[:, dst] = _fold(_MIX_L * pool[:, dst] - _MIX_R * hashed)
+        j += 3
+    for src in range(_POOL, width):
+        hashed = _fold((words[:, src, None] ^ consts[j:j + _POOL])
+                       * consts[j + 1:j + _POOL + 1])
+        np.copyto(pool, _fold(_MIX_L * pool - _MIX_R * hashed),
+                  where=(src < lengths)[:, None])
+        j += _POOL
+    # take keeps C order, so ``view`` pairs each uint64's two words
+    state = _fold((pool.take(_POOL_OF_WORD, axis=1) ^ _HASH_B[:-1]) * _HASH_B[1:])
+    # the low word first, as numpy assembles uint64 output
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64)
+
+
+class StoredSeed:
+    """A seed sequence that hands PCG64 four stored state words.
+
+    ``PCG64`` asks its seed sequence for ``generate_state(4,
+    np.uint64)``; this one returns the row of ``seed_states`` it holds,
+    so the generator skips numpy's per-call hashing and coercion.
+    ``stored_rng`` registers the class as numpy's ``ISeedSequence``,
+    which ``PCG64`` checks for, on first use.
+    """
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        if n_words != self._state.shape[0] or np.dtype(dtype) != np.uint64:
+            raise InvalidArgument(
+                f"a stored seed holds {self._state.shape[0]} uint64 state words")
+        return self._state
+
+
+def stored_rng(state: np.ndarray) -> np.random.Generator:
+    """The generator seeded by one row of ``seed_states``.
+
+    ``stored_rng(seed_states(*seed_words(*parts))[r])`` equals
+    ``make_rng`` of the r-th entries of ``parts`` draw for draw.
+    """
+    _register_stored_seed()
+    return np.random.Generator(np.random.PCG64(StoredSeed(state)))
+
+
+@functools.cache
+def _register_stored_seed() -> None:
+    # registered, not subclassed, so that importing agfed does not load
+    # numpy.random, which numpy loads on first use: loading it at import
+    # raised the peak RSS of a 1000-round toy run by about 1 MiB
+    np.random.bit_generator.ISeedSequence.register(StoredSeed)

@@ -36,7 +36,8 @@ pair seeds do not already fix.
 
 This is a SIMULATION OF THE AGGREGATION SEMANTICS ONLY. There is no key
 agreement, no cryptographic PRG, and no dropout recovery: pairwise seeds
-come from the harness RNG, and a missing participant is simply a
+come from the round's sampling generator (``server.run_round`` draws
+them after it picks the cohort), and a missing participant is simply a
 protocol error. Do not mistake this module for a security implementation.
 """
 

@@ -14,7 +14,7 @@ One round of the agnostic algorithm:
    or from a sliding-window average of previous rounds (windowed),
 4. run the scaled local SGD of every selected client in one
    ``client_update`` call, the clients stepping in lockstep, their
-   minibatches shuffled from one seed for the round's cohort,
+   minibatches shuffled by one generator for the round's cohort,
 5. aggregate parameters weighted by each client's beta, through the same
    cohort sum over the rows of the (m x P+1) matrix of beta*w and beta,
 6. ascend the domain weights lambda on the observed per-domain average
@@ -29,6 +29,14 @@ lambda stay put, the report is flagged, and the simulation continues.
 In windowed mode round 1 is always degenerate (empty window => alpha = 0);
 it exists to seed the window with counts.
 
+Round t draws from two generators. The sampling generator,
+``make_rng(seed, t, 1)``, picks the cohort and then gives the pair seeds
+of the round's masked sums; no output byte depends on a mask, since the
+uint64 sums cancel the masks exactly. The local-SGD generator,
+``make_rng(derive_seed(seed, t, 4))``, shuffles the minibatches. Their
+seeds are derived 256 rounds at a time, bit for bit as numpy's
+``SeedSequence`` derives them one by one (``round_rngs``).
+
 ``ServerState`` is an immutable snapshot; ``run_round`` returns a new one.
 The cohort is sorted by client id, and every reduction over clients runs
 in that order, so floating-point sums stay deterministic.
@@ -41,6 +49,7 @@ non-negative integers, one per domain).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -53,9 +62,14 @@ from .core import (
     NumericError,
     Population,
     as_param_vector,
-    derive_seed,
-    make_rng,
+    # perfbench/tracing.py wraps server.derive_seed and server.make_rng,
+    # so the names stay here
+    derive_seed,  # noqa: F401
+    make_rng,  # noqa: F401
     mixture_uniform,
+    seed_states,
+    seed_words,
+    stored_rng,
     validate_mixture,
 )
 from .models import ModelSpec
@@ -65,11 +79,12 @@ Algorithm = Literal["fedavg", "afa"]
 LambdaUpdate = Literal["eg", "projected-sgd"]
 ScalingMode = Literal["two-phase-exact", "windowed"]
 
-# Stream tags for deriving independent per-round randomness.
+# Stream tags for deriving independent per-round randomness; the masked
+# sums draw their pair seeds from the sampling stream.
 _TAG_SAMPLING = 1
-_TAG_STATS_MASK = 2
-_TAG_PARAMS_MASK = 3
 _TAG_LOCAL_SGD = 4
+# Rounds whose generators are seeded together, when the first of them runs
+_BLOCK_ROUNDS = 256
 
 
 class DegenerateRound(RuntimeError):
@@ -297,6 +312,43 @@ def comm_cost_per_round(algorithm: Algorithm, clients_per_round: int,
     raise InvalidArgument(f"unknown algorithm {algorithm!r}")
 
 
+@functools.lru_cache(maxsize=2)
+def _block_states(seed: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64 state words of the two generators of each round in a block.
+
+    Row i of the two read-only (256, 4) arrays seeds round
+    t = 256 * block + 1 + i: the first ``make_rng(seed, t,
+    _TAG_SAMPLING)``, the second ``make_rng(derive_seed(seed, t,
+    _TAG_LOCAL_SGD))``. One ``seed_states`` pass hashes both tags of
+    every round, and a second hashes the local-SGD seeds, a row of one
+    word or of two as each seed splits.
+    """
+    # mod 2**64, as make_rng takes every part; uint64 arrays wrap silently
+    rounds = (np.arange(_BLOCK_ROUNDS, dtype=np.uint64)
+              + np.uint64((block * _BLOCK_ROUNDS + 1) % 2**64))
+    tags = np.array([_TAG_SAMPLING, _TAG_LOCAL_SGD], dtype=np.uint64).repeat(_BLOCK_ROUNDS)
+    states = seed_states(*seed_words(seed, np.concatenate((rounds, rounds)), tags))
+    sampling = states[:_BLOCK_ROUNDS]
+    local_sgd = seed_states(*seed_words(states[_BLOCK_ROUNDS:, 0]))
+    sampling.flags.writeable = local_sgd.flags.writeable = False
+    return sampling, local_sgd
+
+
+def round_rngs(seed: int, t: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """Round t's sampling and local-SGD generators.
+
+    They equal ``make_rng(seed, t, _TAG_SAMPLING)`` and
+    ``make_rng(derive_seed(seed, t, _TAG_LOCAL_SGD))`` draw for draw.
+    Their seeds are derived 256 rounds at a time, on the first round of
+    a block that asks, and the last two blocks are kept, so a round
+    builds two generators from stored words and a block's hashing lands
+    on one round in 256.
+    """
+    block, row = divmod(t - 1, _BLOCK_ROUNDS)
+    sampling, local_sgd = _block_states(seed, block)
+    return stored_rng(sampling[row]), stored_rng(local_sgd[row])
+
+
 def run_round(
     state: ServerState,
     cfg: AlgorithmConfig,
@@ -322,15 +374,17 @@ def run_round(
         raise InvalidArgument(f"population has p={population.p} domains, lambda has {p}")
     t = state.round + 1
 
-    sample_rng = make_rng(seed, t, _TAG_SAMPLING)
+    sample_rng, sgd_rng = round_rngs(seed, t)
     picked = sample_rng.choice(len(population), size=cfg.clients_per_round, replace=False)
     cohort = Cohort.gather(
         population, picked[population.client_ids[picked].argsort(kind="stable")])
 
     client_counts, client_loss_sums = compute_client_stats(spec, state.w, cohort)
+    # the masked sums draw their pair seeds from the sampling generator,
+    # after the cohort; no output byte depends on a mask
     total = cohort_sum(
         np.concatenate([client_counts.astype(np.float64), client_loss_sums], axis=1),
-        make_rng(seed, t, _TAG_STATS_MASK) if settings.mask_stats else None,
+        sample_rng if settings.mask_stats else None,
         settings.scale_bits,
     )
     counts = np.rint(total[:p]).astype(np.int64)
@@ -346,18 +400,12 @@ def run_round(
         exact = counts if cfg.scaling_mode == "two-phase-exact" else None
         alpha = compute_scaling(state.lam, effective_counts(state, cfg.scaling_mode, exact))
 
-    params, betas = client_update(
-        spec, state.w, alpha, cohort, cfg.local,
-        derive_seed(seed, t, _TAG_LOCAL_SGD),
-    )
+    params, betas = client_update(spec, state.w, alpha, cohort, cfg.local, sgd_rng)
 
     degenerate = False
     try:
         new_w = aggregate_params(
-            params, betas,
-            make_rng(seed, t, _TAG_PARAMS_MASK) if settings.mask_params else None,
-            settings.scale_bits,
-        )
+            params, betas, sample_rng if settings.mask_params else None, settings.scale_bits)
     except DegenerateRound:
         degenerate, new_w = True, state.w
 

@@ -227,7 +227,7 @@ def gen_synthetic_classification(cfg: TaskConfig) -> Population:
         domains = rng.choice(cfg.p, size=total, p=mixing)
     labels = rng.integers(0, 2, size=total)
     half_margins = (2 * labels - 1) * (np.asarray(cfg.margins)[domains] / 2.0)
-    x = (half_margins[:, None] * _domain_directions(cfg.p, cfg.input_dim)[domains]
+    x = (half_margins[:, None] * _domain_directions(cfg.p, cfg.input_dim).take(domains, axis=0)
          + cfg.noise * rng.standard_normal((total, cfg.input_dim)))
     return Population(x, labels, domains, np.concatenate([[0], np.cumsum(sizes)]),
                       np.arange(cfg.num_clients), cfg.p)

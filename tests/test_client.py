@@ -59,7 +59,7 @@ def _stats(w, ds, p):
 def _update(w, alpha, ds, cfg, seed):
     """New parameters and beta of a one-client cohort."""
     params, betas = client_update(SCALAR, w, alpha, _cohort([ds], alpha.shape[0]),
-                                  cfg, seed)
+                                  cfg, make_rng(seed))
     return params[0], betas[0]
 
 
@@ -334,7 +334,7 @@ class TestCohortMatchesPerClientLoop:
             spec, w, alpha, clients, p, cfg, seed)
         cohort = _cohort(clients, p)
         counts, loss_sums = compute_client_stats(spec, w, cohort)
-        params, betas = client_update(spec, w, alpha, cohort, cfg, seed)
+        params, betas = client_update(spec, w, alpha, cohort, cfg, make_rng(seed))
         assert np.array_equal(counts, ref_counts)
         assert np.array_equal(betas == 0.0, ref_betas == 0.0)
         assert np.array_equal(betas, ref_betas)
@@ -352,7 +352,7 @@ class TestCohortMatchesPerClientLoop:
         cfg = LocalSGDConfig(epochs=2, batch_size=5, learning_rate=0.1)
         w = np.array([0.4])
         cohort = _cohort(clients, 2)
-        params, betas = client_update(SCALAR, w, alpha, cohort, cfg, 5)
+        params, betas = client_update(SCALAR, w, alpha, cohort, cfg, make_rng(5))
         _, _, ref_params, ref_betas = _reference_round_clients(
             SCALAR, w, alpha, clients, 2, cfg, 5)
         assert betas.tolist() == [1.5, 0.0, 3.0]
@@ -383,4 +383,4 @@ class TestCohortMatchesPerClientLoop:
         cfg = LocalSGDConfig(epochs=50, batch_size=4, learning_rate=1e150)
         with pytest.raises(NumericError):
             client_update(SCALAR, np.array([1.0]), np.ones(1), _cohort([calm, wild], 1),
-                          cfg, 0)
+                          cfg, make_rng(0))

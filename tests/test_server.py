@@ -17,6 +17,7 @@ from agfed.core import (
     InvalidArgument,
     NumericError,
     Population,
+    derive_seed,
     make_rng,
     mixture_uniform,
 )
@@ -36,6 +37,7 @@ from agfed.server import (
     lambda_update_eg,
     lambda_update_projected_sgd,
     project_simplex,
+    round_rngs,
     run_round,
 )
 from agfed.tasks import (
@@ -316,6 +318,32 @@ class TestCommCost:
             p = int(rng.integers(1, 50))
             assert comm_cost_per_round("fedavg", c, w, p) == 2 * c * w
             assert comm_cost_per_round("afa", c, w, p) == 2 * c * w + 4 * c * p
+
+
+class TestRoundGenerators:
+    # rounds 1 and 256 open and close the first block of 256, 257 and 513
+    # open the next two, and rounds past 2**64 - 1 wrap as in make_rng;
+    # 2**40 and -3 are seeds of two words
+    @pytest.mark.parametrize("t", [1, 256, 257, 513, 0, 2**64 + 300])
+    @pytest.mark.parametrize("seed", [0, 42, 2**40, -3])
+    def test_block_generators_match_make_rng(self, seed, t):
+        sampling, local_sgd = round_rngs(seed, t)
+        assert np.array_equal(sampling.bit_generator.random_raw(8),
+                              make_rng(seed, t, 1).bit_generator.random_raw(8))
+        assert np.array_equal(local_sgd.bit_generator.random_raw(8),
+                              make_rng(derive_seed(seed, t, 4)).bit_generator.random_raw(8))
+
+    def test_round_seeds_no_generator_of_its_own(self, monkeypatch):
+        def refuse(*parts):
+            raise AssertionError("a round seeded a generator outside its block")
+
+        for owner in (agfed.server, agfed.client):
+            monkeypatch.setattr(owner, "make_rng", refuse)
+        monkeypatch.setattr(agfed.server, "derive_seed", refuse)
+        both = AggregationSettings(mask_stats=True, mask_params=True)
+        state = initial_state(np.array([1.5]), 5)
+        for _ in range(2):
+            state, _ = run_round(state, _algo(), SCALAR, _toy(), 1, settings=both)
 
 
 class TestRunRound:
