@@ -14,6 +14,10 @@ size within a step. ``classification-ragged-plain-stats`` sums those
 clients' per-domain losses, segments both shorter and longer than 8
 rows, in plain statistics, which expose every bit of each sum (masked
 statistics round it to the fixed-point grid first).
+``classification-projected-skips`` drives a lambda to 0 with a large
+projected step, so clients of one size whose populated domain carries
+no weight skip local SGD: its 100 rounds mix rounds where every client
+trains, rounds where some skip, and rounds where all do.
 ``classification-single-row-minibatch`` trains the
 logistic model on 1-row minibatches, on clients of 1 to 6 rows: each
 logits product there has one row, which BLAS may take down another
@@ -92,6 +96,12 @@ CASES = [
                                         "secure_aggregation.mask_params": "true"},
                  "1e0e91d5e66f5d5359c7672fc124c6fe0c620ed8187b6e8d61035d80506cb0bc",
                  id="classification-ragged-minibatch"),
+    pytest.param("classification.ini", {"algorithm.rounds": "100",
+                                        "algorithm.lambda_update": "projected-sgd",
+                                        "algorithm.lambda_lr": "1",
+                                        "algorithm.batch_size": "7", "algorithm.epochs": "2"},
+                 "7eed176a45d25ba3e620e37192f01b64912561167b34d2afa2d36311375a98b7",
+                 id="classification-projected-skips"),
     pytest.param("classification.ini", {"algorithm.rounds": "30",
                                         "task.partition": "data-partition",
                                         "task.samples_per_client": "5:30",
