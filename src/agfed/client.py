@@ -38,6 +38,21 @@ minibatch is padded, and ``grad_weighted`` computes each stacked
 minibatch as it would alone, so every client's result equals that of
 training it alone, on the same minibatches, bit for bit.
 
+Everything that schedule takes from the clients' sizes alone is built
+once per size profile: the minibatch width and step count, the groups
+of clients that draw the same number of rows at a step, and which slots
+of the key matrix hold a row. ``_schedule`` keeps it in a module-level
+``lru_cache`` of 16 entries, keyed by the bytes of the live clients'
+int64 sizes and the minibatch size; its arrays are shared by every round
+that hits the entry and are read-only. Cohorts of equal-size clients,
+as in the shipped configs, hit it every round; a ragged cohort mostly
+misses and builds its schedule as before. Three paths skip work that
+changes no bit: when every slot holds a row, the keys are reshaped into
+the slot matrix with no padding; a step group of every live client
+indexes with a slice, so its rows and parameters are views and the
+update runs in place; and when no client skips, the cohort's parameters
+train in place, with no gather and no scatter back.
+
 A client whose populated domains all carry zero scaling weight has
 beta = 0; its statistics still count, but it keeps the incoming
 parameters and signals a skip rather than failing.
@@ -53,7 +68,9 @@ new parameters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,7 +188,10 @@ def client_update(
     betas = _betas(alpha, cohort.counts)
     params = w_in[None, :].repeat(len(cohort), axis=0)
     live = betas != 0.0
-    if live.any():
+    if live.all():
+        # nothing to gather or scatter back: train every row in place
+        _lockstep_sgd(spec, params, alpha, cohort, None, betas[:, None], cfg, rng)
+    elif live.any():
         params[live] = _lockstep_sgd(spec, params[live], alpha, cohort, live,
                                      betas[live, None], cfg, rng)
     if not np.isfinite(params).all():
@@ -179,29 +199,73 @@ def client_update(
     return params, betas
 
 
-def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng):
-    """Local SGD of the cohort clients where ``live``, one minibatch each per step."""
-    sizes = cohort.sizes[live]
-    width = min(cfg.batch_size, int(sizes.max()))
-    n_steps = -(-int(sizes.max()) // width)
+class _Schedule(NamedTuple):
+    """How the clients of given sizes step through their minibatches."""
+
+    width: int                 # slots per minibatch
+    n_steps: int               # minibatches per epoch of the largest client
+    # (step, clients, rows): one gradient call on ``rows`` rows of each of
+    # ``clients``, a read-only index array, or ``slice(None)`` for all
+    groups: tuple[tuple[int, np.ndarray | slice, int], ...]
+    # the (m, n_steps * width) slots that hold a row, read-only; None when all do
+    filled: np.ndarray | None
+
+
+@functools.lru_cache(maxsize=16)
+def _schedule(sizes: bytes, batch_size: int) -> _Schedule:
+    """The schedule of clients with the given int64 sizes, in the bytes of the array."""
+    sizes = np.frombuffer(sizes, dtype=np.int64)
+    largest = int(sizes.max())
+    width = min(batch_size, largest)
+    n_steps = -(-largest // width)
     # rows each client draws at each step; one gradient call per step and
     # minibatch size, so no client's minibatch is padded
     drawn = np.minimum(np.maximum(sizes[:, None] - width * np.arange(n_steps), 0), width)
-    groups = [(s, (drawn[:, s] == rows).nonzero()[0], rows)
-              for s in range(n_steps) for rows in set(drawn[:, s].tolist()) - {0}]
+    groups = []
+    for s in range(n_steps):
+        for rows in set(drawn[:, s].tolist()) - {0}:
+            clients = np.nonzero(drawn[:, s] == rows)[0]
+            if clients.shape[0] == sizes.shape[0]:
+                # a slice takes views of every client's rows and updates them in place
+                clients = slice(None)
+            else:
+                clients.flags.writeable = False
+            groups.append((s, clients, rows))
+    filled = np.arange(n_steps * width) < sizes[:, None]
+    if filled.all():
+        filled = None
+    else:
+        filled.flags.writeable = False
+    return _Schedule(width, n_steps, tuple(groups), filled)
+
+
+def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng):
+    """Local SGD, in place in ``w``, of the clients where ``live`` (all when None)."""
+    sizes = cohort.sizes if live is None else cohort.sizes[live]
+    width, n_steps, groups, filled = _schedule(sizes.tobytes(), cfg.batch_size)
+    m = sizes.shape[0]
     sample_weights = alpha[cohort.domains]
     # client k's keys fill the first sizes[k] slots of row k; the padding
     # key 2.0 exceeds every draw in [0, 1), so a stable sort of row k puts
     # the positions of client k's rows, in key order, first
-    slot_keys = np.full((sizes.shape[0], n_steps * width), 2.0)
-    filled = np.arange(n_steps * width) < sizes[:, None]
-    live_rows = live[cohort.owners]
-    starts = cohort.offsets[:-1][live, None]
+    if filled is not None:
+        slot_keys = np.full((m, n_steps * width), 2.0)
+    if live is None:
+        starts = cohort.offsets[:-1, None]
+    else:
+        live_rows = live[cohort.owners]
+        starts = cohort.offsets[:-1][live, None]
     for _ in range(cfg.epochs):
         keys = rng.random(cohort.owners.shape[0])
-        slot_keys[filled] = keys[live_rows]
+        if live is not None:
+            keys = keys[live_rows]
+        if filled is None:
+            # every slot holds a row, in client order
+            slot_keys = keys.reshape(m, n_steps * width)
+        else:
+            slot_keys[filled] = keys
         slots = starts + slot_keys.argsort(axis=1, kind="stable")
-        batches = slots.reshape(sizes.shape[0], n_steps, width)
+        batches = slots.reshape(m, n_steps, width)
         for s, clients, rows in groups:
             idx = batches[clients, s, :rows]
             g = grad_weighted(spec, w[clients], cohort.xb[idx], cohort.y[idx],

@@ -192,6 +192,13 @@ class Cohort:
     and ``counts[k]`` and ``client_ids[k]`` are its rows of the
     population's table and ids. The population was checked when built,
     so nothing is checked again here.
+
+    ``sizes``, ``offsets`` and ``owners`` depend only on the members'
+    sizes: ``gather`` takes them, and the row positions 0..N-1 it adds
+    to each client's start, from ``_row_layout``, a module-level
+    ``lru_cache`` of 8 entries keyed by the bytes of the int64 sizes in
+    cohort order. Cohorts of one size profile share these arrays, which
+    are read-only.
     """
 
     xb: np.ndarray
@@ -210,11 +217,9 @@ class Cohort:
         if members.shape[0] == 0:
             raise InvalidArgument("cohort needs at least one client")
         starts = population.offsets[members]
-        sizes = population.offsets[members + 1] - starts
-        offsets = np.zeros(members.shape[0] + 1, dtype=np.int64)
-        sizes.cumsum(out=offsets[1:])
-        owners = np.arange(members.shape[0]).repeat(sizes)
-        rows = (starts - offsets[:-1])[owners] + np.arange(offsets[-1])
+        sizes, offsets, owners, positions = _row_layout(
+            (population.offsets[members + 1] - starts).tobytes())
+        rows = (starts - offsets[:-1])[owners] + positions
         # take gives the rows fancy indexing gives, in a fraction of the
         # time for 2-D arrays
         return Cohort(population.xb.take(rows, axis=0), population.y[rows],
@@ -224,6 +229,22 @@ class Cohort:
 
     def __len__(self) -> int:
         return self.counts.shape[0]
+
+
+@functools.lru_cache(maxsize=8)
+def _row_layout(sizes: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only sizes, offsets, owners and positions 0..N-1 of a cohort's rows.
+
+    ``sizes`` holds the bytes of the clients' int64 sizes, in cohort order.
+    """
+    sizes = np.frombuffer(sizes, dtype=np.int64)
+    offsets = np.zeros(sizes.shape[0] + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    owners = np.repeat(np.arange(sizes.shape[0]), sizes)
+    positions = np.arange(offsets[-1])
+    for arr in (offsets, owners, positions):
+        arr.flags.writeable = False
+    return sizes, offsets, owners, positions
 
 
 def mixture_uniform(p: int) -> np.ndarray:

@@ -78,15 +78,22 @@ def _domain_means(values: np.ndarray, masks: list[np.ndarray]) -> tuple[float, .
     return tuple(float(values[m].mean()) if m.any() else 0.0 for m in masks)
 
 
-def _domain_accuracy(correct: np.ndarray, masks: list[np.ndarray]) -> tuple[float, ...]:
+def _domain_accuracy(correct: np.ndarray, masks: list[np.ndarray],
+                     sizes: list[int]) -> tuple[float, ...]:
     """Share of ``correct`` rows in each domain's mask; 0.0 for an empty domain.
 
-    Counts are exact, so each share equals the domain's boolean-mask
-    mean bit for bit, without gathering the domain's rows.
+    ``sizes`` holds each mask's count of rows. Counts are exact, so each
+    share equals the domain's boolean-mask mean bit for bit, without
+    gathering the domain's rows.
     """
-    sizes = [np.count_nonzero(m) for m in masks]
     return tuple(float(np.count_nonzero(correct & m) / size) if size else 0.0
                  for m, size in zip(masks, sizes))
+
+
+def _domain_masks(population: Population, p: int) -> tuple[list[np.ndarray], list[int]]:
+    """Each domain's row mask over the population, and its count of rows."""
+    masks = [population.domains == i for i in range(p)]
+    return masks, [np.count_nonzero(m) for m in masks]
 
 
 def evaluate_population(
@@ -98,11 +105,11 @@ def evaluate_population(
     """Population-level per-domain mean loss (and accuracy for classifiers)."""
     xb, y = population.xb, population.y
     check_batch(spec, w, xb, y)
-    masks = [population.domains == i for i in range(p)]
+    masks, sizes = _domain_masks(population, p)
     out = {"loss": _domain_means(batch_losses(spec, w, xb, y), masks)}
     if spec.kind == "logistic":
         out["accuracy"] = _domain_accuracy(predict_classes(spec, w, xb) == y.astype(np.int64),
-                                           masks)
+                                           masks, sizes)
     return out
 
 
@@ -110,8 +117,9 @@ def _summary_fn(task: TaskConfig, spec: ModelSpec, population: Population):
     if task.kind == "toy-regression":
         return lambda w: (float(w[0]),)
     y_int = population.y.astype(np.int64)
-    masks = [population.domains == i for i in range(task.p)]
-    return lambda w: _domain_accuracy(predict_classes(spec, w, population.xb) == y_int, masks)
+    masks, sizes = _domain_masks(population, task.p)
+    return lambda w: _domain_accuracy(predict_classes(spec, w, population.xb) == y_int,
+                                      masks, sizes)
 
 
 def _csv_header(p: int, summary_names: Sequence[str]) -> list[str]:

@@ -25,7 +25,9 @@ read-only arrays; a sum then only hashes, gathers and reduces. The
 cache holds no seed and no client data, and at most 8 layouts. A layout
 takes one index per pair plus a few per client and block: O(n(n-1)/2)
 words, the order of the seeds each masked sum draws anyway, so the
-blocks still bound the temporary memory of a sum.
+blocks still bound the temporary memory of a sum. The column of stream
+counters that every seed is added to is kept the same way, one
+read-only column per vector length.
 ``mask_set`` and ``SecureSum.submit`` take one client index or a 1-D
 array of them, so a whole cohort is masked and submitted in one call of
 O(1) numpy operations: encode the (m x L) matrix, add the clients' mask
@@ -145,7 +147,9 @@ class MaskedVector:
     ``values`` is one client's (L,) message or a (k, L) stack of them,
     one row per client. ``client_index`` and ``n_clients`` are protocol
     bookkeeping: the slot (an int) or slots (a 1-D index array) the
-    residues fill and the size of the cohort they were masked for.
+    residues fill and the size of the cohort they were masked for. The
+    values are copied and made read-only; ``mask_set`` hands over the
+    array it built instead (``_adopt``), so a message is not copied twice.
     """
 
     values: np.ndarray
@@ -162,10 +166,32 @@ class MaskedVector:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _adopt(cls, values: np.ndarray, scale: int, client_index: int | np.ndarray,
+               n_clients: int) -> "MaskedVector":
+        """A message over ``values``, a 1-D or 2-D uint64 array no one else holds.
+
+        The array is made read-only and kept, not copied.
+        """
+        values.flags.writeable = False
+        mv = object.__new__(cls)
+        for name, value in (("values", values), ("scale", scale),
+                            ("client_index", client_index), ("n_clients", n_clients)):
+            object.__setattr__(mv, name, value)
+        return mv
+
 
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+@functools.lru_cache(maxsize=8)
+def _counters(length: int) -> np.ndarray:
+    """The (length, 1) read-only column of stream counters k * gamma, k = 1..length."""
+    column = (np.arange(1, length + 1, dtype=np.uint64) * _SM64_GAMMA)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def _pair_masks(seeds: np.ndarray, length: int) -> np.ndarray:
@@ -174,7 +200,7 @@ def _pair_masks(seeds: np.ndarray, length: int) -> np.ndarray:
     # (length, seeds) array, so each step runs over the seeds; in place,
     # since a block of streams is the largest array of a masked round.
     # Returns the (seeds, length) transposed view.
-    z = (np.arange(1, length + 1, dtype=np.uint64) * _SM64_GAMMA)[:, None] + seeds
+    z = _counters(length) + seeds
     z ^= z >> np.uint64(30)
     z *= _SM64_MIX1
     z ^= z >> np.uint64(27)
@@ -257,7 +283,9 @@ def mask_set(seeds: PairwiseSeeds, client: int | np.ndarray, plain: np.ndarray, 
                               f"outside cohort of {n}")
     scale = 1 << scale_bits
     residues = _encode(plain, scale, n)
-    return MaskedVector(residues + seeds._masks(plain.shape[-1])[clients], scale, client, n)
+    # the sum is a fresh array, so the message takes it without a copy
+    return MaskedVector._adopt(residues + seeds._masks(plain.shape[-1])[clients],
+                               scale, client, n)
 
 
 class SecureSum:

@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from agfed.client import (
     LocalSGDConfig,
     _betas,
+    _schedule,
     _segment_sums,
     client_update,
     compute_client_stats,
@@ -26,6 +27,7 @@ from agfed.core import (
     InvalidArgument,
     NumericError,
     Population,
+    _row_layout,
     make_rng,
 )
 from agfed.models import ModelSpec, batch_losses, grad_weighted
@@ -303,11 +305,18 @@ def _rounds(draw):
     spec = ModelSpec(kind, input_dim=dim,
                      num_classes=draw(st.integers(2, 3)) if kind == "logistic" else 0)
     p = draw(st.integers(1, 4))
-    sizes = draw(st.lists(st.integers(1, 25), min_size=1, max_size=6))
+    # ragged sizes, or clients of one size, as in the shipped configs
+    sizes = draw(st.one_of(
+        st.lists(st.integers(1, 25), min_size=1, max_size=6),
+        st.builds(lambda n, m: [n] * m, st.integers(1, 25), st.integers(1, 6))))
     # zero-weight domains make clients that hold only those skip (beta = 0)
     zero_domains = draw(st.sets(st.integers(0, p - 1), max_size=p))
+    # a minibatch size that divides the first client's size, or any size
+    divisors = [b for b in range(1, sizes[0] + 1) if sizes[0] % b == 0]
     cfg = LocalSGDConfig(epochs=draw(st.integers(1, 3)),
-                         batch_size=draw(st.integers(1, 30)), learning_rate=0.05)
+                         batch_size=draw(st.one_of(st.sampled_from(divisors),
+                                                   st.integers(1, 30))),
+                         learning_rate=0.05)
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     clients = []
     for cid, n in enumerate(sizes):
@@ -384,3 +393,79 @@ class TestCohortMatchesPerClientLoop:
         with pytest.raises(NumericError):
             client_update(SCALAR, np.array([1.0]), np.ones(1), _cohort([calm, wild], 1),
                           cfg, make_rng(0))
+
+
+def _layout_clients(sizes, domains, key):
+    return [ClientDataset(k, make_rng(key + k).standard_normal((n, 1)),
+                          make_rng(key - k).standard_normal(n), d)
+            for k, (n, d) in enumerate(zip(sizes, domains))]
+
+
+class TestScheduleCache:
+    @settings(max_examples=150, deadline=None)
+    @given(_rounds())
+    def test_cold_and_warm_caches_give_the_same_bits(self, round_inputs):
+        spec, w, alpha, clients, p, cfg, seed = round_inputs
+        population = Population.from_clients(clients, p)
+        members = np.arange(len(clients))
+        results = []
+        for clear in (True, False):
+            if clear:
+                _schedule.cache_clear()
+                _row_layout.cache_clear()
+            cohort = Cohort.gather(population, members)
+            results.append(client_update(spec, w, alpha, cohort, cfg, make_rng(seed)))
+        (cold_params, cold_betas), (warm_params, warm_betas) = results
+        assert warm_params.tobytes() == cold_params.tobytes()
+        assert warm_betas.tobytes() == cold_betas.tobytes()
+
+    def test_cached_arrays_reject_writes(self):
+        # sizes 3, 7 and 12 with batch 5: groups of some clients, and
+        # padded slots
+        schedule = _schedule(np.array([3, 7, 12], dtype=np.int64).tobytes(), 5)
+        assert schedule.width == 5 and schedule.n_steps == 3
+        arrays = [clients for _, clients, _ in schedule.groups
+                  if isinstance(clients, np.ndarray)]
+        assert arrays and schedule.filled is not None
+        for arr in (*arrays, schedule.filled):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_full_groups_and_filled_slots(self):
+        # equal sizes that the minibatch divides: every group holds every
+        # client and no slot is padded
+        schedule = _schedule(np.array([6, 6, 6], dtype=np.int64).tobytes(), 3)
+        assert schedule.filled is None
+        assert schedule.groups == ((0, slice(None), 3), (1, slice(None), 3))
+        # a short last minibatch pads slots, but its group still holds all
+        schedule = _schedule(np.array([7, 7], dtype=np.int64).tobytes(), 3)
+        assert schedule.filled.tolist() == [[True] * 7 + [False] * 2] * 2
+        assert [clients for _, clients, _ in schedule.groups] == [slice(None)] * 3
+
+    @pytest.mark.parametrize("sizes, domains", [
+        ([4, 4, 4], [[0] * 4, [0, 1] * 2, [1] * 4]),     # equal sizes, one skips
+        ([4, 4, 4], [[0] * 4, [0, 1] * 2, [0] * 4]),     # every client trains
+        ([3, 7, 12], [[0] * 3, [1] * 7, [0, 1] * 6]),    # ragged, one skips
+    ])
+    def test_same_size_profile_builds_nothing(self, monkeypatch, sizes, domains):
+        clients = _layout_clients(sizes + sizes, domains + domains, key=30)
+        population = Population.from_clients(clients, 2)
+        alpha = np.array([0.5, 0.0])
+        cfg = LocalSGDConfig(epochs=2, batch_size=3, learning_rate=0.1)
+        w = np.array([0.4])
+        m = len(sizes)
+        client_update(SCALAR, w, alpha, Cohort.gather(population, np.arange(m)), cfg,
+                      make_rng(1))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("schedule or layout rebuilt for a cached size profile")
+
+        for name in ("repeat", "cumsum", "nonzero"):
+            monkeypatch.setattr(np, name, fail)
+        second = Cohort.gather(population, np.arange(m, 2 * m))
+        params, betas = client_update(SCALAR, w, alpha, second, cfg, make_rng(2))
+        monkeypatch.undo()
+        _, _, ref_params, ref_betas = _reference_round_clients(
+            SCALAR, w, alpha, clients[m:], 2, cfg, 2)
+        assert np.array_equal(params, ref_params)
+        assert np.array_equal(betas, ref_betas)

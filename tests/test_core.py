@@ -11,6 +11,7 @@ from agfed.core import (
     InvalidArgument,
     Population,
     StoredSeed,
+    _row_layout,
     derive_seed,
     make_rng,
     mixture_uniform,
@@ -136,6 +137,41 @@ class TestCohort:
         assert cohort.owners.tolist() == [0, 0, 1, 1, 1]
         assert cohort.counts.dtype == np.int64
         assert cohort.counts.tolist() == [[0, 2, 0], [2, 0, 1]]
+
+    def test_layout_arrays_reject_writes(self):
+        clients = [ClientDataset(k, np.zeros((n, 1)), np.zeros(n), np.zeros(n))
+                   for k, n in enumerate([2, 5, 3])]
+        cohort = Cohort.gather(Population.from_clients(clients, 1), [2, 0, 1])
+        layout = _row_layout(np.array([3, 2, 5], dtype=np.int64).tobytes())
+        for arr in (cohort.sizes, cohort.offsets, cohort.owners, *layout):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        # the cohort holds the cached arrays themselves
+        assert cohort.offsets is layout[1] and cohort.owners is layout[2]
+
+    def test_same_size_profile_builds_no_layout(self, monkeypatch):
+        rng = make_rng(4)
+        sizes = [4, 1, 6, 4, 1, 6]
+        clients = [ClientDataset(k, rng.standard_normal((n, 2)), rng.standard_normal(n),
+                                 rng.integers(0, 2, size=n)) for k, n in enumerate(sizes)]
+        population = Population.from_clients(clients, 2)
+        first = Cohort.gather(population, [0, 1, 2])
+
+        def fail(*args, **kwargs):
+            raise AssertionError("layout rebuilt for a cached size profile")
+
+        for name in ("repeat", "cumsum", "nonzero"):
+            monkeypatch.setattr(np, name, fail)
+        second = Cohort.gather(population, [3, 4, 5])
+        monkeypatch.undo()
+        assert second.offsets is first.offsets and second.owners is first.owners
+        _row_layout.cache_clear()
+        cold = Cohort.gather(population, [3, 4, 5])
+        for name in ("xb", "y", "domains", "offsets", "sizes", "owners", "counts",
+                     "client_ids"):
+            assert np.array_equal(getattr(second, name), getattr(cold, name))
+        assert second.xb[:, :-1].tolist() == np.concatenate(
+            [c.feature_matrix for c in clients[3:]]).tolist()
 
     def test_domain_tag_above_p_names_the_client(self):
         ok = ClientDataset(1, np.zeros((2, 1)), [0.0, 0.0], [0, 1])

@@ -168,7 +168,7 @@ class TestEvaluateAndCompare:
         correct = rng.random(rows) < rng.random()
         masks = [domains == i for i in range(p)]
         expected = tuple(float(correct[m].mean()) if m.any() else 0.0 for m in masks)
-        got = _domain_accuracy(correct, masks)
+        got = _domain_accuracy(correct, masks, [int(m.sum()) for m in masks])
         assert np.array(got).tobytes() == np.array(expected).tobytes()
         assert all(type(v) is float for v in got)
 

@@ -13,6 +13,7 @@ from agfed.secagg import (
     PairwiseSeeds,
     ProtocolError,
     SecureSum,
+    _counters,
     _encode,
     _pair_layout,
     _pair_masks,
@@ -268,7 +269,7 @@ class TestPairLayoutCache:
 
     def test_layout_arrays_are_read_only(self):
         for b in _pair_layout(300, 8):
-            for arr in (b.lower_starts, b.by_higher, b.higher_starts):
+            for arr in (b.lower_starts, b.by_higher, b.higher_starts, _counters(3)):
                 with pytest.raises(ValueError):
                     arr[0] = 1
 
@@ -440,6 +441,17 @@ def test_fuzzed_sums_within_bound(n, length, key):
 
 
 def test_masked_vector_is_immutable():
-    mv = MaskedVector(np.array([1, 2], dtype=np.uint64), 1 << 20, 0, 1)
+    given = np.array([1, 2], dtype=np.uint64)
+    mv = MaskedVector(given, 1 << 20, 0, 1)
     with pytest.raises(ValueError):
         mv.values[0] = 7
+    given[0] = 7  # the message holds a copy
+    assert mv.values.tolist() == [1, 2]
+    # mask_set's messages, one client's or a batch's, are read-only too
+    seeds = _seeds(4, key=3)
+    for client, plain in ((2, np.ones(3)), (np.arange(4), np.ones((4, 3)))):
+        mv = mask_set(seeds, client, plain, scale_bits=10)
+        assert (mv.scale, mv.n_clients) == (1 << 10, 4)
+        assert np.array_equal(mv.client_index, client)
+        with pytest.raises(ValueError):
+            mv.values[0] = 7
