@@ -22,7 +22,7 @@ from .harness import (
     run_experiment_full,
 )
 from .models import ModelSpec
-from .secagg import MaskedVector, PairwiseSeeds, SecureSum, mask_set
+from .secagg import PairwiseSeeds, SecureSum, mask_set
 from .server import (
     AggregationSettings,
     AlgorithmConfig,
@@ -47,7 +47,6 @@ __all__ = [
     "ExperimentConfig",
     "InvalidArgument",
     "LocalSGDConfig",
-    "MaskedVector",
     "ModelSpec",
     "NumericError",
     "PairwiseSeeds",

@@ -189,9 +189,9 @@ class Cohort:
     ``offsets[k]:offsets[k+1]`` of ``xb`` (augmented rows of the
     population's ``xb``), ``y`` and ``domains``, in its own row order;
     ``sizes[k]`` is its row count, ``owners`` gives each row's client,
-    and ``counts[k]`` and ``client_ids[k]`` are its rows of the
-    population's table and ids. The population was checked when built,
-    so nothing is checked again here.
+    and ``counts[k]`` is its row of the population's table. The
+    population was checked when built, so nothing is checked again here.
+    ``gather`` copies the rows and counts and makes the copies read-only.
 
     ``sizes``, ``offsets`` and ``owners`` depend only on the members'
     sizes: ``gather`` takes them, and the row positions 0..N-1 it adds
@@ -208,7 +208,6 @@ class Cohort:
     sizes: np.ndarray
     owners: np.ndarray
     counts: np.ndarray
-    client_ids: np.ndarray
 
     @staticmethod
     def gather(population: Population, members: np.ndarray) -> "Cohort":
@@ -222,10 +221,12 @@ class Cohort:
         rows = (starts - offsets[:-1])[owners] + positions
         # take gives the rows fancy indexing gives, in a fraction of the
         # time for 2-D arrays
-        return Cohort(population.xb.take(rows, axis=0), population.y[rows],
-                      population.domains[rows], offsets, sizes, owners,
-                      population.counts.take(members, axis=0),
-                      population.client_ids[members])
+        xb, y, domains = (population.xb.take(rows, axis=0), population.y[rows],
+                          population.domains[rows])
+        counts = population.counts.take(members, axis=0)
+        for arr in (xb, y, domains, counts):
+            arr.flags.writeable = False
+        return Cohort(xb, y, domains, offsets, sizes, owners, counts)
 
     def __len__(self) -> int:
         return self.counts.shape[0]

@@ -12,29 +12,28 @@ decode range (n * |r * scale| >= 2**63) raises ``MaskRangeError``
 instead of wrapping.
 
 Both clients of a pair expand their shared seed into the same
-splitmix64 stream, so a cohort sum needs each pair's stream once: the
-first ``mask_set`` for a vector length L evaluates all n(n-1)/2 x L
-stream values, in vectorised blocks of lower-index clients that bound
-the memory they take at once, and reduces them into each client's
-signed mask row, cached on the cohort's ``PairwiseSeeds``. Where each
-pair's stream goes depends only on n and the block size, so that index
-layout (each block's slice of the seeds, where each lower index's pairs
-start, and the order and starts of the pairs grouped by higher index) is
-built once per (n, block) and kept in a small module-level cache as
-read-only arrays; a sum then only hashes, gathers and reduces. The
-cache holds no seed and no client data, and at most 8 layouts. A layout
-takes one index per pair plus a few per client and block: O(n(n-1)/2)
-words, the order of the seeds each masked sum draws anyway, so the
-blocks still bound the temporary memory of a sum. The column of stream
-counters that every seed is added to is kept the same way, one
-read-only column per vector length.
-``mask_set`` and ``SecureSum.submit`` take one client index or a 1-D
-array of them, so a whole cohort is masked and submitted in one call of
-O(1) numpy operations: encode the (m x L) matrix, add the clients' mask
-rows, add the rows into the total. Each client's message is still its
-own masked row, encode(v_i) plus its signed pair masks, and the server
-still reads only the total; the cached rows hold nothing the public
-pair seeds do not already fix.
+splitmix64 stream, so a cohort sum needs each pair's stream once: each
+``mask_set`` evaluates all n(n-1)/2 x L stream values, in vectorised
+blocks of lower-index clients that bound the memory they take at once,
+and reduces them into each client's signed mask row. Where each pair's
+stream goes depends only on n and the block size, so that index layout
+(each block's slice of the seeds, where each lower index's pairs start,
+and the order and starts of the pairs grouped by higher index) is built
+once per (n, block) and kept in a small module-level cache as read-only
+arrays; a sum then only hashes, gathers and reduces. The cache holds no
+seed and no client data, and at most 8 layouts. A layout takes one
+index per pair plus a few per client and block: O(n(n-1)/2) words, the
+order of the seeds each masked sum draws anyway, so the blocks still
+bound the temporary memory of a sum. The column of stream counters that
+every seed is added to is kept the same way, one read-only column per
+vector length.
+``mask_set`` and ``SecureSum.submit`` take a 1-D array of client
+indices with one row per index, so a whole cohort is masked and
+submitted in one call of O(1) numpy operations: encode the (m x L)
+matrix, add the clients' mask rows, add the rows into the total; one
+client sends a 1-row batch. Each client's message is still its own
+masked row, encode(v_i) plus its signed pair masks, and the server
+still reads only the total.
 
 This is a SIMULATION OF THE AGGREGATION SEMANTICS ONLY. There is no key
 agreement, no cryptographic PRG, and no dropout recovery: pairwise seeds
@@ -113,17 +112,6 @@ class PairwiseSeeds:
                                   f"got shape {upper.shape}")
         upper.flags.writeable = False
         object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "_mask_rows", {})
-
-    def _masks(self, length: int) -> np.ndarray:
-        """Every client's summed pair masks for vectors of ``length``, one row each."""
-        rows = self._mask_rows.get(length)
-        if rows is None:
-            block = max(1, _BLOCK_WORDS // (self.n_clients * length))
-            rows = _signed_mask_rows(self.upper, self.n_clients, length, block)
-            rows.flags.writeable = False
-            self._mask_rows[length] = rows
-        return rows
 
     @staticmethod
     def generate(n_clients: int, rng: np.random.Generator) -> "PairwiseSeeds":
@@ -144,41 +132,17 @@ class PairwiseSeeds:
 class MaskedVector:
     """Fixed-point residues of clients' vectors plus all their pair masks.
 
-    ``values`` is one client's (L,) message or a (k, L) stack of them,
-    one row per client. ``client_index`` and ``n_clients`` are protocol
-    bookkeeping: the slot (an int) or slots (a 1-D index array) the
-    residues fill and the size of the cohort they were masked for. The
-    values are copied and made read-only; ``mask_set`` hands over the
-    array it built instead (``_adopt``), so a message is not copied twice.
+    ``values`` is the (k, L) stack of messages, one row per client, a
+    read-only array that ``mask_set`` built for this message alone.
+    ``client_index`` and ``n_clients`` are protocol bookkeeping: the 1-D
+    index array of the slots the rows fill and the size of the cohort
+    they were masked for.
     """
 
     values: np.ndarray
     scale: int
-    client_index: int | np.ndarray
+    client_index: np.ndarray
     n_clients: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.uint64)
-        if v.ndim not in (1, 2):
-            raise InvalidArgument("masked values must be a 1-D residue vector "
-                                  "or a 2-D stack of them")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @classmethod
-    def _adopt(cls, values: np.ndarray, scale: int, client_index: int | np.ndarray,
-               n_clients: int) -> "MaskedVector":
-        """A message over ``values``, a 1-D or 2-D uint64 array no one else holds.
-
-        The array is made read-only and kept, not copied.
-        """
-        values.flags.writeable = False
-        mv = object.__new__(cls)
-        for name, value in (("values", values), ("scale", scale),
-                            ("client_index", client_index), ("n_clients", n_clients)):
-            object.__setattr__(mv, name, value)
-        return mv
 
 
 _SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -257,44 +221,44 @@ def _signed_mask_rows(upper: np.ndarray, n: int, length: int, block: int) -> np.
     return cols.T
 
 
-def mask_set(seeds: PairwiseSeeds, client: int | np.ndarray, plain: np.ndarray, *,
+def mask_set(seeds: PairwiseSeeds, clients: np.ndarray, plain: np.ndarray, *,
              scale_bits: int = DEFAULT_SCALE_BITS) -> MaskedVector:
-    """Encode and mask one client's vector, or a batch of clients' vectors.
+    """Encode and mask a batch of clients' vectors.
 
-    ``client`` is one index with ``plain`` of shape (L,), or a 1-D array
-    of k indices with ``plain`` of shape (k, L), row r belonging to
-    client ``client[r]``. The values are ``_encode(plain)`` plus each
+    ``clients`` is a 1-D integer array of k indices and ``plain`` a
+    (k, L) matrix, row r belonging to client ``clients[r]``; one client
+    is a 1-row batch. The values are ``_encode(plain)`` plus each
     client's summed pair masks, one row per client: the lower index of
     each pair adds the pair's mask and the higher one subtracts it, so
     the masks of a full cohort cancel.
     """
     n = seeds.n_clients
-    clients = np.asarray(client)
+    clients = np.asarray(clients)
     plain = np.asarray(plain, dtype=np.float64)
-    if (clients.ndim > 1 or clients.dtype.kind not in "iu"
-            or plain.ndim != clients.ndim + 1 or plain.shape[:-1] != clients.shape):
+    if (clients.ndim != 1 or clients.dtype.kind not in "iu"
+            or plain.ndim != 2 or plain.shape[0] != clients.shape[0]):
         raise InvalidArgument(f"client indices of shape {clients.shape} ({clients.dtype}) "
                               f"do not match vectors of shape {plain.shape}")
-    # checked before the cached mask rows are indexed, where -1 would
-    # silently pick the last client's row
+    # checked before the mask rows are indexed, where -1 would silently
+    # pick the last client's row
     if clients.min(initial=0) < 0 or clients.max(initial=0) >= n:
         bad = clients[(clients < 0) | (clients >= n)]
         raise InvalidArgument(f"client indices {np.unique(bad).tolist()} "
                               f"outside cohort of {n}")
     scale = 1 << scale_bits
-    residues = _encode(plain, scale, n)
-    # the sum is a fresh array, so the message takes it without a copy
-    return MaskedVector._adopt(residues + seeds._masks(plain.shape[-1])[clients],
-                               scale, client, n)
+    length = plain.shape[1]
+    masks = _signed_mask_rows(seeds.upper, n, length, max(1, _BLOCK_WORDS // (n * length)))
+    values = _encode(plain, scale, n) + masks[clients]
+    values.flags.writeable = False
+    return MaskedVector(values, scale, clients, n)
 
 
 class SecureSum:
     """Write-only accumulator: clients submit, the server reads one sum.
 
     The public surface deliberately exposes no per-client data. Submitted
-    vectors, one client's or a batch of clients' rows, are masked
-    immediately and only their modular total is kept, with one
-    submission count per client.
+    batches of clients' rows are masked immediately and only their
+    modular total is kept, with one submission count per client.
     """
 
     def __init__(self, seeds: PairwiseSeeds, length: int, *,
@@ -311,28 +275,26 @@ class SecureSum:
     def n_clients(self) -> int:
         return self._seeds.n_clients
 
-    def submit(self, client: int | np.ndarray, plain: np.ndarray) -> None:
-        """Add one client's (L,) vector, or the (k, L) rows of a 1-D index array.
+    def submit(self, clients: np.ndarray, plain: np.ndarray) -> None:
+        """Add the (k, L) rows of the clients in the 1-D index array ``clients``.
 
-        Checks the shape, then the indices (``InvalidArgument`` names
-        those outside the cohort), then duplicates within the batch or
-        against earlier submissions (``ProtocolError``); a rejected batch
-        leaves the total untouched.
+        Checks the length, then that the indices match the rows and lie
+        in the cohort (``InvalidArgument``), then duplicates within the
+        batch or against earlier submissions (``ProtocolError``); a
+        rejected batch leaves the total untouched.
         """
-        clients = np.asarray(client)
         plain = np.asarray(plain, dtype=np.float64)
         if plain.shape[-1:] != (self._length,):
             raise InvalidArgument(
                 f"expected vectors of length {self._length}, got shape {plain.shape}"
             )
-        # mask_set checks that the indices match the rows and lie in the cohort
         mv = mask_set(self._seeds, clients, plain, scale_bits=self._scale_bits)
-        counts = self._counts + np.bincount(clients.reshape(-1).astype(np.intp),
+        counts = self._counts + np.bincount(mv.client_index.astype(np.intp),
                                             minlength=self.n_clients)
         if (counts > 1).any():
             raise ProtocolError(
                 f"duplicate submission from clients {np.flatnonzero(counts > 1).tolist()}")
-        self._total += mv.values.reshape(-1, self._length).sum(axis=0)
+        self._total += mv.values.sum(axis=0)
         self._counts = counts
 
     def aggregate(self) -> np.ndarray:

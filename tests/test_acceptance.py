@@ -238,7 +238,7 @@ def test_criterion_5_gradient_checks():
 def _secure_sum(seeds, plains):
     acc = SecureSum(seeds, len(plains[0]))
     for i, plain in enumerate(plains):
-        acc.submit(i, plain)
+        acc.submit(np.array([i]), plain[None])
     return acc.aggregate()
 
 
@@ -248,10 +248,10 @@ def test_criterion_6_secure_aggregation():
     # exact cancellation mod 2**64
     for n in (2, 5, 13):
         seeds = PairwiseSeeds.generate(n, rng)
-        masked = [mask_set(seeds, i, np.zeros(6)) for i in range(n)]
+        masked = [mask_set(seeds, np.array([i]), np.zeros((1, 6))) for i in range(n)]
         total = np.zeros(6, dtype=np.uint64)
         for mv in masked:
-            total = total + mv.values
+            total = total + mv.values[0]
         assert np.all(total == 0)
 
     # 50 random real vectors within 2.4e-5 per coordinate of the plain oracle
@@ -273,8 +273,8 @@ def test_criterion_6_secure_aggregation():
     public = {name for name in dir(SecureSum) if not name.startswith("_")}
     assert public == {"submit", "aggregate", "n_clients"}
     acc = SecureSum(PairwiseSeeds.generate(3, rng), 4)
-    acc.submit(0, np.ones(4))
-    acc.submit(1, np.ones(4))
+    acc.submit(np.array([0]), np.ones((1, 4)))
+    acc.submit(np.array([1]), np.ones((1, 4)))
     with pytest.raises(Exception):
         acc.aggregate()
     _passed(6, f"cancellation exact; 50-vector error {err:.2e} <= 2.4e-5; "

@@ -1,5 +1,7 @@
 """Core value types: mixture weights, populations, seeds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,9 +127,9 @@ class TestCohort:
         a = ClientDataset(4, np.array([[1.0], [2.0]]), [1.0, 2.0], [1, 1])
         b = ClientDataset(9, np.array([[3.0], [4.0], [5.0]]), [3.0, 4.0, 5.0], [0, 2, 0])
         c = ClientDataset(2, np.array([[6.0]]), [6.0], [1])
-        cohort = Cohort.gather(Population.from_clients([c, a, b], 3), [1, 2])
+        population = Population.from_clients([c, a, b], 3)
+        cohort = Cohort.gather(population, [1, 2])
         assert len(cohort) == 2
-        assert cohort.client_ids.tolist() == [4, 9]
         assert cohort.xb.tolist() == [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0], [4.0, 1.0],
                                       [5.0, 1.0]]
         assert cohort.y.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -137,6 +139,20 @@ class TestCohort:
         assert cohort.owners.tolist() == [0, 0, 1, 1, 1]
         assert cohort.counts.dtype == np.int64
         assert cohort.counts.tolist() == [[0, 2, 0], [2, 0, 1]]
+        # client k's rows and counts are those of population member k
+        for k, member in enumerate([1, 2]):
+            rows = slice(cohort.offsets[k], cohort.offsets[k + 1])
+            assert cohort.y[rows].tolist() == population[member].labels.tolist()
+            assert cohort.counts[k].tolist() == population.counts[member].tolist()
+
+    def test_gathered_arrays_reject_writes(self):
+        clients = [ClientDataset(k, np.ones((n, 2)), np.ones(n), np.zeros(n))
+                   for k, n in enumerate([2, 5, 3])]
+        cohort = Cohort.gather(Population.from_clients(clients, 1), [2, 0])
+        for f in dataclasses.fields(cohort):
+            arr = getattr(cohort, f.name)
+            with pytest.raises(ValueError):
+                arr[0] = 7
 
     def test_layout_arrays_reject_writes(self):
         clients = [ClientDataset(k, np.zeros((n, 1)), np.zeros(n), np.zeros(n))
@@ -167,8 +183,7 @@ class TestCohort:
         assert second.offsets is first.offsets and second.owners is first.owners
         _row_layout.cache_clear()
         cold = Cohort.gather(population, [3, 4, 5])
-        for name in ("xb", "y", "domains", "offsets", "sizes", "owners", "counts",
-                     "client_ids"):
+        for name in ("xb", "y", "domains", "offsets", "sizes", "owners", "counts"):
             assert np.array_equal(getattr(second, name), getattr(cold, name))
         assert second.xb[:, :-1].tolist() == np.concatenate(
             [c.feature_matrix for c in clients[3:]]).tolist()
@@ -217,7 +232,10 @@ class TestPopulation:
         assert np.array_equal(cohort.domains, np.concatenate([c.domains for c in chosen]))
         assert cohort.sizes.tolist() == [len(c) for c in chosen]
         assert cohort.owners.tolist() == [k for k, c in enumerate(chosen) for _ in range(len(c))]
-        assert cohort.client_ids.tolist() == [c.client_id for c in chosen]
+        for k, c in enumerate(chosen):
+            rows = slice(cohort.offsets[k], cohort.offsets[k + 1])
+            assert np.array_equal(cohort.y[rows], c.labels)
+            assert np.array_equal(cohort.counts[k], population.counts[members[k]])
         assert np.array_equal(cohort.counts,
                               [np.bincount(c.domains, minlength=p) for c in chosen])
 

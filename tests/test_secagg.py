@@ -1,5 +1,7 @@
 """Masking simulation: cancellation, fixed-point bounds, protocol checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from agfed.core import InvalidArgument, make_rng
 from agfed.secagg import (
     DEFAULT_SCALE_BITS,
     MaskRangeError,
-    MaskedVector,
     PairwiseSeeds,
     ProtocolError,
     SecureSum,
@@ -40,10 +41,16 @@ def _reference_pair_mask(seed, length):
 
 
 def _secure_sum(seeds, plains):
+    """One 1-row submission per client, so the total accumulates across calls."""
     acc = SecureSum(seeds, len(plains[0]))
     for i, plain in enumerate(plains):
-        acc.submit(i, plain)
+        acc.submit(np.array([i]), plain[None])
     return acc.aggregate()
+
+
+def _masked_row(seeds, client, plain, **kwargs):
+    """One client's message: the row of a 1-row ``mask_set`` batch."""
+    return mask_set(seeds, np.array([client]), np.asarray(plain)[None], **kwargs).values[0]
 
 
 def _pair_seed(seeds, i, j):
@@ -93,27 +100,27 @@ class TestMasking:
     def test_single_client_is_plain_encoding(self):
         seeds = _seeds(1)
         plain = np.array([1.5, -2.25, 0.0])
-        mv = mask_set(seeds, 0, plain)
+        mv = mask_set(seeds, np.array([0]), plain[None])
         scale = 1 << DEFAULT_SCALE_BITS
         expected = np.rint(plain * scale).astype(np.int64).astype(np.uint64)
-        assert np.array_equal(mv.values, expected)
+        assert np.array_equal(mv.values, expected[None])
         assert np.array_equal(_secure_sum(seeds, [plain]), plain)
 
     def test_two_client_masks_are_complementary(self):
         seeds = _seeds(2)
         zero = np.zeros(4)
-        a = mask_set(seeds, 0, zero)
-        b = mask_set(seeds, 1, zero)
-        total = a.values + b.values  # uint64 wraps mod 2**64
+        a = _masked_row(seeds, 0, zero)
+        b = _masked_row(seeds, 1, zero)
+        total = a + b  # uint64 wraps mod 2**64
         assert np.all(total == 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_zero_plains_cancel_exactly(self, n):
         seeds = _seeds(n, key=n)
-        masked = [mask_set(seeds, i, np.zeros(5)) for i in range(n)]
+        masked = [_masked_row(seeds, i, np.zeros(5)) for i in range(n)]
         total = np.zeros(5, dtype=np.uint64)
-        for mv in masked:
-            total = total + mv.values
+        for row in masked:
+            total = total + row
         assert np.all(total == 0)  # mask cancellation is exact mod 2**64
         assert np.array_equal(_secure_sum(seeds, [np.zeros(5)] * n), np.zeros(5))
 
@@ -137,30 +144,30 @@ class TestMasking:
     def test_masked_value_differs_from_plain_encoding(self):
         seeds = _seeds(3, key=21)
         plain = np.array([1.0, 2.0, 3.0])
-        masked = mask_set(seeds, 0, plain)
-        unmasked = mask_set(_seeds(1), 0, plain)
-        assert not np.array_equal(masked.values, unmasked.values)
+        masked = _masked_row(seeds, 0, plain)
+        unmasked = _masked_row(_seeds(1), 0, plain)
+        assert not np.array_equal(masked, unmasked)
 
     def test_encoding_overflow_rejected(self):
         seeds = _seeds(2)
         too_big = np.array([2.0 ** 45])  # 2**45 * 2**20 > 2**62
         with pytest.raises(MaskRangeError):
-            mask_set(seeds, 0, too_big)
+            mask_set(seeds, np.array([0]), too_big[None])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, bad):
         with pytest.raises(MaskRangeError):
-            mask_set(_seeds(2), 0, np.array([0.5, bad]))
+            mask_set(_seeds(2), np.array([0]), np.array([[0.5, bad]]))
 
     def test_client_index_out_of_cohort_rejected(self):
-        # checked before the cached mask rows are indexed, where -1 would
+        # checked before the mask rows are indexed, where -1 would
         # silently pick the last client's row
         seeds = _seeds(2)
         for client in (-1, 2, 5):
             with pytest.raises(InvalidArgument, match="outside cohort of 2"):
-                mask_set(seeds, client, np.zeros(2))
+                mask_set(seeds, np.array([client]), np.zeros((1, 2)))
             with pytest.raises(InvalidArgument, match="outside cohort of 2"):
-                SecureSum(seeds, 2).submit(client, np.zeros(2))
+                SecureSum(seeds, 2).submit(np.array([client]), np.zeros((1, 2)))
         # inside an index array, the error names every bad index once
         for clients, named in (([0, -1], r"\[-1\]"), ([2, 1], r"\[2\]"),
                                ([2, -1, 2], r"\[-1, 2\]")):
@@ -193,8 +200,8 @@ class TestPairMasks:
         rng = make_rng(key)
         plain = rng.uniform(-1e3, 1e3, size=length)
         for client in range(seeds.n_clients):
-            masked = mask_set(seeds, client, plain)
-            assert np.array_equal(masked.values, _reference_mask_set(seeds, client, plain))
+            masked = _masked_row(seeds, client, plain)
+            assert np.array_equal(masked, _reference_mask_set(seeds, client, plain))
         # an index array, in cohort order or any other, gives the stacked rows
         plains = rng.uniform(-1e3, 1e3, size=(seeds.n_clients, length))
         for clients in (np.arange(seeds.n_clients), rng.permutation(seeds.n_clients)):
@@ -207,17 +214,18 @@ class TestPairMasks:
         seeds = _seeds(n, key=17)
         plain = np.array([0.25, -7.5, 3.0])
         for client in range(n):
-            assert np.array_equal(mask_set(seeds, client, plain).values,
+            assert np.array_equal(_masked_row(seeds, client, plain),
                                   _reference_mask_set(seeds, client, plain))
 
     def test_seeds_reused_across_vector_lengths(self):
-        # the cached mask rows are per length; a second length must not
-        # read the first one's rows
+        # one seed set masks vectors of any length: each length, also one
+        # that comes back after another, gets its own streams' words
         seeds = _seeds(5, key=18)
         for length in (3, 8, 3):
             plain = np.arange(length, dtype=np.float64) - 1.5
+            masked = mask_set(seeds, np.arange(5), np.tile(plain, (5, 1))).values
             for client in range(5):
-                assert np.array_equal(mask_set(seeds, client, plain).values,
+                assert np.array_equal(masked[client],
                                       _reference_mask_set(seeds, client, plain))
 
 
@@ -293,8 +301,8 @@ class TestPairLayoutCache:
 class TestProtocol:
     def test_missing_participant_is_protocol_error(self):
         acc = SecureSum(_seeds(3, key=5), 2)
-        acc.submit(0, np.ones(2))
-        acc.submit(2, np.ones(2))
+        acc.submit(np.array([0]), np.ones((1, 2)))
+        acc.submit(np.array([2]), np.ones((1, 2)))
         with pytest.raises(ProtocolError, match=r"missing participants \[1\]"):
             acc.aggregate()
         # a partial batch names every client it left out
@@ -306,10 +314,10 @@ class TestProtocol:
     def test_duplicate_participant_is_protocol_error(self):
         # the rejected resubmission leaves the total untouched
         acc = SecureSum(_seeds(2, key=6), 2)
-        acc.submit(0, np.ones(2))
+        acc.submit(np.array([0]), np.ones((1, 2)))
         with pytest.raises(ProtocolError):
-            acc.submit(0, np.full(2, 5.0))
-        acc.submit(1, np.ones(2))
+            acc.submit(np.array([0]), np.full((1, 2), 5.0))
+        acc.submit(np.array([1]), np.ones((1, 2)))
         assert acc.aggregate().tolist() == [2.0, 2.0]
         # across batches: a batch that repeats one earlier client is
         # rejected whole, fresh clients in it included
@@ -357,20 +365,20 @@ class TestSecureSum:
         acc = SecureSum(seeds, 2)
         vectors = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([-1.0, 0.5])]
         for i, v in enumerate(vectors):
-            acc.submit(i, v)
+            acc.submit(np.array([i]), v[None])
         assert np.allclose(acc.aggregate(), [3.0, 6.5], atol=1e-5)
 
     def test_aggregate_before_complete_raises(self):
         acc = SecureSum(_seeds(2, key=9), 2)
-        acc.submit(0, np.ones(2))
+        acc.submit(np.array([0]), np.ones((1, 2)))
         with pytest.raises(ProtocolError):
             acc.aggregate()
 
     def test_duplicate_submission_raises(self):
         acc = SecureSum(_seeds(2, key=10), 2)
-        acc.submit(0, np.ones(2))
+        acc.submit(np.array([0]), np.ones((1, 2)))
         with pytest.raises(ProtocolError):
-            acc.submit(0, np.ones(2))
+            acc.submit(np.array([0]), np.ones((1, 2)))
         # the same index twice inside one batch
         acc = SecureSum(_seeds(3, key=10), 2)
         with pytest.raises(ProtocolError, match=r"clients \[2\]"):
@@ -383,7 +391,8 @@ class TestSecureSum:
         for clients, plains in (
             (np.arange(2), np.ones(2)),           # 1-D vector for an index array
             (np.arange(2), np.ones((3, 2))),      # one row too many
-            (0, np.ones((1, 2))),                 # a stack for one index
+            (0, np.ones(2)),                      # one int index with its vector
+            (0, np.ones((1, 2))),                 # an int index with a 1-row stack
             (np.arange(2).reshape(1, 2), np.ones((1, 2, 2))),  # 2-D indices
             (np.array([0.0, 1.0]), np.ones((2, 2))),           # float indices
         ):
@@ -400,13 +409,13 @@ class TestSecureSum:
         # of them sum past 2**63 and would unmask to about -5.15e12
         acc = SecureSum(_seeds(4, key=13), 1)
         with pytest.raises(MaskRangeError):
-            acc.submit(0, np.array([2.0 ** 61.5 / 2 ** DEFAULT_SCALE_BITS]))
+            acc.submit(np.array([0]), np.array([[2.0 ** 61.5 / 2 ** DEFAULT_SCALE_BITS]]))
 
     def test_cohort_total_inside_decode_range_is_exact(self):
         acc = SecureSum(_seeds(4, key=13), 1)
         v = 2.0 ** 60 / 2 ** DEFAULT_SCALE_BITS  # 4 * 2**60 = 2**62 < 2**63
         for i in range(4):
-            acc.submit(i, np.array([v]))
+            acc.submit(np.array([i]), np.array([[v]]))
         assert acc.aggregate().tolist() == [4 * v]
 
     def test_public_surface_exposes_no_per_client_data(self):
@@ -418,7 +427,7 @@ class TestSecureSum:
         seeds = _seeds(2, key=12)
         acc = SecureSum(seeds, 2)
         plain = np.array([5.0, -3.0])
-        acc.submit(0, plain)
+        acc.submit(np.array([0]), plain[None])
         scale = 1 << DEFAULT_SCALE_BITS
         encoding = np.rint(plain * scale).astype(np.int64).astype(np.uint64)
         assert not np.array_equal(acc._total, encoding)
@@ -441,17 +450,13 @@ def test_fuzzed_sums_within_bound(n, length, key):
 
 
 def test_masked_vector_is_immutable():
-    given = np.array([1, 2], dtype=np.uint64)
-    mv = MaskedVector(given, 1 << 20, 0, 1)
-    with pytest.raises(ValueError):
-        mv.values[0] = 7
-    given[0] = 7  # the message holds a copy
-    assert mv.values.tolist() == [1, 2]
-    # mask_set's messages, one client's or a batch's, are read-only too
+    # mask_set's messages, a 1-row batch or a whole cohort's, are read-only
     seeds = _seeds(4, key=3)
-    for client, plain in ((2, np.ones(3)), (np.arange(4), np.ones((4, 3)))):
+    for client, plain in ((np.array([2]), np.ones((1, 3))), (np.arange(4), np.ones((4, 3)))):
         mv = mask_set(seeds, client, plain, scale_bits=10)
         assert (mv.scale, mv.n_clients) == (1 << 10, 4)
         assert np.array_equal(mv.client_index, client)
         with pytest.raises(ValueError):
             mv.values[0] = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mv.values = np.zeros_like(mv.values)

@@ -130,11 +130,11 @@ class TestPlainCohortSum:
 
 
 def _per_client_masked_sum(vectors, mask_rng, scale_bits):
-    """The masked cohort sum as one ``submit`` per client, in rank order."""
+    """The masked cohort sum as one 1-row ``submit`` per client, in rank order."""
     seeds = PairwiseSeeds.generate(vectors.shape[0], mask_rng)
     collector = SecureSum(seeds, vectors.shape[1], scale_bits=scale_bits)
     for rank, v in enumerate(vectors):
-        collector.submit(rank, v)
+        collector.submit(np.array([rank]), v[None])
     return collector.aggregate()
 
 

@@ -64,13 +64,24 @@ def test_every_benchmark_probe_target_resolves(bench_run):
     assert missing == []
 
 
-@pytest.mark.parametrize("workload", ["toy", "scale-masked"])
-def test_benchmark_operation_checks_pass_on_a_short_run(bench_run, tmp_path, workload):
-    # one untraced operation: the CLI run under the probe's patches, then
-    # check_outputs, which evaluates the final model through the harness
+@pytest.mark.parametrize("workload, traced", [
+    pytest.param(workload, traced, id=workload + ("-traced" if traced else ""))
+    for traced in (False, True) for workload in ("toy", "scale-masked")])
+def test_benchmark_operation_checks_pass_on_a_short_run(bench_run, tmp_path, workload,
+                                                        traced):
+    # one operation: the CLI run under the probe's or the tracer's
+    # patches, then check_outputs, which evaluates the final model
+    # through the harness
     plan = bench_run.make_plan(agfed, bench_run.WORKLOADS[workload], None,
                                tmp_path / "op", 2)
-    op = bench_run.run_op(agfed, plan, traced=False)
+    op = bench_run.run_op(agfed, plan, traced=traced)
     assert op.error is None
-    assert len(op.round_s) == 2
     assert op.final_worst_loss > 0.0
+    if not traced:
+        assert len(op.round_s) == 2
+        return
+    # the tracer counts pair masks from mask_set's messages and samples
+    # by iterating the generated population
+    layers = op.tracer.metrics()
+    assert layers["secagg.pair_masks"] > 0
+    assert layers["tasks.samples_generated"] == op.tracer.result.population.y.shape[0]
