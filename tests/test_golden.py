@@ -18,6 +18,9 @@ statistics round it to the fixed-point grid first).
 projected step, so clients of one size whose populated domain carries
 no weight skip local SGD: its 100 rounds mix rounds where every client
 trains, rounds where some skip, and rounds where all do.
+``classification-ragged-projected-skips`` does the same on clients of 5
+to 30 rows, so the clients that skip and those that train differ in
+size: 41 of its rounds skip some clients and 5 skip all.
 ``classification-single-row-minibatch`` trains the
 logistic model on 1-row minibatches, on clients of 1 to 6 rows: each
 logits product there has one row, which BLAS may take down another
@@ -102,6 +105,13 @@ CASES = [
                                         "algorithm.batch_size": "7", "algorithm.epochs": "2"},
                  "7eed176a45d25ba3e620e37192f01b64912561167b34d2afa2d36311375a98b7",
                  id="classification-projected-skips"),
+    pytest.param("classification.ini", {"algorithm.rounds": "100",
+                                        "task.samples_per_client": "5:30",
+                                        "algorithm.lambda_update": "projected-sgd",
+                                        "algorithm.lambda_lr": "1",
+                                        "algorithm.batch_size": "7", "algorithm.epochs": "2"},
+                 "eabc1e431f02f3b33fe29dfbddf602923fd58de2a62c6521589807c451ae3f53",
+                 id="classification-ragged-projected-skips"),
     pytest.param("classification.ini", {"algorithm.rounds": "30",
                                         "task.partition": "data-partition",
                                         "task.samples_per_client": "5:30",
