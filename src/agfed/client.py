@@ -32,30 +32,31 @@ alone. All orders come from one row-wise stable argsort of a (clients x
 slots) key matrix, padded past each client's size with a key above
 every draw. The clients step in lockstep: step s of an epoch takes
 every client's s-th minibatch in one ``grad_weighted`` call per
-minibatch size (one call when the clients are of equal size). A client with fewer rows than
-another runs out of minibatches first and sits the later steps out. No
-minibatch is padded, and ``grad_weighted`` computes each stacked
-minibatch as it would alone, so every client's result equals that of
-training it alone, on the same minibatches, bit for bit.
+minibatch size (one call when the clients are of equal size). A client
+with fewer rows than another runs out of minibatches first and sits the
+later steps out. No minibatch is padded, and ``grad_weighted`` computes
+each stacked minibatch as it would alone, so every client's result
+equals that of training it alone, on the same minibatches, bit for bit.
 
 Everything that schedule takes from the clients' sizes alone is built
 once per size profile: the minibatch width and step count, the groups
 of clients that draw the same number of rows at a step, and which slots
 of the key matrix hold a row. ``_schedule`` keeps it in a module-level
-``lru_cache`` of 16 entries, keyed by the bytes of the live clients'
-int64 sizes and the minibatch size; its arrays are shared by every round
-that hits the entry and are read-only. Cohorts of equal-size clients,
-as in the shipped configs, hit it every round; a ragged cohort mostly
-misses and builds its schedule as before. Three paths skip work that
-changes no bit: when every slot holds a row, the keys are reshaped into
-the slot matrix with no padding; a step group of every live client
-indexes with a slice, so its rows and parameters are views and the
-update runs in place; and when no client skips, the cohort's parameters
-train in place, with no gather and no scatter back.
+``lru_cache`` of 16 entries, keyed by the bytes of the cohort's int64
+sizes (the key ``core._row_layout`` uses) and the minibatch size; its
+arrays are shared by every round that hits the entry and are read-only.
+Cohorts of equal-size clients, as in the shipped configs, hit it every
+round; a ragged cohort mostly misses and builds its schedule as before.
+Two paths skip work that changes no bit: when every slot holds a row,
+the keys are reshaped into the slot matrix with no padding; and a step
+group of every client indexes with a slice, so its rows and parameters
+are views and the update runs in place.
 
 A client whose populated domains all carry zero scaling weight has
-beta = 0; its statistics still count, but it keeps the incoming
-parameters and signals a skip rather than failing.
+beta = 0; its statistics still count, but it is skipped: it steps with
+the others on rows that all weigh 0, so it moves by +-0 (divided by 1,
+not by its beta), and it gets ``w_in`` back, bit for bit. When the
+whole cohort skips, no step is taken.
 
 Inputs are checked once per round: ``compute_client_stats`` runs
 ``models.check_batch`` on the incoming parameters and the cohort's rows
@@ -93,8 +94,9 @@ class LocalSGDConfig:
             raise InvalidArgument("epochs must be >= 1")
         if self.batch_size < 1:
             raise InvalidArgument("batch_size must be >= 1")
-        if not self.learning_rate > 0:
-            raise InvalidArgument("learning_rate must be > 0")
+        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
+            raise InvalidArgument(
+                f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 
 # numpy adds up to this many values left to right from +0.0; from 8 on
@@ -176,24 +178,46 @@ def client_update(
     """E epochs of scaled local SGD for every cohort client, from ``w_in``.
 
     Returns the (m, P) new parameters and the (m,) betas; a client with
-    beta == 0 is skipped and keeps ``w_in``. Every epoch draws one
-    uniform key per cohort row from ``rng``, skipped clients' rows
-    included, and each client visits its rows in the stable order of
-    their keys; so the result is a deterministic function of the
-    arguments and the generator's state. The last minibatch of an epoch
-    may be short; it is kept, not dropped. Trusts that
-    ``compute_client_stats`` checked ``w_in`` and the cohort this round
-    and that ``alpha`` is a finite, non-negative vector of length p.
+    beta == 0 is skipped and gets ``w_in`` back. Every epoch draws one
+    uniform key per cohort row from ``rng``, and each client visits its
+    rows in the stable order of their keys; so the result is a
+    deterministic function of the arguments and the generator's state.
+    The last minibatch of an epoch may be short; it is kept, not
+    dropped. Trusts that ``compute_client_stats`` checked ``w_in`` and
+    the cohort this round and that ``alpha`` is a finite, non-negative
+    vector of length p.
     """
     betas = _betas(alpha, cohort.counts)
     params = w_in[None, :].repeat(len(cohort), axis=0)
-    live = betas != 0.0
-    if live.all():
-        # nothing to gather or scatter back: train every row in place
-        _lockstep_sgd(spec, params, alpha, cohort, None, betas[:, None], cfg, rng)
-    elif live.any():
-        params[live] = _lockstep_sgd(spec, params[live], alpha, cohort, live,
-                                     betas[live, None], cfg, rng)
+    skipped = betas == 0.0
+    if skipped.all():
+        return params, betas
+    width, n_steps, groups, filled = _schedule(cohort.sizes.tobytes(), cfg.batch_size)
+    m = len(cohort)
+    # a skipped client's rows weigh 0, so it steps by +-0 and is divided by 1
+    divisors = np.where(skipped, 1.0, betas)[:, None]
+    sample_weights = alpha[cohort.domains]
+    # client k's keys fill the first sizes[k] slots of row k; the padding
+    # key 2.0 exceeds every draw in [0, 1), so a stable sort of row k puts
+    # the positions of client k's rows, in key order, first
+    if filled is not None:
+        slot_keys = np.full((m, n_steps * width), 2.0)
+    starts = cohort.offsets[:-1, None]
+    for _ in range(cfg.epochs):
+        keys = rng.random(cohort.owners.shape[0])
+        if filled is None:
+            # every slot holds a row, in client order
+            slot_keys = keys.reshape(m, n_steps * width)
+        else:
+            slot_keys[filled] = keys
+        batches = (starts + slot_keys.argsort(axis=1, kind="stable")).reshape(m, n_steps, width)
+        for s, clients, rows in groups:
+            idx = batches[clients, s, :rows]
+            g = grad_weighted(spec, params[clients], cohort.xb[idx], cohort.y[idx],
+                              sample_weights[idx])
+            params[clients] -= cfg.learning_rate * (g / divisors[clients])
+    # a skipped client moved by +-0 only; it gets w_in's bits, zero signs too
+    params[skipped] = w_in
     if not np.isfinite(params).all():
         raise NumericError("local SGD produced NaN or Inf parameters")
     return params, betas
@@ -237,38 +261,3 @@ def _schedule(sizes: bytes, batch_size: int) -> _Schedule:
     else:
         filled.flags.writeable = False
     return _Schedule(width, n_steps, tuple(groups), filled)
-
-
-def _lockstep_sgd(spec, w, alpha, cohort, live, betas, cfg, rng):
-    """Local SGD, in place in ``w``, of the clients where ``live`` (all when None)."""
-    sizes = cohort.sizes if live is None else cohort.sizes[live]
-    width, n_steps, groups, filled = _schedule(sizes.tobytes(), cfg.batch_size)
-    m = sizes.shape[0]
-    sample_weights = alpha[cohort.domains]
-    # client k's keys fill the first sizes[k] slots of row k; the padding
-    # key 2.0 exceeds every draw in [0, 1), so a stable sort of row k puts
-    # the positions of client k's rows, in key order, first
-    if filled is not None:
-        slot_keys = np.full((m, n_steps * width), 2.0)
-    if live is None:
-        starts = cohort.offsets[:-1, None]
-    else:
-        live_rows = live[cohort.owners]
-        starts = cohort.offsets[:-1][live, None]
-    for _ in range(cfg.epochs):
-        keys = rng.random(cohort.owners.shape[0])
-        if live is not None:
-            keys = keys[live_rows]
-        if filled is None:
-            # every slot holds a row, in client order
-            slot_keys = keys.reshape(m, n_steps * width)
-        else:
-            slot_keys[filled] = keys
-        slots = starts + slot_keys.argsort(axis=1, kind="stable")
-        batches = slots.reshape(m, n_steps, width)
-        for s, clients, rows in groups:
-            idx = batches[clients, s, :rows]
-            g = grad_weighted(spec, w[clients], cohort.xb[idx], cohort.y[idx],
-                              sample_weights[idx])
-            w[clients] -= cfg.learning_rate * (g / betas[clients])
-    return w

@@ -135,8 +135,8 @@ class AlgorithmConfig:
             raise InvalidArgument("clients_per_round must be >= 1")
         if self.rounds < 0:
             raise InvalidArgument("rounds must be >= 0")
-        if not self.lambda_lr > 0:
-            raise InvalidArgument("lambda_lr must be > 0")
+        if not (self.lambda_lr > 0 and np.isfinite(self.lambda_lr)):
+            raise InvalidArgument(f"lambda_lr must be finite and > 0, got {self.lambda_lr!r}")
         if self.window_len < 1:
             raise InvalidArgument("window_len must be >= 1")
 

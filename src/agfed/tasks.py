@@ -243,8 +243,7 @@ def generate_population(cfg: TaskConfig) -> tuple[Population, float | None]:
 def write_datasets(population: Population, path: str | Path) -> None:
     """Line-oriented text dump: per sample ``domain label features...``.
 
-    Clients are delimited by ``# client <id>`` header lines so the file
-    round-trips back into a population.
+    Clients are delimited by ``# client <id>`` header lines.
     """
     path = Path(path)
     lines: list[str] = []
@@ -255,24 +254,3 @@ def write_datasets(population: Population, path: str | Path) -> None:
             feats = " ".join(f"{v:.17g}" for v in x)
             lines.append(f"{domain} {label:.17g} {feats}")
     path.write_text("\n".join(lines) + "\n")
-
-
-def read_datasets(path: str | Path, p: int) -> Population:
-    """Parse a file written by ``write_datasets`` for a task with ``p`` domains."""
-    ids: list[int] = []
-    offsets: list[int] = []
-    rows: list[list[str]] = []
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if line.startswith("# client"):
-            ids.append(int(line.split()[-1]))
-            offsets.append(len(rows))
-        elif line:
-            if not ids or len(line.split()) < 3:
-                raise InvalidArgument(f"malformed dataset line: {raw!r}")
-            rows.append(line.split())
-    if not rows or len({len(r) for r in rows}) != 1:
-        raise InvalidArgument(f"{path} holds no samples or mixes feature dimensions")
-    domains = np.array([int(r[0]) for r in rows])
-    table = np.array([[float(v) for v in r[1:]] for r in rows])
-    return Population(table[:, 1:], table[:, 0], domains, offsets + [len(rows)], ids, p)

@@ -175,6 +175,9 @@ class TestErrors:
         ("classification.ini", ["task.noise=-inf"]),
         ("classification.ini", ["task.shares=0.85 nan"]),
         ("classification.ini", ["task.partition=data-partition", "task.mixing=nan nan"]),
+        # the step sizes are checked the same way, by their own dataclasses
+        ("toy.ini", ["algorithm.lambda_lr=inf"]),
+        ("toy.ini", ["algorithm.learning_rate=inf"]),
     ])
     def test_non_finite_task_knob_rejected_before_the_run(self, tmp_path, capsys,
                                                           name, pairs):

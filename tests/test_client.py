@@ -288,6 +288,8 @@ class TestLocalSGDConfig:
         dict(epochs=1, batch_size=0, learning_rate=0.1),
         dict(epochs=1, batch_size=1, learning_rate=0.0),
         dict(epochs=1, batch_size=1, learning_rate=-0.5),
+        dict(epochs=1, batch_size=1, learning_rate=math.inf),
+        dict(epochs=1, batch_size=1, learning_rate=math.nan),
     ])
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(InvalidArgument):
@@ -359,13 +361,15 @@ class TestCohortMatchesPerClientLoop:
                                                (12, [0, 1] * 6)])]
         alpha = np.array([0.5, 0.0])
         cfg = LocalSGDConfig(epochs=2, batch_size=5, learning_rate=0.1)
-        w = np.array([0.4])
+        # array_equal cannot tell -0.0 from 0.0, so the skipped row's
+        # bytes are compared
+        w = np.array([-0.0])
         cohort = _cohort(clients, 2)
         params, betas = client_update(SCALAR, w, alpha, cohort, cfg, make_rng(5))
         _, _, ref_params, ref_betas = _reference_round_clients(
             SCALAR, w, alpha, clients, 2, cfg, 5)
         assert betas.tolist() == [1.5, 0.0, 3.0]
-        assert np.array_equal(params[1], w)
+        assert params[1].tobytes() == w.tobytes()
         assert np.array_equal(params, ref_params)
         assert np.array_equal(betas, ref_betas)
 
@@ -442,13 +446,22 @@ class TestScheduleCache:
         assert schedule.filled.tolist() == [[True] * 7 + [False] * 2] * 2
         assert [clients for _, clients, _ in schedule.groups] == [slice(None)] * 3
 
+    # sizes of each cohort's clients; domains of the first cohort's, then
+    # of the second's: the schedule is keyed by the sizes, whoever skips
     @pytest.mark.parametrize("sizes, domains", [
-        ([4, 4, 4], [[0] * 4, [0, 1] * 2, [1] * 4]),     # equal sizes, one skips
-        ([4, 4, 4], [[0] * 4, [0, 1] * 2, [0] * 4]),     # every client trains
-        ([3, 7, 12], [[0] * 3, [1] * 7, [0, 1] * 6]),    # ragged, one skips
+        ([4, 4, 4], [[0] * 4, [0, 1] * 2, [1] * 4] * 2),     # equal sizes, one skips
+        ([4, 4, 4], [[0] * 4, [0, 1] * 2, [0] * 4] * 2),     # every client trains
+        ([3, 7, 12], [[0] * 3, [1] * 7, [0, 1] * 6] * 2),    # ragged, one skips
+        # equal sizes, one skips, then none does
+        ([4, 4, 4], [[0] * 4, [0, 1] * 2, [1] * 4, [0] * 4, [0, 1] * 2, [0] * 4]),
+        # ragged, the middle client skips, then the first does
+        ([3, 7, 12], [[0] * 3, [1] * 7, [0, 1] * 6, [1] * 3, [0] * 7, [0, 1] * 6]),
     ])
     def test_same_size_profile_builds_nothing(self, monkeypatch, sizes, domains):
-        clients = _layout_clients(sizes + sizes, domains + domains, key=30)
+        # only the first cohort may fill the caches
+        _schedule.cache_clear()
+        _row_layout.cache_clear()
+        clients = _layout_clients(sizes + sizes, domains, key=30)
         population = Population.from_clients(clients, 2)
         alpha = np.array([0.5, 0.0])
         cfg = LocalSGDConfig(epochs=2, batch_size=3, learning_rate=0.1)

@@ -45,8 +45,6 @@ from agfed.tasks import (
     gen_synthetic_classification,
     gen_toy_regression,
     model_spec_for,
-    read_datasets,
-    write_datasets,
 )
 
 SCALAR = ModelSpec("scalar-regression")
@@ -540,16 +538,14 @@ class TestRunRound:
         assert len(calls) == 1
         assert calls[0][2].shape[0] == 10 * 10
 
-    def test_fractional_label_rejected_before_training(self, tmp_path, monkeypatch):
+    def test_fractional_label_rejected_before_training(self, monkeypatch):
         task = TaskConfig(kind="synthetic-classification", p=2, num_clients=4, seed=3,
                           partition="client-partition", samples_per_client=5)
-        path = tmp_path / "population.txt"
-        write_datasets(gen_synthetic_classification(task), path)
-        lines = path.read_text().splitlines()
-        domain, _, *features = lines[-1].split()
-        lines[-1] = " ".join([domain, "0.7", *features])
-        path.write_text("\n".join(lines) + "\n")
-        population = read_datasets(path, task.p)
+        generated = gen_synthetic_classification(task)
+        labels = generated.y.copy()
+        labels[-1] = 0.7
+        population = Population(generated.x, labels, generated.domains, generated.offsets,
+                                generated.client_ids, task.p)
 
         def no_training(*args):
             raise AssertionError("client_update ran on unchecked data")
@@ -582,6 +578,8 @@ class TestConfigValidation:
         dict(rounds=-1),
         dict(lambda_lr=0.0),
         dict(window_len=0),
+        dict(lambda_lr=math.inf),
+        dict(lambda_lr=math.nan),
     ])
     def test_bad_algorithm_config(self, kwargs):
         with pytest.raises(InvalidArgument):
