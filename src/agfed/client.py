@@ -60,9 +60,10 @@ whole cohort skips, no step is taken.
 
 Inputs are checked once per round: ``compute_client_stats`` runs
 ``models.check_batch`` on the incoming parameters and the cohort's rows
-before anything else touches them. ``client_update`` trusts that check
-and a scaling vector from ``server.compute_scaling`` (or all-ones for
-FedAvg); its SGD loop does arithmetic only. A blow-up during local SGD
+before anything else touches them, all but the labels' values, which
+``server.run_round`` checks once per population. ``client_update``
+trusts those checks and a scaling vector from ``server.compute_scaling``
+(or all-ones for FedAvg); its SGD loop does arithmetic only. A blow-up during local SGD
 surfaces as ``NumericError`` from one finiteness check on the cohort's
 new parameters.
 """
@@ -155,9 +156,11 @@ def compute_client_stats(
     so the sums equal a per-client evaluation bit for bit (but for a
     logistic client of one row, whose 1-row matrix product takes another
     BLAS path and may differ in the last bit). The round's check of
-    ``w`` and of the cohort's rows happens here.
+    ``w`` and of the shapes of the cohort's rows happens here; the
+    labels' values are trusted, as ``run_round`` checks them once per
+    population (``models.check_labels``).
     """
-    check_batch(spec, w, cohort.xb, cohort.y)
+    check_batch(spec, w, cohort.xb, cohort.y, labels=False)
     losses = batch_losses(spec, w, cohort.xb, cohort.y)
     m, p = cohort.counts.shape
     by_client_domain = (cohort.owners * p + cohort.domains).argsort(kind="stable")
@@ -213,8 +216,9 @@ def client_update(
         batches = (starts + slot_keys.argsort(axis=1, kind="stable")).reshape(m, n_steps, width)
         for s, clients, rows in groups:
             idx = batches[clients, s, :rows]
-            g = grad_weighted(spec, params[clients], cohort.xb[idx], cohort.y[idx],
-                              sample_weights[idx])
+            # take gives fancy indexing's rows in a fraction of the time
+            g = grad_weighted(spec, params[clients], cohort.xb.take(idx, axis=0),
+                              cohort.y[idx], sample_weights[idx])
             params[clients] -= cfg.learning_rate * (g / divisors[clients])
     # a skipped client moved by +-0 only; it gets w_in's bits, zero signs too
     params[skipped] = w_in

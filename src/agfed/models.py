@@ -26,7 +26,9 @@ round calls it once, on the cohort's gathered rows, before they meet
 the model; ``batch_losses``, ``grad_weighted`` and ``predict_classes``
 then trust their inputs and do arithmetic only. It checks the width of
 the augmented rows, not that their last column holds ones: the
-population guarantees that when it builds them.
+population guarantees that when it builds them. The round leaves out
+the labels' part of the rule, ``check_labels``, and takes it once per
+population and model instead, since a population's labels never change.
 
 The logistic kernels never reduce along the class axis. numpy runs a
 ``max`` or ``sum`` over a row of C values as one inner-loop call per
@@ -85,13 +87,29 @@ class ModelSpec:
         return self.num_classes * (self.input_dim + 1)
 
 
-def check_batch(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> None:
+def check_labels(spec: ModelSpec, y: np.ndarray) -> None:
+    """Reject a logistic model's labels unless all are integer classes in ``0..num_classes-1``.
+
+    Any real label suits the regression models.
+    """
+    if spec.kind == "logistic" and not (
+        (y >= 0) & (y < spec.num_classes) & (y == np.floor(y))
+    ).all():
+        raise InvalidArgument(
+            f"class labels must be integers in 0..{spec.num_classes - 1}"
+        )
+
+
+def check_batch(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray, *,
+                labels: bool = True) -> None:
     """Reject a batch the kernels below cannot take as it is.
 
     ``w`` must be a finite 1-D vector of ``param_count`` entries
     (``NumericError`` when it is not finite), ``xb`` an (n, input_dim +
-    1) matrix of augmented rows and ``y`` one label per row; a logistic
-    model's labels must be integer classes in ``0..num_classes-1``.
+    1) matrix of augmented rows and ``y`` one label per row; unless
+    ``labels`` is false, ``check_labels`` then checks the labels' values.
+    A caller whose rows come from labels it has already checked passes
+    ``labels=False``.
     """
     if w.ndim != 1 or w.shape[0] != spec.param_count:
         raise InvalidArgument(
@@ -106,12 +124,8 @@ def check_batch(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -
         )
     if y.shape != (xb.shape[0],):
         raise InvalidArgument("features and labels differ in length")
-    if spec.kind == "logistic" and not (
-        (y >= 0) & (y < spec.num_classes) & (y == np.floor(y))
-    ).all():
-        raise InvalidArgument(
-            f"class labels must be integers in 0..{spec.num_classes - 1}"
-        )
+    if labels:
+        check_labels(spec, y)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -13,20 +13,37 @@ instead of wrapping.
 
 Both clients of a pair expand their shared seed into the same
 splitmix64 stream, so a cohort sum needs each pair's stream once: each
-``mask_set`` evaluates all n(n-1)/2 x L stream values, in vectorised
-blocks of lower-index clients that bound the memory they take at once,
-and reduces them into each client's signed mask row. Where each pair's
-stream goes depends only on n and the block size, so that index layout
-(each block's slice of the seeds, where each lower index's pairs start,
-and the order and starts of the pairs grouped by higher index) is built
-once per (n, block) and kept in a small module-level cache as read-only
-arrays; a sum then only hashes, gathers and reduces. The cache holds no
-seed and no client data, and at most 8 layouts. A layout takes one
-index per pair plus a few per client and block: O(n(n-1)/2) words, the
-order of the seeds each masked sum draws anyway, so the blocks still
-bound the temporary memory of a sum. The column of stream counters that
-every seed is added to is kept the same way, one read-only column per
-vector length.
+``mask_set`` evaluates all n(n-1)/2 x L stream values and builds each
+client's signed mask row from them, in one of two ways that give the
+same rows, bit for bit, since sums mod 2**64 are exact in any order:
+
+- A small sum, of at most ``_SCATTER_WORDS`` (3,000) stream words,
+  expands every pair's stream at once and scatters it: one
+  ``np.add.at`` adds each word to the lower index's row and one
+  ``np.subtract.at`` takes it from the higher index's. At this size
+  numpy's per-call overhead, not the words, sets the cost, and two
+  calls beat the reductions below: 10 clients x 10 words take about
+  two thirds of the blocked time. Past the constant the scatter's
+  per-word cost dominates; it is set where the two ways measured level
+  for the shortest vectors a round masks (L = 2, near 3,000 words).
+- A larger sum expands the streams in vectorised blocks of lower-index
+  clients, which bound the memory they take at once, and reduces each
+  block with two ``np.add.reduceat`` passes: pairs grouped by lower
+  index add, pairs grouped by higher index subtract.
+
+Where each pair's stream goes depends only on n, L and the block size,
+so both index layouts are built once and kept in small module-level
+caches as read-only arrays: the scatter's two flat positions per pair
+word, per (n, L), and, per (n, block), each block's slice of the seeds,
+where each lower index's pairs start, and the order and starts of the
+pairs grouped by higher index. A sum then only hashes and scatters, or
+hashes, gathers and reduces. The caches hold no seed and no client
+data, and at most 8 layouts each. A scatter layout takes two indices per
+word of a small sum; a blocked layout one index per pair plus a few per
+client and block: O(n(n-1)/2) words, the order of the seeds each masked
+sum draws anyway, so the blocks still bound the temporary memory of a
+sum. The column of stream counters that every seed is added to is kept
+the same way, one read-only column per vector length.
 ``mask_set`` and ``SecureSum.submit`` take a 1-D array of client
 indices with one row per index, so a whole cohort is masked and
 submitted in one call of O(1) numpy operations: encode the (m x L)
@@ -61,6 +78,11 @@ _ENCODE_LIMIT = float(1 << 62)
 _DECODE_LIMIT = float(1 << 63)
 # Pair-stream words expanded at once when building a cohort's mask rows
 _BLOCK_WORDS = 1 << 17
+# Pair-stream words, n(n-1)/2 x L, up to which a sum's mask rows are
+# scattered rather than reduced in blocks: the two measured level near
+# 3,000 words for L = 2 and near 4,000 for L = 4 (numpy 2.4.6 on a
+# 2-core AVX-512 Xeon)
+_SCATTER_WORDS = 3000
 
 
 class MaskRangeError(ValueError):
@@ -75,8 +97,9 @@ def _encode(plain: np.ndarray, scale: int, n_clients: int) -> np.ndarray:
     plain = np.asarray(plain, dtype=np.float64)
     scaled = np.rint(plain * scale)
     limit = min(_ENCODE_LIMIT, _DECODE_LIMIT / n_clients)
-    # NaN and +-inf fail the comparison too
-    if not (np.abs(scaled) < limit).all():
+    # one reduction: NaN propagates through the max, and NaN and +-inf
+    # fail the comparison
+    if not np.abs(scaled).max(initial=0.0) < limit:
         raise MaskRangeError(
             f"value magnitude exceeds fixed-point range for a cohort of {n_clients} "
             f"(|r * {scale}| >= min(2**62, 2**63 / {n_clients}))"
@@ -206,6 +229,33 @@ def _pair_layout(n: int, block: int) -> tuple[_PairBlock, ...]:
     return tuple(blocks)
 
 
+@functools.lru_cache(maxsize=8)
+def _scatter_layout(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where word k of each pair's stream goes in the flat (n x length) mask rows.
+
+    Two read-only intp arrays in the (length x pairs) order of the
+    expanded streams: the position in the lower index's row, which adds
+    the word, and in the higher index's row, which subtracts it.
+    """
+    lower, higher = np.triu_indices(n, k=1)
+    words = np.arange(length)[:, None]
+    adds, subs = (lower * length + words).ravel(), (higher * length + words).ravel()
+    adds.flags.writeable = subs.flags.writeable = False
+    return adds, subs
+
+
+def _scattered_mask_rows(upper: np.ndarray, n: int, length: int) -> np.ndarray:
+    # the rows _signed_mask_rows builds, from one scatter of every pair
+    # word: for a small sum, two ufunc.at calls cost less than the
+    # reduceat passes and the gather between them
+    adds, subs = _scatter_layout(n, length)
+    words = _pair_masks(upper, length).T.ravel()
+    rows = np.zeros(n * length, dtype=np.uint64)
+    np.add.at(rows, adds, words)
+    np.subtract.at(rows, subs, words)
+    return rows.reshape(n, length)
+
+
 def _signed_mask_rows(upper: np.ndarray, n: int, length: int, block: int) -> np.ndarray:
     # pair (i, j), i < j, adds its stream to row i and subtracts it from
     # row j; sums mod 2**64 are exact in any order. The streams are
@@ -247,8 +297,13 @@ def mask_set(seeds: PairwiseSeeds, clients: np.ndarray, plain: np.ndarray, *,
                               f"outside cohort of {n}")
     scale = 1 << scale_bits
     length = plain.shape[1]
-    masks = _signed_mask_rows(seeds.upper, n, length, max(1, _BLOCK_WORDS // (n * length)))
-    values = _encode(plain, scale, n) + masks[clients]
+    # each message is built in its encoding's fresh buffer
+    values = _encode(plain, scale, n)
+    if n * (n - 1) // 2 * length <= _SCATTER_WORDS:
+        masks = _scattered_mask_rows(seeds.upper, n, length)
+    else:
+        masks = _signed_mask_rows(seeds.upper, n, length, max(1, _BLOCK_WORDS // (n * length)))
+    values += masks.take(clients, axis=0)
     values.flags.writeable = False
     return MaskedVector(values, scale, clients, n)
 

@@ -44,12 +44,15 @@ in that order, so floating-point sums stay deterministic.
 Each fact of a round is checked once and trusted after: lambda by
 ``ServerState.__post_init__``, the losses by ``run_round``'s check of the
 cohort loss sums, and the counts by construction (cohort sums of
-non-negative integers, one per domain).
+non-negative integers, one per domain). A population's labels never
+change, so ``run_round`` checks them once per population and model, on
+the first round that meets the pair, not on every cohort.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Literal
 
@@ -72,7 +75,7 @@ from .core import (
     stored_rng,
     validate_mixture,
 )
-from .models import ModelSpec
+from .models import ModelSpec, check_labels
 from .secagg import DEFAULT_SCALE_BITS, PairwiseSeeds, SecureSum
 
 Algorithm = Literal["fedavg", "afa"]
@@ -85,6 +88,11 @@ _TAG_SAMPLING = 1
 _TAG_LOCAL_SGD = 4
 # Rounds whose generators are seeded together, when the first of them runs
 _BLOCK_ROUNDS = 256
+
+
+# The models each population's labels passed ``check_labels`` for. Weak,
+# so no population is kept alive here.
+_LABELS_CHECKED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class DegenerateRound(RuntimeError):
@@ -268,7 +276,13 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     u = np.sort(v)[::-1]
     css = np.cumsum(u)
     j = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u + (1.0 - css) / j > 0)[0][-1])
+    passing = np.nonzero(u + (1.0 - css) / j > 0)[0]
+    # in exact arithmetic index 0 always passes; for huge entries the 1 is
+    # lost to rounding and none may
+    if passing.shape[0] == 0:
+        raise NumericError(f"simplex projection lost precision: entries up to "
+                           f"{u[0]:.3g} round its unit sum away")
+    rho = int(passing[-1])
     theta = (css[rho] - 1.0) / (rho + 1)
     return np.maximum(v - theta, 0.0)
 
@@ -372,6 +386,10 @@ def run_round(
         )
     if population.p != p:
         raise InvalidArgument(f"population has p={population.p} domains, lambda has {p}")
+    checked = _LABELS_CHECKED.setdefault(population, set())
+    if spec not in checked:
+        check_labels(spec, population.y)
+        checked.add(spec)
     t = state.round + 1
 
     sample_rng, sgd_rng = round_rngs(seed, t)

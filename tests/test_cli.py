@@ -192,6 +192,20 @@ class TestErrors:
         assert err.count("\n") == 1
         assert not (out / "metrics.csv").exists()
 
+    def test_projected_step_past_float_precision_is_one_numeric_error(self, tmp_path,
+                                                                        capsys):
+        # lambda + 1e15 * loss swamps the simplex's unit sum in the
+        # projection; that fails with one error line, not an IndexError
+        config = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
+        code = main(["run", "--config", str(config),
+                     "--set", "algorithm.lambda_update=projected-sgd",
+                     "--set", "algorithm.lambda_lr=1e15", "--set", "output.plots=false",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NumericError: simplex projection lost precision")
+        assert err.count("\n") == 1
+
     def test_default_section_is_an_unknown_section(self, tmp_path):
         toy = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
         text = toy.read_text().replace("seed = 42\n", "")

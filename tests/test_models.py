@@ -20,6 +20,7 @@ from agfed.models import (
     _log_softmax,
     batch_losses,
     check_batch,
+    check_labels,
     grad_weighted,
     predict_classes,
 )
@@ -134,6 +135,23 @@ class TestCheckBatch:
         y = np.array([0.0, label])
         with pytest.raises(InvalidArgument):
             check_batch(spec, np.zeros(spec.param_count), np.ones((2, 3)), y)
+        with pytest.raises(InvalidArgument):
+            check_labels(spec, y)
+        # labels=False leaves the labels' values to a check made earlier
+        check_batch(spec, np.zeros(spec.param_count), np.ones((2, 3)), y, labels=False)
+
+    def test_labels_false_still_checks_the_shapes(self):
+        spec = ModelSpec("logistic", input_dim=2, num_classes=2)
+        with pytest.raises(InvalidArgument, match="differ in length"):
+            check_batch(spec, np.zeros(spec.param_count), np.ones((3, 3)), np.zeros(2),
+                        labels=False)
+        with pytest.raises(NumericError):
+            check_batch(spec, np.full(spec.param_count, np.inf), np.ones((2, 3)),
+                        np.zeros(2), labels=False)
+
+    def test_regression_labels_take_any_real(self):
+        for spec in (SCALAR, LINEAR):
+            check_labels(spec, np.array([-1.5, 0.7, 1e9]))
 
 
 class TestGradExamples:

@@ -4,9 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import agfed.secagg
 from agfed.core import InvalidArgument, make_rng
 from agfed.secagg import (
     DEFAULT_SCALE_BITS,
@@ -14,10 +15,13 @@ from agfed.secagg import (
     PairwiseSeeds,
     ProtocolError,
     SecureSum,
+    _SCATTER_WORDS,
     _counters,
     _encode,
     _pair_layout,
     _pair_masks,
+    _scatter_layout,
+    _scattered_mask_rows,
     _signed_mask_rows,
     mask_set,
 )
@@ -249,6 +253,97 @@ class TestBlockedMaskRows:
                     stream = _reference_pair_mask(_pair_seed(seeds, i, j), 4)
                     expected = expected + stream if i < j else expected - stream
             assert np.array_equal(rows[i], expected)
+
+
+@st.composite
+def _shape_either_side(draw):
+    """(n, L) whose n(n-1)/2 x L pair words are at most ``_SCATTER_WORDS``, or above it."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        most = max(1, _SCATTER_WORDS // max(1, n * (n - 1) // 2))
+        return n, draw(st.integers(1, min(most, 64)))
+    n = draw(st.integers(2, 60))
+    least = _SCATTER_WORDS // (n * (n - 1) // 2) + 1
+    return n, draw(st.integers(least, least + 3))
+
+
+class TestScatteredMaskRows:
+    """Small sums scatter each pair's stream; larger ones take the blocked rows."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_shape_either_side(), st.integers(1, 2**31 - 1), st.integers(1, 4))
+    @example((1, 7), 5, 1)
+    @example((2, 3), 6, 1)
+    @example((2, _SCATTER_WORDS + 1), 7, 1)
+    @example((3, _SCATTER_WORDS // 3), 8, 2)
+    def test_mask_set_matches_per_peer_reference(self, shape, key, batch):
+        n, length = shape
+        rng = make_rng(key)
+        seeds = PairwiseSeeds.generate(n, rng)
+        # a batch of k <= n clients, in any order; the per-peer reference
+        # costs O(n**2) a client, so a batch holds at most 4
+        k = min(n, batch)
+        clients = rng.permutation(n)[:k]
+        plains = rng.uniform(-1e3, 1e3, size=(k, length))
+        stacked = np.stack([_reference_mask_set(seeds, c, v) for c, v in zip(clients, plains)])
+        assert np.array_equal(mask_set(seeds, clients, plains).values, stacked)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 30])
+    def test_rows_equal_the_blocked_rows_at_every_block_size(self, n):
+        seeds = _seeds(n, key=n)
+        for length in (1, 4):
+            scattered = _scattered_mask_rows(seeds.upper, n, length)
+            assert scattered.shape == (n, length) and scattered.dtype == np.uint64
+            for block in range(1, n + 1):
+                assert np.array_equal(scattered,
+                                      _signed_mask_rows(seeds.upper, n, length, block))
+
+    @pytest.mark.parametrize("n, length, scattered", [
+        (2, _SCATTER_WORDS, True), (2, _SCATTER_WORDS + 1, False),
+        (10, 10, True), (100, 4, False)])
+    def test_mask_set_takes_the_path_of_its_size(self, monkeypatch, n, length, scattered):
+        # the size check is in mask_set: the threshold's own size still
+        # scatters, one word more takes the blocked rows
+        taken = []
+        for name in ("_scattered_mask_rows", "_signed_mask_rows"):
+            def spy(*args, _name=name, _real=getattr(agfed.secagg, name)):
+                taken.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(agfed.secagg, name, spy)
+        seeds = _seeds(n, key=length)
+        plains = make_rng(length).uniform(-1e3, 1e3, size=(n, length))
+        masked = mask_set(seeds, np.arange(n), plains).values
+        assert taken == ["_scattered_mask_rows" if scattered else "_signed_mask_rows"]
+        monkeypatch.undo()
+        assert np.array_equal(masked, _encode(plains, 1 << DEFAULT_SCALE_BITS, n)
+                              + _reference_rows(seeds, length))
+
+    @pytest.mark.parametrize("n, length", [(3, 2), (100, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0 ** 45])
+    def test_unencodable_values_rejected_on_both_paths(self, n, length, bad):
+        # (3, 2) scatters and (100, 1) takes the blocked rows
+        plains = np.zeros((n, length))
+        plains[n // 2, length - 1] = bad
+        with pytest.raises(MaskRangeError):
+            mask_set(_seeds(n), np.arange(n), plains)
+        with pytest.raises(MaskRangeError):
+            SecureSum(_seeds(n), length).submit(np.arange(n), plains)
+
+    def test_layout_is_cached_read_only_and_builds_no_index(self, monkeypatch):
+        adds, subs = _scatter_layout(9, 3)
+        assert _scatter_layout(9, 3)[0] is adds
+        for arr in (adds, subs):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+
+        def fail(*args, **kwargs):
+            raise AssertionError("index rebuilt for a cached layout")
+
+        seeds = _seeds(9, key=4)
+        monkeypatch.setattr(np, "triu_indices", fail)
+        rows = _scattered_mask_rows(seeds.upper, 9, 3)
+        monkeypatch.undo()
+        assert np.array_equal(rows, _reference_rows(seeds, 3))
 
 
 class TestPairLayoutCache:

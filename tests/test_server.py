@@ -21,7 +21,7 @@ from agfed.core import (
     make_rng,
     mixture_uniform,
 )
-from agfed.models import ModelSpec, batch_losses, check_batch
+from agfed.models import ModelSpec, batch_losses, check_batch, check_labels
 from agfed.secagg import PairwiseSeeds, SecureSum
 from agfed.server import (
     AggregationSettings,
@@ -283,6 +283,13 @@ class TestSimplexProjection:
             v = rng.uniform(-2, 2, p)
             assert np.allclose(project_simplex(v), _project_oracle(v), atol=1e-8)
 
+    def test_lost_unit_sum_raises_numeric_error(self):
+        # next to entries near 1e16 the 1 in u + (1 - css) / j rounds away,
+        # so no index passes the threshold test
+        with pytest.raises(NumericError, match="lost precision"):
+            project_simplex(np.array([1.2e16, 1.1e16, 0.0]))
+        assert np.array_equal(project_simplex(np.array([1.2e12, 0.0])), [1.0, 0.0])
+
     def test_projected_sgd_examples(self):
         out = lambda_update_projected_sgd(np.array([0.5, 0.5]),
                                           np.array([0.2, 0.2]), 0.5)
@@ -528,9 +535,9 @@ class TestRunRound:
         # one check_batch call covers every client's rows, once a round
         calls = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return check_batch(*args)
+            return check_batch(*args, **kwargs)
 
         monkeypatch.setattr(agfed.client, "check_batch", counting)
         run_round(initial_state(np.array([1.5]), 5), _algo(clients_per_round=10),
@@ -555,6 +562,46 @@ class TestRunRound:
         with pytest.raises(InvalidArgument):
             run_round(initial_state(np.zeros(spec.param_count), 2),
                       _algo(clients_per_round=4), spec, population, 1)
+
+    def test_labels_checked_once_per_population_and_model(self, monkeypatch):
+        # a population's labels never change: the first round that meets a
+        # (population, model) pair checks all of them, later rounds trust them
+        calls = []
+
+        def counting(spec, y):
+            calls.append((spec, y))
+            return check_labels(spec, y)
+
+        monkeypatch.setattr(agfed.server, "check_labels", counting)
+        task = TaskConfig(kind="synthetic-classification", p=2, num_clients=6, seed=3,
+                          partition="client-partition", samples_per_client=5)
+        population = gen_synthetic_classification(task)
+        spec = model_spec_for(task)
+        state = initial_state(np.zeros(spec.param_count), 2)
+        for _ in range(3):
+            state, _ = run_round(state, _algo(clients_per_round=3), spec, population, 1)
+        assert len(calls) == 1 and calls[0][1] is population.y
+        wider = ModelSpec("logistic", spec.input_dim, spec.num_classes + 1)
+        other = gen_synthetic_classification(task)
+        for check_spec, check_population in ((wider, population), (spec, other)):
+            run_round(initial_state(np.zeros(check_spec.param_count), 2),
+                      _algo(clients_per_round=3), check_spec, check_population, 1)
+        assert [(s, y is other.y) for s, y in calls[1:]] == [(wider, False), (spec, True)]
+
+    def test_bad_label_outside_the_cohort_rejected(self):
+        # the whole population is checked, not only the sampled clients
+        task = TaskConfig(kind="synthetic-classification", p=2, num_clients=6, seed=3,
+                          partition="client-partition", samples_per_client=5)
+        generated = gen_synthetic_classification(task)
+        picked = round_rngs(1, 1)[0].choice(6, size=1, replace=False)[0]
+        labels = generated.y.copy()
+        labels[generated.offsets[(picked + 1) % 6]] = 2.0
+        population = Population(generated.x, labels, generated.domains, generated.offsets,
+                                generated.client_ids, task.p)
+        spec = model_spec_for(task)
+        with pytest.raises(InvalidArgument, match="class labels"):
+            run_round(initial_state(np.zeros(spec.param_count), 2),
+                      _algo(clients_per_round=1), spec, population, 1)
 
     def test_masked_params_close_to_plain(self):
         clients = _toy()
