@@ -41,8 +41,11 @@ sample's bytes, or re-pin the digests it moves and say why. The
 classification digests were re-pinned when that generator moved from a
 per-sample loop to whole-array draws; the toy digests were not moved.
 
-Pinned on Python 3.11 with numpy 2.4.6; plots are off because they do
-not feed the CSV.
+The plot digests pin the two SVG files of the shipped configs, so the
+pixel coordinates and ``data-values`` of every point keep their bytes.
+
+Pinned on Python 3.11 with numpy 2.4.6; plots are off in the CSV cases
+because they do not feed the CSV.
 """
 
 import hashlib
@@ -146,6 +149,28 @@ def test_metrics_csv_digest(tmp_path, config, overrides, digest):
     run_experiment_full(cfg)
     data = (tmp_path / cfg.csv_name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+PLOTS = [
+    pytest.param("toy.ini", {"algorithm.rounds": "200"},
+                 "35aec8333da4ef1a105fd5172f0061244b45ef9749b9d98a097b611cc8f530c7",
+                 "dd0177422de169ded69b556d84a0ee14f5b732c2eaed2f6ef37e9469dfde345b",
+                 id="toy"),
+    pytest.param("classification.ini", {"algorithm.rounds": "50"},
+                 "7a040aff7bfca416ed63ccd81abab9237502ca8f31c29d8d7c7dcd79f50a012e",
+                 "783da08b361110e3f2912f7cc19c5b0c2e4153f8d594e2aff6ba01a910518f57",
+                 id="classification"),
+]
+
+
+@pytest.mark.parametrize("config, overrides, model_digest, lambda_digest", PLOTS)
+def test_plot_svg_digests(tmp_path, config, overrides, model_digest, lambda_digest):
+    cfg = load_config(CONFIGS / config, {**overrides, "output.plots": "true"},
+                      out_dir=str(tmp_path))
+    run_experiment_full(cfg)
+    for name, digest in (("plot_model.svg", model_digest), ("plot_lambda.svg", lambda_digest)):
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 POPULATIONS = [
