@@ -2,8 +2,10 @@
 
 ``run_experiment_full`` generates the task population, runs T rounds of the
 configured algorithm, and (when an output directory is set) streams one
-CSV row per round and emits the two summary plots: the model summary
-over rounds and the domain-weight trajectories over rounds.
+CSV row per round to ``<csv>.partial``, renames it onto ``<csv>`` after
+the last round, and emits the two summary plots: the model summary over
+rounds and the domain-weight trajectories over rounds. A run that fails
+leaves no ``<csv>``; its ``.partial`` keeps the rounds it completed.
 
 Everything is a deterministic function of the experiment seed: the same
 config produces byte-identical metrics files.
@@ -11,7 +13,7 @@ config produces byte-identical metrics files.
 
 from __future__ import annotations
 
-import csv
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -133,15 +135,14 @@ def _csv_header(p: int, summary_names: Sequence[str]) -> list[str]:
     )
 
 
-def _csv_row(r: RoundReport) -> list[str]:
-    return (
-        [str(r.round)]
-        + [f"{v:.17g}" for v in r.per_domain_loss]
-        + [f"{v:.17g}" for v in r.lam]
-        + [f"{r.worst_domain_loss:.17g}"]
-        + [f"{v:.17g}" for v in r.model_summary]
-        + [str(r.comm_params_cumulative), str(int(r.degenerate))]
-    )
+def _csv_row_format(p: int, summary_width: int) -> str:
+    """One ``%`` format for a whole CSV row of ``_csv_fields``, line end included."""
+    return "%d" + ",%.17g" * (2 * p + 1 + summary_width) + ",%d,%d\r\n"
+
+
+def _csv_fields(r: RoundReport) -> tuple:
+    return (r.round, *r.per_domain_loss, *r.lam, r.worst_domain_loss, *r.model_summary,
+            r.comm_params_cumulative, r.degenerate)
 
 
 def emit_plots(
@@ -185,15 +186,15 @@ def run_experiment_full(cfg: ExperimentConfig) -> ExperimentRun:
     names = summary_field_names(task)
 
     out_dir = Path(cfg.out_dir) if cfg.out_dir is not None else None
-    csv_path = None
-    writer = None
     fh = None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / cfg.csv_name
-        fh = csv_path.open("w", newline="")
-        writer = csv.writer(fh)
-        writer.writerow(_csv_header(task.p, names))
+        partial = csv_path.with_name(csv_path.name + ".partial")
+        csv_path.unlink(missing_ok=True)
+        fh = partial.open("w", newline="")
+        fh.write(",".join(_csv_header(task.p, names)) + "\r\n")
+        row = _csv_row_format(task.p, len(names))
 
     reports: list[RoundReport] = []
     try:
@@ -203,12 +204,14 @@ def run_experiment_full(cfg: ExperimentConfig) -> ExperimentRun:
                 settings=cfg.aggregation, summary_fn=summary_fn,
             )
             reports.append(report)
-            if writer is not None:
-                writer.writerow(_csv_row(report))
+            if fh is not None:
+                fh.write(row % _csv_fields(report))
                 fh.flush()
     finally:
         if fh is not None:
             fh.close()
+    if fh is not None:
+        os.replace(partial, csv_path)
 
     if out_dir is not None and cfg.plots and reports:
         emit_plots(reports, out_dir / "plot", summary_names=names)

@@ -104,7 +104,7 @@ def _encode(plain: np.ndarray, scale: int, n_clients: int) -> np.ndarray:
             f"value magnitude exceeds fixed-point range for a cohort of {n_clients} "
             f"(|r * {scale}| >= min(2**62, 2**63 / {n_clients}))"
         )
-    return scaled.astype(np.int64).astype(np.uint64)
+    return scaled.astype(np.int64).view(np.uint64)
 
 
 def _decode(residues: np.ndarray, scale: int) -> np.ndarray:

@@ -189,10 +189,7 @@ def compute_scaling(lam: np.ndarray, effective_counts: np.ndarray) -> np.ndarray
     Trusts lambda and the counts (see the module docstring).
     """
     counts = np.asarray(effective_counts, dtype=np.float64)
-    alpha = np.zeros(lam.shape[0])
-    populated = counts > 0
-    alpha[populated] = lam[populated] / counts[populated]
-    return alpha
+    return np.divide(lam, counts, out=np.zeros(lam.shape[0]), where=counts > 0)
 
 
 def effective_counts(
@@ -401,7 +398,7 @@ def run_round(
     # the masked sums draw their pair seeds from the sampling generator,
     # after the cohort; no output byte depends on a mask
     total = cohort_sum(
-        np.concatenate([client_counts.astype(np.float64), client_loss_sums], axis=1),
+        np.concatenate((client_counts, client_loss_sums), axis=1, dtype=np.float64),
         sample_rng if settings.mask_stats else None,
         settings.scale_bits,
     )
@@ -427,9 +424,8 @@ def run_round(
     except DegenerateRound:
         degenerate, new_w = True, state.w
 
-    per_domain_loss = np.zeros(p)
     populated = counts > 0
-    per_domain_loss[populated] = loss_sums[populated] / counts[populated]
+    per_domain_loss = np.divide(loss_sums, counts, out=np.zeros(p), where=populated)
 
     if fedavg or degenerate:
         new_lam = state.lam

@@ -3,12 +3,17 @@
 Each series becomes one ``<polyline>`` carrying ``data-series`` (the
 name) and ``data-values`` (the raw y values) attributes, so tests and
 scripts can read the plotted numbers straight back out of the file.
+Pixel coordinates are computed as whole arrays with the operations of the
+scalar formula in its order, so each is the same double, and each
+series' points and values are formatted in one ``%`` call.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .core import InvalidArgument
 
@@ -46,18 +51,19 @@ def write_line_plot(
         if len(values) != len(x):
             raise InvalidArgument(f"series {name!r} length differs from x")
 
-    x_lo, x_hi = _axis_range([float(v) for v in x])
-    all_y = [float(v) for _, values in series for v in values]
-    y_lo, y_hi = _axis_range(all_y)
+    xs = np.asarray(x, dtype=np.float64)
+    ys = np.array([values for _, values in series], dtype=np.float64)
+    # Python's min and max keep the first of equal values (0.0 and -0.0)
+    x_lo, x_hi = _axis_range(xs.tolist())
+    y_lo, y_hi = _axis_range(ys.ravel().tolist())
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
-
-    def px(v: float) -> float:
-        return _MARGIN_L + (v - x_lo) / (x_hi - x_lo) * plot_w
-
-    def py(v: float) -> float:
-        return _MARGIN_T + (y_hi - v) / (y_hi - y_lo) * plot_h
+    with np.errstate(all="ignore"):  # inf and NaN pass silently, as in float arithmetic
+        px = _MARGIN_L + (xs - x_lo) / (x_hi - x_lo) * plot_w
+        py = _MARGIN_T + (y_hi - ys) / (y_hi - y_lo) * plot_h
+    point_format = " ".join(["%.2f,%.2f"] * len(xs))
+    value_format = " ".join(["%.17g"] * len(xs))
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -95,10 +101,10 @@ def write_line_plot(
             f'transform="rotate(-90 16 {(y0 + y1) / 2:.1f})">{y_label}</text>'
         )
 
-    for idx, (name, values) in enumerate(series):
+    for idx, (name, _) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{px(float(a)):.2f},{py(float(v)):.2f}" for a, v in zip(x, values))
-        raw = " ".join(f"{float(v):.17g}" for v in values)
+        points = point_format % tuple(np.column_stack((px, py[idx])).ravel().tolist())
+        raw = value_format % tuple(ys[idx].tolist())
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}" data-series="{name}" data-values="{raw}"/>'

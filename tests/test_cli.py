@@ -206,6 +206,23 @@ class TestErrors:
         assert err.startswith("error: NumericError: simplex projection lost precision")
         assert err.count("\n") == 1
 
+    def test_failed_run_leaves_no_metrics_csv(self, tmp_path, capsys):
+        # the rows stream to metrics.csv.partial, renamed onto metrics.csv
+        # only after the last round; a stale metrics.csv is gone too
+        config = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "metrics.csv").write_text("stale\n")
+        code = main(["run", "--config", str(config),
+                     "--set", "algorithm.lambda_update=projected-sgd",
+                     "--set", "algorithm.lambda_lr=1e15", "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: NumericError: ")
+        assert err.count("\n") == 1
+        assert not (out / "metrics.csv").exists()
+        assert (out / "metrics.csv.partial").read_text().startswith("round,L_0,")
+
     def test_default_section_is_an_unknown_section(self, tmp_path):
         toy = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
         text = toy.read_text().replace("seed = 42\n", "")

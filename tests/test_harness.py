@@ -15,7 +15,7 @@ from agfed.harness import (
     evaluate_population,
     run_experiment_full,
 )
-from agfed.server import AlgorithmConfig, RoundReport
+from agfed.server import AlgorithmConfig, RoundReport, run_round
 from agfed.tasks import TaskConfig
 
 
@@ -94,6 +94,26 @@ class TestMetricsCsv:
             assert [float(v) for v in row] == [
                 r.round, *r.per_domain_loss, *r.lam, r.worst_domain_loss, *r.model_summary,
                 r.comm_params_cumulative, r.degenerate]
+
+    def test_failed_run_keeps_its_rows_in_the_partial_file(self, tmp_path, monkeypatch):
+        import agfed.harness
+        full = tmp_path / "full"
+        run_experiment_full(_toy_experiment(rounds=3, out_dir=str(full)))
+        assert sorted(p.name for p in full.iterdir()) == [
+            "metrics.csv", "plot_lambda.svg", "plot_model.svg"]
+
+        def failing_round(state, *args, **kwargs):
+            if state.round == 2:
+                raise RuntimeError("round 3 fails")
+            return run_round(state, *args, **kwargs)
+
+        monkeypatch.setattr(agfed.harness, "run_round", failing_round)
+        failed = tmp_path / "failed"
+        with pytest.raises(RuntimeError, match="round 3 fails"):
+            run_experiment_full(_toy_experiment(rounds=3, out_dir=str(failed)))
+        assert sorted(p.name for p in failed.iterdir()) == ["metrics.csv.partial"]
+        rows = (full / "metrics.csv").read_bytes().splitlines(keepends=True)
+        assert (failed / "metrics.csv.partial").read_bytes() == b"".join(rows[:3])
 
     def test_empty_reports_need_p(self, tmp_path):
         # a zero-round run still writes the header, with p domains
