@@ -123,16 +123,16 @@ def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     starts = lengths.cumsum() - lengths
     sums = np.empty(lengths.shape[0])
     longest = lengths.max(initial=0)
-    # split off the long segments only when there are some
     short = slice(None) if longest <= _LEFT_TO_RIGHT else lengths <= _LEFT_TO_RIGHT
     short_lengths = lengths[short]
     slots = np.arange(min(longest, _LEFT_TO_RIGHT))
     # pad slots read the +0.0 appended at index values.shape[0]
     rows = np.where(slots < short_lengths[:, None], starts[short, None] + slots, values.shape[0])
     sums[short] = np.concatenate((values, _ZERO))[rows].sum(axis=1)
-    for length in set(lengths[~short].tolist()) if longest > _LEFT_TO_RIGHT else ():
-        segs = (lengths == length).nonzero()[0]
-        sums[segs] = values[starts[segs, None] + np.arange(length)].sum(axis=1)
+    if longest > _LEFT_TO_RIGHT:
+        for length in set(lengths[~short].tolist()):
+            segs = (lengths == length).nonzero()[0]
+            sums[segs] = values[starts[segs, None] + np.arange(length)].sum(axis=1)
     return sums
 
 
