@@ -125,7 +125,7 @@ def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     longest = lengths.max(initial=0)
     short = slice(None) if longest <= _LEFT_TO_RIGHT else lengths <= _LEFT_TO_RIGHT
     short_lengths = lengths[short]
-    slots = np.arange(min(longest, _LEFT_TO_RIGHT))
+    slots = np.arange(short_lengths.max(initial=0))
     # pad slots read the +0.0 appended at index values.shape[0]
     rows = np.where(slots < short_lengths[:, None], starts[short, None] + slots, values.shape[0])
     sums[short] = np.concatenate((values, _ZERO))[rows].sum(axis=1)
