@@ -3,9 +3,9 @@
 Each series becomes one ``<polyline>`` carrying ``data-series`` (the
 name) and ``data-values`` (the raw y values) attributes, so tests and
 scripts can read the plotted numbers straight back out of the file.
-Pixel coordinates are computed as whole arrays with the operations of the
-scalar formula in its order, so each is the same double, and each
-series' points and values are formatted in one ``%`` call.
+Pixel coordinates are computed on whole arrays with the per-point
+formula's operations in its order, so each is the double a point-by-point
+computation gives; each series' points and values take one ``%`` call.
 """
 
 from __future__ import annotations
