@@ -59,6 +59,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise ValueError("--algorithms must name at least one algorithm")
+    if cfg.out_dir is not None:  # a failed comparison leaves no earlier summary
+        Path(cfg.out_dir, "compare_summary.csv").unlink(missing_ok=True)
     outcomes = compare_algorithms(cfg, algorithms)
 
     p = cfg.task.p

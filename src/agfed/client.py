@@ -58,14 +58,12 @@ the others on rows that all weigh 0, so it moves by +-0 (divided by 1,
 not by its beta), and it gets ``w_in`` back, bit for bit. When the
 whole cohort skips, no step is taken.
 
-Inputs are checked once per round: ``compute_client_stats`` runs
-``models.check_batch`` on the incoming parameters and the cohort's rows
-before anything else touches them, all but the labels' values, which
-``server.run_round`` checks once per population. ``client_update``
-trusts those checks and a scaling vector from ``server.compute_scaling``
-(or all-ones for FedAvg); its SGD loop does arithmetic only. A blow-up during local SGD
-surfaces as ``NumericError`` from one finiteness check on the cohort's
-new parameters.
+``compute_client_stats`` checks the shapes of the incoming parameters
+and the cohort's rows (``models.check_batch``); their values were
+checked where they entered (see ``server``). ``client_update`` trusts
+that and a scaling vector from ``server.compute_scaling`` (or all-ones
+for FedAvg); its SGD loop does arithmetic only, and a blow-up in it is
+a floating-point fault that ``server.run_round`` raises.
 """
 
 from __future__ import annotations
@@ -76,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Cohort, InvalidArgument, NumericError
+from .core import Cohort, InvalidArgument
 # perfbench/tracing.py wraps client.make_rng, so the name stays here
 from .core import make_rng  # noqa: F401
 from .models import ModelSpec, batch_losses, check_batch, grad_weighted
@@ -157,18 +155,16 @@ def compute_client_stats(
     losses of each domain in its row order, as summing them alone would,
     so the sums equal a per-client evaluation bit for bit (but for a
     logistic client of one row, whose 1-row matrix product takes another
-    BLAS path and may differ in the last bit). The round's check of
-    ``w`` and of the shapes of the cohort's rows happens here; the
-    labels' values are trusted, as ``run_round`` checks them once per
-    population (``models.check_labels``).
+    BLAS path and may differ in the last bit). The round's check of the
+    shapes of ``w`` and of the cohort's rows happens here; the labels'
+    values are trusted, as ``run_round`` checks them once per population
+    (``models.check_labels``).
     """
     check_batch(spec, w, cohort.xb, cohort.y, labels=False)
     losses = batch_losses(spec, w, cohort.xb, cohort.y)
     m, p = cohort.counts.shape
     by_client_domain = (cohort.owners * p + cohort.domains).argsort(kind="stable")
     loss_sums = _segment_sums(losses[by_client_domain], cohort.counts.ravel()).reshape(m, p)
-    if not np.isfinite(loss_sums).all():
-        raise NumericError("loss sums contain NaN or Inf")
     return cohort.counts, loss_sums
 
 
@@ -224,8 +220,6 @@ def client_update(
             params[clients] -= cfg.learning_rate * (g / divisors[clients])
     # a skipped client moved by +-0 only; it gets w_in's bits, zero signs too
     params[skipped] = w_in
-    if not np.isfinite(params).all():
-        raise NumericError("local SGD produced NaN or Inf parameters")
     return params, betas
 
 

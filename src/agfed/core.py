@@ -22,6 +22,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,6 +39,20 @@ class InvalidArgument(ValueError):
 
 class NumericError(ArithmeticError):
     """Raised when a numeric invariant is violated (NaN/Inf, underflow)."""
+
+
+@contextlib.contextmanager
+def numeric_faults(where: str):
+    """Raise a floating-point fault in the body as one ``NumericError``.
+
+    Overflow, an invalid value and division by zero raise, with ``where``
+    before numpy's message; underflow to 0 is a result, not a fault.
+    """
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"{where}: {exc}") from exc
 
 
 def as_vector(values, dtype=np.float64, *, name: str = "vector") -> np.ndarray:
@@ -89,11 +104,11 @@ class Population:
     the features followed by a column of ones, and ``x`` is its first d
     columns. Everything is checked and counted once here, so a round
     indexes the arrays without checks; tags, offsets and ids that are
-    not whole numbers are rejected, not truncated. ``len`` is the client
-    count; indexing or iterating yields each client as a
-    ``ClientDataset``. The features given are copied into ``xb``; the
-    other arrays given are made read-only and copied only when they have
-    another dtype.
+    not whole numbers are rejected, not truncated, as are non-finite
+    features and labels. ``len`` is the client count; indexing or
+    iterating yields each client as a ``ClientDataset``. The features
+    given are copied into ``xb``; the other arrays given are made
+    read-only and copied only when they have another dtype.
     """
 
     x: np.ndarray
@@ -134,6 +149,11 @@ class Population:
         if bad.any():
             raise InvalidArgument(f"client {ids[owners[np.argmax(bad)]]} has a domain tag "
                                   f"outside 0..{self.p - 1}")
+        # whole-array checks pass valid rows; the row-wise one only names a client
+        if not (np.isfinite(x).all() and np.isfinite(self.y).all()):
+            finite = np.isfinite(self.y) & np.isfinite(x).all(axis=1)
+            raise InvalidArgument(f"client {ids[owners[np.argmin(finite)]]} has a NaN or "
+                                  f"infinite feature or label")
         counts = np.bincount(owners * self.p + d, minlength=ids.shape[0] * self.p)
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts.reshape(ids.shape[0], self.p))

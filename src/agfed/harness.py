@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import InvalidArgument, Population
+from .core import InvalidArgument, Population, as_param_vector, numeric_faults
 from .models import ModelSpec, batch_losses, check_batch, predict_classes
 from .server import (
     AggregationSettings,
@@ -104,14 +104,19 @@ def evaluate_population(
     population: Population,
     p: int,
 ) -> dict[str, tuple[float, ...]]:
-    """Population-level per-domain mean loss (and accuracy for classifiers)."""
+    """Population-level per-domain mean loss (and accuracy for classifiers).
+
+    A floating-point fault raises one ``NumericError`` (``core.numeric_faults``).
+    """
+    w = as_param_vector(w)
     xb, y = population.xb, population.y
     check_batch(spec, w, xb, y)
     masks, sizes = _domain_masks(population, p)
-    out = {"loss": _domain_means(batch_losses(spec, w, xb, y), masks)}
-    if spec.kind == "logistic":
-        out["accuracy"] = _domain_accuracy(predict_classes(spec, w, xb) == y.astype(np.int64),
-                                           masks, sizes)
+    with numeric_faults("population evaluation"):
+        out = {"loss": _domain_means(batch_losses(spec, w, xb, y), masks)}
+        if spec.kind == "logistic":
+            out["accuracy"] = _domain_accuracy(
+                predict_classes(spec, w, xb) == y.astype(np.int64), masks, sizes)
     return out
 
 
@@ -145,6 +150,11 @@ def _csv_fields(r: RoundReport) -> tuple:
             r.comm_params_cumulative, r.degenerate)
 
 
+def _plot_paths(prefix: Path) -> tuple[Path, Path]:
+    """The model-summary and domain-weight plot files of ``emit_plots``."""
+    return tuple(prefix.with_name(prefix.name + end) for end in ("_model.svg", "_lambda.svg"))
+
+
 def emit_plots(
     reports: Sequence[RoundReport],
     path_prefix: str | Path,
@@ -154,18 +164,16 @@ def emit_plots(
     """Write the model-summary and domain-weight plots as SVG files."""
     if not reports:
         raise InvalidArgument("cannot plot an empty report list")
-    prefix = Path(path_prefix)
     rounds = [r.round for r in reports]
     if len(summary_names) != len(reports[0].model_summary):
         raise InvalidArgument("summary name count differs from summary fields")
 
-    model_path = prefix.with_name(prefix.name + "_model.svg")
+    model_path, lambda_path = _plot_paths(Path(path_prefix))
     series = [(name, [r.model_summary[i] for r in reports])
               for i, name in enumerate(summary_names)]
     write_line_plot(model_path, rounds, series,
                     title="Model summary over training rounds", y_label="summary")
 
-    lambda_path = prefix.with_name(prefix.name + "_lambda.svg")
     p = len(reports[0].lam)
     lam_series = [(f"lambda_{i}", [r.lam[i] for r in reports]) for i in range(p)]
     write_line_plot(lambda_path, rounds, lam_series,
@@ -191,7 +199,9 @@ def run_experiment_full(cfg: ExperimentConfig) -> ExperimentRun:
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / cfg.csv_name
         partial = csv_path.with_name(csv_path.name + ".partial")
-        csv_path.unlink(missing_ok=True)
+        # no file of an earlier run may pass for this run's output
+        for stale in (csv_path, *_plot_paths(out_dir / "plot")):
+            stale.unlink(missing_ok=True)
         fh = partial.open("w", newline="")
         fh.write(",".join(_csv_header(task.p, names)) + "\r\n")
         row = _csv_row_format(task.p, len(names))

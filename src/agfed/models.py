@@ -21,13 +21,12 @@ flat parameters and no call builds a bias column. ``core.Population``
 stores its features that way once, and a round's ``core.Cohort`` takes
 its rows from there. The scalar model reads no features at all.
 
-``check_batch`` is the one rule for what a valid model input is. The
-round calls it once, on the cohort's gathered rows, before they meet
-the model; ``batch_losses``, ``grad_weighted`` and ``predict_classes``
-then trust their inputs and do arithmetic only. It checks the width of
-the augmented rows, not that their last column holds ones: the
-population guarantees that when it builds them. The round leaves out
-the labels' part of the rule, ``check_labels``, and takes it once per
+``check_batch`` is the one rule for the shapes and labels of a model
+input. The round calls it once, on the cohort's gathered rows, before
+they meet the model; ``batch_losses``, ``grad_weighted`` and
+``predict_classes`` then trust their inputs and do arithmetic only.
+That the rows are finite and end in a ones column is the population's
+guarantee, and the round checks the labels (``check_labels``) once per
 population and model instead, since a population's labels never change.
 
 The logistic kernels never reduce along the class axis. numpy runs a
@@ -50,7 +49,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import InvalidArgument, NumericError
+from .core import InvalidArgument
 
 ModelKind = Literal["scalar-regression", "linear-regression", "logistic"]
 
@@ -104,9 +103,9 @@ def check_batch(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray, *
                 labels: bool = True) -> None:
     """Reject a batch the kernels below cannot take as it is.
 
-    ``w`` must be a finite 1-D vector of ``param_count`` entries
-    (``NumericError`` when it is not finite), ``xb`` an (n, input_dim +
-    1) matrix of augmented rows and ``y`` one label per row; unless
+    ``w`` must be a 1-D vector of ``param_count`` entries (finite, as
+    ``core.as_param_vector`` returns it), ``xb`` an (n, input_dim + 1)
+    matrix of augmented rows and ``y`` one label per row; unless
     ``labels`` is false, ``check_labels`` then checks the labels' values.
     A caller whose rows come from labels it has already checked passes
     ``labels=False``.
@@ -115,8 +114,6 @@ def check_batch(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray, *
         raise InvalidArgument(
             f"expected {spec.param_count} parameters for {spec.kind}, got shape {w.shape}"
         )
-    if not np.isfinite(w).all():
-        raise NumericError("model parameters contain NaN or Inf")
     if xb.ndim != 2 or xb.shape[1] != spec.input_dim + 1:
         raise InvalidArgument(
             f"expected (n, {spec.input_dim + 1}) rows of input_dim={spec.input_dim} "

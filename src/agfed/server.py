@@ -41,12 +41,15 @@ seeds are derived 256 rounds at a time, bit for bit as numpy's
 The cohort is sorted by client id, and every reduction over clients runs
 in that order, so floating-point sums stay deterministic.
 
-Each fact of a round is checked once and trusted after: lambda by
-``ServerState.__post_init__``, the losses by ``run_round``'s check of the
-cohort loss sums, and the counts by construction (cohort sums of
-non-negative integers, one per domain). A population's labels never
-change, so ``run_round`` checks them once per population and model, on
-the first round that meets the pair, not on every cohort.
+Inputs are checked once, where they enter, and trusted after: the
+population's rows (finite) when it is built, lambda and the parameters
+by ``ServerState.__post_init__``, and the counts by construction (cohort
+sums of non-negative integers, one per domain). A population's labels
+never change, so ``run_round`` checks them once per population and
+model, on the first round that meets the pair. From finite inputs only
+a floating-point fault makes a NaN or Inf, and ``run_round`` raises any
+in its body as one ``NumericError`` naming the round and numpy's
+operation, such as ``round 2: overflow encountered in square``.
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from .core import (
     derive_seed,  # noqa: F401
     make_rng,  # noqa: F401
     mixture_uniform,
+    numeric_faults,
     seed_states,
     seed_words,
     stored_rng,
@@ -290,14 +294,15 @@ def lambda_update_eg(lam: np.ndarray, domain_losses: np.ndarray, lr: float) -> n
     Losses are shifted by their max before exponentiation; the shift
     cancels in the normalization, so the update is invariant to adding a
     constant to every loss and cannot overflow for lr > 0. Trusts lambda
-    and the losses (see the module docstring).
+    and the losses (see the module docstring); weights that all
+    underflow to 0 raise here, as ``run_round`` ignores underflow.
     """
     losses = np.asarray(domain_losses, dtype=np.float64)
     shifted = losses - losses.max()
     weights = lam * np.exp(lr * shifted)
     total = float(weights.sum())
-    if not np.isfinite(total) or total <= 0.0:
-        raise NumericError("exponentiated-gradient weights vanished or overflowed")
+    if total <= 0.0:
+        raise NumericError("exponentiated-gradient weights vanished")
     return weights / total
 
 
@@ -373,7 +378,8 @@ def run_round(
     """One round of the configured algorithm; returns the next state.
 
     FedAvg runs the same round with all-ones scaling (beta_k = n_k) and
-    lambda frozen.
+    lambda frozen. A floating-point fault raises ``NumericError`` naming
+    round t (see the module docstring).
     """
     fedavg = cfg.algorithm == "fedavg"
     p = state.lam.shape[0]
@@ -388,65 +394,63 @@ def run_round(
         check_labels(spec, population.y)
         checked.add(spec)
     t = state.round + 1
+    with numeric_faults(f"round {t}"):
+        sample_rng, sgd_rng = round_rngs(seed, t)
+        picked = sample_rng.choice(len(population), size=cfg.clients_per_round, replace=False)
+        cohort = Cohort.gather(
+            population, picked[population.client_ids[picked].argsort(kind="stable")])
 
-    sample_rng, sgd_rng = round_rngs(seed, t)
-    picked = sample_rng.choice(len(population), size=cfg.clients_per_round, replace=False)
-    cohort = Cohort.gather(
-        population, picked[population.client_ids[picked].argsort(kind="stable")])
+        client_counts, client_loss_sums = compute_client_stats(spec, state.w, cohort)
+        # the masked sums draw their pair seeds from the sampling generator,
+        # after the cohort; no output byte depends on a mask
+        total = cohort_sum(
+            np.concatenate((client_counts, client_loss_sums), axis=1, dtype=np.float64),
+            sample_rng if settings.mask_stats else None,
+            settings.scale_bits,
+        )
+        counts = np.rint(total[:p]).astype(np.int64)
+        counts.flags.writeable = False
+        # a domain with no samples sums to exactly 0 on either path
+        loss_sums = total[p:]
 
-    client_counts, client_loss_sums = compute_client_stats(spec, state.w, cohort)
-    # the masked sums draw their pair seeds from the sampling generator,
-    # after the cohort; no output byte depends on a mask
-    total = cohort_sum(
-        np.concatenate((client_counts, client_loss_sums), axis=1, dtype=np.float64),
-        sample_rng if settings.mask_stats else None,
-        settings.scale_bits,
-    )
-    counts = np.rint(total[:p]).astype(np.int64)
-    counts.flags.writeable = False
-    # a domain with no samples sums to exactly 0 on either path
-    loss_sums = total[p:]
-    if not np.isfinite(loss_sums).all():  # a plain sum of finite terms can overflow
-        raise NumericError("cohort loss sums contain NaN or Inf")
+        if fedavg:
+            alpha = np.ones(p)
+        else:
+            exact = counts if cfg.scaling_mode == "two-phase-exact" else None
+            alpha = compute_scaling(state.lam, effective_counts(state, cfg.scaling_mode, exact))
 
-    if fedavg:
-        alpha = np.ones(p)
-    else:
-        exact = counts if cfg.scaling_mode == "two-phase-exact" else None
-        alpha = compute_scaling(state.lam, effective_counts(state, cfg.scaling_mode, exact))
+        params, betas = client_update(spec, state.w, alpha, cohort, cfg.local, sgd_rng)
 
-    params, betas = client_update(spec, state.w, alpha, cohort, cfg.local, sgd_rng)
+        degenerate = False
+        try:
+            new_w = aggregate_params(
+                params, betas, sample_rng if settings.mask_params else None, settings.scale_bits)
+        except DegenerateRound:
+            degenerate, new_w = True, state.w
 
-    degenerate = False
-    try:
-        new_w = aggregate_params(
-            params, betas, sample_rng if settings.mask_params else None, settings.scale_bits)
-    except DegenerateRound:
-        degenerate, new_w = True, state.w
+        populated = counts > 0
+        per_domain_loss = np.divide(loss_sums, counts, out=np.zeros(p), where=populated)
 
-    populated = counts > 0
-    per_domain_loss = np.divide(loss_sums, counts, out=np.zeros(p), where=populated)
+        if fedavg or degenerate:
+            new_lam = state.lam
+        elif cfg.lambda_update == "eg":
+            new_lam = lambda_update_eg(state.lam, per_domain_loss, cfg.lambda_lr)
+        else:
+            new_lam = lambda_update_projected_sgd(state.lam, per_domain_loss, cfg.lambda_lr)
 
-    if fedavg or degenerate:
-        new_lam = state.lam
-    elif cfg.lambda_update == "eg":
-        new_lam = lambda_update_eg(state.lam, per_domain_loss, cfg.lambda_lr)
-    else:
-        new_lam = lambda_update_projected_sgd(state.lam, per_domain_loss, cfg.lambda_lr)
+        window = (state.window + (counts,))[-cfg.window_len:]
+        comm = state.comm_params_total + comm_cost_per_round(
+            cfg.algorithm, cfg.clients_per_round, spec.param_count, p
+        )
 
-    window = (state.window + (counts,))[-cfg.window_len:]
-    comm = state.comm_params_total + comm_cost_per_round(
-        cfg.algorithm, cfg.clients_per_round, spec.param_count, p
-    )
-
-    new_state = ServerState(t, new_w, new_lam, window, comm)
-    report = RoundReport(
-        round=t,
-        per_domain_loss=tuple(per_domain_loss.tolist()),
-        lam=tuple(new_lam.tolist()),
-        worst_domain_loss=float(per_domain_loss[populated].max()) if populated.any() else 0.0,
-        model_summary=summary_fn(new_w) if summary_fn is not None else (),
-        comm_params_cumulative=comm,
-        degenerate=degenerate,
-    )
+        new_state = ServerState(t, new_w, new_lam, window, comm)
+        report = RoundReport(
+            round=t,
+            per_domain_loss=tuple(per_domain_loss.tolist()),
+            lam=tuple(new_lam.tolist()),
+            worst_domain_loss=float(per_domain_loss[populated].max()) if populated.any() else 0.0,
+            model_summary=summary_fn(new_w) if summary_fn is not None else (),
+            comm_params_cumulative=comm,
+            degenerate=degenerate,
+        )
     return new_state, report

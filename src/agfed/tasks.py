@@ -34,7 +34,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .core import InvalidArgument, Population, make_rng
+from .core import InvalidArgument, Population, make_rng, numeric_faults
 from .models import ModelSpec
 
 TaskKind = Literal["toy-regression", "synthetic-classification"]
@@ -235,9 +235,10 @@ def gen_synthetic_classification(cfg: TaskConfig) -> Population:
 
 def generate_population(cfg: TaskConfig) -> tuple[Population, float | None]:
     """Dispatch to the task's generator; oracle is None unless the task has one."""
-    if cfg.kind == "toy-regression":
-        return gen_toy_regression(cfg)
-    return gen_synthetic_classification(cfg), None
+    with numeric_faults("population generation"):
+        if cfg.kind == "toy-regression":
+            return gen_toy_regression(cfg)
+        return gen_synthetic_classification(cfg), None
 
 
 def write_datasets(population: Population, path: str | Path) -> None:

@@ -1,6 +1,7 @@
 """Command-line interface: run, compare, overrides, error reporting."""
 
 import csv
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from typing import get_args
@@ -205,6 +206,46 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: NumericError: simplex projection lost precision")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, pairs", [
+        ("run", ["algorithm.learning_rate=1e300"]),  # the round's loss overflows
+        ("run", ["task.spread=1e200"]),              # so does a loss of finite samples
+        ("run", ["algorithm.lambda_lr=1e308"]),      # the EG step overflows
+        ("run", ["task.spread=1e308"]),              # population generation overflows
+        # the only round leaves models whose population losses overflow
+        ("compare", ["algorithm.learning_rate=1e300", "algorithm.rounds=1"]),
+    ])
+    def test_numeric_blow_up_is_one_error_line(self, tmp_path, capsys, command, pairs):
+        # numpy prints nothing of its own: the fault is raised, not warned
+        config = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
+        out = tmp_path / "out"
+        sets = [arg for pair in ["algorithm.rounds=5", *pairs] for arg in ("--set", pair)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", str(config), *sets, "--out-dir", str(out)])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: NumericError: ")
+        assert err.count("\n") == 1
+        assert not (out / "metrics.csv").exists()
+        assert not (out / "compare_summary.csv").exists()
+
+    def test_failed_compare_leaves_no_earlier_outputs(self, tmp_path, capsys):
+        # the summary and the failing run's plots of a first, successful
+        # comparison are gone after a second one fails
+        config = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
+        args = ["compare", "--config", str(config), "--set", "algorithm.rounds=5",
+                "--out-dir", str(tmp_path)]
+        assert main(args) == 0
+        assert (tmp_path / "compare_summary.csv").exists()
+        assert (tmp_path / "afa" / "plot_lambda.svg").exists()
+        code = main(args + ["--set", "algorithm.lambda_update=projected-sgd",
+                            "--set", "algorithm.lambda_lr=1e15"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: NumericError: ")
+        assert not (tmp_path / "compare_summary.csv").exists()
+        assert sorted(p.name for p in (tmp_path / "afa").iterdir()) == ["metrics.csv.partial"]
 
     def test_failed_run_leaves_no_metrics_csv(self, tmp_path, capsys):
         # the rows stream to metrics.csv.partial, renamed onto metrics.csv

@@ -25,7 +25,6 @@ from agfed.core import (
     ClientDataset,
     Cohort,
     InvalidArgument,
-    NumericError,
     Population,
     _row_layout,
     make_rng,
@@ -258,15 +257,6 @@ class TestClientUpdateProperties:
         # beta is exactly the alpha-weighted count sum
         assert a_beta == float(alpha @ np.bincount(ds.domains, minlength=3))
 
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
-    def test_divergent_training_surfaces_numeric_error(self):
-        rng = make_rng(12)
-        ds = _random_client(rng)
-        cfg = LocalSGDConfig(epochs=2000, batch_size=100, learning_rate=1e150)
-        with pytest.raises(NumericError):
-            _update(np.array([1.0]), np.ones(3), ds, cfg, 0)
-
     def test_seed_changes_minibatch_trajectory(self):
         rng = make_rng(10)
         ds = _random_client(rng, n=16)
@@ -385,18 +375,6 @@ class TestCohortMatchesPerClientLoop:
         _, ref_loss_sums, _, _ = _reference_round_clients(
             SCALAR, w, np.ones(1), clients, 1, LocalSGDConfig(1, 1, 0.1), 0)
         assert np.array_equal(loss_sums, ref_loss_sums)
-
-    @pytest.mark.filterwarnings("ignore:overflow")
-    @pytest.mark.filterwarnings("ignore:invalid value")
-    def test_one_diverging_client_fails_the_cohort(self):
-        rng = make_rng(13)
-        calm = ClientDataset(0, np.zeros((4, 1)), np.zeros(4), np.zeros(4))
-        wild = ClientDataset(1, rng.standard_normal((4, 1)), 1e200 * rng.standard_normal(4),
-                             np.zeros(4))
-        cfg = LocalSGDConfig(epochs=50, batch_size=4, learning_rate=1e150)
-        with pytest.raises(NumericError):
-            client_update(SCALAR, np.array([1.0]), np.ones(1), _cohort([calm, wild], 1),
-                          cfg, make_rng(0))
 
 
 def _layout_clients(sizes, domains, key):

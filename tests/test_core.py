@@ -255,6 +255,18 @@ class TestPopulation:
         with pytest.raises(InvalidArgument, match="client 12 has a domain tag outside 0..1"):
             Population(np.zeros((3, 1)), np.zeros(3), [0, 1, 2], [0, 1, 3], [5, 12], 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["feature", "label"])
+    def test_non_finite_row_names_the_client(self, column, bad):
+        # a NaN sets no floating-point flag, so it is caught here or not at all
+        x, y = np.zeros((4, 2)), np.zeros(4)
+        if column == "feature":
+            x[2, 1] = bad
+        else:
+            y[2] = bad
+        with pytest.raises(InvalidArgument, match="client 12 has a NaN or infinite feature"):
+            Population(x, y, [0, 0, 1, 1], [0, 2, 4], [5, 12], 2)
+
     def test_empty_client_names_the_client(self):
         with pytest.raises(InvalidArgument, match="client 8 has no samples"):
             Population(np.zeros((2, 1)), np.zeros(2), [0, 0], [0, 2, 2], [7, 8], 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from agfed.client import LocalSGDConfig
-from agfed.core import ClientDataset, InvalidArgument, Population
+from agfed.core import ClientDataset, InvalidArgument, NumericError, Population
 from agfed.harness import (
     ExperimentConfig,
     _domain_accuracy,
@@ -202,6 +202,16 @@ class TestEvaluateAndCompare:
              *list(run.population)[1:]], 2)
         with pytest.raises(InvalidArgument):
             evaluate_population(run.spec, run.final_state.w, population, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_rejected(self, bad):
+        # the rounds' parameters pass as_param_vector in ServerState;
+        # evaluate_population takes outside ones the same way
+        run = run_experiment_full(_cls_experiment(rounds=0))
+        w = np.zeros(run.spec.param_count)
+        w[1] = bad
+        with pytest.raises(NumericError, match="parameter vector contains NaN or Inf"):
+            evaluate_population(run.spec, w, run.population, 2)
 
     def test_compare_runs_both_algorithms_on_identical_data(self, tmp_path):
         cfg = _toy_experiment(rounds=3, out_dir=str(tmp_path))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agfed.core import InvalidArgument, NumericError, make_rng
+from agfed.core import InvalidArgument, make_rng
 from agfed.models import (
     MODEL_KINDS,
     ModelSpec,
@@ -118,10 +118,6 @@ class TestLossExamples:
             check_batch(LINEAR, np.zeros(4), np.ones((1, 3)), np.zeros(1))
         check_batch(LINEAR, np.zeros(4), np.ones((1, 4)), np.zeros(1))
 
-    def test_non_finite_params_rejected(self):
-        with pytest.raises(NumericError):
-            check_batch(SCALAR, np.array([np.nan]), np.ones((1, 2)), np.ones(1))
-
 
 class TestCheckBatch:
     def test_labels_and_features_differ_in_length(self):
@@ -145,9 +141,6 @@ class TestCheckBatch:
         with pytest.raises(InvalidArgument, match="differ in length"):
             check_batch(spec, np.zeros(spec.param_count), np.ones((3, 3)), np.zeros(2),
                         labels=False)
-        with pytest.raises(NumericError):
-            check_batch(spec, np.full(spec.param_count, np.inf), np.ones((2, 3)),
-                        np.zeros(2), labels=False)
 
     def test_regression_labels_take_any_real(self):
         for spec in (SCALAR, LINEAR):

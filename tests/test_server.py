@@ -411,13 +411,46 @@ class TestRunRound:
         assert abs(lhs - rhs) <= bound
 
     def test_overflowing_plain_stats_sum_raises(self):
-        # each client's loss sum (1e308) is finite; their plain sum is not
+        # each client's loss sum (1e308) is finite; their plain sum is not,
+        # and a caller's errstate does not silence the round's fault
         clients = Population.from_clients(
             [ClientDataset(k, np.zeros((1, 1)), [1e154], [0]) for k in range(2)], 1)
         plain = AggregationSettings(mask_stats=False)
-        with np.errstate(over="ignore"), pytest.raises(NumericError, match="cohort loss sums"):
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match="^round 1: overflow encountered in accumulate$"):
             run_round(initial_state(np.array([0.0]), 1), _algo(algorithm="fedavg",
                       clients_per_round=2), SCALAR, clients, 1, settings=plain)
+
+    def test_divergent_local_sgd_names_the_round(self):
+        # round 1 trains calmly; round 2's step size drives local SGD past
+        # float64's range
+        clients = _toy()
+        state, _ = run_round(initial_state(np.array([1.5]), 5), _algo(), SCALAR, clients, 1)
+        wild = _algo(local=LocalSGDConfig(epochs=50, batch_size=4, learning_rate=1e150))
+        with pytest.raises(NumericError, match="^round 2: overflow encountered in "):
+            run_round(state, wild, SCALAR, clients, 1)
+
+    def test_one_diverging_client_fails_the_round(self):
+        # the calm client sits at its optimum and never moves; the wild
+        # one's finite labels make its steps overflow
+        rng = make_rng(13)
+        calm = ClientDataset(0, np.zeros((4, 1)), np.ones(4), np.zeros(4))
+        wild = ClientDataset(1, rng.standard_normal((4, 1)), 1e5 * rng.standard_normal(4),
+                             np.zeros(4))
+        population = Population.from_clients([calm, wild], 1)
+        cfg = _algo(algorithm="fedavg", clients_per_round=2,
+                    local=LocalSGDConfig(epochs=50, batch_size=4, learning_rate=1e150))
+        with pytest.raises(NumericError, match="^round 1: overflow encountered in "):
+            run_round(initial_state(np.array([1.0]), 1), cfg, SCALAR, population, 0)
+
+    def test_failed_round_restores_the_callers_errstate(self):
+        clients = _toy()
+        wild = _algo(local=LocalSGDConfig(epochs=50, batch_size=4, learning_rate=1e150))
+        with np.errstate(over="warn", invalid="ignore", divide="print", under="raise"):
+            before = np.geterr()
+            with pytest.raises(NumericError):
+                run_round(initial_state(np.array([1.5]), 5), wild, SCALAR, clients, 1)
+            assert np.geterr() == before
 
     def test_comm_counter_increments(self):
         clients = _toy()
