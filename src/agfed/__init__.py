@@ -8,7 +8,6 @@ accounting.
 
 from .client import LocalSGDConfig, client_update, compute_client_stats
 from .core import (
-    ClientDataset,
     Cohort,
     InvalidArgument,
     NumericError,
@@ -42,7 +41,6 @@ from .tasks import TaskConfig, gen_synthetic_classification, gen_toy_regression
 __all__ = [
     "AggregationSettings",
     "AlgorithmConfig",
-    "ClientDataset",
     "Cohort",
     "ExperimentConfig",
     "InvalidArgument",

@@ -72,9 +72,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for o in outcomes:
         row = [o.algorithm] + [f"{v:.6g}" for v in o.per_domain_loss]
         row += [f"{o.worst_domain_loss:.6g}", f"{o.domain_gap:.6g}"]
-        if has_acc:
-            row += ([f"{v:.6g}" for v in o.per_domain_accuracy]
-                    if o.per_domain_accuracy else ["-"] * p)
+        if has_acc:  # one task: every outcome has accuracies or none has
+            row += [f"{v:.6g}" for v in o.per_domain_accuracy]
         rows.append(row)
 
     widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]

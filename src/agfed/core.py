@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -55,9 +54,9 @@ def numeric_faults(where: str):
         raise NumericError(f"{where}: {exc}") from exc
 
 
-def as_vector(values, dtype=np.float64, *, name: str = "vector") -> np.ndarray:
-    """Coerce to a read-only 1-D array of the given dtype."""
-    arr = np.array(values, dtype=dtype)
+def as_vector(values, *, name: str = "vector") -> np.ndarray:
+    """Coerce to a read-only 1-D float64 array."""
+    arr = np.array(values, dtype=np.float64)
     if arr.ndim != 1:
         raise InvalidArgument(f"{name} must be 1-D, got shape {arr.shape}")
     arr.flags.writeable = False
@@ -70,25 +69,6 @@ def as_param_vector(values) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NumericError("parameter vector contains NaN or Inf")
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class ClientDataset:
-    """One client's rows: (n, d) features, (n,) labels, (n,) domain tags.
-
-    What indexing a ``Population`` returns, over read-only views of its
-    pooled arrays, and the input of ``Population.from_clients``, which
-    checks it. Equality and hashing are by identity, since arrays have
-    no single truth value to compare fields by.
-    """
-
-    client_id: int
-    feature_matrix: np.ndarray
-    labels: np.ndarray
-    domains: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +85,7 @@ class Population:
     columns. Everything is checked and counted once here, so a round
     indexes the arrays without checks; tags, offsets and ids that are
     not whole numbers are rejected, not truncated, as are non-finite
-    features and labels. ``len`` is the client count; indexing or
-    iterating yields each client as a ``ClientDataset``. The features
+    features and labels. ``len`` is the client count. The features
     given are copied into ``xb``; the other arrays given are made
     read-only and copied only when they have another dtype.
     """
@@ -166,39 +145,18 @@ class Population:
         object.__setattr__(self, "xb", xb)
         object.__setattr__(self, "x", xb[:, :-1])
 
-    @staticmethod
-    def from_clients(clients: Sequence[ClientDataset], p: int) -> "Population":
-        """Pool the clients' rows in the given order."""
-        if not clients:
-            raise InvalidArgument("population needs at least one client")
-        xs = [np.asarray(c.feature_matrix, dtype=np.float64) for c in clients]
-        for c, x in zip(clients, xs):
-            if (x.ndim != 2 or x.shape[1] != xs[0].shape[1]
-                    or not x.shape[0] == len(c.labels) == len(c.domains)):
-                raise InvalidArgument(
-                    f"client {c.client_id} needs {xs[0].shape[1:]} feature rows, one label "
-                    f"and one domain tag per row, got shapes {x.shape}, {len(c.labels)}, "
-                    f"{len(c.domains)}")
-        return Population(
-            np.concatenate(xs),
-            np.concatenate([c.labels for c in clients]),
-            np.concatenate([c.domains for c in clients]),
-            np.concatenate([[0], np.cumsum([len(c) for c in clients])]),
-            [c.client_id for c in clients],
-            p,
-        )
-
     def __len__(self) -> int:
         return self.client_ids.shape[0]
 
-    def __getitem__(self, k: int) -> ClientDataset:
-        k = range(len(self))[k]
-        rows = slice(self.offsets[k], self.offsets[k + 1])
-        return ClientDataset(int(self.client_ids[k]), self.x[rows], self.y[rows],
-                             self.domains[rows])
-
     def __iter__(self):
-        return (self[k] for k in range(len(self)))
+        """Each client's row range, ``range(offsets[k], offsets[k+1])``.
+
+        ``perfbench/run.py``'s ``samples_per_round`` and
+        ``tracing._after_tasks_generate_population`` call only ``len()``
+        on each item; the method goes once perfbench reads
+        ``np.diff(population.offsets)``.
+        """
+        return map(range, self.offsets[:-1].tolist(), self.offsets[1:].tolist())
 
 
 @dataclass(frozen=True, eq=False)

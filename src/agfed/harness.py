@@ -246,19 +246,17 @@ def compare_algorithms(
 ) -> list[AlgorithmOutcome]:
     """Run each algorithm on identical data and seeds; evaluate final models.
 
+    An unknown algorithm name is rejected before any algorithm runs.
     The gap is the spread (max - min) of per-domain population losses,
     the quantity the comparison table reports as "difference".
     """
+    run_cfgs = [
+        replace(cfg, algorithm=replace(cfg.algorithm, algorithm=name),
+                out_dir=None if cfg.out_dir is None else str(Path(cfg.out_dir) / name))
+        for name in algorithms
+    ]
     outcomes = []
-    for name in algorithms:
-        sub_out = None
-        if cfg.out_dir is not None:
-            sub_out = str(Path(cfg.out_dir) / name)
-        run_cfg = replace(
-            cfg,
-            algorithm=replace(cfg.algorithm, algorithm=name),
-            out_dir=sub_out,
-        )
+    for name, run_cfg in zip(algorithms, run_cfgs):
         run = run_experiment_full(run_cfg)
         metrics = evaluate_population(run.spec, run.final_state.w, run.population, cfg.task.p)
         losses = metrics["loss"]

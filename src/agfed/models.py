@@ -1,10 +1,9 @@
 """Differentiable hypothesis classes with loss and gradient oracles.
 
-Three small closed-form families:
+Two small closed-form families:
 
 - ``scalar-regression``: a single learnable constant, squared-error loss
   against the label. Used by the 1-D min-max regression task.
-- ``linear-regression``: affine prediction (weights + bias), squared error.
 - ``logistic``: multinomial softmax with a per-class bias, cross-entropy
   loss. Logits are stabilized by max-subtraction before log-sum-exp.
 
@@ -51,18 +50,17 @@ import numpy as np
 
 from .core import InvalidArgument
 
-ModelKind = Literal["scalar-regression", "linear-regression", "logistic"]
+ModelKind = Literal["scalar-regression", "logistic"]
 
-MODEL_KINDS = ("scalar-regression", "linear-regression", "logistic")
+MODEL_KINDS = ("scalar-regression", "logistic")
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """Shape of a hypothesis class; fixes the flat parameter layout.
 
-    Parameter counts: scalar-regression -> 1; linear-regression ->
-    input_dim + 1 (bias last); logistic -> num_classes * (input_dim + 1),
-    row-major by class with the bias as the last column.
+    Parameter counts: scalar-regression -> 1; logistic -> num_classes *
+    (input_dim + 1), row-major by class with the bias as the last column.
     """
 
     kind: ModelKind
@@ -81,15 +79,13 @@ class ModelSpec:
     def param_count(self) -> int:
         if self.kind == "scalar-regression":
             return 1
-        if self.kind == "linear-regression":
-            return self.input_dim + 1
         return self.num_classes * (self.input_dim + 1)
 
 
 def check_labels(spec: ModelSpec, y: np.ndarray) -> None:
     """Reject a logistic model's labels unless all are integer classes in ``0..num_classes-1``.
 
-    Any real label suits the regression models.
+    Any real label suits the regression model.
     """
     if spec.kind == "logistic" and not (
         (y >= 0) & (y < spec.num_classes) & (y == np.floor(y))
@@ -148,11 +144,6 @@ def batch_losses(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) 
     """
     if spec.kind == "scalar-regression":
         return (w[0] - y) ** 2
-    if spec.kind == "linear-regression":
-        # an elementwise row sum, not BLAS: a row's prediction must not
-        # depend on how many rows share its batch
-        pred = (xb * w).sum(axis=-1)
-        return (pred - y) ** 2
     weights = w.reshape(spec.num_classes, spec.input_dim + 1)
     logp = _log_softmax((weights @ xb.T).T)
     return -logp[np.arange(xb.shape[0]), y.astype(np.int64)]
@@ -178,9 +169,6 @@ def grad_weighted(
     """
     if spec.kind == "scalar-regression":
         return (weights * 2.0 * (w[..., :1] - y)).sum(axis=-1, keepdims=True)
-    if spec.kind == "linear-regression":
-        residual = np.matmul(xb, w[..., None])[..., 0] - y
-        return np.matmul((weights * 2.0 * residual)[..., None, :], xb)[..., 0, :]
     wmat = w.reshape(w.shape[:-1] + (spec.num_classes, spec.input_dim + 1))
     logits = np.swapaxes(np.matmul(wmat, np.swapaxes(xb, -1, -2)), -1, -2)
     probs = np.exp(_log_softmax(logits))

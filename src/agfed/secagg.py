@@ -119,7 +119,8 @@ class PairwiseSeeds:
     ``upper`` holds one uint64 seed per pair (i, j), i < j, in
     ``np.triu_indices(n, k=1)`` order: pairs grouped by lower index. It
     is taken as given and made read-only, not copied. Equality and
-    hashing are by identity, as for ``core.ClientDataset``.
+    hashing are by identity, as for ``core.Population``: arrays have no
+    single truth value to compare fields by.
     """
 
     n_clients: int

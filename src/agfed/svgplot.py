@@ -41,10 +41,9 @@ def write_line_plot(
     series: Sequence[tuple[str, Sequence[float]]],
     *,
     title: str,
-    x_label: str = "round",
     y_label: str = "",
 ) -> None:
-    """Write one SVG with a polyline per (name, values) series."""
+    """Write one SVG with a polyline per (name, values) series over the rounds ``x``."""
     if not series or not x:
         raise InvalidArgument("plot needs at least one series and one x value")
     for name, values in series:
@@ -92,7 +91,7 @@ def write_line_plot(
         )
     out.append(
         f'<text x="{(x0 + x1) / 2:.1f}" y="{_HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>'
+        f'font-family="sans-serif" font-size="12">round</text>'
     )
     if y_label:
         out.append(

@@ -29,7 +29,6 @@ then the (N x d) feature noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
@@ -239,19 +238,3 @@ def generate_population(cfg: TaskConfig) -> tuple[Population, float | None]:
         if cfg.kind == "toy-regression":
             return gen_toy_regression(cfg)
         return gen_synthetic_classification(cfg), None
-
-
-def write_datasets(population: Population, path: str | Path) -> None:
-    """Line-oriented text dump: per sample ``domain label features...``.
-
-    Clients are delimited by ``# client <id>`` header lines.
-    """
-    path = Path(path)
-    lines: list[str] = []
-    for c in population:
-        lines.append(f"# client {c.client_id}")
-        for x, label, domain in zip(c.feature_matrix.tolist(), c.labels.tolist(),
-                                    c.domains.tolist()):
-            feats = " ".join(f"{v:.17g}" for v in x)
-            lines.append(f"{domain} {label:.17g} {feats}")
-    path.write_text("\n".join(lines) + "\n")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from agfed.client import LocalSGDConfig, compute_client_stats
-from agfed.core import ClientDataset, Cohort, Population, make_rng
+from agfed.core import Cohort, make_rng
 from agfed.harness import ExperimentConfig, compare_algorithms, run_experiment_full
 from agfed.models import ModelSpec, batch_losses, grad_weighted
 from agfed.secagg import (
@@ -30,6 +30,7 @@ from agfed.server import (
     run_round,
 )
 from agfed.tasks import TaskConfig
+from pooling import pool
 
 
 def _passed(n, message):
@@ -73,11 +74,9 @@ def _identity_instance(rng):
     """Random (spec, w, lambda, clients) with every domain populated."""
     p = int(rng.integers(1, 6))
     n_clients = int(rng.integers(1, 11))
-    kind = ("scalar-regression", "linear-regression", "logistic")[int(rng.integers(0, 3))]
+    kind = ("scalar-regression", "logistic")[int(rng.integers(0, 2))]
     if kind == "scalar-regression":
         spec = ModelSpec(kind)
-    elif kind == "linear-regression":
-        spec = ModelSpec(kind, input_dim=2)
     else:
         spec = ModelSpec(kind, input_dim=2, num_classes=3)
 
@@ -101,7 +100,7 @@ def _identity_instance(rng):
     clients = []
     for k in range(n_clients):
         xs, ys, ds = zip(*(sample for owner, sample in raw if owner == k))
-        clients.append(ClientDataset(k, np.array(xs), ys, ds))
+        clients.append((k, np.array(xs), ys, ds))
     w = rng.standard_normal(spec.param_count)
     lam = rng.dirichlet(np.ones(p))
     return spec, w, lam, clients, p
@@ -114,7 +113,7 @@ def test_criterion_2_identity_property():
     for _ in range(50):
         spec, w, lam, clients, p = _identity_instance(rng)
         client_counts, client_loss_sums = compute_client_stats(
-            spec, w, Cohort.gather(Population.from_clients(clients, p), np.arange(len(clients))))
+            spec, w, Cohort.gather(pool(clients, p), np.arange(len(clients))))
         counts = client_counts.sum(axis=0)
         loss_sums = client_loss_sums.sum(axis=0)
         alpha = compute_scaling(lam, counts.astype(np.float64))
@@ -207,7 +206,6 @@ def test_criterion_5_gradient_checks():
     """Analytic vs central finite differences, rel 1e-5, 100+ instances/kind."""
     specs = [
         ModelSpec("scalar-regression"),
-        ModelSpec("linear-regression", input_dim=3),
         ModelSpec("logistic", input_dim=2, num_classes=3),
     ]
     h = 1e-5
@@ -231,7 +229,7 @@ def test_criterion_5_gradient_checks():
             scale = max(1e-8, float(np.abs(numeric).max()))
             rel = float(np.abs(analytic - numeric).max()) / scale
             assert rel < 1e-5, f"{spec.kind}: gradient check failed at rel {rel}"
-    _passed(5, "3 model kinds x 100 instances within relative 1e-5 of "
+    _passed(5, "2 model kinds x 100 instances within relative 1e-5 of "
                "central differences")
 
 

@@ -247,6 +247,15 @@ class TestErrors:
         assert not (tmp_path / "compare_summary.csv").exists()
         assert sorted(p.name for p in (tmp_path / "afa").iterdir()) == ["metrics.csv.partial"]
 
+    def test_unknown_algorithm_rejected_before_any_run(self, tmp_path, capsys):
+        config = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
+        code = main(["compare", "--config", str(config), "--algorithms", "afa,fedvag",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "fedvag" in err
+        assert not (tmp_path / "afa" / "metrics.csv").exists()
+
     def test_failed_run_leaves_no_metrics_csv(self, tmp_path, capsys):
         # the rows stream to metrics.csv.partial, renamed onto metrics.csv
         # only after the last round; a stale metrics.csv is gone too

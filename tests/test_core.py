@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agfed.core import (
-    ClientDataset,
     Cohort,
     InvalidArgument,
     Population,
@@ -22,6 +21,7 @@ from agfed.core import (
     stored_rng,
     validate_mixture,
 )
+from pooling import pool
 
 
 class TestMixtureUniform:
@@ -61,33 +61,27 @@ class TestDatasets:
 
     def test_empty_client_rejected(self):
         with pytest.raises(InvalidArgument, match="client 0 has no samples"):
-            Population.from_clients([ClientDataset(0, np.empty((0, 1)), [], [])], 1)
+            pool([(0, np.empty((0, 1)), [], [])], 1)
 
     def test_features_not_2d_rejected(self):
         with pytest.raises(InvalidArgument):
-            Population.from_clients([ClientDataset(0, np.array([1.0, 2.0]), [1.0, 1.0],
-                                                   [0, 0])], 1)
+            pool([(0, np.array([1.0, 2.0]), [1.0, 1.0], [0, 0])], 1)
 
     def test_arrays_differ_in_length_rejected(self):
         x = np.ones((3, 1))
         with pytest.raises(InvalidArgument):
-            Population.from_clients([ClientDataset(0, x, [1.0, 1.0], [0, 0, 0])], 1)
+            pool([(0, x, [1.0, 1.0], [0, 0, 0])], 1)
         with pytest.raises(InvalidArgument):
-            Population.from_clients([ClientDataset(0, x, [1.0, 1.0, 1.0], [0, 0])], 1)
-        # totals that agree across clients do not hide misaligned clients
-        with pytest.raises(InvalidArgument, match="client 0"):
-            Population.from_clients([ClientDataset(0, x, [1.0] * 4, [0] * 4),
-                                     ClientDataset(1, x, [1.0] * 2, [0] * 2)], 1)
+            pool([(0, x, [1.0, 1.0, 1.0], [0, 0])], 1)
 
     def test_negative_domain_rejected(self):
         with pytest.raises(InvalidArgument):
-            Population.from_clients([ClientDataset(0, np.array([[1.0]]), [1.0], [-1])], 1)
+            pool([(0, np.array([[1.0]]), [1.0], [-1])], 1)
 
     def test_equality_is_identity_and_hashable(self):
         # comparing field tuples of arrays would raise "truth value ambiguous"
-        x = np.array([[1.0], [2.0]])
-        a = ClientDataset(0, x, [1.0, 2.0], [0, 1])
-        b = ClientDataset(0, x, [1.0, 2.0], [0, 1])
+        a = pool([(0, np.array([[1.0], [2.0]]), [1.0, 2.0], [0, 1])], 2)
+        b = pool([(0, np.array([[1.0], [2.0]]), [1.0, 2.0], [0, 1])], 2)
         assert a == a
         assert (a == b) is False
         assert len({a, b, a}) == 2
@@ -95,39 +89,28 @@ class TestDatasets:
     def test_domain_tags_partition_dataset(self):
         rng = make_rng(7)
         values = np.arange(30, dtype=np.float64)
-        ds = ClientDataset(3, values[:, None], values, rng.integers(0, 4, size=30))
-        assert int(Population.from_clients([ds], 4).counts.sum()) == len(ds)
+        population = pool([(3, values[:, None], values, rng.integers(0, 4, size=30))], 4)
+        assert int(population.counts.sum()) == 30
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=40), st.integers(0, 3))
     def test_domain_counts_equal_bincount(self, tags, extra):
         p = max(tags) + 1 + extra
-        ds = ClientDataset(0, np.zeros((len(tags), 1)), np.zeros(len(tags)), tags)
-        counts = Population.from_clients([ds], p).counts[0]
+        counts = pool([(0, np.zeros((len(tags), 1)), np.zeros(len(tags)), tags)], p).counts[0]
         assert counts.dtype == np.int64
         assert np.array_equal(counts, np.bincount(tags, minlength=p))
 
     def test_domain_tag_above_p_rejected(self):
-        ds = ClientDataset(0, np.array([[0.0]]), [0.0], [5])
         with pytest.raises(InvalidArgument):
-            Population.from_clients([ds], 3)
-
-    def test_arrays_are_read_only(self):
-        ds = Population.from_clients([ClientDataset(0, np.array([[1.0]]), [2.0], [0])], 1)[0]
-        with pytest.raises(ValueError):
-            ds.feature_matrix[0, 0] = 9.0
-        with pytest.raises(ValueError):
-            ds.labels[0] = 9.0
-        with pytest.raises(ValueError):
-            ds.domains[0] = 1
+            pool([(0, np.array([[0.0]]), [0.0], [5])], 3)
 
 
 class TestCohort:
     def test_gather_concatenates_rows_in_client_order(self):
-        a = ClientDataset(4, np.array([[1.0], [2.0]]), [1.0, 2.0], [1, 1])
-        b = ClientDataset(9, np.array([[3.0], [4.0], [5.0]]), [3.0, 4.0, 5.0], [0, 2, 0])
-        c = ClientDataset(2, np.array([[6.0]]), [6.0], [1])
-        population = Population.from_clients([c, a, b], 3)
+        a = (4, np.array([[1.0], [2.0]]), [1.0, 2.0], [1, 1])
+        b = (9, np.array([[3.0], [4.0], [5.0]]), [3.0, 4.0, 5.0], [0, 2, 0])
+        c = (2, np.array([[6.0]]), [6.0], [1])
+        population = pool([c, a, b], 3)
         cohort = Cohort.gather(population, [1, 2])
         assert len(cohort) == 2
         assert cohort.xb.tolist() == [[1.0, 1.0], [2.0, 1.0], [3.0, 1.0], [4.0, 1.0],
@@ -142,22 +125,21 @@ class TestCohort:
         # client k's rows and counts are those of population member k
         for k, member in enumerate([1, 2]):
             rows = slice(cohort.offsets[k], cohort.offsets[k + 1])
-            assert cohort.y[rows].tolist() == population[member].labels.tolist()
+            member_rows = slice(population.offsets[member], population.offsets[member + 1])
+            assert cohort.y[rows].tolist() == population.y[member_rows].tolist()
             assert cohort.counts[k].tolist() == population.counts[member].tolist()
 
     def test_gathered_arrays_reject_writes(self):
-        clients = [ClientDataset(k, np.ones((n, 2)), np.ones(n), np.zeros(n))
-                   for k, n in enumerate([2, 5, 3])]
-        cohort = Cohort.gather(Population.from_clients(clients, 1), [2, 0])
+        clients = [(k, np.ones((n, 2)), np.ones(n), np.zeros(n)) for k, n in enumerate([2, 5, 3])]
+        cohort = Cohort.gather(pool(clients, 1), [2, 0])
         for f in dataclasses.fields(cohort):
             arr = getattr(cohort, f.name)
             with pytest.raises(ValueError):
                 arr[0] = 7
 
     def test_layout_arrays_reject_writes(self):
-        clients = [ClientDataset(k, np.zeros((n, 1)), np.zeros(n), np.zeros(n))
-                   for k, n in enumerate([2, 5, 3])]
-        cohort = Cohort.gather(Population.from_clients(clients, 1), [2, 0, 1])
+        clients = [(k, np.zeros((n, 1)), np.zeros(n), np.zeros(n)) for k, n in enumerate([2, 5, 3])]
+        cohort = Cohort.gather(pool(clients, 1), [2, 0, 1])
         layout = _row_layout(np.array([3, 2, 5], dtype=np.int64).tobytes())
         for arr in (cohort.sizes, cohort.offsets, cohort.owners, *layout):
             with pytest.raises(ValueError):
@@ -168,9 +150,9 @@ class TestCohort:
     def test_same_size_profile_builds_no_layout(self, monkeypatch):
         rng = make_rng(4)
         sizes = [4, 1, 6, 4, 1, 6]
-        clients = [ClientDataset(k, rng.standard_normal((n, 2)), rng.standard_normal(n),
-                                 rng.integers(0, 2, size=n)) for k, n in enumerate(sizes)]
-        population = Population.from_clients(clients, 2)
+        clients = [(k, rng.standard_normal((n, 2)), rng.standard_normal(n),
+                    rng.integers(0, 2, size=n)) for k, n in enumerate(sizes)]
+        population = pool(clients, 2)
         first = Cohort.gather(population, [0, 1, 2])
 
         def fail(*args, **kwargs):
@@ -186,19 +168,13 @@ class TestCohort:
         for name in ("xb", "y", "domains", "offsets", "sizes", "owners", "counts"):
             assert np.array_equal(getattr(second, name), getattr(cold, name))
         assert second.xb[:, :-1].tolist() == np.concatenate(
-            [c.feature_matrix for c in clients[3:]]).tolist()
+            [x for _, x, _, _ in clients[3:]]).tolist()
 
     def test_domain_tag_above_p_names_the_client(self):
-        ok = ClientDataset(1, np.zeros((2, 1)), [0.0, 0.0], [0, 1])
-        bad = ClientDataset(7, np.zeros((2, 1)), [0.0, 0.0], [0, 3])
+        ok = (1, np.zeros((2, 1)), [0.0, 0.0], [0, 1])
+        bad = (7, np.zeros((2, 1)), [0.0, 0.0], [0, 3])
         with pytest.raises(InvalidArgument, match="client 7"):
-            Population.from_clients([ok, bad], 2)
-
-    def test_mixed_feature_dimensions_rejected(self):
-        one = ClientDataset(0, np.zeros((1, 1)), [0.0], [0])
-        two = ClientDataset(1, np.zeros((1, 2)), [0.0], [0])
-        with pytest.raises(InvalidArgument):
-            Population.from_clients([one, two], 1)
+            pool([ok, bad], 2)
 
 
 @st.composite
@@ -210,8 +186,8 @@ def _populations(draw):
                         unique=True))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     dim = draw(st.integers(1, 3))
-    clients = [ClientDataset(cid, rng.standard_normal((n, dim)), rng.standard_normal(n),
-                             rng.integers(0, p, size=n)) for cid, n in zip(ids, sizes)]
+    clients = [(cid, rng.standard_normal((n, dim)), rng.standard_normal(n),
+                rng.integers(0, p, size=n)) for cid, n in zip(ids, sizes)]
     members = draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1, max_size=len(sizes),
                             unique=True))
     return clients, p, members
@@ -222,34 +198,32 @@ class TestPopulation:
     @given(_populations())
     def test_cohort_index_equals_concatenated_clients(self, case):
         clients, p, members = case
-        population = Population.from_clients(clients, p)
+        population = pool(clients, p)
         cohort = Cohort.gather(population, np.array(members))
-        chosen = [clients[k] for k in members]
-        assert np.array_equal(cohort.xb[:, :-1],
-                              np.concatenate([c.feature_matrix for c in chosen]))
+        _, xs, ys, domains = zip(*[clients[k] for k in members])
+        assert np.array_equal(cohort.xb[:, :-1], np.concatenate(xs))
         assert np.all(cohort.xb[:, -1] == 1.0)
-        assert np.array_equal(cohort.y, np.concatenate([c.labels for c in chosen]))
-        assert np.array_equal(cohort.domains, np.concatenate([c.domains for c in chosen]))
-        assert cohort.sizes.tolist() == [len(c) for c in chosen]
-        assert cohort.owners.tolist() == [k for k, c in enumerate(chosen) for _ in range(len(c))]
-        for k, c in enumerate(chosen):
+        assert np.array_equal(cohort.y, np.concatenate(ys))
+        assert np.array_equal(cohort.domains, np.concatenate(domains))
+        assert cohort.sizes.tolist() == [len(y) for y in ys]
+        assert cohort.owners.tolist() == [k for k, y in enumerate(ys) for _ in range(len(y))]
+        for k, y in enumerate(ys):
             rows = slice(cohort.offsets[k], cohort.offsets[k + 1])
-            assert np.array_equal(cohort.y[rows], c.labels)
+            assert np.array_equal(cohort.y[rows], y)
             assert np.array_equal(cohort.counts[k], population.counts[members[k]])
-        assert np.array_equal(cohort.counts,
-                              [np.bincount(c.domains, minlength=p) for c in chosen])
+        assert np.array_equal(cohort.counts, [np.bincount(d, minlength=p) for d in domains])
 
     @settings(max_examples=50, deadline=None)
     @given(_populations())
-    def test_indexing_yields_each_client_as_a_view(self, case):
+    def test_iteration_yields_each_client_row_range(self, case):
         clients, p, _ = case
-        population = Population.from_clients(clients, p)
-        assert len(population) == len(clients)
-        for ours, theirs in zip(population, clients):
-            assert ours.client_id == theirs.client_id and len(ours) == len(theirs)
-            assert np.array_equal(ours.feature_matrix, theirs.feature_matrix)
-            assert np.shares_memory(ours.feature_matrix, population.x)
-        assert population[-1].client_id == clients[-1].client_id
+        population = pool(clients, p)
+        ranges = list(population)
+        assert len(ranges) == len(population) == len(clients)
+        assert [len(r) for r in ranges] == np.diff(population.offsets).tolist()
+        for rows, (_, x, y, _) in zip(ranges, clients):
+            assert np.array_equal(population.x[rows], x)
+            assert np.array_equal(population.y[rows], y)
 
     def test_domain_tag_at_or_above_p_names_the_client(self):
         with pytest.raises(InvalidArgument, match="client 12 has a domain tag outside 0..1"):

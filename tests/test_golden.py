@@ -34,12 +34,14 @@ round; the masked-params toy digest (quantized) and the classification
 digests did not move. ``toy-600`` runs the shipped toy config for 600
 rounds, the longest golden run.
 
-The population digests pin the ``write_datasets`` text of generated
-populations, one per task and partition scheme, so a change to the
-generators or to the pooled ``Population`` layout must keep every
-sample's bytes, or re-pin the digests it moves and say why. The
-classification digests were re-pinned when that generator moved from a
-per-sample loop to whole-array draws; the toy digests were not moved.
+The population digests pin the text ``_population_text`` writes of
+generated populations (per client a ``# client <id>`` line, then one
+``domain label features...`` line per row), one per task and partition
+scheme, so a change to the generators or to the pooled ``Population``
+layout must keep every sample's bytes, or re-pin the digests it moves
+and say why. The classification digests were re-pinned when that
+generator moved from a per-sample loop to whole-array draws; the toy
+digests were not moved.
 
 The plot digests pin the two SVG files of the shipped configs, so the
 pixel coordinates and ``data-values`` of every point keep their bytes.
@@ -55,7 +57,7 @@ import pytest
 
 from agfed.config import load_config
 from agfed.harness import run_experiment_full
-from agfed.tasks import TaskConfig, generate_population, write_datasets
+from agfed.tasks import TaskConfig, generate_population
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -194,9 +196,19 @@ POPULATIONS = [
 ]
 
 
+def _population_text(population):
+    lines = []
+    for k, client_id in enumerate(population.client_ids.tolist()):
+        lines.append(f"# client {client_id}")
+        rows = slice(population.offsets[k], population.offsets[k + 1])
+        for x, label, domain in zip(population.x[rows].tolist(), population.y[rows].tolist(),
+                                    population.domains[rows].tolist()):
+            lines.append(f"{domain} {label:.17g} " + " ".join(f"{v:.17g}" for v in x))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("task, digest", POPULATIONS)
-def test_population_digest(tmp_path, task, digest):
+def test_population_digest(task, digest):
     population, _ = generate_population(TaskConfig(**task))
-    path = tmp_path / "population.txt"
-    write_datasets(population, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    text = _population_text(population)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

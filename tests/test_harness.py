@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from agfed.client import LocalSGDConfig
-from agfed.core import ClientDataset, InvalidArgument, NumericError, Population
+from agfed.core import InvalidArgument, NumericError, Population
 from agfed.harness import (
     ExperimentConfig,
     _domain_accuracy,
@@ -194,12 +194,10 @@ class TestEvaluateAndCompare:
 
     def test_evaluate_population_rejects_non_class_label(self):
         run = run_experiment_full(_cls_experiment(rounds=0))
-        bad = run.population[0]
-        labels = bad.labels.copy()
+        good = run.population
+        labels = good.y.copy()
         labels[0] = 0.7
-        population = Population.from_clients(
-            [ClientDataset(bad.client_id, bad.feature_matrix, labels, bad.domains),
-             *list(run.population)[1:]], 2)
+        population = Population(good.x, labels, good.domains, good.offsets, good.client_ids, 2)
         with pytest.raises(InvalidArgument):
             evaluate_population(run.spec, run.final_state.w, population, 2)
 

@@ -26,9 +26,8 @@ from agfed.models import (
 )
 
 SCALAR = ModelSpec("scalar-regression")
-LINEAR = ModelSpec("linear-regression", input_dim=3)
 LOGISTIC = ModelSpec("logistic", input_dim=2, num_classes=3)
-ALL_SPECS = [SCALAR, LINEAR, LOGISTIC]
+ALL_SPECS = [SCALAR, LOGISTIC]
 
 
 def _rows(x):
@@ -111,18 +110,18 @@ class TestLossExamples:
         with pytest.raises(InvalidArgument):
             check_batch(SCALAR, np.array([0.0, 0.0]), np.ones((1, 2)), np.zeros(1))
         with pytest.raises(InvalidArgument):
-            check_batch(LINEAR, np.zeros(4), np.ones((1, 2)), np.zeros(1))
+            check_batch(LOGISTIC, np.zeros(9), np.ones((1, 4)), np.zeros(1))
 
     def test_rows_without_the_bias_column_rejected_naming_input_dim(self):
-        with pytest.raises(InvalidArgument, match="input_dim=3"):
-            check_batch(LINEAR, np.zeros(4), np.ones((1, 3)), np.zeros(1))
-        check_batch(LINEAR, np.zeros(4), np.ones((1, 4)), np.zeros(1))
+        with pytest.raises(InvalidArgument, match="input_dim=2"):
+            check_batch(LOGISTIC, np.zeros(9), np.ones((1, 2)), np.zeros(1))
+        check_batch(LOGISTIC, np.zeros(9), np.ones((1, 3)), np.zeros(1))
 
 
 class TestCheckBatch:
     def test_labels_and_features_differ_in_length(self):
         with pytest.raises(InvalidArgument):
-            check_batch(LINEAR, np.zeros(4), np.ones((3, 4)), np.zeros(2))
+            check_batch(LOGISTIC, np.zeros(9), np.ones((3, 3)), np.zeros(2))
 
     @pytest.mark.parametrize("label", [-1.0, 2.0, 0.7, np.nan])
     def test_logistic_label_not_a_class_rejected(self, label):
@@ -143,8 +142,7 @@ class TestCheckBatch:
                         labels=False)
 
     def test_regression_labels_take_any_real(self):
-        for spec in (SCALAR, LINEAR):
-            check_labels(spec, np.array([-1.5, 0.7, 1e9]))
+        check_labels(SCALAR, np.array([-1.5, 0.7, 1e9]))
 
 
 class TestGradExamples:
@@ -244,24 +242,9 @@ class TestLogisticNumerics:
         assert np.array_equal(predict_classes(spec, w, xb), expected)
 
 
-class TestRowLocality:
-    @pytest.mark.parametrize("n", [2, 7, 64, 1000])
-    def test_linear_regression_row_loss_does_not_depend_on_its_batch(self, n):
-        # a client's loss sums must not change with the cohort it is gathered in
-        rng = make_rng(41, n)
-        w = rng.standard_normal(LINEAR.param_count)
-        xb = _rows(rng.standard_normal((n, LINEAR.input_dim)) * 10.0)
-        y = rng.standard_normal(n)
-        batch = batch_losses(LINEAR, w, xb, y)
-        for j in range(n):
-            row = batch_losses(LINEAR, w, xb[j:j + 1], y[j:j + 1])
-            assert row.tobytes() == batch[j:j + 1].tobytes()
-
-
 class TestGradWeightedShapes:
     def test_param_count_property(self):
         assert SCALAR.param_count == 1
-        assert LINEAR.param_count == 4
         assert LOGISTIC.param_count == 9
 
     @settings(max_examples=200, deadline=None)

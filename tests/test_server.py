@@ -12,7 +12,6 @@ import agfed.core
 import agfed.server
 from agfed.client import LocalSGDConfig, compute_client_stats
 from agfed.core import (
-    ClientDataset,
     Cohort,
     InvalidArgument,
     NumericError,
@@ -46,6 +45,7 @@ from agfed.tasks import (
     gen_toy_regression,
     model_spec_for,
 )
+from pooling import pool
 
 SCALAR = ModelSpec("scalar-regression")
 
@@ -413,8 +413,7 @@ class TestRunRound:
     def test_overflowing_plain_stats_sum_raises(self):
         # each client's loss sum (1e308) is finite; their plain sum is not,
         # and a caller's errstate does not silence the round's fault
-        clients = Population.from_clients(
-            [ClientDataset(k, np.zeros((1, 1)), [1e154], [0]) for k in range(2)], 1)
+        clients = pool([(k, np.zeros((1, 1)), [1e154], [0]) for k in range(2)], 1)
         plain = AggregationSettings(mask_stats=False)
         with np.errstate(over="ignore"), pytest.raises(
                 NumericError, match="^round 1: overflow encountered in accumulate$"):
@@ -434,10 +433,9 @@ class TestRunRound:
         # the calm client sits at its optimum and never moves; the wild
         # one's finite labels make its steps overflow
         rng = make_rng(13)
-        calm = ClientDataset(0, np.zeros((4, 1)), np.ones(4), np.zeros(4))
-        wild = ClientDataset(1, rng.standard_normal((4, 1)), 1e5 * rng.standard_normal(4),
-                             np.zeros(4))
-        population = Population.from_clients([calm, wild], 1)
+        calm = (0, np.zeros((4, 1)), np.ones(4), np.zeros(4))
+        wild = (1, rng.standard_normal((4, 1)), 1e5 * rng.standard_normal(4), np.zeros(4))
+        population = pool([calm, wild], 1)
         cfg = _algo(algorithm="fedavg", clients_per_round=2,
                     local=LocalSGDConfig(epochs=50, batch_size=4, learning_rate=1e150))
         with pytest.raises(NumericError, match="^round 1: overflow encountered in "):
@@ -522,13 +520,12 @@ class TestRunRound:
     def test_single_client_full_batch_is_one_exact_gradient_step(self):
         # whole population on one client, E=1, full batch: centralized SGD step
         clients = _toy(p=1, centers=(0.5,), num_clients=1)
-        data = clients[0]
         cfg = _algo(algorithm="fedavg", clients_per_round=1,
                     local=LocalSGDConfig(1, 10_000, 0.2))
         state = initial_state(np.array([2.0]), 1)
         state, _ = run_round(state, cfg, SCALAR, clients, 5)
-        xs = data.labels
-        expected = 2.0 - 0.2 * float(np.sum(2.0 * (2.0 - xs))) / len(data)
+        xs = clients.y
+        expected = 2.0 - 0.2 * float(np.sum(2.0 * (2.0 - xs))) / len(xs)
         assert state.w[0] == pytest.approx(expected, abs=1e-12)
 
     def test_worst_domain_loss_is_max_over_populated(self):

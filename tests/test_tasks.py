@@ -11,7 +11,6 @@ from agfed.tasks import (
     gen_toy_regression,
     initial_params_for,
     model_spec_for,
-    write_datasets,
 )
 
 
@@ -40,10 +39,10 @@ class TestToyRegression:
         assert oracle == 0.0
 
     def test_default_five_centers_oracle_zero(self):
-        clients, oracle = gen_toy_regression(_toy_cfg())
+        population, oracle = gen_toy_regression(_toy_cfg())
         assert oracle == 0.0
-        assert len(clients) == 50
-        assert all(len(c) > 0 for c in clients)
+        assert len(population) == 50
+        assert np.diff(population.offsets).min() > 0
 
     def test_asymmetric_centers_oracle_midpoint(self):
         _, oracle = gen_toy_regression(_toy_cfg(p=3, centers=(-1.0, 0.0, 5.0)))
@@ -51,33 +50,28 @@ class TestToyRegression:
 
     def test_total_points_preserved(self):
         cfg = _toy_cfg(points_per_domain=40)
-        clients, _ = gen_toy_regression(cfg)
-        total = sum(len(c) for c in clients)
-        assert total == cfg.p * cfg.points_per_domain
-        by_domain = np.bincount(np.concatenate([c.domains for c in clients]), minlength=cfg.p)
-        assert by_domain.tolist() == [40] * cfg.p
+        population, _ = gen_toy_regression(cfg)
+        assert population.offsets[-1] == cfg.p * cfg.points_per_domain
+        assert np.bincount(population.domains, minlength=cfg.p).tolist() == [40] * cfg.p
 
     def test_identical_domain_variance(self):
         cfg = _toy_cfg()
-        clients, _ = gen_toy_regression(cfg)
-        xs = np.concatenate([c.labels for c in clients])
-        doms = np.concatenate([c.domains for c in clients])
+        population, _ = gen_toy_regression(cfg)
+        xs, doms = population.y, population.domains
         variances = [np.var(xs[doms == i]) for i in range(cfg.p)]
         assert max(variances) - min(variances) <= 1e-12
 
     def test_domain_means_are_the_centers(self):
         cfg = _toy_cfg()
-        clients, _ = gen_toy_regression(cfg)
-        xs = np.concatenate([c.labels for c in clients])
-        doms = np.concatenate([c.domains for c in clients])
+        population, _ = gen_toy_regression(cfg)
+        xs, doms = population.y, population.domains
         for i, center in enumerate(cfg.centers):
             assert np.mean(xs[doms == i]) == pytest.approx(center, abs=1e-12)
 
     def test_client_partition_single_domain_clients(self):
         cfg = _toy_cfg(partition="client-partition", num_clients=20)
-        clients, _ = gen_toy_regression(cfg)
-        for c in clients:
-            assert len(set(c.domains.tolist())) == 1
+        population, _ = gen_toy_regression(cfg)
+        assert np.all((population.counts > 0).sum(axis=1) == 1)
 
     def test_model_wiring(self):
         cfg = _toy_cfg(init_value=1.5)
@@ -96,16 +90,9 @@ class TestToyRegression:
                        partition="data-partition")
 
 
-def _pooled_rows(clients):
-    """The clients' features pooled as the augmented rows the kernels take."""
-    x = np.concatenate([c.feature_matrix for c in clients])
-    return np.column_stack([x, np.ones(x.shape[0])])
-
-
-def _centralized_fit(spec, clients, iters=400, lr=0.5):
+def _centralized_fit(spec, population, iters=400, lr=0.5):
     """Full-batch GD on pooled data: the centralized training oracle."""
-    x = _pooled_rows(clients)
-    y = np.concatenate([c.labels for c in clients])
+    x, y = population.xb, population.y
     w = np.zeros(spec.param_count)
     for _ in range(iters):
         g = grad_weighted(spec, w, x, y, np.ones(len(y)))
@@ -113,57 +100,51 @@ def _centralized_fit(spec, clients, iters=400, lr=0.5):
     return w
 
 
-def _per_domain_mean_loss(spec, w, clients, p):
-    x = _pooled_rows(clients)
-    y = np.concatenate([c.labels for c in clients])
-    d = np.concatenate([c.domains for c in clients])
-    losses = batch_losses(spec, w, x, y)
-    return [float(losses[d == i].mean()) for i in range(p)]
+def _per_domain_mean_loss(spec, w, population, p):
+    losses = batch_losses(spec, w, population.xb, population.y)
+    return [float(losses[population.domains == i].mean()) for i in range(p)]
 
 
 class TestSyntheticClassification:
     def test_client_partition_shares(self):
         cfg = _cls_cfg()
-        clients = gen_synthetic_classification(cfg)
-        assert len(clients) == 40
-        domains = [int(c.domains[0]) for c in clients]
-        for c in clients:
-            assert len(set(c.domains.tolist())) == 1
-        assert domains.count(0) == 34 and domains.count(1) == 6
+        population = gen_synthetic_classification(cfg)
+        assert len(population) == 40
+        assert np.all((population.counts > 0).sum(axis=1) == 1)
+        assert np.bincount(population.counts.argmax(axis=1)).tolist() == [34, 6]
 
     def test_minority_domain_is_harder_for_central_model(self):
         cfg = _cls_cfg(samples_per_client=30)
-        clients = gen_synthetic_classification(cfg)
+        population = gen_synthetic_classification(cfg)
         spec = model_spec_for(cfg)
-        w = _centralized_fit(spec, clients)
-        loss0, loss1 = _per_domain_mean_loss(spec, w, clients, 2)
+        w = _centralized_fit(spec, population)
+        loss0, loss1 = _per_domain_mean_loss(spec, w, population, 2)
         assert loss1 > loss0
 
     def test_equal_margins_and_shares_balance_losses(self):
         cfg = _cls_cfg(margins=(1.0, 1.0), shares=(0.5, 0.5), num_clients=40,
                        samples_per_client=50, seed=3)
-        clients = gen_synthetic_classification(cfg)
+        population = gen_synthetic_classification(cfg)
         spec = model_spec_for(cfg)
-        w = _centralized_fit(spec, clients)
-        loss0, loss1 = _per_domain_mean_loss(spec, w, clients, 2)
+        w = _centralized_fit(spec, population)
+        loss0, loss1 = _per_domain_mean_loss(spec, w, population, 2)
         # symmetric construction: losses agree within sampling noise
-        n_per_domain = sum(len(c) for c in clients) / 2
+        n_per_domain = len(population.y) / 2
         noise = 3.0 / np.sqrt(n_per_domain)
         assert abs(loss0 - loss1) <= noise
 
     def test_data_partition_mixing(self):
         cfg = _cls_cfg(partition="data-partition", mixing=(0.5, 0.5),
                        samples_per_client=100, num_clients=30)
-        clients = gen_synthetic_classification(cfg)
-        single_domain = sum(1 for c in clients if len(set(c.domains.tolist())) == 1)
+        population = gen_synthetic_classification(cfg)
+        single_domain = int(((population.counts > 0).sum(axis=1) == 1).sum())
         # P(single domain horizon) = 2 * 0.5**100 ~ 1.6e-30: expect none
         assert 2 * 0.5 ** 100 < 1e-20
         assert single_domain == 0
 
     def test_samples_per_client_range(self):
         cfg = _cls_cfg(samples_per_client=(5, 15))
-        clients = gen_synthetic_classification(cfg)
-        sizes = {len(c) for c in clients}
+        sizes = set(np.diff(gen_synthetic_classification(cfg).offsets).tolist())
         assert all(5 <= s <= 15 for s in sizes)
         assert len(sizes) > 1
 
@@ -245,36 +226,20 @@ class TestClassificationDistribution:
                       <= 5 * np.sqrt(expected * 6 / 7))
 
 
+def _population_bytes(population):
+    return b"".join(arr.tobytes() for arr in (population.xb, population.y, population.domains,
+                                              population.offsets, population.client_ids))
+
+
 class TestReproducibility:
     @pytest.mark.parametrize("make", [
         lambda seed: gen_toy_regression(_toy_cfg(seed=seed))[0],
         lambda seed: gen_synthetic_classification(_cls_cfg(seed=seed)),
     ], ids=["toy", "classification"])
-    def test_same_seed_same_bytes(self, make, tmp_path):
-        a, b = make(123), make(123)
-        pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_datasets(a, pa)
-        write_datasets(b, pb)
-        assert pa.read_bytes() == pb.read_bytes()
+    def test_same_seed_same_bytes(self, make):
+        assert _population_bytes(make(123)) == _population_bytes(make(123))
 
-    def test_different_seed_different_data(self, tmp_path):
+    def test_different_seed_different_data(self):
         a = gen_synthetic_classification(_cls_cfg(seed=1))
         b = gen_synthetic_classification(_cls_cfg(seed=2))
-        pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
-        write_datasets(a, pa)
-        write_datasets(b, pb)
-        assert pa.read_bytes() != pb.read_bytes()
-
-
-class TestSerialization:
-    def test_line_format(self, tmp_path):
-        clients, _ = gen_toy_regression(_toy_cfg(p=1, centers=(2.0,), num_clients=2,
-                                                 points_per_domain=4))
-        path = tmp_path / "data.txt"
-        write_datasets(clients, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# client 0"
-        fields = lines[1].split()
-        assert fields[0] == "0"  # domain index first
-        float(fields[1])         # label parses
-        float(fields[2])         # feature parses
+        assert _population_bytes(a) != _population_bytes(b)
