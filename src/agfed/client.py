@@ -24,11 +24,12 @@ and loss sums are its own row of the result and leave only through the
 server's cohort sum, and beta is each client's own dot product of alpha
 with its counts, computed for the cohort in one stacked ``np.matmul``
 that rounds as a per-client ``np.dot`` does. The minibatch order is
-drawn for the whole cohort from one generator per round: each epoch
-gives every cohort row a uniform key, and each client visits its own
-rows in key order. A client's shuffle therefore depends on the round's
-local-SGD generator and on its place in the cohort, not on its id
-alone. All orders come from one row-wise stable argsort of a (clients x
+drawn for the whole cohort from the one generator passed in (the run's
+local-SGD generator, which every round continues): each epoch gives
+every cohort row a uniform key, and each client visits its own rows in
+key order. A client's shuffle therefore depends on that generator's
+state and on the client's place in the cohort, not on its id alone. All
+orders come from one row-wise stable argsort of a (clients x
 slots) key matrix, padded past each client's size with a key above
 every draw. The clients step in lockstep: step s of an epoch takes
 every client's s-th minibatch in one ``grad_weighted`` call per

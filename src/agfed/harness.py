@@ -7,8 +7,9 @@ the last round, and emits the two summary plots: the model summary over
 rounds and the domain-weight trajectories over rounds. A run that fails
 leaves no ``<csv>``; its ``.partial`` keeps the rounds it completed.
 
-Everything is a deterministic function of the experiment seed: the same
-config produces byte-identical metrics files.
+Everything is a deterministic function of the experiment seed, whose
+random streams (``server.run_streams``) are seeded once per run: the
+same config produces byte-identical metrics files.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .server import (
     ServerState,
     initial_state,
     run_round,
+    run_streams,
 )
 from .svgplot import write_line_plot
 from .tasks import TaskConfig, generate_population, initial_params_for, model_spec_for
@@ -207,10 +209,11 @@ def run_experiment_full(cfg: ExperimentConfig) -> ExperimentRun:
         row = _csv_row_format(task.p, len(names))
 
     reports: list[RoundReport] = []
+    streams = run_streams(cfg.seed)
     try:
         for _ in range(cfg.algorithm.rounds):
             state, report = run_round(
-                state, cfg.algorithm, spec, population, cfg.seed,
+                state, cfg.algorithm, spec, population, streams,
                 settings=cfg.aggregation, summary_fn=summary_fn,
             )
             reports.append(report)

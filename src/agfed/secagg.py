@@ -54,9 +54,9 @@ still reads only the total.
 
 This is a SIMULATION OF THE AGGREGATION SEMANTICS ONLY. There is no key
 agreement, no cryptographic PRG, and no dropout recovery: pairwise seeds
-come from the round's sampling generator (``server.run_round`` draws
-them after it picks the cohort), and a missing participant is simply a
-protocol error. Do not mistake this module for a security implementation.
+come from the run's mask generator (``server.run_streams``), and a
+missing participant is simply a protocol error. Do not mistake this
+module for a security implementation.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ One round of the agnostic algorithm:
    or from a sliding-window average of previous rounds (windowed),
 4. run the scaled local SGD of every selected client in one
    ``client_update`` call, the clients stepping in lockstep, their
-   minibatches shuffled by one generator for the round's cohort,
+   minibatches shuffled by the run's local-SGD generator,
 5. aggregate parameters weighted by each client's beta, through the same
    cohort sum over the rows of the (m x P+1) matrix of beta*w and beta,
 6. ascend the domain weights lambda on the observed per-domain average
@@ -29,13 +29,16 @@ lambda stay put, the report is flagged, and the simulation continues.
 In windowed mode round 1 is always degenerate (empty window => alpha = 0);
 it exists to seed the window with counts.
 
-Round t draws from two generators. The sampling generator,
-``make_rng(seed, t, 1)``, picks the cohort and then gives the pair seeds
-of the round's masked sums; no output byte depends on a mask, since the
-uint64 sums cancel the masks exactly. The local-SGD generator,
-``make_rng(derive_seed(seed, t, 4))``, shuffles the minibatches. Their
-seeds are derived 256 rounds at a time, bit for bit as numpy's
-``SeedSequence`` derives them one by one (``round_rngs``).
+A run draws from three generators, seeded once when it starts
+(``run_streams``), each keyed by (seed, tag) alone: the sampling
+generator picks every round's cohort, the mask generator gives the pair
+seeds of every masked sum, and the local-SGD generator shuffles the
+minibatches. A round continues the streams where the round before left
+them, so a run replays from round 1; a ``ServerState`` alone does not
+say where the streams stand. The masks have a generator of their own,
+so turning ``mask_stats`` or ``mask_params`` on or off moves no cohort
+and no shuffle; no output byte depends on a mask either, since the
+uint64 sums cancel the masks exactly.
 
 ``ServerState`` is an immutable snapshot; ``run_round`` returns a new one.
 The cohort is sorted by client id, and every reduction over clients runs
@@ -54,29 +57,26 @@ operation, such as ``round 2: overflow encountered in square``.
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
 from .client import LocalSGDConfig, client_update, compute_client_stats
 from .core import (
+    SIMPLEX_ATOL,
     Cohort,
     InvalidArgument,
     NumericError,
     Population,
     as_param_vector,
     # perfbench/tracing.py wraps server.derive_seed and server.make_rng,
-    # so the names stay here
+    # so the names stay here, and run_streams looks make_rng up here
     derive_seed,  # noqa: F401
-    make_rng,  # noqa: F401
+    make_rng,
     mixture_uniform,
     numeric_faults,
-    seed_states,
-    seed_words,
-    stored_rng,
     validate_mixture,
 )
 from .models import ModelSpec, check_labels
@@ -86,12 +86,10 @@ Algorithm = Literal["fedavg", "afa"]
 LambdaUpdate = Literal["eg", "projected-sgd"]
 ScalingMode = Literal["two-phase-exact", "windowed"]
 
-# Stream tags for deriving independent per-round randomness; the masked
-# sums draw their pair seeds from the sampling stream.
+# Stream tags: each of a run's generators is keyed by (seed, tag)
 _TAG_SAMPLING = 1
+_TAG_MASKS = 2
 _TAG_LOCAL_SGD = 4
-# Rounds whose generators are seeded together, when the first of them runs
-_BLOCK_ROUNDS = 256
 
 
 # The models each population's labels passed ``check_labels`` for. Weak,
@@ -278,14 +276,16 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     css = np.cumsum(u)
     j = np.arange(1, v.size + 1)
     passing = np.nonzero(u + (1.0 - css) / j > 0)[0]
-    # in exact arithmetic index 0 always passes; for huge entries the 1 is
-    # lost to rounding and none may
-    if passing.shape[0] == 0:
-        raise NumericError(f"simplex projection lost precision: entries up to "
-                           f"{u[0]:.3g} round its unit sum away")
-    rho = int(passing[-1])
-    theta = (css[rho] - 1.0) / (rho + 1)
-    return np.maximum(v - theta, 0.0)
+    # in exact arithmetic index 0 always passes and the result sums to 1;
+    # for huge entries the 1 is lost to rounding, so none may pass, or
+    # the entries left above theta are multiples of a spacing near 1
+    if passing.shape[0] > 0:
+        rho = int(passing[-1])
+        out = np.maximum(v - (css[rho] - 1.0) / (rho + 1), 0.0)
+        if abs(float(out.sum()) - 1.0) <= SIMPLEX_ATOL:
+            return out
+    raise NumericError(f"simplex projection lost precision: entries up to "
+                       f"{u[0]:.3g} round its unit sum away")
 
 
 def lambda_update_eg(lam: np.ndarray, domain_losses: np.ndarray, lr: float) -> np.ndarray:
@@ -328,41 +328,18 @@ def comm_cost_per_round(algorithm: Algorithm, clients_per_round: int,
     raise InvalidArgument(f"unknown algorithm {algorithm!r}")
 
 
-@functools.lru_cache(maxsize=2)
-def _block_states(seed: int, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """PCG64 state words of the two generators of each round in a block.
+class RoundStreams(NamedTuple):
+    """A run's three generators, which every round continues."""
 
-    Row i of the two read-only (256, 4) arrays seeds round
-    t = 256 * block + 1 + i: the first ``make_rng(seed, t,
-    _TAG_SAMPLING)``, the second ``make_rng(derive_seed(seed, t,
-    _TAG_LOCAL_SGD))``. One ``seed_states`` pass hashes both tags of
-    every round, and a second hashes the local-SGD seeds, a row of one
-    word or of two as each seed splits.
-    """
-    # mod 2**64, as make_rng takes every part; uint64 arrays wrap silently
-    rounds = (np.arange(_BLOCK_ROUNDS, dtype=np.uint64)
-              + np.uint64((block * _BLOCK_ROUNDS + 1) % 2**64))
-    tags = np.array([_TAG_SAMPLING, _TAG_LOCAL_SGD], dtype=np.uint64).repeat(_BLOCK_ROUNDS)
-    states = seed_states(*seed_words(seed, np.concatenate((rounds, rounds)), tags))
-    sampling = states[:_BLOCK_ROUNDS]
-    local_sgd = seed_states(*seed_words(states[_BLOCK_ROUNDS:, 0]))
-    sampling.flags.writeable = local_sgd.flags.writeable = False
-    return sampling, local_sgd
+    sampling: np.random.Generator
+    masks: np.random.Generator
+    local_sgd: np.random.Generator
 
 
-def round_rngs(seed: int, t: int) -> tuple[np.random.Generator, np.random.Generator]:
-    """Round t's sampling and local-SGD generators.
-
-    They equal ``make_rng(seed, t, _TAG_SAMPLING)`` and
-    ``make_rng(derive_seed(seed, t, _TAG_LOCAL_SGD))`` draw for draw.
-    Their seeds are derived 256 rounds at a time, on the first round of
-    a block that asks, and the last two blocks are kept, so a round
-    builds two generators from stored words and a block's hashing lands
-    on one round in 256.
-    """
-    block, row = divmod(t - 1, _BLOCK_ROUNDS)
-    sampling, local_sgd = _block_states(seed, block)
-    return stored_rng(sampling[row]), stored_rng(local_sgd[row])
+def run_streams(seed: int) -> RoundStreams:
+    """The generators of a run with ``seed``: ``make_rng(seed, tag)``, one tag each."""
+    return RoundStreams(make_rng(seed, _TAG_SAMPLING), make_rng(seed, _TAG_MASKS),
+                        make_rng(seed, _TAG_LOCAL_SGD))
 
 
 def run_round(
@@ -370,16 +347,18 @@ def run_round(
     cfg: AlgorithmConfig,
     spec: ModelSpec,
     population: Population,
-    seed: int,
+    streams: RoundStreams,
     *,
     settings: AggregationSettings = AggregationSettings(),
     summary_fn: Callable[[np.ndarray], tuple[float, ...]] | None = None,
 ) -> tuple[ServerState, RoundReport]:
     """One round of the configured algorithm; returns the next state.
 
-    FedAvg runs the same round with all-ones scaling (beta_k = n_k) and
-    lambda frozen. A floating-point fault raises ``NumericError`` naming
-    round t (see the module docstring).
+    The round draws its cohort, pair seeds and shuffles from ``streams``
+    and leaves them advanced for the next round. FedAvg runs the same
+    round with all-ones scaling (beta_k = n_k) and lambda frozen. A
+    floating-point fault raises ``NumericError`` naming round t (see the
+    module docstring).
     """
     fedavg = cfg.algorithm == "fedavg"
     p = state.lam.shape[0]
@@ -395,17 +374,15 @@ def run_round(
         checked.add(spec)
     t = state.round + 1
     with numeric_faults(f"round {t}"):
-        sample_rng, sgd_rng = round_rngs(seed, t)
-        picked = sample_rng.choice(len(population), size=cfg.clients_per_round, replace=False)
+        picked = streams.sampling.choice(len(population), size=cfg.clients_per_round,
+                                         replace=False)
         cohort = Cohort.gather(
             population, picked[population.client_ids[picked].argsort(kind="stable")])
 
         client_counts, client_loss_sums = compute_client_stats(spec, state.w, cohort)
-        # the masked sums draw their pair seeds from the sampling generator,
-        # after the cohort; no output byte depends on a mask
         total = cohort_sum(
             np.concatenate((client_counts, client_loss_sums), axis=1, dtype=np.float64),
-            sample_rng if settings.mask_stats else None,
+            streams.masks if settings.mask_stats else None,
             settings.scale_bits,
         )
         counts = np.rint(total[:p]).astype(np.int64)
@@ -419,12 +396,13 @@ def run_round(
             exact = counts if cfg.scaling_mode == "two-phase-exact" else None
             alpha = compute_scaling(state.lam, effective_counts(state, cfg.scaling_mode, exact))
 
-        params, betas = client_update(spec, state.w, alpha, cohort, cfg.local, sgd_rng)
+        params, betas = client_update(spec, state.w, alpha, cohort, cfg.local, streams.local_sgd)
 
         degenerate = False
         try:
-            new_w = aggregate_params(
-                params, betas, sample_rng if settings.mask_params else None, settings.scale_bits)
+            new_w = aggregate_params(params, betas,
+                                     streams.masks if settings.mask_params else None,
+                                     settings.scale_bits)
         except DegenerateRound:
             degenerate, new_w = True, state.w
 

@@ -28,6 +28,7 @@ from agfed.server import (
     lambda_update_projected_sgd,
     project_simplex,
     run_round,
+    run_streams,
 )
 from agfed.tasks import TaskConfig
 from pooling import pool
@@ -142,10 +143,11 @@ def test_criterion_3_afa_p1_reduces_to_fedavg():
     fed_cfg = _toy_algorithm(algorithm="fedavg", clients_per_round=5, rounds=12)
     sa = initial_state(np.array([1.5]), 1)
     sf = initial_state(np.array([1.5]), 1)
+    streams_a, streams_f = run_streams(31), run_streams(31)
     worst = 0.0
     for _ in range(12):
-        sa, _ = run_round(sa, afa_cfg, spec, clients, 31)
-        sf, _ = run_round(sf, fed_cfg, spec, clients, 31)
+        sa, _ = run_round(sa, afa_cfg, spec, clients, streams_a)
+        sf, _ = run_round(sf, fed_cfg, spec, clients, streams_f)
         gap = float(np.abs(sa.w - sf.w).max())
         worst = max(worst, gap)
         assert gap <= 1e-12, f"trajectories diverged by {gap}"

@@ -11,14 +11,10 @@ from agfed.core import (
     Cohort,
     InvalidArgument,
     Population,
-    StoredSeed,
     _row_layout,
     derive_seed,
     make_rng,
     mixture_uniform,
-    seed_states,
-    seed_words,
-    stored_rng,
     validate_mixture,
 )
 from pooling import pool
@@ -316,79 +312,3 @@ class TestSeeds:
         assert np.array_equal(make_rng(*parts).bit_generator.random_raw(4),
                               _numpy_rng(parts).bit_generator.random_raw(4))
 
-
-_WORD = st.sampled_from([0, 1, 2**32 - 1]) | st.integers(0, 2**32 - 1)
-
-
-@st.composite
-def _entropy_rows(draw):
-    """Rows of 1 to 6 uint32 words, of mixed counts, in one padded matrix.
-
-    The padding past each row's count is 2**32 - 1, which the state
-    function must ignore.
-    """
-    rows = draw(st.lists(st.lists(_WORD, min_size=1, max_size=6), min_size=1, max_size=8))
-    words = np.full((len(rows), max(map(len, rows))), 2**32 - 1, dtype=np.uint32)
-    for r, row in enumerate(rows):
-        words[r, :len(row)] = row
-    return rows, words, np.array([len(row) for row in rows])
-
-
-@st.composite
-def _part_columns(draw):
-    """Seed parts for ``seed_words``: integers and 1-D arrays of k entries each."""
-    k = draw(st.integers(1, 6))
-    entry = (st.sampled_from([0, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
-             | st.integers(0, 2**64 - 1))
-    parts = []
-    for _ in range(draw(st.integers(1, 5))):
-        if draw(st.booleans()):
-            parts.append(np.array(draw(st.lists(entry, min_size=k, max_size=k)),
-                                  dtype=np.uint64))
-        else:
-            parts.append(draw(_SEED_PART))
-    if not any(isinstance(part, np.ndarray) for part in parts):
-        parts.append(np.arange(k, dtype=np.uint64) * 2**31)
-    return k, parts
-
-
-class TestSeedStates:
-    @settings(max_examples=200, deadline=None)
-    @given(_entropy_rows())
-    def test_rows_match_numpy(self, entropy):
-        rows, words, lengths = entropy
-        states = seed_states(words, lengths)
-        assert states.shape == (len(rows), 4) and states.dtype == np.uint64
-        for row, state in zip(rows, states):
-            expected = np.random.SeedSequence(np.array(row, dtype=np.uint32))
-            assert np.array_equal(state, expected.generate_state(4, np.uint64))
-
-    @settings(max_examples=150, deadline=None)
-    @given(_part_columns())
-    def test_words_of_parts_match_make_rng(self, columns):
-        # parts of two words (>= 2**32, or negative) shift the later
-        # parts of their row, and up to 10 words pass the 4-word pool
-        k, parts = columns
-        states = seed_states(*seed_words(*parts))
-        for r in range(k):
-            row = [int(part[r]) if isinstance(part, np.ndarray) else part for part in parts]
-            assert int(states[r, 0]) == derive_seed(*row)
-            assert np.array_equal(stored_rng(states[r]).bit_generator.random_raw(4),
-                                  _numpy_rng(row).bit_generator.random_raw(4))
-
-    def test_negative_array_part_wraps(self):
-        states = seed_states(*seed_words(3, np.array([-1, -2**32, 5])))
-        for r, part in enumerate([-1, -2**32, 5]):
-            assert int(states[r, 0]) == derive_seed(3, part)
-
-    def test_stored_rng_draws_like_make_rng(self):
-        state = seed_states(*seed_words(42, np.array([9]), 1))[0]
-        a, b = stored_rng(state), make_rng(42, 9, 1)
-        assert np.array_equal(a.choice(100, size=10, replace=False),
-                              b.choice(100, size=10, replace=False))
-        assert np.array_equal(a.random(5), b.random(5))
-
-    def test_stored_seed_serves_only_its_words(self):
-        seed = StoredSeed(seed_states(*seed_words(np.array([1])))[0])
-        with pytest.raises(InvalidArgument):
-            seed.generate_state(624, np.uint32)

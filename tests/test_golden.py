@@ -32,7 +32,21 @@ full-batch toy digests were re-pinned, and ``toy-minibatch`` pinned,
 when local SGD moved from one shuffle generator per client to one per
 round; the masked-params toy digest (quantized) and the classification
 digests did not move. ``toy-600`` runs the shipped toy config for 600
-rounds, the longest golden run.
+rounds, the longest golden run: it pins each of the run's random
+streams 600 rounds past its seeding.
+
+Every ``metrics.csv`` digest but ``classification-cohort-1000``, and all
+four plot digests, were re-pinned when a run's random choices moved
+from two generators seeded per round, ``make_rng(seed, t, 1)`` for the
+cohort and the pair seeds and ``make_rng(derive_seed(seed, t, 4))`` for
+the shuffles, to three generators seeded once per run
+(``server.run_streams``). ``classification-cohort-1000`` samples every
+client and masks its parameters, whose aggregate the fixed-point grid
+rounds, so the new streams leave its bytes as they were.
+``test_parent_streams_reproduce_parent_digests`` is the reference for
+that re-pin: fed the per-round generators of before, ``run_round``
+reproduces every digest of before (``PARENT_DIGESTS``), so the streams
+are all that moved.
 
 The population digests pin the text ``_population_text`` writes of
 generated populations (per client a ``# client <id>`` line, then one
@@ -55,85 +69,88 @@ from pathlib import Path
 
 import pytest
 
+import agfed.harness
 from agfed.config import load_config
+from agfed.core import derive_seed, make_rng
 from agfed.harness import run_experiment_full
+from agfed.server import RoundStreams, run_round
 from agfed.tasks import TaskConfig, generate_population
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 CASES = [
     pytest.param("toy.ini", {"algorithm.rounds": "200"},
-                 "e276fca80ecef81dc400bf1a2abacc206378268c124d062f76695661f29a8938",
+                 "076bf7f3cf6fd631c2213e136fdd8f2fcdabd9234f0b3a23277ede00ec52bed0",
                  id="toy"),
     pytest.param("toy.ini", {"algorithm.rounds": "600"},
-                 "3013687283e99af834b5df0b5e6c41db642557c8a3bceaa677e5d941cfafd5c0",
+                 "8e8c8bfcc58e9c3559b7492974c5028a4caf1853059bbf5fd5c6f4605769deeb",
                  id="toy-600"),
     pytest.param("toy.ini", {"algorithm.rounds": "100", "algorithm.algorithm": "fedavg"},
-                 "2c0dd2c54824d370af035c9348c3acf7ffa0e625bfc2aece4ef619f5225100d9",
+                 "203bb966e88d2994b70b7655d0acc77d5225df74feca319ab2a5db6e2c04e4d5",
                  id="toy-fedavg"),
     pytest.param("toy.ini", {"algorithm.rounds": "100",
                              "secure_aggregation.mask_stats": "false"},
-                 "d62198362542a30717e789222224f46662cffd5109824237c69506ab21920fb5",
+                 "ac6e15415c068ed0db6f1593e0f610f4cf732c2e966248fd9f2915f1e9251bf9",
                  id="toy-plain-stats"),
     pytest.param("toy.ini", {"algorithm.rounds": "100",
                              "secure_aggregation.mask_params": "true"},
-                 "575122cd5947633e66c33ec484ea3b04484e6e183c7a1e7ecfaed1b167206527",
+                 "5c69ddae2b21fad7c6f97ef37484bf9b06935456ac7450d058f0bd21ceee1d6a",
                  id="toy-masked-params"),
     pytest.param("toy.ini", {"algorithm.rounds": "100", "algorithm.scaling_mode": "windowed",
                              "algorithm.lambda_update": "projected-sgd"},
-                 "287454fde16b92a94379902b241c4f4adeac26f8a1c3f02b677a195e3fa4b1ba",
+                 "f3b400610c60b64c5bafeadace11e3dd2ceeeb276099378b223c216862c350eb",
                  id="toy-windowed-projected"),
     pytest.param("toy.ini", {"algorithm.rounds": "100", "algorithm.batch_size": "3",
                              "algorithm.epochs": "2"},
-                 "1e676753451c34ea69f6b693a8523652786c427c57607cadf185f01414024645",
+                 "e7c1e8db00ebf9c8ca489ac8204857bccee15eefc985f32443d0e79955c888dc",
                  id="toy-minibatch"),
     pytest.param("classification.ini", {},
-                 "0f8c4e560bcf212bd9eda04838de75b303f2271d1fe68f7511222b4990d6a355",
+                 "b435ad9aa5522da44c0d569fd9279cfddcf425b1b50109bf167e547125a24e31",
                  id="classification"),
     pytest.param("classification.ini", {"algorithm.algorithm": "fedavg"},
-                 "647eb02f798d52f8ef2275c1d5c02527e614e228ddba0f83e1dd2fce5f47dc3f",
+                 "10e7f27a803dd8289350524bdbcb862992b7725fd41577d8ca322219f64a0487",
                  id="classification-fedavg"),
     pytest.param("classification.ini", {"algorithm.rounds": "50",
                                         "secure_aggregation.mask_params": "true"},
-                 "0443ac607611b3c515ea6d4a0ab6e03c2a1357e5d78f730b35e53251e3310867",
+                 "94cfcecb1aa89282ad4aab78c54c35298a7ac57ecb753de2b9c5acee9be860e5",
                  id="classification-masked-params"),
     pytest.param("classification.ini", {"algorithm.rounds": "30",
                                         "task.partition": "data-partition",
                                         "task.samples_per_client": "5:30",
                                         "algorithm.batch_size": "7", "algorithm.epochs": "2",
                                         "secure_aggregation.mask_params": "true"},
-                 "1e0e91d5e66f5d5359c7672fc124c6fe0c620ed8187b6e8d61035d80506cb0bc",
+                 "0c01160321edd6c24904e8d13054403b60f7e80d86eda6925c832918dd4d01e2",
                  id="classification-ragged-minibatch"),
     pytest.param("classification.ini", {"algorithm.rounds": "100",
                                         "algorithm.lambda_update": "projected-sgd",
                                         "algorithm.lambda_lr": "1",
                                         "algorithm.batch_size": "7", "algorithm.epochs": "2"},
-                 "7eed176a45d25ba3e620e37192f01b64912561167b34d2afa2d36311375a98b7",
+                 "db23b461906114b6c380ebdc0d04becdf95a998ce2238c3c8123a719775aedb7",
                  id="classification-projected-skips"),
     pytest.param("classification.ini", {"algorithm.rounds": "100",
                                         "task.samples_per_client": "5:30",
                                         "algorithm.lambda_update": "projected-sgd",
                                         "algorithm.lambda_lr": "1",
                                         "algorithm.batch_size": "7", "algorithm.epochs": "2"},
-                 "eabc1e431f02f3b33fe29dfbddf602923fd58de2a62c6521589807c451ae3f53",
+                 "0bb44875885ecd0e0d98fd8d08a5968e188b7972b5e36e81f593f7040ea69d9f",
                  id="classification-ragged-projected-skips"),
     pytest.param("classification.ini", {"algorithm.rounds": "30",
                                         "task.partition": "data-partition",
                                         "task.samples_per_client": "5:30",
                                         "secure_aggregation.mask_stats": "false"},
-                 "19f0e226703803b04ba1d786a915d5590c935e9aeaadf3a69c5f82e6408eca15",
+                 "ccf7b4f68da82be3cd9d05f727d928c384db20a8698a3919b67fbc56cb745a0c",
                  id="classification-ragged-plain-stats"),
     pytest.param("classification.ini", {"algorithm.rounds": "30",
                                         "task.samples_per_client": "1:6",
                                         "algorithm.batch_size": "1",
                                         "secure_aggregation.mask_params": "true"},
-                 "067c63c0ae0edf3a86e97eea851555c27d01aa7cfeb38c27e00db89d1d045e1f",
+                 "b1219ab316756afba5efaa51a096f7ff5acf3d55a6a3eff35e0992f70c29ce25",
                  id="classification-single-row-minibatch"),
     pytest.param("classification.ini", {"task.num_clients": "1000",
                                         "algorithm.clients_per_round": "100",
                                         "algorithm.rounds": "10",
                                         "secure_aggregation.mask_params": "true"},
-                 "8c6d2cbb63fc690fa7ddbcc45ade673af27cd5dc858bb4b651025a4b74da8210",
+                 "059d66860a411b0f5e30acf44d417aa89a43ab559c96c61c3fff6720c72fdd17",
                  id="classification-scale-masked"),
     pytest.param("classification.ini", {"task.num_clients": "1000",
                                         "algorithm.clients_per_round": "1000",
@@ -153,14 +170,75 @@ def test_metrics_csv_digest(tmp_path, config, overrides, digest):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+# The digests of CASES when round t drew its cohort and pair seeds from
+# make_rng(seed, t, 1) and its shuffles from make_rng(derive_seed(seed, t, 4)).
+PARENT_DIGESTS = {
+    "toy":
+        "e276fca80ecef81dc400bf1a2abacc206378268c124d062f76695661f29a8938",
+    "toy-600":
+        "3013687283e99af834b5df0b5e6c41db642557c8a3bceaa677e5d941cfafd5c0",
+    "toy-fedavg":
+        "2c0dd2c54824d370af035c9348c3acf7ffa0e625bfc2aece4ef619f5225100d9",
+    "toy-plain-stats":
+        "d62198362542a30717e789222224f46662cffd5109824237c69506ab21920fb5",
+    "toy-masked-params":
+        "575122cd5947633e66c33ec484ea3b04484e6e183c7a1e7ecfaed1b167206527",
+    "toy-windowed-projected":
+        "287454fde16b92a94379902b241c4f4adeac26f8a1c3f02b677a195e3fa4b1ba",
+    "toy-minibatch":
+        "1e676753451c34ea69f6b693a8523652786c427c57607cadf185f01414024645",
+    "classification":
+        "0f8c4e560bcf212bd9eda04838de75b303f2271d1fe68f7511222b4990d6a355",
+    "classification-fedavg":
+        "647eb02f798d52f8ef2275c1d5c02527e614e228ddba0f83e1dd2fce5f47dc3f",
+    "classification-masked-params":
+        "0443ac607611b3c515ea6d4a0ab6e03c2a1357e5d78f730b35e53251e3310867",
+    "classification-ragged-minibatch":
+        "1e0e91d5e66f5d5359c7672fc124c6fe0c620ed8187b6e8d61035d80506cb0bc",
+    "classification-projected-skips":
+        "7eed176a45d25ba3e620e37192f01b64912561167b34d2afa2d36311375a98b7",
+    "classification-ragged-projected-skips":
+        "eabc1e431f02f3b33fe29dfbddf602923fd58de2a62c6521589807c451ae3f53",
+    "classification-ragged-plain-stats":
+        "19f0e226703803b04ba1d786a915d5590c935e9aeaadf3a69c5f82e6408eca15",
+    "classification-single-row-minibatch":
+        "067c63c0ae0edf3a86e97eea851555c27d01aa7cfeb38c27e00db89d1d045e1f",
+    "classification-scale-masked":
+        "8c6d2cbb63fc690fa7ddbcc45ade673af27cd5dc858bb4b651025a4b74da8210",
+    "classification-cohort-1000":
+        "a00142e96f27f65c677694d51d23be34dd0e45b54abd55b4d7f4b5f088e8fab0",
+}
+
+PARENT_CASES = [pytest.param(*case.values[:2], PARENT_DIGESTS[case.id], id=case.id)
+                for case in CASES]
+
+
+@pytest.mark.parametrize("config, overrides, digest", PARENT_CASES)
+def test_parent_streams_reproduce_parent_digests(tmp_path, monkeypatch, config, overrides,
+                                                 digest):
+    cfg = load_config(CONFIGS / config, {**overrides, "output.plots": "false"},
+                      out_dir=str(tmp_path))
+
+    def per_round_streams(state, algorithm, spec, population, streams, **kwargs):
+        t = state.round + 1
+        sampling = make_rng(cfg.seed, t, 1)
+        parent = RoundStreams(sampling, sampling, make_rng(derive_seed(cfg.seed, t, 4)))
+        return run_round(state, algorithm, spec, population, parent, **kwargs)
+
+    monkeypatch.setattr(agfed.harness, "run_round", per_round_streams)
+    run_experiment_full(cfg)
+    data = (tmp_path / cfg.csv_name).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 PLOTS = [
     pytest.param("toy.ini", {"algorithm.rounds": "200"},
-                 "35aec8333da4ef1a105fd5172f0061244b45ef9749b9d98a097b611cc8f530c7",
-                 "dd0177422de169ded69b556d84a0ee14f5b732c2eaed2f6ef37e9469dfde345b",
+                 "bd9ea60b7523c6ff2d81580d67582f7180ae6288ebd8741fd3b709c00617f2d8",
+                 "5bf25bb0b29cd9a6f716e0b752129639ae77595cefc86dcfefd74d6200f1f72a",
                  id="toy"),
     pytest.param("classification.ini", {"algorithm.rounds": "50"},
-                 "7a040aff7bfca416ed63ccd81abab9237502ca8f31c29d8d7c7dcd79f50a012e",
-                 "783da08b361110e3f2912f7cc19c5b0c2e4153f8d594e2aff6ba01a910518f57",
+                 "f7b4ec1fab26669528c50748750039dd12bb05b84bc9136e5879d4768e4a03f4",
+                 "547b8987600dbb3903d2a0ea622d294beafffa94ff93c93d2469bbbfe669637d",
                  id="classification"),
 ]
 

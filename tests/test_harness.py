@@ -1,12 +1,15 @@
 """Experiment runner, metrics CSV, plots, and comparison."""
 
+import copy
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import agfed.server
 from agfed.client import LocalSGDConfig
-from agfed.core import InvalidArgument, NumericError, Population
+from agfed.core import Cohort, InvalidArgument, NumericError, Population, make_rng
 from agfed.harness import (
     ExperimentConfig,
     _domain_accuracy,
@@ -15,7 +18,7 @@ from agfed.harness import (
     evaluate_population,
     run_experiment_full,
 )
-from agfed.server import AlgorithmConfig, RoundReport, run_round
+from agfed.server import AggregationSettings, AlgorithmConfig, RoundReport, run_round
 from agfed.tasks import TaskConfig
 
 
@@ -56,12 +59,13 @@ class TestRunExperiment:
         assert [r.round for r in reports] == [1, 2, 3, 4]
 
     def test_same_config_byte_identical_outputs(self, tmp_path):
-        cfg_a = _toy_experiment(rounds=8, out_dir=str(tmp_path / "a"))
-        cfg_b = _toy_experiment(rounds=8, out_dir=str(tmp_path / "b"))
-        run_experiment_full(cfg_a)
-        run_experiment_full(cfg_b)
-        assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
-               (tmp_path / "b" / "metrics.csv").read_bytes()
+        # each run seeds its own streams, so the second run of a process
+        # does not continue the first's
+        runs = [run_experiment_full(_toy_experiment(rounds=8, out_dir=str(tmp_path / name)))
+                for name in ("a", "b")]
+        assert runs[0].reports == runs[1].reports
+        for name in ("metrics.csv", "plot_model.svg", "plot_lambda.svg"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_comm_accounting_cumulative(self):
         t = 7
@@ -74,6 +78,48 @@ class TestRunExperiment:
         reports = run_experiment_full(_cls_experiment(rounds=3)).reports
         assert len(reports[-1].model_summary) == 2
         assert all(0.0 <= v <= 1.0 for v in reports[-1].model_summary)
+
+
+class TestRunStreams:
+    @pytest.mark.parametrize("rounds", [1, 7])
+    def test_run_seeds_three_generators_whatever_its_rounds(self, monkeypatch, rounds):
+        calls = []
+
+        def counting(*parts):
+            calls.append(parts)
+            return make_rng(*parts)
+
+        monkeypatch.setattr(agfed.server, "make_rng", counting)
+        run_experiment_full(_toy_experiment(rounds=rounds))
+        assert len(calls) == 3
+
+    def test_mask_flags_move_no_cohort_and_no_shuffle(self, monkeypatch):
+        # the pair seeds have a stream of their own, so masking a sum or
+        # not leaves every cohort and every local-SGD key where it was
+        gather, update = Cohort.gather, agfed.server.client_update
+        draws = []
+
+        def spy_gather(population, members):
+            draws.append(("cohort", np.asarray(members).tolist()))
+            return gather(population, members)
+
+        def spy_update(spec, w, alpha, cohort, cfg, rng):
+            keys = copy.deepcopy(rng).random(cfg.epochs * cohort.owners.shape[0])
+            draws.append(("keys", keys.tolist()))
+            return update(spec, w, alpha, cohort, cfg, rng)
+
+        monkeypatch.setattr(Cohort, "gather", staticmethod(spy_gather))
+        monkeypatch.setattr(agfed.server, "client_update", spy_update)
+        runs = []
+        for mask_stats in (False, True):
+            for mask_params in (False, True):
+                draws.clear()
+                cfg = replace(_cls_experiment(rounds=4, local=LocalSGDConfig(2, 3, 0.3)),
+                              aggregation=AggregationSettings(mask_stats, mask_params))
+                run_experiment_full(cfg)
+                runs.append(list(draws))
+        assert len(runs[0]) == 2 * 4
+        assert all(run == runs[0] for run in runs[1:])
 
 
 class TestMetricsCsv:

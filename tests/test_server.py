@@ -16,7 +16,6 @@ from agfed.core import (
     InvalidArgument,
     NumericError,
     Population,
-    derive_seed,
     make_rng,
     mixture_uniform,
 )
@@ -36,8 +35,8 @@ from agfed.server import (
     lambda_update_eg,
     lambda_update_projected_sgd,
     project_simplex,
-    round_rngs,
     run_round,
+    run_streams,
 )
 from agfed.tasks import (
     TaskConfig,
@@ -285,9 +284,12 @@ class TestSimplexProjection:
 
     def test_lost_unit_sum_raises_numeric_error(self):
         # next to entries near 1e16 the 1 in u + (1 - css) / j rounds away,
-        # so no index passes the threshold test
-        with pytest.raises(NumericError, match="lost precision"):
-            project_simplex(np.array([1.2e16, 1.1e16, 0.0]))
+        # so no index passes the threshold test; entries near 1e15 are
+        # spaced 0.125 to 0.5 apart, so some pass, but what is left above
+        # theta sums to 1.5 or 1.25
+        for v in ([1.2e16, 1.1e16, 0.0], [4e15, 4e15 - 0.5], [1e15 + 0.125, 1e15, 1e15]):
+            with pytest.raises(NumericError, match="lost precision"):
+                project_simplex(np.array(v))
         assert np.array_equal(project_simplex(np.array([1.2e12, 0.0])), [1.0, 0.0])
 
     def test_projected_sgd_examples(self):
@@ -326,29 +328,27 @@ class TestCommCost:
 
 
 class TestRoundGenerators:
-    # rounds 1 and 256 open and close the first block of 256, 257 and 513
-    # open the next two, and rounds past 2**64 - 1 wrap as in make_rng;
-    # 2**40 and -3 are seeds of two words
-    @pytest.mark.parametrize("t", [1, 256, 257, 513, 0, 2**64 + 300])
     @pytest.mark.parametrize("seed", [0, 42, 2**40, -3])
-    def test_block_generators_match_make_rng(self, seed, t):
-        sampling, local_sgd = round_rngs(seed, t)
-        assert np.array_equal(sampling.bit_generator.random_raw(8),
-                              make_rng(seed, t, 1).bit_generator.random_raw(8))
-        assert np.array_equal(local_sgd.bit_generator.random_raw(8),
-                              make_rng(derive_seed(seed, t, 4)).bit_generator.random_raw(8))
+    def test_streams_keyed_by_seed_and_tag(self, seed):
+        # 2**40 and -3 are seeds of two words
+        streams = run_streams(seed)
+        for stream, tag in zip(streams, (1, 2, 4)):
+            assert np.array_equal(stream.bit_generator.random_raw(8),
+                                  make_rng(seed, tag).bit_generator.random_raw(8))
 
     def test_round_seeds_no_generator_of_its_own(self, monkeypatch):
+        # every draw of a round comes from the run's streams
         def refuse(*parts):
-            raise AssertionError("a round seeded a generator outside its block")
+            raise AssertionError("a round seeded a generator of its own")
 
+        streams = run_streams(1)
         for owner in (agfed.server, agfed.client):
             monkeypatch.setattr(owner, "make_rng", refuse)
         monkeypatch.setattr(agfed.server, "derive_seed", refuse)
         both = AggregationSettings(mask_stats=True, mask_params=True)
         state = initial_state(np.array([1.5]), 5)
         for _ in range(2):
-            state, _ = run_round(state, _algo(), SCALAR, _toy(), 1, settings=both)
+            state, _ = run_round(state, _algo(), SCALAR, _toy(), streams, settings=both)
 
 
 class TestRunRound:
@@ -358,9 +358,10 @@ class TestRunRound:
         cfg_fed = _algo(algorithm="fedavg", clients_per_round=5)
         sa = initial_state(np.array([1.0]), 1)
         sf = initial_state(np.array([1.0]), 1)
+        streams_a, streams_f = run_streams(9), run_streams(9)
         for _ in range(6):
-            sa, ra = run_round(sa, cfg_afa, SCALAR, clients, 9)
-            sf, rf = run_round(sf, cfg_fed, SCALAR, clients, 9)
+            sa, ra = run_round(sa, cfg_afa, SCALAR, clients, streams_a)
+            sf, rf = run_round(sf, cfg_fed, SCALAR, clients, streams_f)
             assert np.all(np.abs(sa.w - sf.w) <= 1e-12)
             assert ra.lam == (1.0,)
 
@@ -370,7 +371,7 @@ class TestRunRound:
         cfg = _algo(clients_per_round=50)  # whole population: cohort is known
         state = initial_state(np.array([1.5]), 5)
         plain = AggregationSettings(mask_stats=False, mask_params=False)
-        _, report = run_round(state, cfg, SCALAR, clients, 3, settings=plain)
+        _, report = run_round(state, cfg, SCALAR, clients, run_streams(3), settings=plain)
 
         client_counts, client_loss_sums = compute_client_stats(
             SCALAR, state.w, Cohort.gather(clients, np.arange(len(clients))))
@@ -392,7 +393,7 @@ class TestRunRound:
         cfg = _algo(clients_per_round=50)
         state = initial_state(np.array([1.5]), 5)
         masked = AggregationSettings(mask_stats=True)
-        _, report = run_round(state, cfg, SCALAR, clients, 3, settings=masked)
+        _, report = run_round(state, cfg, SCALAR, clients, run_streams(3), settings=masked)
 
         client_counts, client_loss_sums = compute_client_stats(
             SCALAR, state.w, Cohort.gather(clients, np.arange(len(clients))))
@@ -418,16 +419,17 @@ class TestRunRound:
         with np.errstate(over="ignore"), pytest.raises(
                 NumericError, match="^round 1: overflow encountered in accumulate$"):
             run_round(initial_state(np.array([0.0]), 1), _algo(algorithm="fedavg",
-                      clients_per_round=2), SCALAR, clients, 1, settings=plain)
+                      clients_per_round=2), SCALAR, clients, run_streams(1), settings=plain)
 
     def test_divergent_local_sgd_names_the_round(self):
         # round 1 trains calmly; round 2's step size drives local SGD past
         # float64's range
-        clients = _toy()
-        state, _ = run_round(initial_state(np.array([1.5]), 5), _algo(), SCALAR, clients, 1)
+        clients, streams = _toy(), run_streams(1)
+        state, _ = run_round(initial_state(np.array([1.5]), 5), _algo(), SCALAR, clients,
+                             streams)
         wild = _algo(local=LocalSGDConfig(epochs=50, batch_size=4, learning_rate=1e150))
         with pytest.raises(NumericError, match="^round 2: overflow encountered in "):
-            run_round(state, wild, SCALAR, clients, 1)
+            run_round(state, wild, SCALAR, clients, streams)
 
     def test_one_diverging_client_fails_the_round(self):
         # the calm client sits at its optimum and never moves; the wild
@@ -439,7 +441,7 @@ class TestRunRound:
         cfg = _algo(algorithm="fedavg", clients_per_round=2,
                     local=LocalSGDConfig(epochs=50, batch_size=4, learning_rate=1e150))
         with pytest.raises(NumericError, match="^round 1: overflow encountered in "):
-            run_round(initial_state(np.array([1.0]), 1), cfg, SCALAR, population, 0)
+            run_round(initial_state(np.array([1.0]), 1), cfg, SCALAR, population, run_streams(0))
 
     def test_failed_round_restores_the_callers_errstate(self):
         clients = _toy()
@@ -447,39 +449,41 @@ class TestRunRound:
         with np.errstate(over="warn", invalid="ignore", divide="print", under="raise"):
             before = np.geterr()
             with pytest.raises(NumericError):
-                run_round(initial_state(np.array([1.5]), 5), wild, SCALAR, clients, 1)
+                run_round(initial_state(np.array([1.5]), 5), wild, SCALAR, clients,
+                          run_streams(1))
             assert np.geterr() == before
 
     def test_comm_counter_increments(self):
-        clients = _toy()
+        clients, streams = _toy(), run_streams(1)
         state = initial_state(np.array([1.5]), 5)
-        state, r1 = run_round(state, _algo(), SCALAR, clients, 1)
+        state, r1 = run_round(state, _algo(), SCALAR, clients, streams)
         assert r1.comm_params_cumulative == 2 * 10 * 1 + 4 * 10 * 5
-        state, r2 = run_round(state, _algo(), SCALAR, clients, 1)
+        state, r2 = run_round(state, _algo(), SCALAR, clients, streams)
         assert r2.comm_params_cumulative == 2 * (2 * 10 * 1 + 4 * 10 * 5)
         fed_state = initial_state(np.array([1.5]), 5)
-        fed_state, rf = run_round(fed_state, _algo(algorithm="fedavg"), SCALAR, clients, 1)
+        fed_state, rf = run_round(fed_state, _algo(algorithm="fedavg"), SCALAR, clients,
+                                  run_streams(1))
         assert rf.comm_params_cumulative == 2 * 10 * 1
 
     def test_windowed_round_one_is_pure_stats_gathering(self):
         clients = _toy()
         cfg = _algo(scaling_mode="windowed", window_len=3, clients_per_round=50)
-        state = initial_state(np.array([1.5]), 5)
-        state1, r1 = run_round(state, cfg, SCALAR, clients, 4)
+        state, streams = initial_state(np.array([1.5]), 5), run_streams(4)
+        state1, r1 = run_round(state, cfg, SCALAR, clients, streams)
         assert r1.degenerate
         assert np.array_equal(state1.w, state.w)
         assert np.array_equal(state1.lam, state.lam)
         assert len(state1.window) == 1  # counts seeded for the next round
-        state2, r2 = run_round(state1, cfg, SCALAR, clients, 4)
+        state2, r2 = run_round(state1, cfg, SCALAR, clients, streams)
         assert not r2.degenerate
         assert not np.array_equal(state2.w, state1.w)
 
     def test_window_holds_last_r_rounds(self):
         clients = _toy()
         cfg = _algo(scaling_mode="windowed", window_len=3, clients_per_round=50)
-        state = initial_state(np.array([1.5]), 5)
+        state, streams = initial_state(np.array([1.5]), 5), run_streams(4)
         for t in range(6):
-            state, _ = run_round(state, cfg, SCALAR, clients, 4)
+            state, _ = run_round(state, cfg, SCALAR, clients, streams)
             assert len(state.window) == min(t + 1, 3)
         # whole population selected every round: every entry is the full count
         full = clients.counts.sum(axis=0)
@@ -490,10 +494,10 @@ class TestRunRound:
     def test_lambda_stays_on_simplex_every_round(self):
         clients = _toy()
         for update in ("eg", "projected-sgd"):
-            state = initial_state(np.array([1.5]), 5)
+            state, streams = initial_state(np.array([1.5]), 5), run_streams(8)
             cfg = _algo(lambda_update=update, lambda_lr=0.05)
             for _ in range(8):
-                state, report = run_round(state, cfg, SCALAR, clients, 8)
+                state, report = run_round(state, cfg, SCALAR, clients, streams)
                 lam = np.array(report.lam)
                 assert abs(lam.sum() - 1.0) <= 1e-12
                 assert np.all(lam >= 0)
@@ -502,10 +506,10 @@ class TestRunRound:
         clients = _toy()
 
         def trajectory():
-            state = initial_state(np.array([1.5]), 5)
+            state, streams = initial_state(np.array([1.5]), 5), run_streams(77)
             out = []
             for _ in range(5):
-                state, report = run_round(state, _algo(), SCALAR, clients, 77)
+                state, report = run_round(state, _algo(), SCALAR, clients, streams)
                 out.append(report)
             return out
 
@@ -515,7 +519,7 @@ class TestRunRound:
         clients = _toy(num_clients=5)
         with pytest.raises(InvalidArgument):
             run_round(initial_state(np.array([0.0]), 5), _algo(clients_per_round=10),
-                      SCALAR, clients, 1)
+                      SCALAR, clients, run_streams(1))
 
     def test_single_client_full_batch_is_one_exact_gradient_step(self):
         # whole population on one client, E=1, full batch: centralized SGD step
@@ -523,7 +527,7 @@ class TestRunRound:
         cfg = _algo(algorithm="fedavg", clients_per_round=1,
                     local=LocalSGDConfig(1, 10_000, 0.2))
         state = initial_state(np.array([2.0]), 1)
-        state, _ = run_round(state, cfg, SCALAR, clients, 5)
+        state, _ = run_round(state, cfg, SCALAR, clients, run_streams(5))
         xs = clients.y
         expected = 2.0 - 0.2 * float(np.sum(2.0 * (2.0 - xs))) / len(xs)
         assert state.w[0] == pytest.approx(expected, abs=1e-12)
@@ -531,7 +535,8 @@ class TestRunRound:
     def test_worst_domain_loss_is_max_over_populated(self):
         clients = _toy()
         state = initial_state(np.array([1.5]), 5)
-        _, report = run_round(state, _algo(clients_per_round=50), SCALAR, clients, 2)
+        _, report = run_round(state, _algo(clients_per_round=50), SCALAR, clients,
+                              run_streams(2))
         assert report.worst_domain_loss == max(report.per_domain_loss)
 
     def test_losses_evaluated_once_per_client(self, monkeypatch):
@@ -544,7 +549,7 @@ class TestRunRound:
 
         monkeypatch.setattr(agfed.client, "batch_losses", counting)
         run_round(initial_state(np.array([1.5]), 5), _algo(clients_per_round=10),
-                  SCALAR, _toy(), 1)
+                  SCALAR, _toy(), run_streams(1))
         assert len(calls) == 1
         assert calls[0][2].shape[0] == 10 * 10  # ten clients of ten rows each
 
@@ -558,7 +563,7 @@ class TestRunRound:
             return agfed.core.validate_mixture(lam)
 
         monkeypatch.setattr(agfed.server, "validate_mixture", counting)
-        run_round(state, _algo(), SCALAR, _toy(), 1)
+        run_round(state, _algo(), SCALAR, _toy(), run_streams(1))
         assert len(calls) == 1
 
     def test_inputs_checked_once_per_client(self, monkeypatch):
@@ -571,7 +576,7 @@ class TestRunRound:
 
         monkeypatch.setattr(agfed.client, "check_batch", counting)
         run_round(initial_state(np.array([1.5]), 5), _algo(clients_per_round=10),
-                  SCALAR, _toy(), 1)
+                  SCALAR, _toy(), run_streams(1))
         assert len(calls) == 1
         assert calls[0][2].shape[0] == 10 * 10
 
@@ -591,7 +596,7 @@ class TestRunRound:
         spec = model_spec_for(task)
         with pytest.raises(InvalidArgument):
             run_round(initial_state(np.zeros(spec.param_count), 2),
-                      _algo(clients_per_round=4), spec, population, 1)
+                      _algo(clients_per_round=4), spec, population, run_streams(1))
 
     def test_labels_checked_once_per_population_and_model(self, monkeypatch):
         # a population's labels never change: the first round that meets a
@@ -607,15 +612,15 @@ class TestRunRound:
                           partition="client-partition", samples_per_client=5)
         population = gen_synthetic_classification(task)
         spec = model_spec_for(task)
-        state = initial_state(np.zeros(spec.param_count), 2)
+        state, streams = initial_state(np.zeros(spec.param_count), 2), run_streams(1)
         for _ in range(3):
-            state, _ = run_round(state, _algo(clients_per_round=3), spec, population, 1)
+            state, _ = run_round(state, _algo(clients_per_round=3), spec, population, streams)
         assert len(calls) == 1 and calls[0][1] is population.y
         wider = ModelSpec("logistic", spec.input_dim, spec.num_classes + 1)
         other = gen_synthetic_classification(task)
         for check_spec, check_population in ((wider, population), (spec, other)):
             run_round(initial_state(np.zeros(check_spec.param_count), 2),
-                      _algo(clients_per_round=3), check_spec, check_population, 1)
+                      _algo(clients_per_round=3), check_spec, check_population, run_streams(1))
         assert [(s, y is other.y) for s, y in calls[1:]] == [(wider, False), (spec, True)]
 
     def test_bad_label_outside_the_cohort_rejected(self):
@@ -623,7 +628,7 @@ class TestRunRound:
         task = TaskConfig(kind="synthetic-classification", p=2, num_clients=6, seed=3,
                           partition="client-partition", samples_per_client=5)
         generated = gen_synthetic_classification(task)
-        picked = round_rngs(1, 1)[0].choice(6, size=1, replace=False)[0]
+        picked = run_streams(1).sampling.choice(6, size=1, replace=False)[0]
         labels = generated.y.copy()
         labels[generated.offsets[(picked + 1) % 6]] = 2.0
         population = Population(generated.x, labels, generated.domains, generated.offsets,
@@ -631,7 +636,7 @@ class TestRunRound:
         spec = model_spec_for(task)
         with pytest.raises(InvalidArgument, match="class labels"):
             run_round(initial_state(np.zeros(spec.param_count), 2),
-                      _algo(clients_per_round=1), spec, population, 1)
+                      _algo(clients_per_round=1), spec, population, run_streams(1))
 
     def test_masked_params_close_to_plain(self):
         clients = _toy()
@@ -640,9 +645,11 @@ class TestRunRound:
         s_masked = initial_state(np.array([1.5]), 5)
         plain = AggregationSettings(mask_stats=True, mask_params=False)
         both = AggregationSettings(mask_stats=True, mask_params=True)
+        streams_plain, streams_masked = run_streams(6), run_streams(6)
         for _ in range(3):
-            s_plain, _ = run_round(s_plain, cfg, SCALAR, clients, 6, settings=plain)
-            s_masked, _ = run_round(s_masked, cfg, SCALAR, clients, 6, settings=both)
+            s_plain, _ = run_round(s_plain, cfg, SCALAR, clients, streams_plain, settings=plain)
+            s_masked, _ = run_round(s_masked, cfg, SCALAR, clients, streams_masked,
+                                    settings=both)
         assert np.allclose(s_masked.w, s_plain.w, atol=1e-4)
 
 
@@ -672,5 +679,6 @@ class TestConfigValidation:
     def test_run_fedavg_round_keeps_lambda(self):
         clients = _toy()
         state = initial_state(np.array([1.5]), 5)
-        state, report = run_round(state, _algo(algorithm="fedavg"), SCALAR, clients, 3)
+        state, report = run_round(state, _algo(algorithm="fedavg"), SCALAR, clients,
+                                  run_streams(3))
         assert report.lam == tuple(mixture_uniform(5).tolist())
