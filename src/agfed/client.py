@@ -39,6 +39,13 @@ later steps out. No minibatch is padded, and ``grad_weighted`` computes
 each stacked minibatch as it would alone, so every client's result
 equals that of training it alone, on the same minibatches, bit for bit.
 
+The loss sums keep the bits of each client's own per-domain ``sum()``.
+numpy adds at most 7 values left to right from +0.0, so one
+``np.add.at`` in cohort row order takes every (client, domain) segment
+of at most 7 rows, as in the shipped toy config, with no sort. numpy
+sums a longer segment pairwise, in an order set by its length; only
+those segments are sorted into place and summed per length.
+
 Everything that schedule takes from the clients' sizes alone is built
 once per size profile: the minibatch width and step count, the groups
 of clients that draw the same number of rows at a step, and which slots
@@ -99,40 +106,11 @@ class LocalSGDConfig:
                 f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
 
 
-# numpy adds up to this many values left to right from +0.0; from 8 on
-# it sums pairwise, in an order that depends on the count
+# numpy sums at most this many values left to right from +0.0, as
+# ``np.add.at`` into zeros adds them in row order, so the bits agree; from
+# 8 on it sums pairwise, in an order set by the count (test_client.py pins
+# both)
 _LEFT_TO_RIGHT = 7
-_ZERO = np.zeros(1)
-_ZERO.flags.writeable = False
-
-
-def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Sums of the consecutive segments of ``values`` with the given lengths.
-
-    Each sum has the bits of ``segment.sum()``. numpy sums a row of at
-    most 7 values left to right, starting from +0.0, so every segment
-    shorter than 8 is one row of a single matrix of width at most 7,
-    padded with +0.0 past its end, and one ``sum(axis=1)`` takes them
-    all: a left-to-right sum that starts from +0.0 is never -0.0, and
-    adding +0.0 to anything else changes no bit. Longer segments are
-    summed pairwise in an order that depends on their length, so the
-    segments of each length >= 8 are summed as the rows of their own
-    matrix. An empty segment sums to +0.0.
-    """
-    starts = lengths.cumsum() - lengths
-    sums = np.empty(lengths.shape[0])
-    longest = lengths.max(initial=0)
-    short = slice(None) if longest <= _LEFT_TO_RIGHT else lengths <= _LEFT_TO_RIGHT
-    short_lengths = lengths[short]
-    slots = np.arange(short_lengths.max(initial=0))
-    # pad slots read the +0.0 appended at index values.shape[0]
-    rows = np.where(slots < short_lengths[:, None], starts[short, None] + slots, values.shape[0])
-    sums[short] = np.concatenate((values, _ZERO))[rows].sum(axis=1)
-    if longest > _LEFT_TO_RIGHT:
-        for length in set(lengths[~short].tolist()):
-            segs = (lengths == length).nonzero()[0]
-            sums[segs] = values[starts[segs, None] + np.arange(length)].sum(axis=1)
-    return sums
 
 
 def _betas(alpha: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -152,21 +130,38 @@ def compute_client_stats(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every client's counts and summed losses per domain, evaluated at ``w``.
 
-    Returns two (m, p) arrays. Row k of the loss sums adds client k's
-    losses of each domain in its row order, as summing them alone would,
-    so the sums equal a per-client evaluation bit for bit (but for a
-    logistic client of one row, whose 1-row matrix product takes another
-    BLAS path and may differ in the last bit). The round's check of the
-    shapes of ``w`` and of the cohort's rows happens here; the labels'
-    values are trusted, as ``run_round`` checks them once per population
-    (``models.check_labels``).
+    Returns two (m, p) arrays. Each loss sum has the bits of its
+    (client, domain) segment's own ``sum()`` in the client's row order, so
+    the sums equal a per-client evaluation bit for bit (but for a logistic
+    client of one row, whose 1-row matrix product takes another BLAS path
+    and may differ in the last bit). One ``np.add.at`` over the cohort's
+    rows takes every segment of at most ``_LEFT_TO_RIGHT`` rows; longer
+    ones are sorted and summed pairwise, as a sequential sum of their rows
+    could overflow where numpy's does not. Under ``run_round``'s errstate
+    ``add.at`` raises an overflow (``np.bincount`` returns inf). The
+    round's check of the shapes of ``w`` and of the cohort's rows happens
+    here; the labels' values are trusted, as ``run_round`` checks them
+    once per population (``models.check_labels``).
     """
     check_batch(spec, w, cohort.xb, cohort.y, labels=False)
     losses = batch_losses(spec, w, cohort.xb, cohort.y)
     m, p = cohort.counts.shape
-    by_client_domain = (cohort.owners * p + cohort.domains).argsort(kind="stable")
-    loss_sums = _segment_sums(losses[by_client_domain], cohort.counts.ravel()).reshape(m, p)
-    return cohort.counts, loss_sums
+    lengths = cohort.counts.ravel()
+    cells = cohort.owners * p + cohort.domains
+    loss_sums = np.zeros(m * p)
+    long = lengths > _LEFT_TO_RIGHT
+    if not long.any():
+        np.add.at(loss_sums, cells, losses)
+    else:
+        short = ~long[cells]
+        np.add.at(loss_sums, cells[short], losses[short])
+        # every row in segment order, each segment in its row order
+        rows = cells.argsort(kind="stable")
+        starts = lengths.cumsum() - lengths
+        for length in set(lengths[long].tolist()):
+            segs = (lengths == length).nonzero()[0]
+            loss_sums[segs] = losses[rows[starts[segs, None] + np.arange(length)]].sum(1)
+    return cohort.counts, loss_sums.reshape(m, p)
 
 
 def client_update(

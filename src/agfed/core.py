@@ -251,20 +251,7 @@ def validate_mixture(lam: np.ndarray) -> np.ndarray:
     return lam
 
 
-_MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-
-
-def _words(part: int) -> list[int]:
-    """The uint32 words numpy makes of ``part & (2**64 - 1)``, low word first."""
-    value = int(part) & _MASK64
-    return [value & _MASK32] + ([value >> 32] if value >> 32 else [])
-
-
-def _seed_sequence(parts: tuple) -> np.random.SeedSequence:
-    # a uint32 array skips numpy's per-int coercion of the entropy
-    return np.random.SeedSequence(
-        np.array([word for part in parts for word in _words(part)], dtype=np.uint32))
 
 
 def derive_seed(*parts) -> int:
@@ -272,17 +259,19 @@ def derive_seed(*parts) -> int:
 
     Keying each stream off (global seed, round, tag) makes it independent
     of every other stream and of the order streams are drawn in. The
-    result equals ``int(np.random.SeedSequence(parts).generate_state(1,
-    np.uint64)[0])`` with every part taken mod 2**64.
+    result is the first uint64 word of ``SeedSequence(parts)``'s state,
+    every part taken mod 2**64.
     """
-    return int(_seed_sequence(parts).generate_state(1, np.uint64)[0])
+    seq = np.random.SeedSequence([int(part) & _MASK64 for part in parts])
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 def make_rng(*parts) -> np.random.Generator:
     """Deterministic generator keyed by integer parts.
 
-    The generator equals ``Generator(PCG64(SeedSequence(parts)))`` draw
-    for draw, with every part taken mod 2**64.
+    The generator is ``Generator(PCG64(SeedSequence(parts)))``, every part
+    taken mod 2**64.
     """
-    return np.random.Generator(np.random.PCG64(_seed_sequence(parts)))
+    seq = np.random.SeedSequence([int(part) & _MASK64 for part in parts])
+    return np.random.Generator(np.random.PCG64(seq))
 

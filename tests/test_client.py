@@ -9,15 +9,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import agfed.client
 from agfed.client import (
+    _LEFT_TO_RIGHT,
     LocalSGDConfig,
     _betas,
     _schedule,
-    _segment_sums,
     client_update,
     compute_client_stats,
 )
@@ -166,42 +167,82 @@ class TestClientUpdateExamples:
         assert w[0] == pytest.approx(0.1 * 8.0 / 3.0, rel=1e-15)
 
 
-_SEGMENT_LENGTHS = st.one_of(
-    st.lists(st.integers(0, 20), max_size=30),
-    st.lists(st.integers(0, 7), min_size=1, max_size=30),
-    st.lists(st.integers(8, 20), min_size=1, max_size=30),
-    st.lists(st.integers(4, 9), min_size=2, max_size=30),  # around the split
-    st.lists(st.sampled_from([0, 0, 0, 0, 0, 1, 3, 9]), max_size=30),
-)
-
-
 @st.composite
-def _segments(draw):
-    """Segment lengths, and values of one magnitude from 1e-300 to 1e300.
+def _losses(draw, n):
+    """``n`` values of one magnitude from 1e-300 to 1e300.
 
     Values of one magnitude with random mantissas make the bits of a sum
     depend on the order of its additions; a share of them, up to all,
     are replaced by signed zeros and infinities.
     """
-    lengths = np.array(draw(_SEGMENT_LENGTHS), dtype=np.int64)
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
-    n = int(lengths.sum())
     values = rng.uniform(-2.0, 2.0, n) * 10.0 ** draw(st.integers(-300, 300))
     special = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5, 1.0]))
     values[special] = rng.choice([0.0, -0.0, np.inf, -np.inf], int(special.sum()))
-    return lengths, values
+    return values
 
 
-class TestSegmentSums:
-    @settings(max_examples=300, deadline=None)
-    @given(_segments())
+@st.composite
+def _segmented_cohorts(draw, kind):
+    """p, ragged clients of 1 to 40 rows, and a loss per cohort row.
+
+    Each client draws its segment's length in every domain and holds the
+    rows in a random domain order; ``kind`` says which segments hold
+    more than ``_LEFT_TO_RIGHT`` rows: none ("short"), every populated
+    one ("long"), or some ("mixed").
+    """
+    p = draw(st.integers(1, 5))
+    segment = {"short": st.integers(0, _LEFT_TO_RIGHT),
+               "long": st.just(0) | st.integers(_LEFT_TO_RIGHT + 1, 40 // p),
+               "mixed": st.integers(0, 40 // p)}[kind]
+    lengths = np.array(draw(st.lists(st.lists(segment, min_size=p, max_size=p).filter(any),
+                                     min_size=1, max_size=6)))
+    if kind == "mixed":
+        assume((lengths > _LEFT_TO_RIGHT).any()
+               and ((lengths > 0) & (lengths <= _LEFT_TO_RIGHT)).any())
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    clients = []
+    for k, client_lengths in enumerate(lengths):
+        domains = rng.permutation(np.repeat(np.arange(p), client_lengths))
+        clients.append((k, np.zeros((domains.shape[0], 1)), np.zeros(domains.shape[0]),
+                        domains))
+    return p, clients, draw(_losses(int(lengths.sum())))
+
+
+class TestLossSums:
+    @pytest.mark.parametrize("kind", ["short", "long", "mixed"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
     @pytest.mark.filterwarnings("ignore:invalid value")
-    def test_bits_equal_each_segment_sum(self, case):
-        lengths, values = case
-        segments = np.split(values, np.cumsum(lengths)[:-1]) if lengths.size else []
-        expected = np.array([seg.sum() for seg in segments], dtype=np.float64)
-        got = _segment_sums(values, lengths)
-        assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    def test_bits_equal_each_segment_sum(self, kind, data):
+        p, clients, losses = data.draw(_segmented_cohorts(kind))
+        cohort = _cohort(clients, p)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(agfed.client, "batch_losses", lambda spec, w, xb, y: losses)
+            _, loss_sums = compute_client_stats(SCALAR, np.zeros(1), cohort)
+        expected = []
+        for start, stop in zip(cohort.offsets[:-1], cohort.offsets[1:]):
+            domains = cohort.domains[start:stop]
+            expected.append([losses[start:stop][domains == d].sum() for d in range(p)])
+        assert loss_sums.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
+class TestNumpySumOrder:
+    """The numpy behaviour that the cohort's loss sums rest on."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, _LEFT_TO_RIGHT).flatmap(_losses))
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_short_sum_is_a_sequential_sum_from_positive_zero(self, values):
+        accumulated = np.zeros(1)
+        np.add.at(accumulated, np.zeros(values.shape[0], dtype=np.int64), values)
+        assert accumulated[0].tobytes() == values.sum().tobytes()
+
+    def test_eight_values_are_not_summed_in_sequence(self):
+        draws = make_rng(3).uniform(-2.0, 2.0, (100, _LEFT_TO_RIGHT + 1))
+        accumulated = np.zeros(100)
+        np.add.at(accumulated, np.repeat(np.arange(100), draws.shape[1]), draws.ravel())
+        assert accumulated.tolist() != [row.sum() for row in draws]
 
 
 class TestBetas:

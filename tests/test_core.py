@@ -275,7 +275,8 @@ class TestPopulation:
 
 # seed parts at the word boundaries of numpy's uint32 coercion, plus any
 # value that wraps mod 2**64
-_SEED_PART = (st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, -2**32])
+_SEED_PART = (st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64 + 5, -1, -3,
+                               -2**32])
               | st.integers(-2**64, 2**64))
 
 
@@ -285,6 +286,16 @@ def _numpy_entropy(parts):
 
 def _numpy_rng(parts):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_numpy_entropy(parts))))
+
+
+def _uint32_words(parts):
+    """Each part mod 2**64 as numpy stores an int's entropy: its low uint32
+    word, then its high word unless that is 0."""
+    words = []
+    for part in parts:
+        value = part % 2**64
+        words += [value & 0xFFFFFFFF] + ([value >> 32] if value >> 32 else [])
+    return np.array(words, dtype=np.uint32)
 
 
 class TestSeeds:
@@ -312,3 +323,11 @@ class TestSeeds:
         assert np.array_equal(make_rng(*parts).bit_generator.random_raw(4),
                               _numpy_rng(parts).bit_generator.random_raw(4))
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_SEED_PART, min_size=1, max_size=5))
+    def test_int_parts_seed_as_their_uint32_words(self, parts):
+        # the digests were pinned when the parts reached SeedSequence as a
+        # uint32 array of their words; a list of ints must give that state
+        ss = np.random.SeedSequence(_uint32_words(parts))
+        assert derive_seed(*parts) == int(ss.generate_state(1, np.uint64)[0])
+        assert make_rng(*parts).bit_generator.state == np.random.PCG64(ss).state

@@ -27,7 +27,9 @@ logits product there has one row, which BLAS may take down another
 path than a many-row product. ``classification-scale-masked`` (1000 clients,
 cohort 100) and ``classification-cohort-1000`` (a cohort of 1000, whose
 pair-mask rows are built in several blocks of lower indices) pin the
-masked cohort sums at scale. The four
+masked cohort sums at scale, and
+``test_large_population_and_cohort_digest`` pins CI's run of 100,000
+clients with a cohort of 1000. The four
 full-batch toy digests were re-pinned, and ``toy-minibatch`` pinned,
 when local SGD moved from one shuffle generator per client to one per
 round; the masked-params toy digest (quantized) and the classification
@@ -161,13 +163,26 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("config, overrides, digest", CASES)
-def test_metrics_csv_digest(tmp_path, config, overrides, digest):
+def _csv_digest(tmp_path, config, overrides):
     cfg = load_config(CONFIGS / config, {**overrides, "output.plots": "false"},
                       out_dir=str(tmp_path))
     run_experiment_full(cfg)
-    data = (tmp_path / cfg.csv_name).read_bytes()
-    assert hashlib.sha256(data).hexdigest() == digest
+    return hashlib.sha256((tmp_path / cfg.csv_name).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("config, overrides, digest", CASES)
+def test_metrics_csv_digest(tmp_path, config, overrides, digest):
+    assert _csv_digest(tmp_path, config, overrides) == digest
+
+
+def test_large_population_and_cohort_digest(tmp_path):
+    # CI's large run, pinned there too: 100,000 clients of 20 samples and
+    # a masked cohort of 1000. It has no per-round-streams digest, so it
+    # stays out of CASES.
+    overrides = {"task.num_clients": "100000", "algorithm.clients_per_round": "1000",
+                 "algorithm.rounds": "2", "secure_aggregation.mask_params": "true"}
+    assert (_csv_digest(tmp_path, "classification.ini", overrides)
+            == "c009457a099f9d47b7d96c8161eccc39566d303d3e7970ac2653b4ebd5df03fa")
 
 
 # The digests of CASES when round t drew its cohort and pair seeds from

@@ -421,6 +421,19 @@ class TestRunRound:
             run_round(initial_state(np.array([0.0]), 1), _algo(algorithm="fedavg",
                       clients_per_round=2), SCALAR, clients, run_streams(1), settings=plain)
 
+    @pytest.mark.parametrize("rows", [2, 8, 9])
+    def test_overflowing_client_loss_sum_raises(self, rows):
+        # each loss (1.44e308) is finite; the sum of the wild client's one
+        # segment is not. Its 2 rows take np.add.at, 8 or 9 the sorted
+        # pairwise sum; np.bincount would return inf and fail later
+        calm = (0, np.zeros((1, 1)), [0.0], [0])
+        wild = (1, np.zeros((rows, 1)), [1.2e154, -1.2e154] * (rows // 2) + [1.2e154] * (rows % 2),
+                [0] * rows)
+        plain = AggregationSettings(mask_stats=False)
+        with pytest.raises(NumericError, match="^round 1: overflow encountered in "):
+            run_round(initial_state(np.array([0.0]), 1), _algo(clients_per_round=2), SCALAR,
+                      pool([calm, wild], 1), run_streams(1), settings=plain)
+
     def test_divergent_local_sgd_names_the_round(self):
         # round 1 trains calmly; round 2's step size drives local SGD past
         # float64's range

@@ -7,8 +7,10 @@ from agfed.core import InvalidArgument
 from agfed.models import batch_losses, grad_weighted
 from agfed.tasks import (
     TaskConfig,
+    _split_counts,
     gen_synthetic_classification,
     gen_toy_regression,
+    generate_population,
     initial_params_for,
     model_spec_for,
 )
@@ -243,3 +245,22 @@ class TestReproducibility:
         a = gen_synthetic_classification(_cls_cfg(seed=1))
         b = gen_synthetic_classification(_cls_cfg(seed=2))
         assert _population_bytes(a) != _population_bytes(b)
+
+
+class TestRareBranches:
+    """Inputs that reach the generators' rarely taken branches."""
+
+    def test_parts_raised_to_one_give_back_the_excess(self):
+        # quotas 2.94, 0.03 and 0.03 floor to 2, 0 and 0; raised to at
+        # least 1 they make 4 of 3, so the largest part gives one back
+        assert _split_counts(3, (0.98, 0.01, 0.01)) == [1, 1, 1]
+        cfg = _cls_cfg(p=3, num_clients=3, margins=(2.0, 1.0, 0.5), shares=(0.98, 0.01, 0.01))
+        population, _ = generate_population(cfg)
+        assert np.array_equal(population.counts > 0, np.eye(3, dtype=bool))
+
+    def test_single_point_domains_sit_on_their_centers(self):
+        # linspace(-spread, spread, 1) alone would put each point at center - spread
+        cfg = _toy_cfg(points_per_domain=1, num_clients=5)
+        population, _ = generate_population(cfg)
+        assert sorted(population.y.tolist()) == list(cfg.centers)
+        assert np.array_equal(population.y, population.x[:, 0])
