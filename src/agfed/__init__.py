@@ -21,7 +21,7 @@ from .harness import (
     run_experiment_full,
 )
 from .models import ModelSpec
-from .secagg import PairwiseSeeds, SecureSum, mask_set
+from .secagg import PairMasks, SecureSum, mask_set
 from .server import (
     AggregationSettings,
     AlgorithmConfig,
@@ -47,7 +47,7 @@ __all__ = [
     "LocalSGDConfig",
     "ModelSpec",
     "NumericError",
-    "PairwiseSeeds",
+    "PairMasks",
     "Population",
     "RoundReport",
     "SecureSum",

@@ -10,6 +10,7 @@ On failure both commands print a single machine-readable error line
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -93,7 +94,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    Building it costs several parses. A parse copies ``--set``'s default
+    list before appending to it, so no call sees another's overrides.
+    """
     parser = argparse.ArgumentParser(
         prog="agfed",
         description="Deterministic federated simulator: min-max (agnostic) "
@@ -110,8 +117,11 @@ def main(argv: list[str] | None = None) -> int:
     cmp_p.add_argument("--algorithms", default="fedavg,afa",
                        help="comma-separated algorithm list (default: fedavg,afa)")
     cmp_p.set_defaults(func=cmd_compare)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except Exception as exc:  # surfaced as one machine-readable line

@@ -20,7 +20,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass, field
 
@@ -38,18 +37,29 @@ class NumericError(ArithmeticError):
     """Raised when a numeric invariant is violated (NaN/Inf, underflow)."""
 
 
-@contextlib.contextmanager
-def numeric_faults(where: str):
+class numeric_faults:
     """Raise a floating-point fault in the body as one ``NumericError``.
 
     Overflow, an invalid value and division by zero raise, with ``where``
-    before numpy's message; underflow to 0 is a result, not a fault.
+    before numpy's message; underflow to 0 is a result, not a fault. The
+    error state is restored on exit, and any other exception passes
+    through. A class, not a generator: every round enters one, and it
+    costs less than half as much as a ``contextlib.contextmanager``.
     """
-    try:
-        with np.errstate(all="raise", under="ignore"):
-            yield
-    except FloatingPointError as exc:
-        raise NumericError(f"{where}: {exc}") from exc
+
+    __slots__ = ("_where", "_errstate")
+
+    def __init__(self, where: str):
+        self._where = where
+        self._errstate = np.errstate(all="raise", under="ignore")
+
+    def __enter__(self) -> None:
+        self._errstate.__enter__()
+
+    def __exit__(self, kind, exc, tb) -> None:
+        self._errstate.__exit__(kind, exc, tb)
+        if kind is not None and issubclass(kind, FloatingPointError):
+            raise NumericError(f"{self._where}: {exc}") from exc
 
 
 def as_vector(values, *, name: str = "vector") -> np.ndarray:

@@ -219,7 +219,6 @@ def run_experiment_full(cfg: ExperimentConfig) -> ExperimentRun:
             reports.append(report)
             if fh is not None:
                 fh.write(row % _csv_fields(report))
-                fh.flush()
     finally:
         if fh is not None:
             fh.close()

@@ -11,39 +11,34 @@ A value whose encoding could push an n-client total out of the signed
 decode range (n * |r * scale| >= 2**63) raises ``MaskRangeError``
 instead of wrapping.
 
-Both clients of a pair expand their shared seed into the same
-splitmix64 stream, so a cohort sum needs each pair's stream once: each
-``mask_set`` evaluates all n(n-1)/2 x L stream values and builds each
-client's signed mask row from them, in one of two ways that give the
-same rows, bit for bit, since sums mod 2**64 are exact in any order:
+Each pair (i, j), i < j, shares L words drawn for the sum at hand:
+the lower index adds them and the higher subtracts them. A cohort sum
+draws all n(n-1)/2 x L words at once from the run's mask generator and
+keeps them while it is open, 8 bytes each (28 MB for 1000 clients and
+L = 7). ``mask_set`` builds each client's signed mask row from them in
+one of two ways that give the same rows, bit for bit, since sums mod
+2**64 are exact in any order:
 
-- A small sum, of at most ``_SCATTER_WORDS`` (3,000) stream words,
-  expands every pair's stream at once and scatters it: one
-  ``np.add.at`` adds each word to the lower index's row and one
-  ``np.subtract.at`` takes it from the higher index's. At this size
-  numpy's per-call overhead, not the words, sets the cost, and two
-  calls beat the reductions below: 10 clients x 10 words take about
-  two thirds of the blocked time. Past the constant the scatter's
-  per-word cost dominates; it is set where the two ways measured level
-  for the shortest vectors a round masks (L = 2, near 3,000 words).
-- A larger sum expands the streams in vectorised blocks of lower-index
-  clients, which bound the memory they take at once, and reduces each
-  block with two ``np.add.reduceat`` passes: pairs grouped by lower
-  index add, pairs grouped by higher index subtract.
+- A small sum, of at most ``_SCATTER_WORDS`` (3,000) pair words,
+  scatters them: one ``np.add.at`` adds each word to the lower index's
+  row and one ``np.subtract.at`` takes it from the higher index's. At
+  this size numpy's per-call overhead, not the words, sets the cost,
+  and two calls beat the reductions below. Past the constant the
+  scatter's per-word cost dominates; it is set where the two ways
+  measured level for the shortest vectors a round masks (L = 2).
+- A larger sum reduces the words in blocks of lower-index clients with
+  two ``np.add.reduceat`` passes: pairs grouped by lower index add,
+  pairs grouped by higher index subtract. The blocks bound only the
+  temporaries of the reductions, not the words.
 
-Where each pair's stream goes depends only on n, L and the block size,
+Where each pair's words go depends only on n, L and the block size,
 so both index layouts are built once and kept in small module-level
 caches as read-only arrays: the scatter's two flat positions per pair
-word, per (n, L), and, per (n, block), each block's slice of the seeds,
+word, per (n, L), and, per (n, block), each block's slice of the pairs,
 where each lower index's pairs start, and the order and starts of the
-pairs grouped by higher index. A sum then only hashes and scatters, or
-hashes, gathers and reduces. The caches hold no seed and no client
-data, and at most 8 layouts each. A scatter layout takes two indices per
-word of a small sum; a blocked layout one index per pair plus a few per
-client and block: O(n(n-1)/2) words, the order of the seeds each masked
-sum draws anyway, so the blocks still bound the temporary memory of a
-sum. The column of stream counters that every seed is added to is kept
-the same way, one read-only column per vector length.
+pairs grouped by higher index. A sum then only scatters, or gathers and
+reduces. The caches hold no mask word and no client data, and at most
+8 layouts each.
 ``mask_set`` and ``SecureSum.submit`` take a 1-D array of client
 indices with one row per index, so a whole cohort is masked and
 submitted in one call of O(1) numpy operations: encode the (m x L)
@@ -53,8 +48,8 @@ masked row, encode(v_i) plus its signed pair masks, and the server
 still reads only the total.
 
 This is a SIMULATION OF THE AGGREGATION SEMANTICS ONLY. There is no key
-agreement, no cryptographic PRG, and no dropout recovery: pairwise seeds
-come from the run's mask generator (``server.run_streams``), and a
+agreement, no cryptographic PRG, and no dropout recovery: the pair
+words come from the run's mask generator (``server.run_streams``), and a
 missing participant is simply a protocol error. Do not mistake this
 module for a security implementation.
 """
@@ -76,12 +71,11 @@ DEFAULT_SCALE_BITS = 20
 # n * max|encoding| below the signed decode range, so sums cannot wrap.
 _ENCODE_LIMIT = float(1 << 62)
 _DECODE_LIMIT = float(1 << 63)
-# Pair-stream words expanded at once when building a cohort's mask rows
+# Pair words gathered at once when reducing a cohort's mask rows
 _BLOCK_WORDS = 1 << 17
-# Pair-stream words, n(n-1)/2 x L, up to which a sum's mask rows are
+# Pair words, n(n-1)/2 x L, up to which a sum's mask rows are
 # scattered rather than reduced in blocks: the two measured level near
-# 3,000 words for L = 2 and near 4,000 for L = 4 (numpy 2.4.6 on a
-# 2-core AVX-512 Xeon)
+# 3,000 words for L = 2 and L = 4 (numpy 2.4.6 on a 2-core AVX-512 Xeon)
 _SCATTER_WORDS = 3000
 
 
@@ -109,47 +103,55 @@ def _encode(plain: np.ndarray, scale: int, n_clients: int) -> np.ndarray:
 
 def _decode(residues: np.ndarray, scale: int) -> np.ndarray:
     # centered lift: residues >= 2**63 represent negative fixed-point sums
-    return residues.astype(np.int64).astype(np.float64) / scale
+    return residues.view(np.int64) / scale
 
 
 @dataclass(frozen=True, eq=False)
-class PairwiseSeeds:
-    """Shared pair seeds of an n-client cohort (n >= 1).
+class PairMasks:
+    """The mask words an n-client cohort's pairs share, for vectors of length L.
 
-    ``upper`` holds one uint64 seed per pair (i, j), i < j, in
-    ``np.triu_indices(n, k=1)`` order: pairs grouped by lower index. It
-    is taken as given and made read-only, not copied. Equality and
-    hashing are by identity, as for ``core.Population``: arrays have no
-    single truth value to compare fields by.
+    ``words`` is a (L, n(n-1)/2) uint64 array: column c holds the L
+    words of pair c, pairs in ``np.triu_indices(n, k=1)`` order (grouped
+    by lower index), and row k holds word k of every pair. It is taken
+    as given and made read-only, not copied. Equality and hashing are by
+    identity, as for ``core.Population``: arrays have no single truth
+    value to compare fields by.
     """
 
     n_clients: int
-    upper: np.ndarray
+    words: np.ndarray
 
     def __post_init__(self):
         if self.n_clients < 1:
             raise InvalidArgument("cohort needs at least one client")
-        upper = np.asarray(self.upper, dtype=np.uint64)
+        words = np.asarray(self.words, dtype=np.uint64)
         pairs = self.n_clients * (self.n_clients - 1) // 2
-        if upper.shape != (pairs,):
-            raise InvalidArgument(f"a cohort of {self.n_clients} has {pairs} pair seeds, "
-                                  f"got shape {upper.shape}")
-        upper.flags.writeable = False
-        object.__setattr__(self, "upper", upper)
+        if words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != pairs:
+            raise InvalidArgument(f"a cohort of {self.n_clients} needs (L >= 1, {pairs}) "
+                                  f"pair words, got shape {words.shape}")
+        words.flags.writeable = False
+        object.__setattr__(self, "words", words)
+
+    @property
+    def length(self) -> int:
+        """L, the length of the vectors these words mask."""
+        return self.words.shape[0]
 
     @staticmethod
-    def generate(n_clients: int, rng: np.random.Generator) -> "PairwiseSeeds":
-        """Fresh seeds for an n-client cohort: n(n-1)/2 words drawn from ``rng``.
+    def generate(n_clients: int, length: int, rng: np.random.Generator) -> "PairMasks":
+        """Fresh words for an n-client cohort: L x n(n-1)/2 drawn from ``rng``.
 
         The words are the bit generator's raw 64-bit outputs, which are
-        the words ``rng.integers(0, 2**64, size=pairs, dtype=np.uint64)``
-        returns, and the draw leaves ``rng`` in the same state as that
-        call.
+        the words ``rng.integers(0, 2**64, size=L * pairs, dtype=np.uint64)``
+        returns, in that order, and the draw leaves ``rng`` in the same
+        state as that call.
         """
-        if n_clients < 1:
-            raise InvalidArgument("cohort needs at least one client")
+        if n_clients < 1 or length < 1:
+            raise InvalidArgument(f"need at least one client and vector length >= 1, "
+                                  f"got {n_clients} and {length}")
         pairs = n_clients * (n_clients - 1) // 2
-        return PairwiseSeeds(n_clients, rng.bit_generator.random_raw(pairs))
+        words = rng.bit_generator.random_raw(length * pairs).reshape(length, pairs)
+        return PairMasks(n_clients, words)
 
 
 @dataclass(frozen=True)
@@ -169,39 +171,11 @@ class MaskedVector:
     n_clients: int
 
 
-_SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM64_MIX2 = np.uint64(0x94D049BB133111EB)
-
-
-@functools.lru_cache(maxsize=8)
-def _counters(length: int) -> np.ndarray:
-    """The (length, 1) read-only column of stream counters k * gamma, k = 1..length."""
-    column = (np.arange(1, length + 1, dtype=np.uint64) * _SM64_GAMMA)[:, None]
-    column.flags.writeable = False
-    return column
-
-
-def _pair_masks(seeds: np.ndarray, length: int) -> np.ndarray:
-    # counter-based splitmix64 stream, one row per seed: fast, deterministic,
-    # not cryptographic. Word k of every stream is one contiguous row of a
-    # (length, seeds) array, so each step runs over the seeds; in place,
-    # since a block of streams is the largest array of a masked round.
-    # Returns the (seeds, length) transposed view.
-    z = _counters(length) + seeds
-    z ^= z >> np.uint64(30)
-    z *= _SM64_MIX1
-    z ^= z >> np.uint64(27)
-    z *= _SM64_MIX2
-    z ^= z >> np.uint64(31)
-    return z.T
-
-
 class _PairBlock(NamedTuple):
     """Where the pairs of one block of lower-index clients go."""
 
     lowers: slice               # clients a..b-1, the lower index of each pair
-    pairs: slice                # their pairs' seeds in ``upper``
+    pairs: slice                # their pairs' columns of the words
     lower_starts: np.ndarray    # reduceat starts of each lower's pairs
     by_higher: np.ndarray       # the pairs, stably grouped by higher index
     higher_starts: np.ndarray   # reduceat starts of higher a+1..n-1 in that order
@@ -210,7 +184,7 @@ class _PairBlock(NamedTuple):
 @functools.lru_cache(maxsize=8)
 def _pair_layout(n: int, block: int) -> tuple[_PairBlock, ...]:
     """The blocks of ``block`` lower indices of an n-client cohort's pairs."""
-    # first[i]: position of pair (i, i + 1) in ``upper``
+    # first[i]: column of pair (i, i + 1) in the words
     first = np.arange(n) * (2 * n - np.arange(n) - 1) // 2
     blocks = []
     for a in range(0, n - 1, block):
@@ -232,11 +206,11 @@ def _pair_layout(n: int, block: int) -> tuple[_PairBlock, ...]:
 
 @functools.lru_cache(maxsize=8)
 def _scatter_layout(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where word k of each pair's stream goes in the flat (n x length) mask rows.
+    """Where word k of each pair goes in the flat (n x length) mask rows.
 
     Two read-only intp arrays in the (length x pairs) order of the
-    expanded streams: the position in the lower index's row, which adds
-    the word, and in the higher index's row, which subtracts it.
+    words: the position in the lower index's row, which adds the word,
+    and in the higher index's row, which subtracts it.
     """
     lower, higher = np.triu_indices(n, k=1)
     words = np.arange(length)[:, None]
@@ -245,51 +219,55 @@ def _scatter_layout(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
     return adds, subs
 
 
-def _scattered_mask_rows(upper: np.ndarray, n: int, length: int) -> np.ndarray:
+def _scattered_mask_rows(words: np.ndarray, n: int) -> np.ndarray:
     # the rows _signed_mask_rows builds, from one scatter of every pair
     # word: for a small sum, two ufunc.at calls cost less than the
     # reduceat passes and the gather between them
+    length = words.shape[0]
     adds, subs = _scatter_layout(n, length)
-    words = _pair_masks(upper, length).T.ravel()
+    words = words.ravel()
     rows = np.zeros(n * length, dtype=np.uint64)
     np.add.at(rows, adds, words)
     np.subtract.at(rows, subs, words)
     return rows.reshape(n, length)
 
 
-def _signed_mask_rows(upper: np.ndarray, n: int, length: int, block: int) -> np.ndarray:
-    # pair (i, j), i < j, adds its stream to row i and subtracts it from
-    # row j; sums mod 2**64 are exact in any order. The streams are
-    # expanded for ``block`` lower indices at a time, which bounds the
-    # transient at block * (n - 1) x length words. Words run along the
+def _signed_mask_rows(words: np.ndarray, n: int, block: int) -> np.ndarray:
+    # pair (i, j), i < j, adds its words to row i and subtracts them from
+    # row j; sums mod 2**64 are exact in any order. The words are reduced
+    # for ``block`` lower indices at a time, which bounds the gathered
+    # temporary at block * (n - 1) x length words. Words run along the
     # rows of ``cols`` (length x n), so both reductions run over pairs.
-    cols = np.zeros((length, n), dtype=np.uint64)
+    cols = np.zeros((words.shape[0], n), dtype=np.uint64)
     for b in _pair_layout(n, block):
-        words = _pair_masks(upper[b.pairs], length).T
-        cols[:, b.lowers] += np.add.reduceat(words, b.lower_starts, axis=1)
+        part = words[:, b.pairs]
+        cols[:, b.lowers] += np.add.reduceat(part, b.lower_starts, axis=1)
         cols[:, b.lowers.start + 1:] -= np.add.reduceat(
-            words.take(b.by_higher, axis=1), b.higher_starts, axis=1)
+            part.take(b.by_higher, axis=1), b.higher_starts, axis=1)
     return cols.T
 
 
-def mask_set(seeds: PairwiseSeeds, clients: np.ndarray, plain: np.ndarray, *,
+def mask_set(masks: PairMasks, clients: np.ndarray, plain: np.ndarray, *,
              scale_bits: int = DEFAULT_SCALE_BITS) -> MaskedVector:
     """Encode and mask a batch of clients' vectors.
 
     ``clients`` is a 1-D integer array of k indices and ``plain`` a
-    (k, L) matrix, row r belonging to client ``clients[r]``; one client
-    is a 1-row batch. The values are ``_encode(plain)`` plus each
-    client's summed pair masks, one row per client: the lower index of
-    each pair adds the pair's mask and the higher one subtracts it, so
-    the masks of a full cohort cancel.
+    (k, L) matrix, row r belonging to client ``clients[r]``, with L the
+    masks' length; one client is a 1-row batch. The values are
+    ``_encode(plain)`` plus each client's summed pair masks, one row per
+    client: the lower index of each pair adds the pair's words and the
+    higher one subtracts them, so the masks of a full cohort cancel.
     """
-    n = seeds.n_clients
+    n, words = masks.n_clients, masks.words
     clients = np.asarray(clients)
     plain = np.asarray(plain, dtype=np.float64)
     if (clients.ndim != 1 or clients.dtype.kind not in "iu"
             or plain.ndim != 2 or plain.shape[0] != clients.shape[0]):
         raise InvalidArgument(f"client indices of shape {clients.shape} ({clients.dtype}) "
                               f"do not match vectors of shape {plain.shape}")
+    length = words.shape[0]
+    if plain.shape[1] != length:
+        raise InvalidArgument(f"expected vectors of length {length}, got shape {plain.shape}")
     # checked before the mask rows are indexed, where -1 would silently
     # pick the last client's row
     if clients.min(initial=0) < 0 or clients.max(initial=0) >= n:
@@ -297,14 +275,13 @@ def mask_set(seeds: PairwiseSeeds, clients: np.ndarray, plain: np.ndarray, *,
         raise InvalidArgument(f"client indices {np.unique(bad).tolist()} "
                               f"outside cohort of {n}")
     scale = 1 << scale_bits
-    length = plain.shape[1]
     # each message is built in its encoding's fresh buffer
     values = _encode(plain, scale, n)
-    if n * (n - 1) // 2 * length <= _SCATTER_WORDS:
-        masks = _scattered_mask_rows(seeds.upper, n, length)
+    if words.size <= _SCATTER_WORDS:
+        rows = _scattered_mask_rows(words, n)
     else:
-        masks = _signed_mask_rows(seeds.upper, n, length, max(1, _BLOCK_WORDS // (n * length)))
-    values += masks.take(clients, axis=0)
+        rows = _signed_mask_rows(words, n, max(1, _BLOCK_WORDS // (n * length)))
+    values += rows.take(clients, axis=0)
     values.flags.writeable = False
     return MaskedVector(values, scale, clients, n)
 
@@ -317,34 +294,26 @@ class SecureSum:
     modular total is kept, with one submission count per client.
     """
 
-    def __init__(self, seeds: PairwiseSeeds, length: int, *,
-                 scale_bits: int = DEFAULT_SCALE_BITS):
-        if length < 1:
-            raise InvalidArgument("vector length must be >= 1")
-        self._seeds = seeds
-        self._length = length
+    def __init__(self, masks: PairMasks, *, scale_bits: int = DEFAULT_SCALE_BITS):
+        self._masks = masks
         self._scale_bits = scale_bits
-        self._total = np.zeros(length, dtype=np.uint64)
-        self._counts = np.zeros(seeds.n_clients, dtype=np.int64)
+        self._total = np.zeros(masks.length, dtype=np.uint64)
+        self._counts = np.zeros(masks.n_clients, dtype=np.int64)
 
     @property
     def n_clients(self) -> int:
-        return self._seeds.n_clients
+        return self._masks.n_clients
 
     def submit(self, clients: np.ndarray, plain: np.ndarray) -> None:
         """Add the (k, L) rows of the clients in the 1-D index array ``clients``.
 
-        Checks the length, then that the indices match the rows and lie
-        in the cohort (``InvalidArgument``), then duplicates within the
-        batch or against earlier submissions (``ProtocolError``); a
-        rejected batch leaves the total untouched.
+        Checks that the indices match the rows, that the rows have the
+        masks' length and that the indices lie in the cohort
+        (``InvalidArgument``), then duplicates within the batch or
+        against earlier submissions (``ProtocolError``); a rejected batch
+        leaves the total untouched.
         """
-        plain = np.asarray(plain, dtype=np.float64)
-        if plain.shape[-1:] != (self._length,):
-            raise InvalidArgument(
-                f"expected vectors of length {self._length}, got shape {plain.shape}"
-            )
-        mv = mask_set(self._seeds, clients, plain, scale_bits=self._scale_bits)
+        mv = mask_set(self._masks, clients, plain, scale_bits=self._scale_bits)
         counts = self._counts + np.bincount(mv.client_index.astype(np.intp),
                                             minlength=self.n_clients)
         if (counts > 1).any():

@@ -32,7 +32,7 @@ it exists to seed the window with counts.
 A run draws from three generators, seeded once when it starts
 (``run_streams``), each keyed by (seed, tag) alone: the sampling
 generator picks every round's cohort, the mask generator gives the pair
-seeds of every masked sum, and the local-SGD generator shuffles the
+mask words of every masked sum, and the local-SGD generator shuffles the
 minibatches. A round continues the streams where the round before left
 them, so a run replays from round 1; a ``ServerState`` alone does not
 say where the streams stand. The masks have a generator of their own,
@@ -80,7 +80,7 @@ from .core import (
     validate_mixture,
 )
 from .models import ModelSpec, check_labels
-from .secagg import DEFAULT_SCALE_BITS, PairwiseSeeds, SecureSum
+from .secagg import DEFAULT_SCALE_BITS, PairMasks, SecureSum
 
 Algorithm = Literal["fedavg", "afa"]
 LambdaUpdate = Literal["eg", "projected-sgd"]
@@ -227,17 +227,17 @@ def cohort_sum(
 
     The per-client rows never leave here. Without ``mask_rng`` the rows
     are added in order starting from zeros. With it, the whole matrix is
-    submitted to a ``SecureSum`` keyed by fresh pairwise seeds in one
-    call, row r as client r's masked message, and only the aggregate is
-    ever read; integers (such as counts) survive the fixed-point wire
-    bit-exactly.
+    submitted to a ``SecureSum`` keyed by fresh pair mask words from
+    ``mask_rng`` in one call, row r as client r's masked message, and
+    only the aggregate is ever read; integers (such as counts) survive
+    the fixed-point wire bit-exactly.
     """
     if mask_rng is None:
         # in order, as a loop from zeros would add them; + 0.0 turns a
         # -0.0 total into the loop's +0.0
         return np.add.accumulate(vectors, axis=0)[-1] + 0.0
-    seeds = PairwiseSeeds.generate(vectors.shape[0], mask_rng)
-    collector = SecureSum(seeds, vectors.shape[1], scale_bits=scale_bits)
+    masks = PairMasks.generate(*vectors.shape, mask_rng)
+    collector = SecureSum(masks, scale_bits=scale_bits)
     collector.submit(np.arange(vectors.shape[0]), vectors)
     return collector.aggregate()
 
@@ -354,11 +354,11 @@ def run_round(
 ) -> tuple[ServerState, RoundReport]:
     """One round of the configured algorithm; returns the next state.
 
-    The round draws its cohort, pair seeds and shuffles from ``streams``
-    and leaves them advanced for the next round. FedAvg runs the same
-    round with all-ones scaling (beta_k = n_k) and lambda frozen. A
-    floating-point fault raises ``NumericError`` naming round t (see the
-    module docstring).
+    The round draws its cohort, pair mask words and shuffles from
+    ``streams`` and leaves them advanced for the next round. FedAvg runs
+    the same round with all-ones scaling (beta_k = n_k) and lambda
+    frozen. A floating-point fault raises ``NumericError`` naming round
+    t (see the module docstring).
     """
     fedavg = cfg.algorithm == "fedavg"
     p = state.lam.shape[0]

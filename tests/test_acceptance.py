@@ -15,7 +15,7 @@ from agfed.harness import ExperimentConfig, compare_algorithms, run_experiment_f
 from agfed.models import ModelSpec, batch_losses, grad_weighted
 from agfed.secagg import (
     DEFAULT_SCALE_BITS,
-    PairwiseSeeds,
+    PairMasks,
     SecureSum,
     mask_set,
 )
@@ -235,8 +235,8 @@ def test_criterion_5_gradient_checks():
                "central differences")
 
 
-def _secure_sum(seeds, plains):
-    acc = SecureSum(seeds, len(plains[0]))
+def _secure_sum(masks, plains):
+    acc = SecureSum(masks)
     for i, plain in enumerate(plains):
         acc.submit(np.array([i]), plain[None])
     return acc.aggregate()
@@ -247,8 +247,8 @@ def test_criterion_6_secure_aggregation():
     rng = make_rng(6)
     # exact cancellation mod 2**64
     for n in (2, 5, 13):
-        seeds = PairwiseSeeds.generate(n, rng)
-        masked = [mask_set(seeds, np.array([i]), np.zeros((1, 6))) for i in range(n)]
+        masks = PairMasks.generate(n, 6, rng)
+        masked = [mask_set(masks, np.array([i]), np.zeros((1, 6))) for i in range(n)]
         total = np.zeros(6, dtype=np.uint64)
         for mv in masked:
             total = total + mv.values[0]
@@ -256,23 +256,22 @@ def test_criterion_6_secure_aggregation():
 
     # 50 random real vectors within 2.4e-5 per coordinate of the plain oracle
     n = 50
-    seeds = PairwiseSeeds.generate(n, rng)
     plains = [rng.uniform(-100.0, 100.0, 12) for _ in range(n)]
-    decoded = _secure_sum(seeds, plains)
+    decoded = _secure_sum(PairMasks.generate(n, 12, rng), plains)
     oracle = np.sum(np.stack(plains), axis=0)
     err = float(np.abs(decoded - oracle).max())
     assert err <= 2.4e-5, f"fixed-point error {err} exceeds 2.4e-5"
 
     # integer count vectors bit-exact
     counts = [rng.integers(0, 500, 8).astype(np.float64) for _ in range(n)]
-    decoded_counts = _secure_sum(seeds, counts)
+    decoded_counts = _secure_sum(PairMasks.generate(n, 8, rng), counts)
     assert np.array_equal(decoded_counts, np.sum(np.stack(counts), axis=0))
 
     # API-level hiding: the accumulator exposes only submit/aggregate,
     # and an incomplete cohort cannot be unmasked
     public = {name for name in dir(SecureSum) if not name.startswith("_")}
     assert public == {"submit", "aggregate", "n_clients"}
-    acc = SecureSum(PairwiseSeeds.generate(3, rng), 4)
+    acc = SecureSum(PairMasks.generate(3, 4, rng))
     acc.submit(np.array([0]), np.ones((1, 4)))
     acc.submit(np.array([1]), np.ones((1, 4)))
     with pytest.raises(Exception):

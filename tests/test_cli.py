@@ -8,8 +8,9 @@ from typing import get_args
 
 import pytest
 
+import agfed.cli
 from agfed import config
-from agfed.cli import main
+from agfed.cli import _parser, main
 from agfed.client import LocalSGDConfig
 from agfed.config import load_config
 from agfed.core import InvalidArgument
@@ -286,6 +287,40 @@ class TestErrors:
         code = main(["run", "--config", str(config_path), "--set", "task.p=2"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestParser:
+    """``main`` builds its parser once per process and reuses it."""
+
+    def test_calls_share_no_set_list(self, monkeypatch):
+        seen = []
+
+        def record(path, overrides, **kwargs):
+            seen.append(overrides)
+            raise RuntimeError("stop before the run")
+
+        monkeypatch.setattr(agfed.cli, "load_config", record)
+        assert main(["run", "--config", "a.ini", "--set", "algorithm.rounds=2"]) == 2
+        assert main(["run", "--config", "a.ini"]) == 2
+        assert main(["compare", "--config", "a.ini", "--set", "task.p=3",
+                     "--set", "task.seed=4"]) == 2
+        assert main(["run", "--config", "a.ini", "--set", "task.p=5"]) == 2
+        assert seen == [{"algorithm.rounds": "2"}, {}, {"task.p": "3", "task.seed": "4"},
+                        {"task.p": "5"}]
+        assert _parser() is _parser()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["compare", "--help"],
+                                      [], ["run"], ["bogus"]])
+    def test_usage_and_help_equal_a_fresh_parser(self, capsys, argv):
+        # a fresh parser prints what main's cached one does, call after call
+        printed = []
+        for parse in (main, main, _parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exit_info:
+                parse(argv)
+            printed.append((exit_info.value.code, *capsys.readouterr()))
+        assert printed[0] == printed[1] == printed[2]
+        assert printed[0][0] == (0 if "--help" in argv else 2)
+        assert "usage: agfed" in printed[0][1] + printed[0][2]
 
 
 class TestShippedConfigs:

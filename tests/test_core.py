@@ -1,5 +1,6 @@
-"""Core value types: mixture weights, populations, seeds."""
+"""Core value types: mixture weights, populations, seeds, numeric faults."""
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 from agfed.core import (
     Cohort,
     InvalidArgument,
+    NumericError,
     Population,
     _row_layout,
     derive_seed,
     make_rng,
     mixture_uniform,
+    numeric_faults,
     validate_mixture,
 )
 from pooling import pool
@@ -331,3 +334,44 @@ class TestSeeds:
         ss = np.random.SeedSequence(_uint32_words(parts))
         assert derive_seed(*parts) == int(ss.generate_state(1, np.uint64)[0])
         assert make_rng(*parts).bit_generator.state == np.random.PCG64(ss).state
+
+
+class TestNumericFaults:
+    # an outer state no default has, so a restore to defaults shows
+    OUTER = dict(divide="warn", over="ignore", under="raise", invalid="print")
+
+    @pytest.mark.parametrize("ending", ["normal", "numeric", "other"])
+    def test_error_state_restored_on_exit(self, ending):
+        other = KeyError("not a float fault")
+        expected = {"normal": contextlib.nullcontext(), "numeric": pytest.raises(NumericError),
+                    "other": pytest.raises(KeyError)}[ending]
+        with np.errstate(**self.OUTER):
+            before = np.geterr()
+            with expected as caught:
+                with numeric_faults("round 7"):
+                    assert np.geterr() == dict(divide="raise", over="raise",
+                                               under="ignore", invalid="raise")
+                    assert np.float64(1e-300) * 1e-300 == 0.0  # underflow is a result
+                    if ending == "numeric":
+                        np.float64(1e308) * 10.0
+                    elif ending == "other":
+                        raise other
+            assert np.geterr() == before
+        if ending == "numeric":
+            assert type(caught.value) is NumericError
+            assert str(caught.value) == "round 7: overflow encountered in scalar multiply"
+            assert isinstance(caught.value.__cause__, FloatingPointError)
+        elif ending == "other":
+            assert caught.value is other  # passed through, not wrapped
+
+    def test_nested_blocks_restore_their_own_state(self):
+        with np.errstate(**self.OUTER):
+            before = np.geterr()
+            with pytest.raises(NumericError, match="^outer: divide by zero"):
+                with numeric_faults("outer"):
+                    with pytest.raises(NumericError, match="^inner: invalid value"):
+                        with numeric_faults("inner"):
+                            np.float64(0.0) / 0.0
+                    np.float64(1.0) / 0.0
+            assert np.geterr() == before
+

@@ -12,14 +12,13 @@ from agfed.core import InvalidArgument, make_rng
 from agfed.secagg import (
     DEFAULT_SCALE_BITS,
     MaskRangeError,
-    PairwiseSeeds,
+    PairMasks,
     ProtocolError,
     SecureSum,
     _SCATTER_WORDS,
-    _counters,
+    _decode,
     _encode,
     _pair_layout,
-    _pair_masks,
     _scatter_layout,
     _scattered_mask_rows,
     _signed_mask_rows,
@@ -27,158 +26,142 @@ from agfed.secagg import (
 )
 
 _UINT64_MAX = (1 << 64) - 1
-# splitmix64 outputs 1-3 for seed 0, as published with the generator
-_SPLITMIX64_SEED0 = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
 
-def _seeds(n, key=0):
-    return PairwiseSeeds.generate(n, make_rng(key))
+def _masks(n, length, key=0):
+    return PairMasks.generate(n, length, make_rng(key))
 
 
-def _reference_pair_mask(seed, length):
-    # splitmix64 for one seed, counters 1..length
-    z = np.uint64(seed) + np.arange(1, length + 1, dtype=np.uint64) * np.uint64(
-        0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-def _secure_sum(seeds, plains):
+def _secure_sum(masks, plains):
     """One 1-row submission per client, so the total accumulates across calls."""
-    acc = SecureSum(seeds, len(plains[0]))
+    acc = SecureSum(masks)
     for i, plain in enumerate(plains):
         acc.submit(np.array([i]), plain[None])
     return acc.aggregate()
 
 
-def _masked_row(seeds, client, plain, **kwargs):
+def _masked_row(masks, client, plain, **kwargs):
     """One client's message: the row of a 1-row ``mask_set`` batch."""
-    return mask_set(seeds, np.array([client]), np.asarray(plain)[None], **kwargs).values[0]
+    return mask_set(masks, np.array([client]), np.asarray(plain)[None], **kwargs).values[0]
 
 
-def _pair_seed(seeds, i, j):
-    """The seed clients i and j share, looked up in ``np.triu_indices`` order."""
-    lower, higher = np.triu_indices(seeds.n_clients, k=1)
+def _pair_words(masks, i, j):
+    """The words clients i and j share, their column looked up in ``np.triu_indices`` order."""
+    lower, higher = np.triu_indices(masks.n_clients, k=1)
     pair = np.flatnonzero((lower == min(i, j)) & (higher == max(i, j)))[0]
-    return int(seeds.upper[pair])
+    return masks.words[:, pair].tolist()
 
 
-def _reference_mask_set(seeds, client, plain, scale_bits=DEFAULT_SCALE_BITS):
-    # one mask per peer, added by the lower index of the pair and
-    # subtracted by the higher
-    residues = _encode(plain, 1 << scale_bits, seeds.n_clients)
-    for j in range(seeds.n_clients):
+def _reference_mask_set(masks, client, plain, scale_bits=DEFAULT_SCALE_BITS):
+    # one mask per peer, in Python ints mod 2**64: added by the lower
+    # index of the pair and subtracted by the higher
+    residues = _encode(plain, 1 << scale_bits, masks.n_clients).tolist()
+    for j in range(masks.n_clients):
         if j == client:
             continue
-        mask = _reference_pair_mask(_pair_seed(seeds, client, j), residues.shape[0])
-        if client < j:
-            residues = residues + mask
-        else:
-            residues = residues - mask
-    return residues
+        sign = 1 if client < j else -1
+        residues = [r + sign * w for r, w in zip(residues, _pair_words(masks, client, j))]
+    return np.array([r % (1 << 64) for r in residues], dtype=np.uint64)
 
 
-def _reference_rows(seeds, length):
-    """Every client's signed mask row, scattering each pair's stream once."""
-    lower, higher = np.triu_indices(seeds.n_clients, k=1)
-    streams = _reference_pair_mask(seeds.upper[:, None], length)
-    rows = np.zeros((seeds.n_clients, length), dtype=np.uint64)
-    np.add.at(rows, lower, streams)
-    np.subtract.at(rows, higher, streams)
+def _reference_rows(masks):
+    """Every client's signed mask row, scattering each pair's words once."""
+    lower, higher = np.triu_indices(masks.n_clients, k=1)
+    rows = np.zeros((masks.n_clients, masks.length), dtype=np.uint64)
+    np.add.at(rows, lower, masks.words.T)
+    np.subtract.at(rows, higher, masks.words.T)
     return rows
 
 
 @st.composite
-def _pair_seeds(draw):
-    """Cohort pair seeds, random or with every seed near 2**64 - 1."""
-    n = draw(st.integers(1, 40))
+def _cohort_masks(draw):
+    """Cohort pair words, random or with every word near 2**64 - 1."""
+    n, length = draw(st.integers(1, 40)), draw(st.integers(1, 12))
     rng = make_rng(draw(st.integers(0, 2**31 - 1)))
     if draw(st.booleans()):
-        pairs = n * (n - 1) // 2
-        return PairwiseSeeds(n, _UINT64_MAX - rng.integers(0, 16, size=pairs, dtype=np.uint64))
-    return PairwiseSeeds.generate(n, rng)
+        shape = (length, n * (n - 1) // 2)
+        return PairMasks(n, _UINT64_MAX - rng.integers(0, 16, size=shape, dtype=np.uint64))
+    return PairMasks.generate(n, length, rng)
 
 
 class TestMasking:
     def test_single_client_is_plain_encoding(self):
-        seeds = _seeds(1)
+        masks = _masks(1, 3)
         plain = np.array([1.5, -2.25, 0.0])
-        mv = mask_set(seeds, np.array([0]), plain[None])
+        mv = mask_set(masks, np.array([0]), plain[None])
         scale = 1 << DEFAULT_SCALE_BITS
         expected = np.rint(plain * scale).astype(np.int64).astype(np.uint64)
         assert np.array_equal(mv.values, expected[None])
-        assert np.array_equal(_secure_sum(seeds, [plain]), plain)
+        assert np.array_equal(_secure_sum(masks, [plain]), plain)
 
     def test_two_client_masks_are_complementary(self):
-        seeds = _seeds(2)
+        masks = _masks(2, 4)
         zero = np.zeros(4)
-        a = _masked_row(seeds, 0, zero)
-        b = _masked_row(seeds, 1, zero)
+        a = _masked_row(masks, 0, zero)
+        b = _masked_row(masks, 1, zero)
         total = a + b  # uint64 wraps mod 2**64
         assert np.all(total == 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_zero_plains_cancel_exactly(self, n):
-        seeds = _seeds(n, key=n)
-        masked = [_masked_row(seeds, i, np.zeros(5)) for i in range(n)]
+        masks = _masks(n, 5, key=n)
+        masked = [_masked_row(masks, i, np.zeros(5)) for i in range(n)]
         total = np.zeros(5, dtype=np.uint64)
         for row in masked:
             total = total + row
         assert np.all(total == 0)  # mask cancellation is exact mod 2**64
-        assert np.array_equal(_secure_sum(seeds, [np.zeros(5)] * n), np.zeros(5))
+        assert np.array_equal(_secure_sum(masks, [np.zeros(5)] * n), np.zeros(5))
 
     def test_integer_counts_bit_exact(self):
         rng = make_rng(3)
         n = 6
-        seeds = _seeds(n, key=9)
+        masks = _masks(n, 8, key=9)
         plains = [rng.integers(0, 1000, size=8).astype(np.float64) for _ in range(n)]
-        assert np.array_equal(_secure_sum(seeds, plains), sum(plains))
+        assert np.array_equal(_secure_sum(masks, plains), sum(plains))
 
     def test_real_vector_sum_within_fixed_point_bound(self):
         rng = make_rng(4)
         n = 50
-        seeds = _seeds(n, key=11)
+        masks = _masks(n, 16, key=11)
         plains = [rng.uniform(-100, 100, size=16) for _ in range(n)]
-        decoded = _secure_sum(seeds, plains)
+        decoded = _secure_sum(masks, plains)
         oracle = np.sum(np.stack(plains), axis=0)
         bound = n / (2.0 * (1 << DEFAULT_SCALE_BITS))
         assert np.all(np.abs(decoded - oracle) <= bound)
 
     def test_masked_value_differs_from_plain_encoding(self):
-        seeds = _seeds(3, key=21)
+        masks = _masks(3, 3, key=21)
         plain = np.array([1.0, 2.0, 3.0])
-        masked = _masked_row(seeds, 0, plain)
-        unmasked = _masked_row(_seeds(1), 0, plain)
+        masked = _masked_row(masks, 0, plain)
+        unmasked = _masked_row(_masks(1, 3), 0, plain)
         assert not np.array_equal(masked, unmasked)
 
     def test_encoding_overflow_rejected(self):
-        seeds = _seeds(2)
         too_big = np.array([2.0 ** 45])  # 2**45 * 2**20 > 2**62
         with pytest.raises(MaskRangeError):
-            mask_set(seeds, np.array([0]), too_big[None])
+            mask_set(_masks(2, 1), np.array([0]), too_big[None])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_rejected(self, bad):
         with pytest.raises(MaskRangeError):
-            mask_set(_seeds(2), np.array([0]), np.array([[0.5, bad]]))
+            mask_set(_masks(2, 2), np.array([0]), np.array([[0.5, bad]]))
 
     def test_client_index_out_of_cohort_rejected(self):
         # checked before the mask rows are indexed, where -1 would
         # silently pick the last client's row
-        seeds = _seeds(2)
+        masks = _masks(2, 2)
         for client in (-1, 2, 5):
             with pytest.raises(InvalidArgument, match="outside cohort of 2"):
-                mask_set(seeds, np.array([client]), np.zeros((1, 2)))
+                mask_set(masks, np.array([client]), np.zeros((1, 2)))
             with pytest.raises(InvalidArgument, match="outside cohort of 2"):
-                SecureSum(seeds, 2).submit(np.array([client]), np.zeros((1, 2)))
+                SecureSum(masks).submit(np.array([client]), np.zeros((1, 2)))
         # inside an index array, the error names every bad index once
         for clients, named in (([0, -1], r"\[-1\]"), ([2, 1], r"\[2\]"),
                                ([2, -1, 2], r"\[-1, 2\]")):
             plains = np.zeros((len(clients), 2))
             with pytest.raises(InvalidArgument, match=named + " outside cohort of 2"):
-                mask_set(seeds, np.array(clients), plains)
-            acc = SecureSum(seeds, 2)
+                mask_set(masks, np.array(clients), plains)
+            acc = SecureSum(masks)
             with pytest.raises(InvalidArgument, match=named + " outside cohort of 2"):
                 acc.submit(np.array(clients), plains)
             acc.submit(np.arange(2), np.ones((2, 2)))  # nothing was counted
@@ -186,73 +169,63 @@ class TestMasking:
 
 
 class TestPairMasks:
-    def test_splitmix64_known_answer(self):
-        seed0 = np.array([0], dtype=np.uint64)
-        assert _pair_masks(seed0, 3).tolist() == [_SPLITMIX64_SEED0]
-        assert _reference_pair_mask(0, 3).tolist() == _SPLITMIX64_SEED0
-
-    def test_rows_equal_single_seed_streams(self):
-        seeds = np.array([0, 1, 2**63, _UINT64_MAX - 1, _UINT64_MAX], dtype=np.uint64)
-        masks = _pair_masks(seeds, 6)
-        assert masks.shape == (5, 6) and masks.dtype == np.uint64
-        for k in range(seeds.shape[0]):
-            assert np.array_equal(masks[k], _pair_masks(seeds[k:k + 1], 6)[0])
-
     @settings(max_examples=60, deadline=None)
-    @given(_pair_seeds(), st.integers(1, 12), st.integers(0, 2**31 - 1))
-    def test_mask_set_matches_per_peer_reference(self, seeds, length, key):
+    @given(_cohort_masks(), st.integers(0, 2**31 - 1))
+    def test_mask_set_matches_per_peer_reference(self, masks, key):
         rng = make_rng(key)
-        plain = rng.uniform(-1e3, 1e3, size=length)
-        for client in range(seeds.n_clients):
-            masked = _masked_row(seeds, client, plain)
-            assert np.array_equal(masked, _reference_mask_set(seeds, client, plain))
+        plain = rng.uniform(-1e3, 1e3, size=masks.length)
+        for client in range(masks.n_clients):
+            masked = _masked_row(masks, client, plain)
+            assert np.array_equal(masked, _reference_mask_set(masks, client, plain))
         # an index array, in cohort order or any other, gives the stacked rows
-        plains = rng.uniform(-1e3, 1e3, size=(seeds.n_clients, length))
-        for clients in (np.arange(seeds.n_clients), rng.permutation(seeds.n_clients)):
-            stacked = np.stack([_reference_mask_set(seeds, c, v)
+        plains = rng.uniform(-1e3, 1e3, size=(masks.n_clients, masks.length))
+        for clients in (np.arange(masks.n_clients), rng.permutation(masks.n_clients)):
+            stacked = np.stack([_reference_mask_set(masks, c, v)
                                 for c, v in zip(clients, plains)])
-            assert np.array_equal(mask_set(seeds, clients, plains).values, stacked)
+            assert np.array_equal(mask_set(masks, clients, plains).values, stacked)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_cohorts_match_reference(self, n):
-        seeds = _seeds(n, key=17)
+        masks = _masks(n, 3, key=17)
         plain = np.array([0.25, -7.5, 3.0])
         for client in range(n):
-            assert np.array_equal(_masked_row(seeds, client, plain),
-                                  _reference_mask_set(seeds, client, plain))
+            assert np.array_equal(_masked_row(masks, client, plain),
+                                  _reference_mask_set(masks, client, plain))
 
-    def test_seeds_reused_across_vector_lengths(self):
-        # one seed set masks vectors of any length: each length, also one
-        # that comes back after another, gets its own streams' words
-        seeds = _seeds(5, key=18)
-        for length in (3, 8, 3):
-            plain = np.arange(length, dtype=np.float64) - 1.5
-            masked = mask_set(seeds, np.arange(5), np.tile(plain, (5, 1))).values
-            for client in range(5):
-                assert np.array_equal(masked[client],
-                                      _reference_mask_set(seeds, client, plain))
+    @pytest.mark.parametrize("n, length", [(1, 3), (5, 3), (5, 8), (100, 2)])
+    def test_width_other_than_the_words_length_rejected(self, n, length):
+        masks = _masks(n, length)
+        acc = SecureSum(masks)
+        for width in (length - 1, length + 1):
+            plains = np.ones((n, width))
+            with pytest.raises(InvalidArgument, match=f"of length {length}"):
+                mask_set(masks, np.arange(n), plains)
+            with pytest.raises(InvalidArgument, match=f"of length {length}"):
+                acc.submit(np.arange(n), plains)
+        acc.submit(np.arange(n), np.ones((n, length)))  # nothing was counted
+        assert acc.aggregate().tolist() == [float(n)] * length
 
 
 class TestBlockedMaskRows:
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 300])
     def test_blocks_match_one_unblocked_pass(self, n):
         # block 8: n = 7, 8 and 9 end inside, on and just past a block edge
-        seeds = _seeds(n, key=n)
-        unblocked = _signed_mask_rows(seeds.upper, n, 5, max(n, 1))
+        words = _masks(n, 5, key=n).words
+        unblocked = _signed_mask_rows(words, n, max(n, 1))
         for block in (1, 8, 64):
-            assert np.array_equal(_signed_mask_rows(seeds.upper, n, 5, block), unblocked)
+            assert np.array_equal(_signed_mask_rows(words, n, block), unblocked)
 
     def test_rows_are_the_signed_pair_sums(self):
         n = 9
-        seeds = _seeds(n, key=23)
-        rows = _signed_mask_rows(seeds.upper, n, 4, 2)
+        masks = _masks(n, 4, key=23)
+        rows = _signed_mask_rows(masks.words, n, 2)
         for i in range(n):
-            expected = np.zeros(4, dtype=np.uint64)
+            expected = [0] * 4
             for j in range(n):
                 if j != i:
-                    stream = _reference_pair_mask(_pair_seed(seeds, i, j), 4)
-                    expected = expected + stream if i < j else expected - stream
-            assert np.array_equal(rows[i], expected)
+                    sign = 1 if i < j else -1
+                    expected = [e + sign * w for e, w in zip(expected, _pair_words(masks, i, j))]
+            assert rows[i].tolist() == [e % (1 << 64) for e in expected]
 
 
 @st.composite
@@ -268,7 +241,7 @@ def _shape_either_side(draw):
 
 
 class TestScatteredMaskRows:
-    """Small sums scatter each pair's stream; larger ones take the blocked rows."""
+    """Small sums scatter each pair's words; larger ones take the blocked rows."""
 
     @settings(max_examples=40, deadline=None)
     @given(_shape_either_side(), st.integers(1, 2**31 - 1), st.integers(1, 4))
@@ -279,24 +252,23 @@ class TestScatteredMaskRows:
     def test_mask_set_matches_per_peer_reference(self, shape, key, batch):
         n, length = shape
         rng = make_rng(key)
-        seeds = PairwiseSeeds.generate(n, rng)
+        masks = PairMasks.generate(n, length, rng)
         # a batch of k <= n clients, in any order; the per-peer reference
         # costs O(n**2) a client, so a batch holds at most 4
         k = min(n, batch)
         clients = rng.permutation(n)[:k]
         plains = rng.uniform(-1e3, 1e3, size=(k, length))
-        stacked = np.stack([_reference_mask_set(seeds, c, v) for c, v in zip(clients, plains)])
-        assert np.array_equal(mask_set(seeds, clients, plains).values, stacked)
+        stacked = np.stack([_reference_mask_set(masks, c, v) for c, v in zip(clients, plains)])
+        assert np.array_equal(mask_set(masks, clients, plains).values, stacked)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 30])
     def test_rows_equal_the_blocked_rows_at_every_block_size(self, n):
-        seeds = _seeds(n, key=n)
         for length in (1, 4):
-            scattered = _scattered_mask_rows(seeds.upper, n, length)
+            words = _masks(n, length, key=n).words
+            scattered = _scattered_mask_rows(words, n)
             assert scattered.shape == (n, length) and scattered.dtype == np.uint64
             for block in range(1, n + 1):
-                assert np.array_equal(scattered,
-                                      _signed_mask_rows(seeds.upper, n, length, block))
+                assert np.array_equal(scattered, _signed_mask_rows(words, n, block))
 
     @pytest.mark.parametrize("n, length, scattered", [
         (2, _SCATTER_WORDS, True), (2, _SCATTER_WORDS + 1, False),
@@ -310,13 +282,13 @@ class TestScatteredMaskRows:
                 taken.append(_name)
                 return _real(*args)
             monkeypatch.setattr(agfed.secagg, name, spy)
-        seeds = _seeds(n, key=length)
+        masks = _masks(n, length, key=length)
         plains = make_rng(length).uniform(-1e3, 1e3, size=(n, length))
-        masked = mask_set(seeds, np.arange(n), plains).values
+        masked = mask_set(masks, np.arange(n), plains).values
         assert taken == ["_scattered_mask_rows" if scattered else "_signed_mask_rows"]
         monkeypatch.undo()
         assert np.array_equal(masked, _encode(plains, 1 << DEFAULT_SCALE_BITS, n)
-                              + _reference_rows(seeds, length))
+                              + _reference_rows(masks))
 
     @pytest.mark.parametrize("n, length", [(3, 2), (100, 1)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0 ** 45])
@@ -325,9 +297,9 @@ class TestScatteredMaskRows:
         plains = np.zeros((n, length))
         plains[n // 2, length - 1] = bad
         with pytest.raises(MaskRangeError):
-            mask_set(_seeds(n), np.arange(n), plains)
+            mask_set(_masks(n, length), np.arange(n), plains)
         with pytest.raises(MaskRangeError):
-            SecureSum(_seeds(n), length).submit(np.arange(n), plains)
+            SecureSum(_masks(n, length)).submit(np.arange(n), plains)
 
     def test_layout_is_cached_read_only_and_builds_no_index(self, monkeypatch):
         adds, subs = _scatter_layout(9, 3)
@@ -339,11 +311,11 @@ class TestScatteredMaskRows:
         def fail(*args, **kwargs):
             raise AssertionError("index rebuilt for a cached layout")
 
-        seeds = _seeds(9, key=4)
+        masks = _masks(9, 3, key=4)
         monkeypatch.setattr(np, "triu_indices", fail)
-        rows = _scattered_mask_rows(seeds.upper, 9, 3)
+        rows = _scattered_mask_rows(masks.words, 9)
         monkeypatch.undo()
-        assert np.array_equal(rows, _reference_rows(seeds, 3))
+        assert np.array_equal(rows, _reference_rows(masks))
 
 
 class TestPairLayoutCache:
@@ -353,62 +325,62 @@ class TestPairLayoutCache:
 
     def test_interleaved_shapes_match_reference(self):
         for key, (n, length, block) in enumerate(self.SHAPES):
-            seeds = _seeds(n, key=key)
+            masks = _masks(n, length, key=key)
             if block is not None:
-                rows = _signed_mask_rows(seeds.upper, n, length, block)
-                assert np.array_equal(rows, _reference_rows(seeds, length))
+                rows = _signed_mask_rows(masks.words, n, block)
+                assert np.array_equal(rows, _reference_rows(masks))
                 assert [(b.lowers.start, b.lowers.stop) for b in _pair_layout(n, block)] == [
                     (a, min(a + block, n - 1)) for a in range(0, n - 1, block)]
                 continue
             plains = make_rng(key).uniform(-1e3, 1e3, size=(n, length))
-            masked = mask_set(seeds, np.arange(n), plains).values
+            masked = mask_set(masks, np.arange(n), plains).values
             if n > 9:  # the per-peer reference is O(n**3) for a whole cohort
                 assert np.array_equal(masked, _encode(plains, 1 << DEFAULT_SCALE_BITS, n)
-                                      + _reference_rows(seeds, length))
+                                      + _reference_rows(masks))
                 continue
             for client in range(n):
                 assert np.array_equal(masked[client],
-                                      _reference_mask_set(seeds, client, plains[client]))
+                                      _reference_mask_set(masks, client, plains[client]))
 
     def test_layout_arrays_are_read_only(self):
         for b in _pair_layout(300, 8):
-            for arr in (b.lower_starts, b.by_higher, b.higher_starts, _counters(3)):
+            for arr in (b.lower_starts, b.by_higher, b.higher_starts):
                 with pytest.raises(ValueError):
                     arr[0] = 1
 
     def test_cached_layout_builds_no_index(self, monkeypatch):
-        # after the first sum for an (n, block), a sum only hashes,
-        # gathers and reduces
+        # after the first sum for an (n, block), a sum only gathers and
+        # reduces
         n, length = 40, 3
-        _signed_mask_rows(_seeds(n, key=1).upper, n, length, 6)
+        _signed_mask_rows(_masks(n, length, key=1).words, n, 6)
 
         def fail(*args, **kwargs):
             raise AssertionError("index rebuilt for a cached layout")
 
-        seeds = _seeds(n, key=2)
+        masks = _masks(n, length, key=2)
         for name in ("argsort", "searchsorted", "repeat"):
             monkeypatch.setattr(np, name, fail)
-        rows = _signed_mask_rows(seeds.upper, n, length, 6)
+        rows = _signed_mask_rows(masks.words, n, 6)
         monkeypatch.undo()
-        assert np.array_equal(rows, _reference_rows(seeds, length))
+        assert np.array_equal(rows, _reference_rows(masks))
 
 
 class TestProtocol:
     def test_missing_participant_is_protocol_error(self):
-        acc = SecureSum(_seeds(3, key=5), 2)
+        acc = SecureSum(_masks(3, 2, key=5))
         acc.submit(np.array([0]), np.ones((1, 2)))
         acc.submit(np.array([2]), np.ones((1, 2)))
         with pytest.raises(ProtocolError, match=r"missing participants \[1\]"):
             acc.aggregate()
         # a partial batch names every client it left out
-        acc = SecureSum(_seeds(5, key=5), 2)
+        acc = SecureSum(_masks(5, 2, key=5))
         acc.submit(np.array([3, 0]), np.ones((2, 2)))
         with pytest.raises(ProtocolError, match=r"missing participants \[1, 2, 4\]"):
             acc.aggregate()
 
     def test_duplicate_participant_is_protocol_error(self):
         # the rejected resubmission leaves the total untouched
-        acc = SecureSum(_seeds(2, key=6), 2)
+        acc = SecureSum(_masks(2, 2, key=6))
         acc.submit(np.array([0]), np.ones((1, 2)))
         with pytest.raises(ProtocolError):
             acc.submit(np.array([0]), np.full((1, 2), 5.0))
@@ -416,7 +388,7 @@ class TestProtocol:
         assert acc.aggregate().tolist() == [2.0, 2.0]
         # across batches: a batch that repeats one earlier client is
         # rejected whole, fresh clients in it included
-        acc = SecureSum(_seeds(4, key=6), 2)
+        acc = SecureSum(_masks(4, 2, key=6))
         acc.submit(np.array([0, 1]), np.ones((2, 2)))
         with pytest.raises(ProtocolError, match=r"clients \[1\]"):
             acc.submit(np.array([2, 1]), np.full((2, 2), 5.0))
@@ -427,62 +399,76 @@ class TestProtocol:
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(InvalidArgument):
-            PairwiseSeeds(0, np.zeros(0, dtype=np.uint64))
+            PairMasks(0, np.zeros((1, 0), dtype=np.uint64))
         with pytest.raises(InvalidArgument):
-            PairwiseSeeds.generate(0, make_rng(0))
+            PairMasks.generate(0, 1, make_rng(0))
+        # and a vector needs a word per pair at least
+        with pytest.raises(InvalidArgument):
+            PairMasks.generate(2, 0, make_rng(0))
 
     @pytest.mark.parametrize("n", [1, 2, 10, 100])
     def test_generate_draws_the_words_of_integers(self, n):
-        # the raw draw returns integers(0, 2**64)'s words and leaves the
-        # generator where that call would
-        rng, ref = make_rng(n), make_rng(n)
-        seeds = PairwiseSeeds.generate(n, rng)
-        words = ref.integers(0, 2**64, size=n * (n - 1) // 2, dtype=np.uint64)
-        assert seeds.upper.tobytes() == words.tobytes()
+        # the raw draw returns integers(0, 2**64)'s words, row k holding
+        # word k of every pair
+        pairs = n * (n - 1) // 2
+        masks = PairMasks.generate(n, 3, make_rng(n))
+        words = make_rng(n).integers(0, 2**64, size=3 * pairs, dtype=np.uint64)
+        assert masks.words.shape == (3, pairs) and masks.length == 3
+        assert masks.words.tobytes() == words.tobytes()
+        with pytest.raises(ValueError):
+            masks.words[0, 0] = 1
+
+    @pytest.mark.parametrize("n, length", [(1, 4), (2, 1), (3, 5), (10, 1), (10, 3), (100, 7)])
+    def test_generate_leaves_the_generator_where_integers_would(self, n, length):
+        rng, ref = make_rng(n, length), make_rng(n, length)
+        PairMasks.generate(n, length, rng)
+        ref.integers(0, 2**64, size=length * n * (n - 1) // 2, dtype=np.uint64)
+        assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.random() == ref.random()
 
     def test_equality_is_identity_and_hashable(self):
         # comparing field tuples of arrays would raise "truth value ambiguous"
-        a, b = _seeds(3), _seeds(3)
+        a, b = _masks(3, 2), _masks(3, 2)
         assert a == a
         assert (a == b) is False
         assert len({a, b, a}) == 2
 
     def test_seed_vector_must_hold_one_seed_per_pair(self):
-        for n, shape in ((3, 2), (3, 4), (2, (1, 1)), (1, 1)):
-            with pytest.raises(InvalidArgument, match="pair seeds"):
-                PairwiseSeeds(n, np.zeros(shape, dtype=np.uint64))
+        # one column of L >= 1 words per pair, on a 2-D array
+        for n, shape in ((3, (1, 2)), (3, (2, 4)), (3, 3), (3, (0, 3)), (2, (1, 1, 1)),
+                         (1, (1, 1))):
+            with pytest.raises(InvalidArgument, match="pair words"):
+                PairMasks(n, np.zeros(shape, dtype=np.uint64))
 
 
 class TestSecureSum:
     def test_collects_only_the_sum(self):
-        seeds = _seeds(3, key=8)
-        acc = SecureSum(seeds, 2)
+        acc = SecureSum(_masks(3, 2, key=8))
         vectors = [np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([-1.0, 0.5])]
         for i, v in enumerate(vectors):
             acc.submit(np.array([i]), v[None])
         assert np.allclose(acc.aggregate(), [3.0, 6.5], atol=1e-5)
 
     def test_aggregate_before_complete_raises(self):
-        acc = SecureSum(_seeds(2, key=9), 2)
+        acc = SecureSum(_masks(2, 2, key=9))
         acc.submit(np.array([0]), np.ones((1, 2)))
         with pytest.raises(ProtocolError):
             acc.aggregate()
 
     def test_duplicate_submission_raises(self):
-        acc = SecureSum(_seeds(2, key=10), 2)
+        acc = SecureSum(_masks(2, 2, key=10))
         acc.submit(np.array([0]), np.ones((1, 2)))
         with pytest.raises(ProtocolError):
             acc.submit(np.array([0]), np.ones((1, 2)))
         # the same index twice inside one batch
-        acc = SecureSum(_seeds(3, key=10), 2)
+        acc = SecureSum(_masks(3, 2, key=10))
         with pytest.raises(ProtocolError, match=r"clients \[2\]"):
             acc.submit(np.array([2, 0, 2]), np.ones((3, 2)))
         acc.submit(np.arange(3), np.ones((3, 2)))  # nothing was counted
         assert acc.aggregate().tolist() == [3.0, 3.0]
 
     def test_rows_must_match_the_indices(self):
-        seeds = _seeds(3, key=14)
+        masks = _masks(3, 2, key=14)
         for clients, plains in (
             (np.arange(2), np.ones(2)),           # 1-D vector for an index array
             (np.arange(2), np.ones((3, 2))),      # one row too many
@@ -490,24 +476,25 @@ class TestSecureSum:
             (0, np.ones((1, 2))),                 # an int index with a 1-row stack
             (np.arange(2).reshape(1, 2), np.ones((1, 2, 2))),  # 2-D indices
             (np.array([0.0, 1.0]), np.ones((2, 2))),           # float indices
+            (np.arange(3), np.ones(1)),           # one value for three clients
+            (np.arange(3), np.float64(1.0)),      # a scalar
         ):
             with pytest.raises(InvalidArgument, match="do not match"):
-                mask_set(seeds, clients, plains)
+                mask_set(masks, clients, plains)
             with pytest.raises(InvalidArgument, match="do not match"):
-                SecureSum(seeds, 2).submit(clients, plains)
-        for plains in (np.ones((3, 3)), np.ones(1), np.float64(1.0)):
-            with pytest.raises(InvalidArgument, match="of length 2"):
-                SecureSum(seeds, 2).submit(np.arange(3), plains)
+                SecureSum(masks).submit(clients, plains)
+        with pytest.raises(InvalidArgument, match="of length 2"):
+            SecureSum(masks).submit(np.arange(3), np.ones((3, 3)))
 
     def test_cohort_total_past_decode_range_raises_not_wraps(self):
         # each encoding (2**61.5) passes the per-vector 2**62 limit, but four
         # of them sum past 2**63 and would unmask to about -5.15e12
-        acc = SecureSum(_seeds(4, key=13), 1)
+        acc = SecureSum(_masks(4, 1, key=13))
         with pytest.raises(MaskRangeError):
             acc.submit(np.array([0]), np.array([[2.0 ** 61.5 / 2 ** DEFAULT_SCALE_BITS]]))
 
     def test_cohort_total_inside_decode_range_is_exact(self):
-        acc = SecureSum(_seeds(4, key=13), 1)
+        acc = SecureSum(_masks(4, 1, key=13))
         v = 2.0 ** 60 / 2 ** DEFAULT_SCALE_BITS  # 4 * 2**60 = 2**62 < 2**63
         for i in range(4):
             acc.submit(np.array([i]), np.array([[v]]))
@@ -519,8 +506,7 @@ class TestSecureSum:
         assert public == {"submit", "aggregate", "n_clients"}
 
     def test_internal_total_is_masked_until_complete(self):
-        seeds = _seeds(2, key=12)
-        acc = SecureSum(seeds, 2)
+        acc = SecureSum(_masks(2, 2, key=12))
         plain = np.array([5.0, -3.0])
         acc.submit(np.array([0]), plain[None])
         scale = 1 << DEFAULT_SCALE_BITS
@@ -536,9 +522,9 @@ class TestSecureSum:
 )
 def test_fuzzed_sums_within_bound(n, length, key):
     rng = make_rng(key)
-    seeds = PairwiseSeeds.generate(n, rng)
+    masks = PairMasks.generate(n, length, rng)
     plains = [rng.uniform(-50, 50, size=length) for _ in range(n)]
-    decoded = _secure_sum(seeds, plains)
+    decoded = _secure_sum(masks, plains)
     oracle = np.sum(np.stack(plains), axis=0)
     bound = n / (2.0 * (1 << DEFAULT_SCALE_BITS))
     assert np.all(np.abs(decoded - oracle) <= bound)
@@ -546,12 +532,23 @@ def test_fuzzed_sums_within_bound(n, length, key):
 
 def test_masked_vector_is_immutable():
     # mask_set's messages, a 1-row batch or a whole cohort's, are read-only
-    seeds = _seeds(4, key=3)
+    masks = _masks(4, 3, key=3)
     for client, plain in ((np.array([2]), np.ones((1, 3))), (np.arange(4), np.ones((4, 3)))):
-        mv = mask_set(seeds, client, plain, scale_bits=10)
+        mv = mask_set(masks, client, plain, scale_bits=10)
         assert (mv.scale, mv.n_clients) == (1 << 10, 4)
         assert np.array_equal(mv.client_index, client)
         with pytest.raises(ValueError):
             mv.values[0] = 7
         with pytest.raises(dataclasses.FrozenInstanceError):
             mv.values = np.zeros_like(mv.values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, _UINT64_MAX), min_size=1, max_size=20), st.integers(0, 62))
+@example([0, 2**63 - 1, 2**63, _UINT64_MAX], 0)
+@example([0, 2**63 - 1, 2**63, _UINT64_MAX], DEFAULT_SCALE_BITS)
+def test_decode_by_view_equals_the_astype_chain(residues, scale_bits):
+    residues = np.array(residues, dtype=np.uint64)
+    scale = 1 << scale_bits
+    expected = residues.astype(np.int64).astype(np.float64) / scale
+    assert _decode(residues, scale).tobytes() == expected.tobytes()

@@ -20,7 +20,7 @@ from agfed.core import (
     mixture_uniform,
 )
 from agfed.models import ModelSpec, batch_losses, check_batch, check_labels
-from agfed.secagg import PairwiseSeeds, SecureSum
+from agfed.secagg import PairMasks, SecureSum
 from agfed.server import (
     AggregationSettings,
     AlgorithmConfig,
@@ -128,8 +128,7 @@ class TestPlainCohortSum:
 
 def _per_client_masked_sum(vectors, mask_rng, scale_bits):
     """The masked cohort sum as one 1-row ``submit`` per client, in rank order."""
-    seeds = PairwiseSeeds.generate(vectors.shape[0], mask_rng)
-    collector = SecureSum(seeds, vectors.shape[1], scale_bits=scale_bits)
+    collector = SecureSum(PairMasks.generate(*vectors.shape, mask_rng), scale_bits=scale_bits)
     for rank, v in enumerate(vectors):
         collector.submit(np.array([rank]), v[None])
     return collector.aggregate()
