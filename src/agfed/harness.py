@@ -248,10 +248,15 @@ def compare_algorithms(
 ) -> list[AlgorithmOutcome]:
     """Run each algorithm on identical data and seeds; evaluate final models.
 
-    An unknown algorithm name is rejected before any algorithm runs.
-    The gap is the spread (max - min) of per-domain population losses,
-    the quantity the comparison table reports as "difference".
+    An unknown or repeated algorithm name is rejected before any
+    algorithm runs: each writes to ``<out_dir>/<name>``, so a repeat
+    would overwrite the first run. The gap is the spread (max - min) of
+    per-domain population losses, the quantity the comparison table
+    reports as "difference".
     """
+    repeated = sorted({name for name in algorithms if algorithms.count(name) > 1})
+    if repeated:
+        raise InvalidArgument(f"algorithms named more than once: {repeated}")
     run_cfgs = [
         replace(cfg, algorithm=replace(cfg.algorithm, algorithm=name),
                 out_dir=None if cfg.out_dir is None else str(Path(cfg.out_dir) / name))

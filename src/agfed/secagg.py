@@ -1,57 +1,54 @@
 """Simulated secure aggregation via pairwise additive masking.
 
 Each client encodes its real-valued vector into fixed-point residues
-modulo 2**64 and adds one mask per peer; the masks are built so that
-mask(i, j) = -mask(j, i) mod 2**64. Summing the masked vectors of the
-full cohort cancels every mask exactly, so the unmasking side recovers
-the fixed-point sum of the plaintexts and nothing else. Integers below
-the scale's range survive bit-exactly; general reals carry at most
-n / (2 * scale) absolute error per coordinate after summing n vectors.
-A value whose encoding could push an n-client total out of the signed
-decode range (n * |r * scale| >= 2**63) raises ``MaskRangeError``
-instead of wrapping.
+modulo 2**64 and adds one mask per peer, built so that mask(i, j) =
+-mask(j, i) mod 2**64. Summing the full cohort's masked vectors cancels
+every mask exactly, so the unmasking side recovers the fixed-point sum
+of the plaintexts and nothing else. Integers below the scale's range
+survive bit-exactly; reals carry at most n / (2 * scale) absolute error
+per coordinate after summing n vectors.
 
-Each pair (i, j), i < j, shares L words drawn for the sum at hand:
-the lower index adds them and the higher subtracts them. A cohort sum
-draws all n(n-1)/2 x L words at once from the run's mask generator and
-keeps them while it is open, 8 bytes each (28 MB for 1000 clients and
-L = 7). ``mask_set`` builds each client's signed mask row from them in
-one of two ways that give the same rows, bit for bit, since sums mod
-2**64 are exact in any order:
+Each pair (i, j), i < j, shares L words drawn for the sum at hand: the
+lower index adds them and the higher subtracts them. A cohort sum draws
+all n(n-1)/2 x L words at once from the run's mask generator and keeps
+them while it is open (28 MB for 1000 clients and L = 7). ``mask_set``
+builds the clients' signed mask rows from them in one of two ways that
+give the same rows, bit for bit, since sums mod 2**64 are exact in any
+order. A sum of at most ``_SCATTER_WORDS`` pair words scatters them with
+one ``np.add.at`` and one ``np.subtract.at``: at that size numpy's
+per-call overhead, not the words, sets the cost. A larger one reduces
+the words with two ``np.add.reduceat`` passes (pairs grouped by lower
+index add, by higher index subtract) in blocks of lower indices that
+bound the temporaries. Both index layouts depend only on n, L and the
+block, so they are built once and cached read-only (at most 8 each,
+holding no mask word and no client data).
 
-- A small sum, of at most ``_SCATTER_WORDS`` (3,000) pair words,
-  scatters them: one ``np.add.at`` adds each word to the lower index's
-  row and one ``np.subtract.at`` takes it from the higher index's. At
-  this size numpy's per-call overhead, not the words, sets the cost,
-  and two calls beat the reductions below. Past the constant the
-  scatter's per-word cost dominates; it is set where the two ways
-  measured level for the shortest vectors a round masks (L = 2).
-- A larger sum reduces the words in blocks of lower-index clients with
-  two ``np.add.reduceat`` passes: pairs grouped by lower index add,
-  pairs grouped by higher index subtract. The blocks bound only the
-  temporaries of the reductions, not the words.
+``mask_set`` and ``SecureSum.submit`` take a 1-D array of client indices
+with one row per index, so a whole cohort is masked and submitted in one
+call of O(1) numpy operations; one client sends a 1-row batch. Each
+client's message is still its own masked row, and the server reads only
+the total. Each check happens once, where it is first possible:
 
-Where each pair's words go depends only on n, L and the block size,
-so both index layouts are built once and kept in small module-level
-caches as read-only arrays: the scatter's two flat positions per pair
-word, per (n, L), and, per (n, block), each block's slice of the pairs,
-where each lower index's pairs start, and the order and starts of the
-pairs grouped by higher index. A sum then only scatters, or gathers and
-reduces. The caches hold no mask word and no client data, and at most
-8 layouts each.
-``mask_set`` and ``SecureSum.submit`` take a 1-D array of client
-indices with one row per index, so a whole cohort is masked and
-submitted in one call of O(1) numpy operations: encode the (m x L)
-matrix, add the clients' mask rows, add the rows into the total; one
-client sends a 1-row batch. Each client's message is still its own
-masked row, encode(v_i) plus its signed pair masks, and the server
-still reads only the total.
+- ``PairMasks(n, words)`` checks the words' shape; ``PairMasks.generate``
+  trusts the shape of its own draw.
+- ``mask_set`` checks that the indices are a 1-D integer array (of any
+  integer dtype, uint64 included) matching the (k, L) rows. Then its one
+  index pass: ``take`` of the clients' mask rows rejects an index >= n,
+  and one ``np.bincount`` of the indices, which so never counts past n,
+  rejects a negative one (both ``InvalidArgument``). ``_encode`` rejects
+  a value whose encoding could push an n-client total out of the signed
+  decode range, n * |r * scale| >= 2**63 (``MaskRangeError``).
+- ``SecureSum.submit`` adds the batch's counts to the earlier ones.
+  They sum to the rows submitted, so one ``np.count_nonzero`` finds a
+  duplicate, within the batch or across batches (``ProtocolError``). A
+  rejected batch changes nothing.
+- ``SecureSum.aggregate`` compares the rows submitted with n and reads
+  the counts only to name the missing clients (``ProtocolError``).
 
 This is a SIMULATION OF THE AGGREGATION SEMANTICS ONLY. There is no key
-agreement, no cryptographic PRG, and no dropout recovery: the pair
-words come from the run's mask generator (``server.run_streams``), and a
-missing participant is simply a protocol error. Do not mistake this
-module for a security implementation.
+agreement, no cryptographic PRG, and no dropout recovery: the pair words
+come from the run's mask generator (``server.run_streams``). Do not
+mistake this module for a security implementation.
 """
 
 from __future__ import annotations
@@ -88,7 +85,6 @@ class ProtocolError(RuntimeError):
 
 
 def _encode(plain: np.ndarray, scale: int, n_clients: int) -> np.ndarray:
-    plain = np.asarray(plain, dtype=np.float64)
     scaled = np.rint(plain * scale)
     limit = min(_ENCODE_LIMIT, _DECODE_LIMIT / n_clients)
     # one reduction: NaN propagates through the max, and NaN and +-inf
@@ -144,31 +140,33 @@ class PairMasks:
         The words are the bit generator's raw 64-bit outputs, which are
         the words ``rng.integers(0, 2**64, size=L * pairs, dtype=np.uint64)``
         returns, in that order, and the draw leaves ``rng`` in the same
-        state as that call.
+        state as that call. The constructor's checks are skipped.
         """
         if n_clients < 1 or length < 1:
             raise InvalidArgument(f"need at least one client and vector length >= 1, "
                                   f"got {n_clients} and {length}")
         pairs = n_clients * (n_clients - 1) // 2
         words = rng.bit_generator.random_raw(length * pairs).reshape(length, pairs)
-        return PairMasks(n_clients, words)
+        words.setflags(write=False)
+        masks = object.__new__(PairMasks)
+        masks.__dict__.update(n_clients=n_clients, words=words)
+        return masks
 
 
-@dataclass(frozen=True)
-class MaskedVector:
+class MaskedVector(NamedTuple):
     """Fixed-point residues of clients' vectors plus all their pair masks.
 
-    ``values`` is the (k, L) stack of messages, one row per client, a
-    read-only array that ``mask_set`` built for this message alone.
-    ``client_index`` and ``n_clients`` are protocol bookkeeping: the 1-D
-    index array of the slots the rows fill and the size of the cohort
-    they were masked for.
+    ``values`` is the read-only (k, L) stack of messages, one row per
+    client. The rest is protocol bookkeeping: the 1-D index array of the
+    slots the rows fill, the cohort size, and the index pass's
+    ``np.bincount``, the rows each of the n slots holds.
     """
 
     values: np.ndarray
     scale: int
     client_index: np.ndarray
     n_clients: int
+    counts: np.ndarray
 
 
 class _PairBlock(NamedTuple):
@@ -220,9 +218,7 @@ def _scatter_layout(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scattered_mask_rows(words: np.ndarray, n: int) -> np.ndarray:
-    # the rows _signed_mask_rows builds, from one scatter of every pair
-    # word: for a small sum, two ufunc.at calls cost less than the
-    # reduceat passes and the gather between them
+    # the rows _signed_mask_rows builds, from one scatter of every pair word
     length = words.shape[0]
     adds, subs = _scatter_layout(n, length)
     words = words.ravel()
@@ -233,11 +229,9 @@ def _scattered_mask_rows(words: np.ndarray, n: int) -> np.ndarray:
 
 
 def _signed_mask_rows(words: np.ndarray, n: int, block: int) -> np.ndarray:
-    # pair (i, j), i < j, adds its words to row i and subtracts them from
-    # row j; sums mod 2**64 are exact in any order. The words are reduced
-    # for ``block`` lower indices at a time, which bounds the gathered
-    # temporary at block * (n - 1) x length words. Words run along the
-    # rows of ``cols`` (length x n), so both reductions run over pairs.
+    # the words are reduced ``block`` lower indices at a time, which bounds
+    # the gathered temporary at block * (n - 1) x length words; they run
+    # along the rows of ``cols`` (length x n), so both reductions run over pairs
     cols = np.zeros((words.shape[0], n), dtype=np.uint64)
     for b in _pair_layout(n, block):
         part = words[:, b.pairs]
@@ -268,37 +262,40 @@ def mask_set(masks: PairMasks, clients: np.ndarray, plain: np.ndarray, *,
     length = words.shape[0]
     if plain.shape[1] != length:
         raise InvalidArgument(f"expected vectors of length {length}, got shape {plain.shape}")
-    # checked before the mask rows are indexed, where -1 would silently
-    # pick the last client's row
-    if clients.min(initial=0) < 0 or clients.max(initial=0) >= n:
-        bad = clients[(clients < 0) | (clients >= n)]
-        raise InvalidArgument(f"client indices {np.unique(bad).tolist()} "
-                              f"outside cohort of {n}")
-    scale = 1 << scale_bits
-    # each message is built in its encoding's fresh buffer
-    values = _encode(plain, scale, n)
     if words.size <= _SCATTER_WORDS:
         rows = _scattered_mask_rows(words, n)
     else:
         rows = _signed_mask_rows(words, n, max(1, _BLOCK_WORDS // (n * length)))
-    values += rows.take(clients, axis=0)
-    values.flags.writeable = False
-    return MaskedVector(values, scale, clients, n)
+    index = clients.astype(np.intp, copy=False)
+    try:
+        # take raises on an index >= n, so bincount never counts past n, and
+        # bincount on a negative one (a uint64 index >= 2**63 is negative here)
+        picked = rows.take(index, axis=0)
+        counts = np.bincount(index, minlength=n)
+    except (IndexError, ValueError):
+        bad = clients[(clients < 0) | (clients >= n)]
+        raise InvalidArgument(f"client indices {np.unique(bad).tolist()} "
+                              f"outside cohort of {n}") from None
+    scale = 1 << scale_bits
+    values = _encode(plain, scale, n)
+    values += picked
+    values.setflags(write=False)
+    return MaskedVector(values, scale, clients, n, counts)
 
 
 class SecureSum:
     """Write-only accumulator: clients submit, the server reads one sum.
 
     The public surface deliberately exposes no per-client data. Submitted
-    batches of clients' rows are masked immediately and only their
-    modular total is kept, with one submission count per client.
+    batches are masked at once; only their modular total is kept, with a
+    submission count per client, both made by the first batch.
     """
 
     def __init__(self, masks: PairMasks, *, scale_bits: int = DEFAULT_SCALE_BITS):
         self._masks = masks
         self._scale_bits = scale_bits
-        self._total = np.zeros(masks.length, dtype=np.uint64)
-        self._counts = np.zeros(masks.n_clients, dtype=np.int64)
+        self._total = self._counts = None
+        self._submitted = 0
 
     @property
     def n_clients(self) -> int:
@@ -307,24 +304,27 @@ class SecureSum:
     def submit(self, clients: np.ndarray, plain: np.ndarray) -> None:
         """Add the (k, L) rows of the clients in the 1-D index array ``clients``.
 
-        Checks that the indices match the rows, that the rows have the
-        masks' length and that the indices lie in the cohort
-        (``InvalidArgument``), then duplicates within the batch or
-        against earlier submissions (``ProtocolError``); a rejected batch
-        leaves the total untouched.
+        ``mask_set`` checks the batch (``InvalidArgument``); a duplicate
+        within it or against earlier batches raises ``ProtocolError``. A
+        rejected batch leaves the total and the counts untouched.
         """
         mv = mask_set(self._masks, clients, plain, scale_bits=self._scale_bits)
-        counts = self._counts + np.bincount(mv.client_index.astype(np.intp),
-                                            minlength=self.n_clients)
-        if (counts > 1).any():
+        counts = mv.counts if self._counts is None else self._counts + mv.counts
+        submitted = self._submitted + mv.values.shape[0]
+        # the counts sum to ``submitted``, so as many are nonzero only
+        # when each is 0 or 1
+        if np.count_nonzero(counts) != submitted:
             raise ProtocolError(
                 f"duplicate submission from clients {np.flatnonzero(counts > 1).tolist()}")
-        self._total += mv.values.sum(axis=0)
-        self._counts = counts
+        total = mv.values.sum(axis=0)
+        if self._total is not None:
+            total += self._total
+        self._total, self._counts, self._submitted = total, counts, submitted
 
     def aggregate(self) -> np.ndarray:
         """Decoded sum over the full cohort; errors if anyone is missing."""
-        if not self._counts.all():
-            missing = np.flatnonzero(self._counts == 0)
+        if self._submitted < self.n_clients:
+            missing = (np.arange(self.n_clients) if self._counts is None
+                       else np.flatnonzero(self._counts == 0))
             raise ProtocolError(f"missing participants {missing.tolist()}; cannot unmask")
         return _decode(self._total, 1 << self._scale_bits)

@@ -230,7 +230,10 @@ def cohort_sum(
     submitted to a ``SecureSum`` keyed by fresh pair mask words from
     ``mask_rng`` in one call, row r as client r's masked message, and
     only the aggregate is ever read; integers (such as counts) survive
-    the fixed-point wire bit-exactly.
+    the fixed-point wire bit-exactly. The words' draw is trusted, not
+    re-checked; ``mask_set`` checks the rows and makes the sum's one
+    index pass, and ``submit`` and ``aggregate`` read its counts for
+    duplicates and completeness (see ``agfed.secagg``).
     """
     if mask_rng is None:
         # in order, as a loop from zeros would add them; + 0.0 turns a

@@ -257,6 +257,18 @@ class TestErrors:
         assert err.count("\n") == 1 and "fedvag" in err
         assert not (tmp_path / "afa" / "metrics.csv").exists()
 
+    def test_repeated_algorithm_rejected_before_any_run(self, tmp_path, capsys):
+        # each algorithm writes to <out>/<name>, so a repeat would overwrite
+        # the first run and write its summary row twice
+        config = Path(__file__).resolve().parent.parent / "configs" / "toy.ini"
+        code = main(["compare", "--config", str(config), "--algorithms", "afa,fedavg,afa",
+                     "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: InvalidArgument: algorithms named more than once: ['afa']\n"
+        assert not (tmp_path / "afa").exists() and not (tmp_path / "fedavg").exists()
+        assert not (tmp_path / "compare_summary.csv").exists()
+
     def test_failed_run_leaves_no_metrics_csv(self, tmp_path, capsys):
         # the rows stream to metrics.csv.partial, renamed onto metrics.csv
         # only after the last round; a stale metrics.csv is gone too

@@ -1,6 +1,6 @@
 """Masking simulation: cancellation, fixed-point bounds, protocol checks."""
 
-import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -514,6 +514,59 @@ class TestSecureSum:
         assert not np.array_equal(acc._total, encoding)
 
 
+@st.composite
+def _batched_cohort(draw):
+    """(masks, batches): a cohort in random order, cut into nonempty batches.
+
+    Up to 40 clients and L = 8, so some sums take the blocked rows.
+    """
+    n, length = draw(st.integers(1, 40)), draw(st.integers(1, 8))
+    masks = PairMasks.generate(n, length, make_rng(draw(st.integers(0, 2**31 - 1))))
+    order = np.array(draw(st.permutations(range(n))))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64,
+                                  np.uint8, np.uint16, np.uint32, np.uint64]))
+    return masks, [batch.astype(dtype) for batch in np.split(order, cuts)]
+
+
+def _bookkeeping(acc):
+    """What a rejected batch must leave as it was: the total, the counts, the row count."""
+    return (None if acc._total is None else acc._total.tobytes(),
+            None if acc._counts is None else acc._counts.tolist(), acc._submitted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batched_cohort(), st.integers(0, 2**31 - 1))
+def test_batches_in_any_order_give_the_whole_cohort_bytes(cohort, key):
+    masks, batches = cohort
+    n, length = masks.n_clients, masks.length
+    plains = make_rng(key).uniform(-1e3, 1e3, size=(n, length))
+    whole = SecureSum(masks)
+    whole.submit(np.arange(n), plains)
+    acc, sent = SecureSum(masks), []
+    for batch in batches:
+        # aggregate names exactly the clients not yet submitted
+        missing = sorted(set(range(n)) - set(sent))
+        with pytest.raises(ProtocolError, match=re.escape(f"participants {missing};")):
+            acc.aggregate()
+        # a repeated index, an index already sent, a negative index and one
+        # >= n (uint64 ones among them) are rejected and change nothing
+        bad = [(np.concatenate((batch, batch[:1])), ProtocolError),
+               (np.array([-1]), InvalidArgument), (np.array([n]), InvalidArgument),
+               (np.array([2**63, 0], dtype=np.uint64), InvalidArgument),
+               (np.array([2**64 - 1], dtype=np.uint64), InvalidArgument)]
+        if sent:
+            bad.append((np.concatenate((batch, [sent[0]])).astype(np.int64), ProtocolError))
+        for clients, error in bad:
+            before = _bookkeeping(acc)
+            with pytest.raises(error):
+                acc.submit(clients, np.ones((clients.shape[0], length)))
+            assert _bookkeeping(acc) == before
+        acc.submit(batch, plains[batch.astype(np.intp)])
+        sent += batch.tolist()
+    assert acc.aggregate().tobytes() == whole.aggregate().tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(2, 6),
@@ -539,7 +592,8 @@ def test_masked_vector_is_immutable():
         assert np.array_equal(mv.client_index, client)
         with pytest.raises(ValueError):
             mv.values[0] = 7
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        # a NamedTuple: its fields cannot be reassigned
+        with pytest.raises(AttributeError):
             mv.values = np.zeros_like(mv.values)
 
 

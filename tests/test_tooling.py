@@ -81,7 +81,16 @@ def test_benchmark_operation_checks_pass_on_a_short_run(bench_run, tmp_path, wor
         assert len(op.round_s) == 2
         return
     # the tracer counts pair masks from mask_set's messages and samples
-    # by iterating the generated population
+    # by iterating the generated population. Each masked sum (the stats,
+    # and on scale-masked the params too) is one submit span holding one
+    # mask_set span, and adds n - 1 pair masks: a round that bypassed the
+    # traced names would read zeros here
     layers = op.tracer.metrics()
-    assert layers["secagg.pair_masks"] > 0
+    sums, cohort = {"toy": (2, 10), "scale-masked": (4, 100)}[workload]
+    spans = op.tracer.spans
+    submits = [i for i, (name, *_) in enumerate(spans) if name == "secagg.SecureSum.submit"]
+    assert layers["secagg.SecureSum.submit.calls"] == len(submits) == sums
+    assert sorted(parent for name, _, _, parent in spans
+                  if name == "secagg.mask_set") == submits
+    assert layers["secagg.pair_masks"] == sums * (cohort - 1)
     assert layers["tasks.samples_generated"] == op.tracer.result.population.y.shape[0]
