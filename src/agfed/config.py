@@ -85,14 +85,19 @@ def load_config(
     # a section header cannot hold a line break, so no file can name the
     # default section and a [DEFAULT] section is an unknown one
     parser = configparser.ConfigParser(default_section="\n")
-    if not parser.read(str(path)):
-        raise InvalidArgument(f"cannot read config file {path}")
+    try:
+        if not parser.read(str(path)):
+            raise InvalidArgument(f"cannot read config file {path}")
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:  # its message may span several lines
+        message = " ".join(line.strip() for line in str(exc).splitlines())
+        raise InvalidArgument(f"cannot parse config file {path}: {message}") from exc
 
     values: dict[str, dict[str, str]] = {s: {} for s in _SECTIONS}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SECTIONS:
             raise InvalidArgument(f"unknown config section [{section}]")
-        values[section].update(parser.items(section))
+        values[section].update(items)
 
     for dotted, value in (overrides or {}).items():
         if "." not in dotted:

@@ -53,6 +53,13 @@ class ExperimentConfig:
                 f"clients_per_round={self.algorithm.clients_per_round} exceeds "
                 f"num_clients={self.task.num_clients}"
             )
+        # the CSV goes into out_dir itself, next to the plots, which must not
+        # overwrite it; "", "." and ".." name a directory
+        plots = [path.name for path in _plot_paths(Path("plot"))]
+        name = self.csv_name
+        if name in ("", ".", "..", *plots) or Path(name).name != name:
+            raise InvalidArgument(f"output.csv must be a file name other than {plots}, "
+                                  f"got {name!r}")
 
     @property
     def seed(self) -> int:

@@ -194,24 +194,17 @@ def compute_scaling(lam: np.ndarray, effective_counts: np.ndarray) -> np.ndarray
     return np.divide(lam, counts, out=np.zeros(lam.shape[0]), where=counts > 0)
 
 
-def effective_counts(
-    state: ServerState,
-    mode: ScalingMode,
-    exact_counts: np.ndarray | None = None,
-) -> np.ndarray:
+def effective_counts(state: ServerState, mode: ScalingMode, counts: np.ndarray) -> np.ndarray:
     """Domain counts feeding the scaling vector, per scaling mode.
 
-    Two-phase-exact passes this round's gathered counts through; windowed
-    averages the window of previous rounds (all zeros when empty, which
-    makes round 1 a pure stats-gathering round).
+    ``counts`` are this round's gathered domain counts. Two-phase-exact
+    passes them through; windowed ignores them and averages the window
+    of previous rounds (all zeros when empty, which makes round 1 a pure
+    stats-gathering round).
     """
     if mode == "two-phase-exact":
-        if exact_counts is None:
-            raise InvalidArgument("two-phase-exact mode requires this round's counts")
-        return np.asarray(exact_counts, dtype=np.float64)
+        return np.asarray(counts, dtype=np.float64)
     if mode == "windowed":
-        if exact_counts is not None:
-            raise InvalidArgument("windowed mode ignores exact counts; do not pass them")
         if not state.window:
             return np.zeros(state.lam.shape[0])
         return np.stack(state.window).astype(np.float64).mean(axis=0)
@@ -324,11 +317,7 @@ def comm_cost_per_round(algorithm: Algorithm, clients_per_round: int,
                         param_count: int, p: int) -> int:
     """Parameters on the wire per round: 2c|W| plus 4cp for the agnostic run."""
     base = 2 * clients_per_round * param_count
-    if algorithm == "fedavg":
-        return base
-    if algorithm == "afa":
-        return base + 4 * clients_per_round * p
-    raise InvalidArgument(f"unknown algorithm {algorithm!r}")
+    return base if algorithm == "fedavg" else base + 4 * clients_per_round * p
 
 
 class RoundStreams(NamedTuple):
@@ -396,8 +385,7 @@ def run_round(
         if fedavg:
             alpha = np.ones(p)
         else:
-            exact = counts if cfg.scaling_mode == "two-phase-exact" else None
-            alpha = compute_scaling(state.lam, effective_counts(state, cfg.scaling_mode, exact))
+            alpha = compute_scaling(state.lam, effective_counts(state, cfg.scaling_mode, counts))
 
         params, betas = client_update(spec, state.w, alpha, cohort, cfg.local, streams.local_sgd)
 

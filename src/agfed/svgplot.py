@@ -43,12 +43,9 @@ def write_line_plot(
     title: str,
     y_label: str = "",
 ) -> None:
-    """Write one SVG with a polyline per (name, values) series over the rounds ``x``."""
+    """Write one SVG with a polyline per (name, values) series, a value per round in ``x``."""
     if not series or not x:
         raise InvalidArgument("plot needs at least one series and one x value")
-    for name, values in series:
-        if len(values) != len(x):
-            raise InvalidArgument(f"series {name!r} length differs from x")
 
     xs = np.asarray(x, dtype=np.float64)
     ys = np.array([values for _, values in series], dtype=np.float64)

@@ -1,6 +1,7 @@
 """Command-line interface: run, compare, overrides, error reporting."""
 
 import csv
+import re
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -299,6 +300,61 @@ class TestErrors:
         code = main(["run", "--config", str(config_path), "--set", "task.p=2"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"rounds": "3"}, "override 'rounds' is not of the form section.key"),
+        ({"model.kind": "svm"}, "unknown config section 'model' in override"),
+        ({"task.kind": "regression"}, "unknown task kind 'regression'"),
+    ])
+    def test_bad_override_rejected_by_name(self, config_path, overrides, message):
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            load_config(config_path, overrides)
+
+    def test_missing_task_key_rejected(self, tmp_path):
+        path = tmp_path / "no-seed.ini"
+        path.write_text(CONFIG.replace("seed = 5\n", ""))
+        with pytest.raises(InvalidArgument, match=r"^\[task\] is missing required key 'seed'$"):
+            load_config(path)
+
+    @pytest.mark.parametrize("argv, err", [
+        (["run", "--set", "task.p"], "error: ValueError: --set expects key=value, got 'task.p'\n"),
+        (["compare", "--algorithms", ","],
+         "error: ValueError: --algorithms must name at least one algorithm\n"),
+    ])
+    def test_bad_command_line_value_is_one_error_line(self, config_path, capsys, argv, err):
+        code = main([argv[0], "--config", str(config_path), *argv[1:]])
+        assert code == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("text", [
+        "p = 3\n" + CONFIG,                                # no section header
+        CONFIG.replace("[task]\n", "[task]\n  p = 3\n"),   # a continuation of no key
+        CONFIG.replace("p = 3\n", "p = 3\np = 4\n"),       # duplicate option
+    ], ids=["no-header", "continuation", "duplicate-option"])
+    def test_malformed_file_is_one_error_line_naming_it(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        code = main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: InvalidArgument: cannot parse config file {path}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["", "..", "sub/m.csv", "plot_model.svg",
+                                      "plot_lambda.svg"])
+    def test_csv_name_other_than_a_plain_file_name_rejected(self, config_path, tmp_path,
+                                                           capsys, name):
+        # the plots would overwrite the metrics, and "" or a subdirectory
+        # failed only after the population was generated
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(config_path), "--set", f"output.csv={name}",
+                     "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: InvalidArgument: output.csv must be a file name other than "
+                       f"['plot_model.svg', 'plot_lambda.svg'], got {name!r}\n")
+        assert not out.exists()
 
 
 class TestParser:

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from agfed.core import (
     Cohort,
     InvalidArgument,
+    SIMPLEX_ATOL,
     NumericError,
     Population,
     _row_layout,
@@ -53,6 +55,48 @@ class TestMixtureValidation:
 
     def test_good_mixture_accepted(self):
         validate_mixture(np.array([0.25, 0.75]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.floats(), max_size=5),
+        # near the simplex: normalized weights, some 0, one entry moved
+        st.tuples(st.lists(st.just(0.0) | st.floats(1e-3, 1e3), min_size=1,
+                           max_size=5).filter(any),
+                  st.sampled_from([0.0, -0.0, 5e-13, -5e-13, 2e-12, -2e-12, 0.5, -2.0,
+                                   np.nan, np.inf, -np.inf]),
+                  st.integers(0, 4)),
+    ))
+    def test_valid_vectors_come_back_and_invalid_ones_raise_their_error(self, case):
+        if isinstance(case, tuple):
+            weights, delta, at = case
+            lam = np.array(weights) / np.sum(weights)
+            lam[at % lam.size] += delta
+        else:
+            lam = np.array(case, dtype=np.float64)
+        # Finite entries whose sum overflows also get numpy's overflow
+        # warning next to the sum error; only the error is compared here.
+        with np.errstate(over="ignore"):
+            expected = _mixture_error(lam)
+            if expected is None:
+                out = validate_mixture(lam)
+                assert np.array_equal(out, lam) and not out.flags.writeable
+            else:
+                kind, message = expected
+                with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+                    validate_mixture(lam)
+
+
+def _mixture_error(lam):
+    """The simplex checks in their order: the first that fails names the error."""
+    if lam.size == 0:
+        return InvalidArgument, "mixture weights must be non-empty"
+    if not np.isfinite(lam).all():
+        return NumericError, "mixture weights contain NaN or Inf"
+    if (lam < 0).any():
+        return InvalidArgument, f"mixture weights must be >= 0, got min {lam.min()}"
+    if abs(float(lam.sum()) - 1.0) > SIMPLEX_ATOL:
+        return InvalidArgument, f"mixture weights must sum to 1, got {float(lam.sum())!r}"
+    return None
 
 
 class TestDatasets:
@@ -127,6 +171,11 @@ class TestCohort:
             member_rows = slice(population.offsets[member], population.offsets[member + 1])
             assert cohort.y[rows].tolist() == population.y[member_rows].tolist()
             assert cohort.counts[k].tolist() == population.counts[member].tolist()
+
+    def test_empty_cohort_rejected(self):
+        population = pool([(0, np.zeros((1, 1)), [0.0], [0])], 1)
+        with pytest.raises(InvalidArgument, match="cohort needs at least one client"):
+            Cohort.gather(population, [])
 
     def test_gathered_arrays_reject_writes(self):
         clients = [(k, np.ones((n, 2)), np.ones(n), np.zeros(n)) for k, n in enumerate([2, 5, 3])]

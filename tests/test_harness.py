@@ -217,6 +217,19 @@ class TestPlots:
         with pytest.raises(InvalidArgument):
             emit_plots([], tmp_path / "plot", summary_names=[])
 
+    @pytest.mark.parametrize("summary, names, message", [
+        ((0.5,), ["a", "b"], "summary name count differs from summary fields"),
+        ((), [], "plot needs at least one series and one x value"),
+    ])
+    def test_summary_names_must_match_a_non_empty_summary(self, tmp_path, summary, names,
+                                                          message):
+        reports = [RoundReport(round=1, per_domain_loss=(1.0,), lam=(1.0,),
+                               worst_domain_loss=1.0, model_summary=summary,
+                               comm_params_cumulative=2, degenerate=False)]
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            emit_plots(reports, tmp_path / "plot", summary_names=names)
+        assert not list(tmp_path.iterdir())
+
 
 class TestEvaluateAndCompare:
     def test_evaluate_population(self):

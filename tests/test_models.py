@@ -247,6 +247,15 @@ class TestGradWeightedShapes:
         assert SCALAR.param_count == 1
         assert LOGISTIC.param_count == 9
 
+    @pytest.mark.parametrize("args, message", [
+        (("svm",), "unknown model kind 'svm'"),
+        (("logistic", 0, 2), "input_dim must be >= 1"),
+        (("logistic", 2, 1), "logistic model needs num_classes >= 2"),
+    ])
+    def test_bad_spec_rejected(self, args, message):
+        with pytest.raises(InvalidArgument, match=f"^{message}$"):
+            ModelSpec(*args)
+
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(MODEL_KINDS), st.integers(2, 5), st.integers(1, 4),
            st.integers(1, 8), st.integers(1, 20), st.integers(0, 2**32 - 1))

@@ -83,8 +83,9 @@ class TestEffectiveCounts:
                            tuple(window), 0)
 
     def test_windowed_mean(self):
+        # this round's counts are ignored
         state = self._state([np.array([4, 0]), np.array([2, 2])])
-        assert effective_counts(state, "windowed").tolist() == [3.0, 1.0]
+        assert effective_counts(state, "windowed", np.array([9, 9])).tolist() == [3.0, 1.0]
 
     def test_two_phase_passthrough(self):
         out = effective_counts(self._state(), "two-phase-exact", np.array([7, 3]))
@@ -92,15 +93,29 @@ class TestEffectiveCounts:
 
     def test_empty_window_gives_zeros_hence_zero_alpha(self):
         state = self._state()
-        eff = effective_counts(state, "windowed")
+        eff = effective_counts(state, "windowed", np.array([7, 3]))
         assert eff.tolist() == [0.0, 0.0]
         assert compute_scaling(state.lam, eff).tolist() == [0.0, 0.0]
 
-    def test_mode_argument_mismatch(self):
-        with pytest.raises(InvalidArgument):
-            effective_counts(self._state(), "two-phase-exact", None)
-        with pytest.raises(InvalidArgument):
-            effective_counts(self._state(), "windowed", np.array([1, 2]))
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(InvalidArgument, match="unknown scaling mode 'exact'"):
+            effective_counts(self._state(), "exact", np.array([7, 3]))
+
+
+class TestServerState:
+    def test_two_dimensional_parameters_rejected(self):
+        with pytest.raises(InvalidArgument,
+                           match=r"parameter vector must be 1-D, got shape \(1, 2\)"):
+            ServerState(0, np.zeros((1, 2)), mixture_uniform(2), (), 0)
+
+    def test_empty_lambda_rejected(self):
+        with pytest.raises(InvalidArgument, match="mixture weights must be non-empty"):
+            ServerState(0, np.zeros(1), np.zeros(0), (), 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, bad):
+        with pytest.raises(NumericError, match="mixture weights contain NaN or Inf"):
+            ServerState(0, np.zeros(1), np.array([1.0, bad]), (), 0)
 
 
 def _rows(*clients):
@@ -191,6 +206,10 @@ class TestAggregateParams:
         with pytest.raises(DegenerateRound):
             aggregate_params(*_rows(([1.0], 0.0), ([2.0], 0.0)), make_rng(3))
 
+    def test_empty_cohort_degenerate(self):
+        with pytest.raises(DegenerateRound, match="empty cohort"):
+            aggregate_params(np.zeros((0, 3)), np.zeros(0))
+
 
 class TestExponentiatedGradient:
     def test_zero_losses_leave_lambda_unchanged(self):
@@ -230,6 +249,11 @@ class TestExponentiatedGradient:
             base = lambda_update_eg(lam, losses, 0.37)
             shifted = lambda_update_eg(lam, losses + shift, 0.37)
             assert np.array_equal(base, shifted)
+
+    def test_vanishing_weights_raise(self):
+        # the only weighted domain's factor underflows to 0
+        with pytest.raises(NumericError, match="exponentiated-gradient weights vanished"):
+            lambda_update_eg(np.array([1.0, 0.0]), np.array([0.0, 1000.0]), 1.0)
 
 
 def _project_oracle(v):
@@ -290,6 +314,11 @@ class TestSimplexProjection:
             with pytest.raises(NumericError, match="lost precision"):
                 project_simplex(np.array(v))
         assert np.array_equal(project_simplex(np.array([1.2e12, 0.0])), [1.0, 0.0])
+
+    @pytest.mark.parametrize("v", [np.ones((2, 2)), np.zeros(0)])
+    def test_non_vector_rejected(self, v):
+        with pytest.raises(InvalidArgument, match="projection expects a non-empty 1-D vector"):
+            project_simplex(v)
 
     def test_projected_sgd_examples(self):
         out = lambda_update_projected_sgd(np.array([0.5, 0.5]),
@@ -532,6 +561,11 @@ class TestRunRound:
         with pytest.raises(InvalidArgument):
             run_round(initial_state(np.array([0.0]), 5), _algo(clients_per_round=10),
                       SCALAR, clients, run_streams(1))
+
+    def test_population_with_other_domain_count_rejected(self):
+        with pytest.raises(InvalidArgument, match="population has p=5 domains, lambda has 2"):
+            run_round(initial_state(np.array([0.0]), 2), _algo(), SCALAR, _toy(),
+                      run_streams(1))
 
     def test_single_client_full_batch_is_one_exact_gradient_step(self):
         # whole population on one client, E=1, full batch: centralized SGD step

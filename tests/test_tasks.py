@@ -1,8 +1,12 @@
 """Dataset generators: oracles, partition invariants, reproducibility."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from agfed.config import load_config
 from agfed.core import InvalidArgument
 from agfed.models import batch_losses, grad_weighted
 from agfed.tasks import (
@@ -245,6 +249,43 @@ class TestReproducibility:
         a = gen_synthetic_classification(_cls_cfg(seed=1))
         b = gen_synthetic_classification(_cls_cfg(seed=2))
         assert _population_bytes(a) != _population_bytes(b)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestConfigChecks:
+    """Every ``TaskConfig`` check, reached from a shipped config file."""
+
+    @pytest.mark.parametrize("name, overrides, message", [
+        ("toy.ini", {"task.partition": "diagonal"}, "unknown partition 'diagonal'"),
+        ("toy.ini", {"task.p": "0"}, "p must be >= 1"),
+        ("toy.ini", {"task.num_clients": "0"}, "num_clients must be >= 1"),
+        ("classification.ini", {"task.samples_per_client": "5:3"},
+         "samples_per_client range must satisfy 1 <= lo <= hi"),
+        ("classification.ini", {"task.samples_per_client": "0"},
+         "samples_per_client must be >= 1"),
+        ("toy.ini", {"task.points_per_domain": "0"}, "points_per_domain must be >= 1"),
+        ("toy.ini", {"task.spread": "-0.5"}, "spread must be >= 0"),
+        ("toy.ini", {"task.partition": "client-partition", "task.num_clients": "4"},
+         "client partition needs at least one client per domain"),
+        ("classification.ini", {"task.input_dim": "1"}, "classification needs input_dim >= 2"),
+        ("classification.ini", {"task.shares": "1 0"}, "client shares must be > 0"),
+        ("classification.ini", {"task.num_clients": "1"},
+         "client partition needs at least one client per domain"),
+        ("classification.ini", {"task.partition": "data-partition", "task.mixing": "1"},
+         "need 2 mixing weights, got 1"),
+    ])
+    def test_bad_task_key_rejected_by_name(self, name, overrides, message):
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            load_config(CONFIGS / name, overrides)
+
+    def test_generators_reject_the_other_kind(self):
+        with pytest.raises(InvalidArgument, match="config is not a toy-regression task"):
+            gen_toy_regression(_cls_cfg())
+        with pytest.raises(InvalidArgument,
+                           match="config is not a synthetic-classification task"):
+            gen_synthetic_classification(_toy_cfg())
 
 
 class TestRareBranches:
