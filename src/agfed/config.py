@@ -83,8 +83,9 @@ def load_config(
 ) -> ExperimentConfig:
     """Parse a config file, apply dotted-name overrides, and validate."""
     # a section header cannot hold a line break, so no file can name the
-    # default section and a [DEFAULT] section is an unknown one
-    parser = configparser.ConfigParser(default_section="\n")
+    # default section and a [DEFAULT] section is an unknown one; values are
+    # taken as written, as --set takes them, so a '%' in one is literal
+    parser = configparser.ConfigParser(default_section="\n", interpolation=None)
     try:
         if not parser.read(str(path)):
             raise InvalidArgument(f"cannot read config file {path}")

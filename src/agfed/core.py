@@ -246,9 +246,12 @@ def mixture_uniform(p: int) -> np.ndarray:
 def validate_mixture(lam: np.ndarray) -> np.ndarray:
     """Check the simplex invariants; returns the validated vector."""
     lam = as_vector(lam, name="mixture weights")
-    # a valid vector passes on one min and one sum; the checks below name a
-    # failure, and a finite, non-empty, non-negative one fails only its sum
-    if lam.size and lam.min() >= 0 and abs(float(lam.sum()) - 1.0) <= SIMPLEX_ATOL:
+    # a valid vector passes on one min, one max and one sum; the checks below
+    # name a failure, and a finite, non-empty, non-negative one fails only its
+    # sum. No valid entry exceeds 1 + SIMPLEX_ATOL, and entries of at most 2
+    # cannot sum past float64's range, so the first sum never overflows.
+    if (lam.size and lam.min() >= 0 and lam.max() <= 2.0
+            and abs(float(lam.sum()) - 1.0) <= SIMPLEX_ATOL):
         return lam
     if lam.size == 0:
         raise InvalidArgument("mixture weights must be non-empty")
@@ -256,7 +259,11 @@ def validate_mixture(lam: np.ndarray) -> np.ndarray:
         raise NumericError("mixture weights contain NaN or Inf")
     if (lam < 0).any():
         raise InvalidArgument(f"mixture weights must be >= 0, got min {lam.min()}")
-    raise InvalidArgument(f"mixture weights must sum to 1, got {float(lam.sum())!r}")
+    # finite weights may sum to inf, which the message says; numpy's
+    # overflow warning would only repeat it
+    with np.errstate(over="ignore"):
+        total = float(lam.sum())
+    raise InvalidArgument(f"mixture weights must sum to 1, got {total!r}")
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF

@@ -8,20 +8,29 @@ of the plaintexts and nothing else. Integers below the scale's range
 survive bit-exactly; reals carry at most n / (2 * scale) absolute error
 per coordinate after summing n vectors.
 
-Each pair (i, j), i < j, shares L words drawn for the sum at hand: the
-lower index adds them and the higher subtracts them. A cohort sum draws
-all n(n-1)/2 x L words at once from the run's mask generator and keeps
-them while it is open (28 MB for 1000 clients and L = 7). ``mask_set``
-builds the clients' signed mask rows from them in one of two ways that
-give the same rows, bit for bit, since sums mod 2**64 are exact in any
-order. A sum of at most ``_SCATTER_WORDS`` pair words scatters them with
-one ``np.add.at`` and one ``np.subtract.at``: at that size numpy's
-per-call overhead, not the words, sets the cost. A larger one reduces
-the words with two ``np.add.reduceat`` passes (pairs grouped by lower
-index add, by higher index subtract) in blocks of lower indices that
-bound the temporaries. Both index layouts depend only on n, L and the
-block, so they are built once and cached read-only (at most 8 each,
-holding no mask word and no client data).
+A cohort sum of vectors of length L lays its pair words out by circulant
+offset (Bell et al., CCS 2020, here on the complete graph): it draws
+floor(n/2) x n x L words at once from the run's mask generator and keeps
+them while it is open, 8 bytes each (28 MB for 1000 clients and L = 7).
+Word [d-1, i] is added by client i and subtracted by client (i + d) mod
+n, so the offsets 1..floor(n/2) reach every pair. For odd n each pair
+shares exactly one word; for even n the pairs at offset n/2 share two,
+so an even cohort draws n/2 x L words more than the n(n-1)/2 x L its
+pairs need. Only the mask stream reads them, and the masks cancel, so
+no output byte depends on the layout.
+
+Each client adds exactly its own column of the words, so the adding
+half of every mask row is one sum over offsets. ``_mask_rows`` builds
+the subtracting half in one of two ways that give the same rows, bit
+for bit, since sums mod 2**64 are exact in any order. A sum of at most
+``_SCATTER_WORDS`` words subtracts them with one ``np.subtract.at``
+through an index that depends only on n and L, so it is built once and
+cached read-only (at most 8, holding no mask word and no client data):
+at that size numpy's per-call overhead, not the words, sets the cost. A
+larger sum needs no index. It copies each block of offset rows with
+their last words in front and reads the copy back one client short of
+its width, which rolls row d by d clients, then sums the block over
+offsets; the blocks bound the copy.
 
 ``mask_set`` and ``SecureSum.submit`` take a 1-D array of client indices
 with one row per index, so a whole cohort is masked and submitted in one
@@ -68,12 +77,16 @@ DEFAULT_SCALE_BITS = 20
 # n * max|encoding| below the signed decode range, so sums cannot wrap.
 _ENCODE_LIMIT = float(1 << 62)
 _DECODE_LIMIT = float(1 << 63)
-# Pair words gathered at once when reducing a cohort's mask rows
-_BLOCK_WORDS = 1 << 17
-# Pair words, n(n-1)/2 x L, up to which a sum's mask rows are
-# scattered rather than reduced in blocks: the two measured level near
-# 3,000 words for L = 2 and L = 4 (numpy 2.4.6 on a 2-core AVX-512 Xeon)
-_SCATTER_WORDS = 3000
+# Pair words copied at once when a cohort's mask rows take the skewed
+# sum: 1 << 16 beat 1 << 15 and 1 << 17 at 1000 x 7 and 300 x 4
+_BLOCK_WORDS = 1 << 16
+# Pair words, floor(n/2) x n x L, up to which a sum's mask rows are
+# scattered rather than summed skewed. The two level near 6,000 words
+# (40 x 7: 11.8 against 12.5 us; 56 x 4: 13.2 against 13.0 us); below
+# that the scatter leads (10 x 10: 4.0 against 7.2 us), above it the
+# skewed sum (100 x 4: 37 against 26 us), on numpy 2.4.6 on a 2-core
+# AVX-512 Xeon
+_SCATTER_WORDS = 6000
 
 
 class MaskRangeError(ValueError):
@@ -106,12 +119,12 @@ def _decode(residues: np.ndarray, scale: int) -> np.ndarray:
 class PairMasks:
     """The mask words an n-client cohort's pairs share, for vectors of length L.
 
-    ``words`` is a (L, n(n-1)/2) uint64 array: column c holds the L
-    words of pair c, pairs in ``np.triu_indices(n, k=1)`` order (grouped
-    by lower index), and row k holds word k of every pair. It is taken
-    as given and made read-only, not copied. Equality and hashing are by
-    identity, as for ``core.Population``: arrays have no single truth
-    value to compare fields by.
+    ``words`` is a (floor(n/2), n, L) uint64 array laid out by circulant
+    offset: word [d-1, i, k] masks coordinate k, added by client i and
+    subtracted by client (i + d) mod n. It is taken as given and made
+    read-only, copied only when it is not a C-contiguous uint64 array.
+    Equality and hashing are by identity, as for ``core.Population``:
+    arrays have no single truth value to compare fields by.
     """
 
     n_clients: int
@@ -120,33 +133,35 @@ class PairMasks:
     def __post_init__(self):
         if self.n_clients < 1:
             raise InvalidArgument("cohort needs at least one client")
-        words = np.asarray(self.words, dtype=np.uint64)
-        pairs = self.n_clients * (self.n_clients - 1) // 2
-        if words.ndim != 2 or words.shape[0] < 1 or words.shape[1] != pairs:
-            raise InvalidArgument(f"a cohort of {self.n_clients} needs (L >= 1, {pairs}) "
-                                  f"pair words, got shape {words.shape}")
+        words = np.ascontiguousarray(self.words, dtype=np.uint64)
+        offsets = self.n_clients // 2
+        if words.ndim != 3 or words.shape[:2] != (offsets, self.n_clients) or words.shape[2] < 1:
+            raise InvalidArgument(f"a cohort of {self.n_clients} needs ({offsets}, "
+                                  f"{self.n_clients}, L >= 1) pair words, got shape {words.shape}")
         words.flags.writeable = False
         object.__setattr__(self, "words", words)
 
     @property
     def length(self) -> int:
         """L, the length of the vectors these words mask."""
-        return self.words.shape[0]
+        return self.words.shape[2]
 
     @staticmethod
     def generate(n_clients: int, length: int, rng: np.random.Generator) -> "PairMasks":
-        """Fresh words for an n-client cohort: L x n(n-1)/2 drawn from ``rng``.
+        """Fresh words for an n-client cohort: floor(n/2) x n x L drawn from ``rng``.
 
         The words are the bit generator's raw 64-bit outputs, which are
-        the words ``rng.integers(0, 2**64, size=L * pairs, dtype=np.uint64)``
-        returns, in that order, and the draw leaves ``rng`` in the same
-        state as that call. The constructor's checks are skipped.
+        the words ``rng.integers(0, 2**64, size=floor(n/2) * n * L,
+        dtype=np.uint64)`` returns, in that order, and the draw leaves
+        ``rng`` in the same state as that call. The constructor's checks
+        are skipped.
         """
         if n_clients < 1 or length < 1:
             raise InvalidArgument(f"need at least one client and vector length >= 1, "
                                   f"got {n_clients} and {length}")
-        pairs = n_clients * (n_clients - 1) // 2
-        words = rng.bit_generator.random_raw(length * pairs).reshape(length, pairs)
+        offsets = n_clients // 2
+        words = rng.bit_generator.random_raw(offsets * n_clients * length)
+        words = words.reshape(offsets, n_clients, length)
         words.setflags(write=False)
         masks = object.__new__(PairMasks)
         masks.__dict__.update(n_clients=n_clients, words=words)
@@ -169,76 +184,42 @@ class MaskedVector(NamedTuple):
     counts: np.ndarray
 
 
-class _PairBlock(NamedTuple):
-    """Where the pairs of one block of lower-index clients go."""
-
-    lowers: slice               # clients a..b-1, the lower index of each pair
-    pairs: slice                # their pairs' columns of the words
-    lower_starts: np.ndarray    # reduceat starts of each lower's pairs
-    by_higher: np.ndarray       # the pairs, stably grouped by higher index
-    higher_starts: np.ndarray   # reduceat starts of higher a+1..n-1 in that order
-
-
 @functools.lru_cache(maxsize=8)
-def _pair_layout(n: int, block: int) -> tuple[_PairBlock, ...]:
-    """The blocks of ``block`` lower indices of an n-client cohort's pairs."""
-    # first[i]: column of pair (i, i + 1) in the words
-    first = np.arange(n) * (2 * n - np.arange(n) - 1) // 2
-    blocks = []
-    for a in range(0, n - 1, block):
-        lowers = np.arange(a, min(a + block, n - 1))  # each has a pair
-        starts = first[lowers] - first[a]
-        end = first[lowers[-1] + 1]
-        partners = n - 1 - lowers
-        higher = (np.arange(end - first[a]) - np.repeat(starts, partners)
-                  + np.repeat(lowers + 1, partners))
-        by_higher = np.argsort(higher, kind="stable")
-        # every higher index a+1..n-1 pairs with lower a, so no group is empty
-        higher_starts = np.searchsorted(higher[by_higher], np.arange(a + 1, n))
-        for arr in (starts, by_higher, higher_starts):
-            arr.flags.writeable = False
-        blocks.append(_PairBlock(slice(a, lowers[-1] + 1), slice(first[a], end),
-                                 starts, by_higher, higher_starts))
-    return tuple(blocks)
+def _scatter_index(n: int, length: int) -> np.ndarray:
+    """Where each pair word is subtracted in the flat (n x length) mask rows.
 
-
-@functools.lru_cache(maxsize=8)
-def _scatter_layout(n: int, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where word k of each pair goes in the flat (n x length) mask rows.
-
-    Two read-only intp arrays in the (length x pairs) order of the
-    words: the position in the lower index's row, which adds the word,
-    and in the higher index's row, which subtracts it.
+    A read-only intp array in the words' order: word [d-1, i, k] goes
+    to coordinate k of client (i + d) mod n.
     """
-    lower, higher = np.triu_indices(n, k=1)
-    words = np.arange(length)[:, None]
-    adds, subs = (lower * length + words).ravel(), (higher * length + words).ravel()
-    adds.flags.writeable = subs.flags.writeable = False
-    return adds, subs
+    offsets = np.arange(1, n // 2 + 1)[:, None, None]
+    clients = (np.arange(n)[:, None] + offsets) % n
+    index = (clients * length + np.arange(length)).ravel()
+    index.flags.writeable = False
+    return index
 
 
-def _scattered_mask_rows(words: np.ndarray, n: int) -> np.ndarray:
-    # the rows _signed_mask_rows builds, from one scatter of every pair word
-    length = words.shape[0]
-    adds, subs = _scatter_layout(n, length)
-    words = words.ravel()
-    rows = np.zeros(n * length, dtype=np.uint64)
-    np.add.at(rows, adds, words)
-    np.subtract.at(rows, subs, words)
-    return rows.reshape(n, length)
-
-
-def _signed_mask_rows(words: np.ndarray, n: int, block: int) -> np.ndarray:
-    # the words are reduced ``block`` lower indices at a time, which bounds
-    # the gathered temporary at block * (n - 1) x length words; they run
-    # along the rows of ``cols`` (length x n), so both reductions run over pairs
-    cols = np.zeros((words.shape[0], n), dtype=np.uint64)
-    for b in _pair_layout(n, block):
-        part = words[:, b.pairs]
-        cols[:, b.lowers] += np.add.reduceat(part, b.lower_starts, axis=1)
-        cols[:, b.lowers.start + 1:] -= np.add.reduceat(
-            part.take(b.by_higher, axis=1), b.higher_starts, axis=1)
-    return cols.T
+def _mask_rows(words: np.ndarray) -> np.ndarray:
+    """Every client's signed mask row, (n x L), from circulant pair words."""
+    offsets, n, length = words.shape
+    # each client adds its own column of every offset; PairMasks keeps the
+    # words C-contiguous, so the sum is too and its flat view takes the scatter
+    rows = words.sum(axis=0)
+    if words.size <= _SCATTER_WORDS:
+        np.subtract.at(rows.reshape(-1), _scatter_index(n, length), words.reshape(-1))
+        return rows
+    block = max(1, _BLOCK_WORDS // (n * length))
+    for a in range(0, offsets, block):
+        b = min(a + block, offsets)
+        m = b - a
+        # row r of the copy holds offset a + r + 1's words rolled by b
+        # clients; read back one client short of its width, row r starts
+        # r clients earlier, so it is rolled by a + r + 1
+        skew = np.empty((m, n + m, length), dtype=np.uint64)
+        skew[:, :b] = words[a:b, n - b:]
+        skew[:, b:] = words[a:b, :n - a]
+        flat = skew.reshape(-1)[(m - 1) * length:][:m * (n + m - 1) * length]
+        rows -= flat.reshape(m, n + m - 1, length)[:, :n].sum(axis=0)
+    return rows
 
 
 def mask_set(masks: PairMasks, clients: np.ndarray, plain: np.ndarray, *,
@@ -248,24 +229,21 @@ def mask_set(masks: PairMasks, clients: np.ndarray, plain: np.ndarray, *,
     ``clients`` is a 1-D integer array of k indices and ``plain`` a
     (k, L) matrix, row r belonging to client ``clients[r]``, with L the
     masks' length; one client is a 1-row batch. The values are
-    ``_encode(plain)`` plus each client's summed pair masks, one row per
-    client: the lower index of each pair adds the pair's words and the
-    higher one subtracts them, so the masks of a full cohort cancel.
+    ``_encode(plain)`` plus each client's signed pair masks, one row per
+    client: each word is added by one client and subtracted by its
+    partner (see ``PairMasks``), so the masks of a full cohort cancel.
     """
-    n, words = masks.n_clients, masks.words
+    n = masks.n_clients
     clients = np.asarray(clients)
     plain = np.asarray(plain, dtype=np.float64)
     if (clients.ndim != 1 or clients.dtype.kind not in "iu"
             or plain.ndim != 2 or plain.shape[0] != clients.shape[0]):
         raise InvalidArgument(f"client indices of shape {clients.shape} ({clients.dtype}) "
                               f"do not match vectors of shape {plain.shape}")
-    length = words.shape[0]
-    if plain.shape[1] != length:
-        raise InvalidArgument(f"expected vectors of length {length}, got shape {plain.shape}")
-    if words.size <= _SCATTER_WORDS:
-        rows = _scattered_mask_rows(words, n)
-    else:
-        rows = _signed_mask_rows(words, n, max(1, _BLOCK_WORDS // (n * length)))
+    if plain.shape[1] != masks.length:
+        raise InvalidArgument(f"expected vectors of length {masks.length}, "
+                              f"got shape {plain.shape}")
+    rows = _mask_rows(masks.words)
     index = clients.astype(np.intp, copy=False)
     try:
         # take raises on an index >= n, so bincount never counts past n, and

@@ -341,6 +341,17 @@ class TestErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_percent_in_a_file_value_is_taken_as_written(self, tmp_path, capsys):
+        # as --set and --out-dir take it; configparser's default
+        # interpolation failed to parse the file
+        out = tmp_path / "runs" / "50%"
+        path = tmp_path / "percent.ini"
+        path.write_text(CONFIG.replace("[output]\n", f"[output]\ndir = {out}\nplots = false\n")
+                        .replace("plots = true\n", ""))
+        assert main(["run", "--config", str(path)]) == 0
+        assert _data_rows(out / "metrics.csv") == 4
+        assert f"metrics written to {out / 'metrics.csv'}" in capsys.readouterr().out
+
     @pytest.mark.parametrize("name", ["", "..", "sub/m.csv", "plot_model.svg",
                                       "plot_lambda.svg"])
     def test_csv_name_other_than_a_plain_file_name_rejected(self, config_path, tmp_path,

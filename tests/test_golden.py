@@ -26,10 +26,12 @@ logistic model on 1-row minibatches, on clients of 1 to 6 rows: each
 logits product there has one row, which BLAS may take down another
 path than a many-row product. ``classification-scale-masked`` (1000 clients,
 cohort 100) and ``classification-cohort-1000`` (a cohort of 1000, whose
-pair-mask rows are built in several blocks of lower indices) pin the
+pair-mask rows are summed in several blocks of offsets) pin the
 masked cohort sums at scale, and
 ``test_large_population_and_cohort_digest`` pins CI's run of 100,000
-clients with a cohort of 1000. ``test_windowed_masked_params_digest``
+clients with a cohort of 1000. Those cohorts are even;
+``test_odd_masked_cohort_digest`` pins cohorts of 7 and 101, one on
+each path that builds mask rows. ``test_windowed_masked_params_digest``
 pins a toy run whose round 1 is degenerate through a masked params
 sum. The four
 full-batch toy digests were re-pinned, and ``toy-minibatch`` pinned,
@@ -197,6 +199,20 @@ def test_windowed_masked_params_digest(tmp_path):
                  "secure_aggregation.mask_params": "true"}
     assert (_csv_digest(tmp_path, "toy.ini", overrides)
             == "b0d832860e7fb3d11c31c4c3a85098968cd2da08d66409b960c5a513c3c520fe")
+
+
+@pytest.mark.parametrize("cohort, rounds, digest", [
+    # every pair of an odd cohort shares one mask word; 7 clients'
+    # mask rows are scattered and 101 clients' are summed skewed
+    ("7", "30", "367b2652b60ddf7e7a7a163f2d2f869f1393dbac9014eb4f2dca7f9ffbdee306"),
+    ("101", "5", "619c14ae1fc1bd5940aadc26277ed0416e4217483c244094f60da21251ce25fb"),
+])
+def test_odd_masked_cohort_digest(tmp_path, cohort, rounds, digest):
+    # pinned from the triangular pair layout's code; it has no
+    # per-round-streams digest, so it stays out of CASES
+    overrides = {"task.num_clients": "1000", "algorithm.clients_per_round": cohort,
+                 "algorithm.rounds": rounds, "secure_aggregation.mask_params": "true"}
+    assert _csv_digest(tmp_path, "classification.ini", overrides) == digest
 
 
 # The digests of CASES when round t drew its cohort and pair seeds from

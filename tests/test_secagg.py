@@ -1,5 +1,6 @@
 """Masking simulation: cancellation, fixed-point bounds, protocol checks."""
 
+import itertools
 import re
 
 import numpy as np
@@ -18,10 +19,8 @@ from agfed.secagg import (
     _SCATTER_WORDS,
     _decode,
     _encode,
-    _pair_layout,
-    _scatter_layout,
-    _scattered_mask_rows,
-    _signed_mask_rows,
+    _mask_rows,
+    _scatter_index,
     mask_set,
 )
 
@@ -45,42 +44,61 @@ def _masked_row(masks, client, plain, **kwargs):
     return mask_set(masks, np.array([client]), np.asarray(plain)[None], **kwargs).values[0]
 
 
-def _pair_words(masks, i, j):
-    """The words clients i and j share, their column looked up in ``np.triu_indices`` order."""
-    lower, higher = np.triu_indices(masks.n_clients, k=1)
-    pair = np.flatnonzero((lower == min(i, j)) & (higher == max(i, j)))[0]
-    return masks.words[:, pair].tolist()
+def _pair_mask(masks, i, j):
+    """What client i adds for peer j, in Python ints, from the circulant definition.
+
+    Client i adds word [d-1, i] where j = (i + d) mod n, and subtracts
+    word [d-1, j] where i = (j + d) mod n, for offsets 1 <= d <= n // 2.
+    """
+    n, mask = masks.n_clients, [0] * masks.length
+    ahead, behind = (j - i) % n, (i - j) % n
+    if ahead <= n // 2:
+        mask = [m + w for m, w in zip(mask, masks.words[ahead - 1, i].tolist())]
+    if behind <= n // 2:
+        mask = [m - w for m, w in zip(mask, masks.words[behind - 1, j].tolist())]
+    return mask
 
 
 def _reference_mask_set(masks, client, plain, scale_bits=DEFAULT_SCALE_BITS):
-    # one mask per peer, in Python ints mod 2**64: added by the lower
-    # index of the pair and subtracted by the higher
+    # one mask per peer, in Python ints mod 2**64
     residues = _encode(plain, 1 << scale_bits, masks.n_clients).tolist()
-    for j in range(masks.n_clients):
-        if j == client:
-            continue
-        sign = 1 if client < j else -1
-        residues = [r + sign * w for r, w in zip(residues, _pair_words(masks, client, j))]
+    for peer in range(masks.n_clients):
+        if peer != client:
+            residues = [r + m for r, m in zip(residues, _pair_mask(masks, client, peer))]
     return np.array([r % (1 << 64) for r in residues], dtype=np.uint64)
 
 
 def _reference_rows(masks):
-    """Every client's signed mask row, scattering each pair's words once."""
-    lower, higher = np.triu_indices(masks.n_clients, k=1)
-    rows = np.zeros((masks.n_clients, masks.length), dtype=np.uint64)
-    np.add.at(rows, lower, masks.words.T)
-    np.subtract.at(rows, higher, masks.words.T)
+    """Every client's signed mask row, each word added and subtracted once, in numpy."""
+    n = masks.n_clients
+    rows = np.zeros((n, masks.length), dtype=np.uint64)
+    for d in range(1, n // 2 + 1):
+        rows += masks.words[d - 1]
+        rows -= np.roll(masks.words[d - 1], d, axis=0)
+    return rows
+
+
+def _rows_on_path(masks, path, monkeypatch, block=None):
+    """``_mask_rows`` forced onto one path, the skewed one ``block`` offsets a copy."""
+    n, length = masks.n_clients, masks.length
+    monkeypatch.setattr(agfed.secagg, "_SCATTER_WORDS", -1 if path == "skewed" else 1 << 62)
+    if block is not None:
+        monkeypatch.setattr(agfed.secagg, "_BLOCK_WORDS", block * n * length)
+    rows = _mask_rows(masks.words)
+    monkeypatch.undo()
     return rows
 
 
 @st.composite
-def _cohort_masks(draw):
-    """Cohort pair words, random or with every word near 2**64 - 1."""
-    n, length = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+def _cohort_masks(draw, most=40):
+    """Cohort pair words: random, or every word near 2**64 - 1, in any memory order."""
+    n, length = draw(st.integers(1, most)), draw(st.integers(1, 12))
     rng = make_rng(draw(st.integers(0, 2**31 - 1)))
     if draw(st.booleans()):
-        shape = (length, n * (n - 1) // 2)
-        return PairMasks(n, _UINT64_MAX - rng.integers(0, 16, size=shape, dtype=np.uint64))
+        shape = (n // 2, n, length)
+        words = _UINT64_MAX - rng.integers(0, 16, size=shape, dtype=np.uint64)
+        # a Fortran-ordered array is taken by value, as a C-ordered copy
+        return PairMasks(n, np.asfortranarray(words) if draw(st.booleans()) else words)
     return PairMasks.generate(n, length, rng)
 
 
@@ -207,54 +225,82 @@ class TestPairMasks:
 
 
 class TestBlockedMaskRows:
-    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 300])
-    def test_blocks_match_one_unblocked_pass(self, n):
-        # block 8: n = 7, 8 and 9 end inside, on and just past a block edge
-        words = _masks(n, 5, key=n).words
-        unblocked = _signed_mask_rows(words, n, max(n, 1))
-        for block in (1, 8, 64):
-            assert np.array_equal(_signed_mask_rows(words, n, block), unblocked)
+    """The skewed sum copies a block of offset rows at a time."""
 
-    def test_rows_are_the_signed_pair_sums(self):
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 300])
+    def test_blocks_match_one_unblocked_pass(self, n, monkeypatch):
+        # blocks of 1, 3 and 64 offsets: a block of 3 ends on n = 7's last
+        # offset (3) and one short of n = 8's and 9's (4), and only
+        # n = 300 (150 offsets) fills a block of 64
+        masks = _masks(n, 5, key=n)
+        unblocked = _rows_on_path(masks, "skewed", monkeypatch, block=max(n // 2, 1))
+        for block in (1, 3, 64):
+            assert np.array_equal(_rows_on_path(masks, "skewed", monkeypatch, block), unblocked)
+        assert np.array_equal(unblocked, _reference_rows(masks))
+
+    def test_rows_are_the_signed_pair_sums(self, monkeypatch):
         n = 9
         masks = _masks(n, 4, key=23)
-        rows = _signed_mask_rows(masks.words, n, 2)
+        rows = _rows_on_path(masks, "skewed", monkeypatch, block=2)
         for i in range(n):
             expected = [0] * 4
             for j in range(n):
                 if j != i:
-                    sign = 1 if i < j else -1
-                    expected = [e + sign * w for e, w in zip(expected, _pair_words(masks, i, j))]
+                    expected = [e + m for e, m in zip(expected, _pair_mask(masks, i, j))]
             assert rows[i].tolist() == [e % (1 << 64) for e in expected]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cohort_masks(most=60), st.integers(1, 8))
+@example(PairMasks(1, np.full((0, 1, 3), _UINT64_MAX, dtype=np.uint64)), 1)
+@example(PairMasks(2, np.full((1, 2, 1), _UINT64_MAX, dtype=np.uint64)), 1)
+@example(PairMasks(4, np.full((2, 4, 2), _UINT64_MAX, dtype=np.uint64)), 2)
+def test_rows_of_both_paths_equal_the_per_peer_reference_and_cancel(masks, block):
+    # a pair shares one word each way it is reached: once for odd n, and
+    # twice at offset n / 2 for even n
+    n = masks.n_clients
+    for i in range(n):
+        for j in range(i + 1, n):
+            reached = ((j - i) % n <= n // 2) + ((i - j) % n <= n // 2)
+            assert reached == (2 if 2 * (j - i) == n else 1)
+    # a zero vector encodes to zeros, so its message is the mask row
+    expected = np.stack([_reference_mask_set(masks, i, np.zeros(masks.length))
+                         for i in range(n)])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        scattered = _rows_on_path(masks, "scattered", monkeypatch)
+        skewed = _rows_on_path(masks, "skewed", monkeypatch, block)
+    for rows in (scattered, skewed):
+        assert rows.dtype == np.uint64 and np.array_equal(rows, expected)
+        assert not rows.sum(axis=0, dtype=np.uint64).any()  # exact mod 2**64
 
 
 @st.composite
 def _shape_either_side(draw):
-    """(n, L) whose n(n-1)/2 x L pair words are at most ``_SCATTER_WORDS``, or above it."""
+    """(n, L) whose floor(n/2) x n x L pair words are at most ``_SCATTER_WORDS``, or above it."""
     if draw(st.booleans()):
         n = draw(st.integers(1, 40))
-        most = max(1, _SCATTER_WORDS // max(1, n * (n - 1) // 2))
+        most = max(1, _SCATTER_WORDS // max(1, n // 2 * n))
         return n, draw(st.integers(1, min(most, 64)))
     n = draw(st.integers(2, 60))
-    least = _SCATTER_WORDS // (n * (n - 1) // 2) + 1
+    least = _SCATTER_WORDS // (n // 2 * n) + 1
     return n, draw(st.integers(least, least + 3))
 
 
 class TestScatteredMaskRows:
-    """Small sums scatter each pair's words; larger ones take the blocked rows."""
+    """Small sums scatter the words they subtract; larger ones take the skewed sum."""
 
     @settings(max_examples=40, deadline=None)
     @given(_shape_either_side(), st.integers(1, 2**31 - 1), st.integers(1, 4))
     @example((1, 7), 5, 1)
     @example((2, 3), 6, 1)
-    @example((2, _SCATTER_WORDS + 1), 7, 1)
+    @example((2, _SCATTER_WORDS // 2 + 1), 7, 1)
     @example((3, _SCATTER_WORDS // 3), 8, 2)
     def test_mask_set_matches_per_peer_reference(self, shape, key, batch):
         n, length = shape
         rng = make_rng(key)
         masks = PairMasks.generate(n, length, rng)
         # a batch of k <= n clients, in any order; the per-peer reference
-        # costs O(n**2) a client, so a batch holds at most 4
+        # costs O(n) Python-int masks a client, so a batch holds at most 4
         k = min(n, batch)
         clients = rng.permutation(n)[:k]
         plains = rng.uniform(-1e3, 1e3, size=(k, length))
@@ -262,38 +308,41 @@ class TestScatteredMaskRows:
         assert np.array_equal(mask_set(masks, clients, plains).values, stacked)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 30])
-    def test_rows_equal_the_blocked_rows_at_every_block_size(self, n):
+    def test_rows_equal_the_blocked_rows_at_every_block_size(self, n, monkeypatch):
         for length in (1, 4):
-            words = _masks(n, length, key=n).words
-            scattered = _scattered_mask_rows(words, n)
+            masks = _masks(n, length, key=n)
+            scattered = _rows_on_path(masks, "scattered", monkeypatch)
             assert scattered.shape == (n, length) and scattered.dtype == np.uint64
-            for block in range(1, n + 1):
-                assert np.array_equal(scattered, _signed_mask_rows(words, n, block))
+            for block in range(1, n // 2 + 1):
+                assert np.array_equal(scattered,
+                                      _rows_on_path(masks, "skewed", monkeypatch, block))
 
     @pytest.mark.parametrize("n, length, scattered", [
-        (2, _SCATTER_WORDS, True), (2, _SCATTER_WORDS + 1, False),
+        (2, _SCATTER_WORDS // 2, True), (2, _SCATTER_WORDS // 2 + 1, False),
         (10, 10, True), (100, 4, False)])
     def test_mask_set_takes_the_path_of_its_size(self, monkeypatch, n, length, scattered):
-        # the size check is in mask_set: the threshold's own size still
-        # scatters, one word more takes the blocked rows
-        taken = []
-        for name in ("_scattered_mask_rows", "_signed_mask_rows"):
-            def spy(*args, _name=name, _real=getattr(agfed.secagg, name)):
-                taken.append(_name)
-                return _real(*args)
-            monkeypatch.setattr(agfed.secagg, name, spy)
+        # the size check is in _mask_rows: the threshold's own size still
+        # scatters through the cached index, a larger one never reads it
+        indexed = []
+
+        def spy(*args, _real=_scatter_index):
+            indexed.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(agfed.secagg, "_scatter_index", spy)
         masks = _masks(n, length, key=length)
         plains = make_rng(length).uniform(-1e3, 1e3, size=(n, length))
         masked = mask_set(masks, np.arange(n), plains).values
-        assert taken == ["_scattered_mask_rows" if scattered else "_signed_mask_rows"]
+        assert indexed == ([(n, length)] if scattered else [])
         monkeypatch.undo()
         assert np.array_equal(masked, _encode(plains, 1 << DEFAULT_SCALE_BITS, n)
                               + _reference_rows(masks))
 
-    @pytest.mark.parametrize("n, length", [(3, 2), (100, 1)])
+    @pytest.mark.parametrize("n, length", [(3, 2), (100, 1), (100, 2)])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0 ** 45])
     def test_unencodable_values_rejected_on_both_paths(self, n, length, bad):
-        # (3, 2) scatters and (100, 1) takes the blocked rows
+        # (3, 2) and (100, 1), 5,000 words, scatter; (100, 2) takes the
+        # skewed sum
         plains = np.zeros((n, length))
         plains[n // 2, length - 1] = bad
         with pytest.raises(MaskRangeError):
@@ -302,67 +351,41 @@ class TestScatteredMaskRows:
             SecureSum(_masks(n, length)).submit(np.arange(n), plains)
 
     def test_layout_is_cached_read_only_and_builds_no_index(self, monkeypatch):
-        adds, subs = _scatter_layout(9, 3)
-        assert _scatter_layout(9, 3)[0] is adds
-        for arr in (adds, subs):
-            with pytest.raises(ValueError):
-                arr[0] = 1
+        index = _scatter_index(9, 3)
+        assert _scatter_index(9, 3) is index and index.shape == (4 * 9 * 3,)
+        with pytest.raises(ValueError):
+            index[0] = 1
 
         def fail(*args, **kwargs):
             raise AssertionError("index rebuilt for a cached layout")
 
         masks = _masks(9, 3, key=4)
-        monkeypatch.setattr(np, "triu_indices", fail)
-        rows = _scattered_mask_rows(masks.words, 9)
+        monkeypatch.setattr(np, "arange", fail)
+        rows = _mask_rows(masks.words)
         monkeypatch.undo()
         assert np.array_equal(rows, _reference_rows(masks))
 
 
 class TestPairLayoutCache:
-    # (n, length, block): block None takes mask_set's own block size
-    SHAPES = [(7, 5, None), (9, 5, None), (7, 3, None), (9, 5, 4), (7, 5, 4),
-              (300, 5, 8), (300, 5, None), (300, 5, 64), (7, 5, None)]
+    """The one cached layout: the scatter index of each (n, L)."""
+
+    # more shapes than the cache holds, some of them twice, on both paths
+    SHAPES = [(7, 5), (9, 5), (7, 3), (2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (8, 2),
+              (10, 3), (300, 5), (7, 5), (9, 5), (60, 4)]
 
     def test_interleaved_shapes_match_reference(self):
-        for key, (n, length, block) in enumerate(self.SHAPES):
+        for key, (n, length) in enumerate(self.SHAPES):
             masks = _masks(n, length, key=key)
-            if block is not None:
-                rows = _signed_mask_rows(masks.words, n, block)
-                assert np.array_equal(rows, _reference_rows(masks))
-                assert [(b.lowers.start, b.lowers.stop) for b in _pair_layout(n, block)] == [
-                    (a, min(a + block, n - 1)) for a in range(0, n - 1, block)]
-                continue
             plains = make_rng(key).uniform(-1e3, 1e3, size=(n, length))
             masked = mask_set(masks, np.arange(n), plains).values
-            if n > 9:  # the per-peer reference is O(n**3) for a whole cohort
+            if n > 10:  # the per-peer reference is O(n**2) for a whole cohort
                 assert np.array_equal(masked, _encode(plains, 1 << DEFAULT_SCALE_BITS, n)
                                       + _reference_rows(masks))
                 continue
             for client in range(n):
                 assert np.array_equal(masked[client],
                                       _reference_mask_set(masks, client, plains[client]))
-
-    def test_layout_arrays_are_read_only(self):
-        for b in _pair_layout(300, 8):
-            for arr in (b.lower_starts, b.by_higher, b.higher_starts):
-                with pytest.raises(ValueError):
-                    arr[0] = 1
-
-    def test_cached_layout_builds_no_index(self, monkeypatch):
-        # after the first sum for an (n, block), a sum only gathers and
-        # reduces
-        n, length = 40, 3
-        _signed_mask_rows(_masks(n, length, key=1).words, n, 6)
-
-        def fail(*args, **kwargs):
-            raise AssertionError("index rebuilt for a cached layout")
-
-        masks = _masks(n, length, key=2)
-        for name in ("argsort", "searchsorted", "repeat"):
-            monkeypatch.setattr(np, name, fail)
-        rows = _signed_mask_rows(masks.words, n, 6)
-        monkeypatch.undo()
-        assert np.array_equal(rows, _reference_rows(masks))
+        assert _scatter_index.cache_info().maxsize == 8
 
 
 class TestProtocol:
@@ -408,21 +431,22 @@ class TestProtocol:
 
     @pytest.mark.parametrize("n", [1, 2, 10, 100])
     def test_generate_draws_the_words_of_integers(self, n):
-        # the raw draw returns integers(0, 2**64)'s words, row k holding
-        # word k of every pair
-        pairs = n * (n - 1) // 2
+        # the raw draw returns integers(0, 2**64)'s words in (offset,
+        # client, coordinate) order
         masks = PairMasks.generate(n, 3, make_rng(n))
-        words = make_rng(n).integers(0, 2**64, size=3 * pairs, dtype=np.uint64)
-        assert masks.words.shape == (3, pairs) and masks.length == 3
+        words = make_rng(n).integers(0, 2**64, size=n // 2 * n * 3, dtype=np.uint64)
+        assert masks.words.shape == (n // 2, n, 3) and masks.length == 3
+        assert masks.words.flags.c_contiguous
         assert masks.words.tobytes() == words.tobytes()
         with pytest.raises(ValueError):
-            masks.words[0, 0] = 1
+            masks.words.reshape(-1)[:1] = 1
 
-    @pytest.mark.parametrize("n, length", [(1, 4), (2, 1), (3, 5), (10, 1), (10, 3), (100, 7)])
+    @pytest.mark.parametrize("n, length", [(1, 4), (2, 1), (3, 5), (10, 1), (10, 3), (100, 7),
+                                           (101, 7)])
     def test_generate_leaves_the_generator_where_integers_would(self, n, length):
         rng, ref = make_rng(n, length), make_rng(n, length)
         PairMasks.generate(n, length, rng)
-        ref.integers(0, 2**64, size=length * n * (n - 1) // 2, dtype=np.uint64)
+        ref.integers(0, 2**64, size=n // 2 * n * length, dtype=np.uint64)
         assert rng.bit_generator.state == ref.bit_generator.state
         assert rng.random() == ref.random()
 
@@ -434,11 +458,19 @@ class TestProtocol:
         assert len({a, b, a}) == 2
 
     def test_seed_vector_must_hold_one_seed_per_pair(self):
-        # one column of L >= 1 words per pair, on a 2-D array
-        for n, shape in ((3, (1, 2)), (3, (2, 4)), (3, 3), (3, (0, 3)), (2, (1, 1, 1)),
-                         (1, (1, 1))):
-            with pytest.raises(InvalidArgument, match="pair words"):
-                PairMasks(n, np.zeros(shape, dtype=np.uint64))
+        # exactly (n // 2, n, L >= 1): every other 3-D shape near it, and
+        # any 1-, 2- or 4-D one, is rejected
+        for n in range(1, 7):
+            for shape in itertools.product(range(4), range(8), range(3)):
+                words = np.zeros(shape, dtype=np.uint64)
+                if shape[:2] == (n // 2, n) and shape[2] >= 1:
+                    assert PairMasks(n, words).length == shape[2]
+                    continue
+                with pytest.raises(InvalidArgument, match=rf"\({n // 2}, {n}, L >= 1\) pair words"):
+                    PairMasks(n, words)
+            for shape in ((n // 2 * n,), (n // 2, n), (n // 2, n, 1, 1), (1, n // 2, n, 1)):
+                with pytest.raises(InvalidArgument, match="pair words"):
+                    PairMasks(n, np.zeros(shape, dtype=np.uint64))
 
 
 class TestSecureSum:
@@ -518,7 +550,7 @@ class TestSecureSum:
 def _batched_cohort(draw):
     """(masks, batches): a cohort in random order, cut into nonempty batches.
 
-    Up to 40 clients and L = 8, so some sums take the blocked rows.
+    Up to 40 clients and L = 8, so some sums take the skewed sum.
     """
     n, length = draw(st.integers(1, 40)), draw(st.integers(1, 8))
     masks = PairMasks.generate(n, length, make_rng(draw(st.integers(0, 2**31 - 1))))
