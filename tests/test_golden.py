@@ -13,7 +13,9 @@ model on clients of 5 to 30 rows, whose minibatches differ in count and
 size within a step. ``classification-ragged-plain-stats`` sums those
 clients' per-domain losses, segments both shorter and longer than 8
 rows, in plain statistics, which expose every bit of each sum (masked
-statistics round it to the fixed-point grid first).
+statistics round it to the fixed-point grid first);
+``test_client_partition_plain_stats_digest`` does the same for the
+shipped config's clients, each one 20-row segment of one domain.
 ``classification-projected-skips`` drives a lambda to 0 with a large
 projected step, so clients of one size whose populated domain carries
 no weight skip local SGD: its 100 rounds mix rounds where every client
@@ -199,6 +201,17 @@ def test_windowed_masked_params_digest(tmp_path):
                  "secure_aggregation.mask_params": "true"}
     assert (_csv_digest(tmp_path, "toy.ini", overrides)
             == "b0d832860e7fb3d11c31c4c3a85098968cd2da08d66409b960c5a513c3c520fe")
+
+
+def test_client_partition_plain_stats_digest(tmp_path):
+    # the shipped classification config with plain statistics: every
+    # client holds one 20-row domain segment, and the CSV shows every bit
+    # of those equal-length sums (masked statistics round them to the
+    # fixed-point grid). It has no per-round-streams digest, so it stays
+    # out of CASES.
+    overrides = {"algorithm.rounds": "50", "secure_aggregation.mask_stats": "false"}
+    assert (_csv_digest(tmp_path, "classification.ini", overrides)
+            == "d11b95c0ae54e01696b5d910ed697a3e69963d0c712b67b48c7f51a2c8533e79")
 
 
 @pytest.mark.parametrize("cohort, rounds, digest", [
