@@ -43,8 +43,12 @@ The loss sums keep the bits of each client's own per-domain ``sum()``.
 numpy adds at most 7 values left to right from +0.0, so one
 ``np.add.at`` in cohort row order takes every (client, domain) segment
 of at most 7 rows, as in the shipped toy config, with no sort. numpy
-sums a longer segment pairwise, in an order set by its length; only
-those segments are sorted into place and summed per length.
+sums a longer segment pairwise, in an order set by its length, so those
+segments are summed as rows, one ``sum(1)`` per length, of the losses
+in segment order. A client-partition cohort is in that order already:
+each client's rows are one segment. It needs no sort, and when every
+segment is of one length, as in the shipped classification config, the
+sums are one reshape-sum. Other cohorts are sorted into it first.
 
 Everything that schedule takes from the clients' sizes alone is built
 once per size profile: the minibatch width and step count, the groups
@@ -136,8 +140,9 @@ def compute_client_stats(
     client of one row, whose 1-row matrix product takes another BLAS path
     and may differ in the last bit). One ``np.add.at`` over the cohort's
     rows takes every segment of at most ``_LEFT_TO_RIGHT`` rows; longer
-    ones are sorted and summed pairwise, as a sequential sum of their rows
-    could overflow where numpy's does not. Under ``run_round``'s errstate
+    ones are summed pairwise, as a sequential sum of their rows could
+    overflow where numpy's does not, sorted into place first unless the
+    rows are in segment order already. Under ``run_round``'s errstate
     ``add.at`` raises an overflow (``np.bincount`` returns inf). The
     round's check of the shapes of ``w`` and of the cohort's rows happens
     here; the labels' values are trusted, as ``run_round`` checks them
@@ -152,15 +157,25 @@ def compute_client_stats(
     long = lengths > _LEFT_TO_RIGHT
     if not long.any():
         np.add.at(loss_sums, cells, losses)
+        return cohort.counts, loss_sums.reshape(m, p)
+    # the losses in segment order, each segment in its row order; a cohort
+    # whose clients hold each domain's rows in one run, in domain order (as
+    # every client-partition cohort does), is in that order already
+    if (cells[1:] >= cells[:-1]).all():
+        ordered = losses
     else:
-        short = ~long[cells]
-        np.add.at(loss_sums, cells[short], losses[short])
-        # every row in segment order, each segment in its row order
-        rows = cells.argsort(kind="stable")
-        starts = lengths.cumsum() - lengths
-        for length in set(lengths[long].tolist()):
-            segs = (lengths == length).nonzero()[0]
-            loss_sums[segs] = losses[rows[starts[segs, None] + np.arange(length)]].sum(1)
+        ordered = losses[cells.argsort(kind="stable")]
+    populated = set(lengths.tolist()) - {0}
+    if len(populated) == 1:
+        # every segment of one length, and long: one row each
+        loss_sums[lengths > 0] = ordered.reshape(-1, *populated).sum(1)
+        return cohort.counts, loss_sums.reshape(m, p)
+    short = ~long[cells]
+    np.add.at(loss_sums, cells[short], losses[short])
+    starts = lengths.cumsum() - lengths
+    for length in set(lengths[long].tolist()):
+        segs = (lengths == length).nonzero()[0]
+        loss_sums[segs] = ordered[starts[segs, None] + np.arange(length)].sum(1)
     return cohort.counts, loss_sums.reshape(m, p)
 
 

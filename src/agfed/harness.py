@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import InvalidArgument, Population, as_param_vector, numeric_faults
-from .models import ModelSpec, batch_losses, check_batch, predict_classes
+from .models import ModelSpec, batch_losses, check_batch, class_dtype, predict_classes
 from .server import (
     AggregationSettings,
     AlgorithmConfig,
@@ -125,16 +125,16 @@ def evaluate_population(
         out = {"loss": _domain_means(batch_losses(spec, w, xb, y), masks)}
         if spec.kind == "logistic":
             out["accuracy"] = _domain_accuracy(
-                predict_classes(spec, w, xb) == y.astype(np.int64), masks, sizes)
+                predict_classes(spec, w, xb) == y, masks, sizes)
     return out
 
 
 def _summary_fn(task: TaskConfig, spec: ModelSpec, population: Population):
     if task.kind == "toy-regression":
         return lambda w: (float(w[0]),)
-    y_int = population.y.astype(np.int64)
+    labels = population.y.astype(class_dtype(spec))
     masks, sizes = _domain_masks(population, task.p)
-    return lambda w: _domain_accuracy(predict_classes(spec, w, population.xb) == y_int,
+    return lambda w: _domain_accuracy(predict_classes(spec, w, population.xb) == labels,
                                       masks, sizes)
 
 

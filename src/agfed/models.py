@@ -31,14 +31,19 @@ population and model instead, since a population's labels never change.
 The logistic kernels never reduce along the class axis. numpy runs a
 ``max`` or ``sum`` over a row of C values as one inner-loop call per
 row, which costs more than the arithmetic when C is 2. The kernels scan
-the C class columns instead, one whole-column operation per class
+the C classes instead, one whole-row operation per class
 (``np.maximum`` for the max, ``+`` left to right for the sum), and get
 the same bits: a max is exact in any order, and numpy adds a row of up
-to 7 values left to right. Logits are taken as (W · xbᵀ)ᵀ, so each
-class's logits are one contiguous row of the product and the scans read
-contiguous memory. The product is not written ``xb @
+to 7 values left to right. They work on the logits as BLAS returns
+them, class-major: W · xbᵀ is (C, b), each class's logits one
+contiguous row, so every scan reads contiguous memory, and a stacked
+product is (..., C, b). The product is not written ``xb @
 np.ascontiguousarray(W.T)``: that form is as fast, but BLAS takes a
-1-row product down another path there, and its last bit moves.
+1-row product down another path there, and its last bit moves. For the
+same reason ``grad_weighted`` writes the (..., C, b) operand of its
+second product as the transpose of a row-major (..., b, C) array: BLAS
+takes a C-contiguous operand of 16 or more rows a minibatch down
+another path, and the last bit moves.
 """
 
 from __future__ import annotations
@@ -122,19 +127,21 @@ def check_batch(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray, *
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Log-softmax of class-major logits (..., C, b) over the class axis -2."""
     # max-subtraction keeps exp() in range; invariant under constant shifts.
-    # The exp-sum adds the class columns left to right, c = 0, 1, ..., C-1:
-    # for C <= 7 that is the order of numpy's sum(axis=-1), bit for bit
-    # (from C = 8 on numpy sums pairwise; this order stays left to right).
-    top = logits[..., 0]
-    for c in range(1, logits.shape[-1]):
-        top = np.maximum(top, logits[..., c])
-    shifted = logits - top[..., None]
+    # The exp-sum adds the class rows left to right, c = 0, 1, ..., C-1:
+    # for C <= 7 that is the order of numpy's sum over the class axis, bit
+    # for bit (from C = 8 on numpy sums pairwise; this order stays left to
+    # right).
+    top = logits[..., 0, :]
+    for c in range(1, logits.shape[-2]):
+        top = np.maximum(top, logits[..., c, :])
+    shifted = logits - top[..., None, :]
     e = np.exp(shifted)
-    total = e[..., 0]
-    for c in range(1, logits.shape[-1]):
-        total = total + e[..., c]
-    return shifted - np.log(total)[..., None]
+    total = e[..., 0, :]
+    for c in range(1, logits.shape[-2]):
+        total = total + e[..., c, :]
+    return shifted - np.log(total)[..., None, :]
 
 
 def batch_losses(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -145,8 +152,10 @@ def batch_losses(spec: ModelSpec, w: np.ndarray, xb: np.ndarray, y: np.ndarray) 
     if spec.kind == "scalar-regression":
         return (w[0] - y) ** 2
     weights = w.reshape(spec.num_classes, spec.input_dim + 1)
-    logp = _log_softmax((weights @ xb.T).T)
-    return -logp[np.arange(xb.shape[0]), y.astype(np.int64)]
+    logp = _log_softmax(weights @ xb.T)
+    # row j's label y_j sits at y_j * n + j of the flat (C, n) array
+    n = xb.shape[0]
+    return -logp.take(y.astype(np.int64) * n + np.arange(n))
 
 
 def grad_weighted(
@@ -169,27 +178,39 @@ def grad_weighted(
     """
     if spec.kind == "scalar-regression":
         return (weights * 2.0 * (w[..., :1] - y)).sum(axis=-1, keepdims=True)
-    wmat = w.reshape(w.shape[:-1] + (spec.num_classes, spec.input_dim + 1))
-    logits = np.swapaxes(np.matmul(wmat, np.swapaxes(xb, -1, -2)), -1, -2)
-    probs = np.exp(_log_softmax(logits))
+    classes = spec.num_classes
+    wmat = w.reshape(w.shape[:-1] + (classes, spec.input_dim + 1))
+    probs = _log_softmax(np.matmul(wmat, np.swapaxes(xb, -1, -2)))
+    np.exp(probs, out=probs)
     # d loss / d logits = softmax - one-hot(label)
-    probs = probs - (y[..., None] == np.arange(spec.num_classes))
-    return np.matmul(np.swapaxes(probs * weights[..., None], -1, -2), xb).reshape(w.shape)
+    probs -= (y[..., None, :] == np.arange(classes)[:, None]).astype(np.float64)
+    # BLAS takes the weighted rows as the transpose of a row-major
+    # (..., b, C) array (see the module docstring)
+    scaled = np.empty(y.shape + (classes,))
+    np.multiply(probs, weights[..., None, :], out=np.swapaxes(scaled, -1, -2))
+    return np.matmul(np.swapaxes(scaled, -1, -2), xb).reshape(w.shape)
 
 
 def predict_classes(spec: ModelSpec, w: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Class of the largest logit per row; a tie goes to the lower class.
 
-    A strict ``>`` scan over the class columns: class c wins a row only
-    when its logit exceeds every lower class's, so ties keep the lower
-    class, as ``argmax`` does, without a generic reduction over a few
-    columns. Trusts that ``spec`` is logistic and that ``check_batch``
-    accepted ``w`` and ``xb``.
+    A strict ``>`` scan over the class rows of the logits: class c wins a
+    row only when its logit exceeds every lower class's, so ties keep the
+    lower class, as ``argmax`` does, without a generic reduction over a
+    few values. The classes come in ``class_dtype(spec)``, so a caller
+    that compares them with labels cast to it once reads a byte a row.
+    Trusts that ``spec`` is logistic and that ``check_batch`` accepted
+    ``w`` and ``xb``.
     """
-    logits = (w.reshape(spec.num_classes, spec.input_dim + 1) @ xb.T).T
-    best = (logits[:, 1] > logits[:, 0]).astype(np.int64)
-    top = logits[:, 0]
+    logits = w.reshape(spec.num_classes, spec.input_dim + 1) @ xb.T
+    best = (logits[1] > logits[0]).astype(class_dtype(spec))
+    top = logits[0]
     for c in range(2, spec.num_classes):
-        top = np.maximum(top, logits[:, c - 1])
-        best[logits[:, c] > top] = c
+        top = np.maximum(top, logits[c - 1])
+        best[logits[c] > top] = c
     return best
+
+
+def class_dtype(spec: ModelSpec) -> np.dtype:
+    """The smallest unsigned integer type that holds every class of ``spec``."""
+    return np.min_scalar_type(spec.num_classes - 1)

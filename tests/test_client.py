@@ -186,31 +186,44 @@ def _losses(draw, n):
 def _segmented_cohorts(draw, kind):
     """p, ragged clients of 1 to 40 rows, and a loss per cohort row.
 
-    Each client draws its segment's length in every domain and holds the
-    rows in a random domain order; ``kind`` says which segments hold
-    more than ``_LEFT_TO_RIGHT`` rows: none ("short"), every populated
-    one ("long"), or some ("mixed").
+    Each client draws its segment's length in every domain; ``kind`` says
+    which segments hold more than ``_LEFT_TO_RIGHT`` rows: none
+    ("short"), every populated one ("long"), or some ("mixed"). Those
+    clients hold their rows in a random domain order. A "grouped" client
+    holds each domain's rows in one run, in domain order, as a
+    client-partition client does: every populated segment of the cohort
+    is long and of one length. A "grouped-mixed" one holds them so too,
+    in segments of at least two lengths, of which some are long.
     """
     p = draw(st.integers(1, 5))
-    segment = {"short": st.integers(0, _LEFT_TO_RIGHT),
-               "long": st.just(0) | st.integers(_LEFT_TO_RIGHT + 1, 40 // p),
-               "mixed": st.integers(0, 40 // p)}[kind]
+    if kind == "grouped":
+        length = draw(st.integers(_LEFT_TO_RIGHT + 1, 40 // p))
+        segment = st.sampled_from([0, length])
+    else:
+        segment = {"short": st.integers(0, _LEFT_TO_RIGHT),
+                   "long": st.just(0) | st.integers(_LEFT_TO_RIGHT + 1, 40 // p),
+                   "mixed": st.integers(0, 40 // p),
+                   "grouped-mixed": st.integers(0, 40 // p)}[kind]
     lengths = np.array(draw(st.lists(st.lists(segment, min_size=p, max_size=p).filter(any),
                                      min_size=1, max_size=6)))
     if kind == "mixed":
         assume((lengths > _LEFT_TO_RIGHT).any()
                and ((lengths > 0) & (lengths <= _LEFT_TO_RIGHT)).any())
+    if kind == "grouped-mixed":
+        assume((lengths > _LEFT_TO_RIGHT).any() and len(set(lengths.ravel().tolist()) - {0}) > 1)
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     clients = []
     for k, client_lengths in enumerate(lengths):
-        domains = rng.permutation(np.repeat(np.arange(p), client_lengths))
+        domains = np.repeat(np.arange(p), client_lengths)
+        if not kind.startswith("grouped"):
+            domains = rng.permutation(domains)
         clients.append((k, np.zeros((domains.shape[0], 1)), np.zeros(domains.shape[0]),
                         domains))
     return p, clients, draw(_losses(int(lengths.sum())))
 
 
 class TestLossSums:
-    @pytest.mark.parametrize("kind", ["short", "long", "mixed"])
+    @pytest.mark.parametrize("kind", ["short", "long", "mixed", "grouped", "grouped-mixed"])
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     @pytest.mark.filterwarnings("ignore:invalid value")
