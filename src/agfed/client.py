@@ -169,13 +169,13 @@ def compute_client_stats(
     if len(populated) == 1:
         # every segment of one length, and long: one row each
         loss_sums[lengths > 0] = ordered.reshape(-1, *populated).sum(1)
-        return cohort.counts, loss_sums.reshape(m, p)
-    short = ~long[cells]
-    np.add.at(loss_sums, cells[short], losses[short])
-    starts = lengths.cumsum() - lengths
-    for length in set(lengths[long].tolist()):
-        segs = (lengths == length).nonzero()[0]
-        loss_sums[segs] = ordered[starts[segs, None] + np.arange(length)].sum(1)
+    else:
+        short = ~long[cells]
+        np.add.at(loss_sums, cells[short], losses[short])
+        starts = lengths.cumsum() - lengths
+        for length in {length for length in populated if length > _LEFT_TO_RIGHT}:
+            segs = (lengths == length).nonzero()[0]
+            loss_sums[segs] = ordered[starts[segs, None] + np.arange(length)].sum(1)
     return cohort.counts, loss_sums.reshape(m, p)
 
 
