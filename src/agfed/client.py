@@ -27,13 +27,25 @@ that rounds as a per-client ``np.dot`` does. The minibatch order is
 drawn for the whole cohort from the one generator passed in (the run's
 local-SGD generator, which every round continues): each epoch gives
 every cohort row a uniform key, and each client visits its own rows in
-key order. A client's shuffle therefore depends on that generator's
-state and on the client's place in the cohort, not on its id alone. All
-orders come from one row-wise stable argsort of a (clients x
-slots) key matrix, padded past each client's size with a key above
-every draw. The clients step in lockstep: step s of an epoch takes
-every client's s-th minibatch in one ``grad_weighted`` call per
-minibatch size (one call when the clients are of equal size). A client
+the stable order of their keys. A client's shuffle therefore depends
+on that generator's state and on the client's place in the cohort, not
+on its id alone. The keys are ``Generator.random``'s, but they are
+never made: ``random`` makes each key from a 64-bit word as
+``(word >> 11) * 2**-53``, and ``bit_generator.random_raw`` draws the
+same words and leaves the generator in the same state. The high 53
+bits of the words order them as the keys are ordered, so the low 11
+bits are free for a tag that breaks ties in row order. The tag is the
+row's place in the cohort when the cohort holds at most 2048 rows, and
+else its slot in its client's row, to which the client's first row is
+added after the sort. All orders come from one row-wise sort of the
+(clients x slots) uint64 words, padded past each client's size with
+words of all ones, and the sorted words' tags are the orders. They are
+those of a stable argsort of ``random``'s keys, ties included. A
+client of more than 2048 rows has slots that need more than 11 bits;
+its cohort takes a stable argsort of the 53-bit keys instead, with
+padding above every key. The clients step in lockstep: step s of an
+epoch takes every client's s-th minibatch in one ``grad_weighted`` call
+per minibatch size (one call when the clients are of equal size). A client
 with fewer rows than another runs out of minibatches first and sits the
 later steps out. No minibatch is padded, and ``grad_weighted`` computes
 each stacked minibatch as it would alone, so every client's result
@@ -52,15 +64,16 @@ sums are one reshape-sum. Other cohorts are sorted into it first.
 
 Everything that schedule takes from the clients' sizes alone is built
 once per size profile: the minibatch width and step count, the groups
-of clients that draw the same number of rows at a step, and which slots
-of the key matrix hold a row. ``_schedule`` keeps it in a module-level
-``lru_cache`` of 16 entries, keyed by the bytes of the cohort's int64
-sizes (the key ``core._row_layout`` uses) and the minibatch size; its
-arrays are shared by every round that hits the entry and are read-only.
+of clients that draw the same number of rows at a step, which slots of
+the word matrix hold a row, and the slots' tags. ``_schedule`` keeps it
+in a module-level ``lru_cache`` of 16 entries, keyed by the bytes of the
+cohort's int64 sizes (the key ``core._row_layout`` uses) and the
+minibatch size; its arrays are shared by every round that hits the
+entry and are read-only.
 Cohorts of equal-size clients, as in the shipped configs, hit it every
 round; a ragged cohort mostly misses and builds its schedule as before.
 Two paths skip work that changes no bit: when every slot holds a row,
-the keys are reshaped into the slot matrix with no padding; and a step
+the words are reshaped into the slot matrix with no padding; and a step
 group of every client indexes with a slice, so its rows and parameters
 are views and the update runs in place.
 
@@ -115,6 +128,13 @@ class LocalSGDConfig:
 # 8 on it sums pairwise, in an order set by the count (test_client.py pins
 # both)
 _LEFT_TO_RIGHT = 7
+
+# ``Generator.random`` keeps the high 53 bits of a 64-bit word as a key
+# (test_client.py pins it), so the low _TAG_BITS are free to number a
+# client's slots, or the cohort's rows, when there are at most _TAGS
+_TAG_BITS = 11
+_TAGS = 1 << _TAG_BITS
+_TAG_MASK = np.uint64(_TAGS - 1)
 
 
 def _betas(alpha: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -191,39 +211,33 @@ def client_update(
 
     Returns the (m, P) new parameters and the (m,) betas; a client with
     beta == 0 is skipped and gets ``w_in`` back. Every epoch draws one
-    uniform key per cohort row from ``rng``, and each client visits its
-    rows in the stable order of their keys; so the result is a
-    deterministic function of the arguments and the generator's state.
-    The last minibatch of an epoch may be short; it is kept, not
-    dropped. Trusts that ``compute_client_stats`` checked ``w_in`` and
-    the cohort this round and that ``alpha`` is a finite, non-negative
-    vector of length p.
+    64-bit word per cohort row with ``rng.bit_generator.random_raw``, and
+    each client visits its rows in the stable order of the keys
+    ``rng.random`` would make of those words (``_minibatch_order``); so
+    the result is a deterministic function of the arguments and the
+    generator's state, and ``rng`` ends where ``rng.random(rows *
+    epochs)`` would leave it, or untouched when every client skips. The
+    last minibatch of an epoch may be short; it is kept, not dropped.
+    Trusts that ``rng``'s bit generator makes ``random``'s keys from its
+    64-bit words, as ``core.make_rng``'s PCG64 does, that
+    ``compute_client_stats`` checked ``w_in`` and the cohort this round,
+    and that ``alpha`` is a finite, non-negative vector of length p.
     """
     betas = _betas(alpha, cohort.counts)
     params = w_in[None, :].repeat(len(cohort), axis=0)
     skipped = betas == 0.0
     if skipped.all():
         return params, betas
-    width, n_steps, groups, filled = _schedule(cohort.sizes.tobytes(), cfg.batch_size)
+    schedule = _schedule(cohort.sizes.tobytes(), cfg.batch_size)
     m = len(cohort)
     # a skipped client's rows weigh 0, so it steps by +-0 and is divided by 1
     divisors = np.where(skipped, 1.0, betas)[:, None]
     sample_weights = alpha[cohort.domains]
-    # client k's keys fill the first sizes[k] slots of row k; the padding
-    # key 2.0 exceeds every draw in [0, 1), so a stable sort of row k puts
-    # the positions of client k's rows, in key order, first
-    if filled is not None:
-        slot_keys = np.full((m, n_steps * width), 2.0)
-    starts = cohort.offsets[:-1, None]
+    random_raw = rng.bit_generator.random_raw
     for _ in range(cfg.epochs):
-        keys = rng.random(cohort.owners.shape[0])
-        if filled is None:
-            # every slot holds a row, in client order
-            slot_keys = keys.reshape(m, n_steps * width)
-        else:
-            slot_keys[filled] = keys
-        batches = (starts + slot_keys.argsort(axis=1, kind="stable")).reshape(m, n_steps, width)
-        for s, clients, rows in groups:
+        batches = _minibatch_order(random_raw(cohort.owners.shape[0]), schedule).reshape(
+            m, schedule.n_steps, schedule.width)
+        for s, clients, rows in schedule.groups:
             idx = batches[clients, s, :rows]
             # take gives fancy indexing's rows in a fraction of the time
             g = grad_weighted(spec, params[clients], cohort.xb.take(idx, axis=0),
@@ -244,6 +258,14 @@ class _Schedule(NamedTuple):
     groups: tuple[tuple[int, np.ndarray | slice, int], ...]
     # the (m, n_steps * width) slots that hold a row, read-only; None when all do
     filled: np.ndarray | None
+    # the (m, n_steps * width) uint64 words that ``_minibatch_order`` ORs
+    # into an epoch's words, read-only
+    tags: np.ndarray
+    # each client's first cohort row, (m, 1) and read-only, which
+    # ``_minibatch_order`` adds to its sorted slots; None when the tags
+    # hold cohort rows already
+    starts: np.ndarray | None
+    wide: bool                 # a client holds more than _TAGS rows
 
 
 @functools.lru_cache(maxsize=16)
@@ -266,9 +288,54 @@ def _schedule(sizes: bytes, batch_size: int) -> _Schedule:
             else:
                 clients.flags.writeable = False
             groups.append((s, clients, rows))
-    filled = np.arange(n_steps * width) < sizes[:, None]
+    slots = np.arange(n_steps * width)
+    filled = slots < sizes[:, None]
+    starts = (sizes.cumsum() - sizes)[:, None]
+    wide = largest > _TAGS
+    if wide:
+        # a slot does not fit in a tag: tag 0 leaves a row's key as it is,
+        # and 2**53 puts padding above every key
+        index, pad = 0, 1 << 53
+    elif int(sizes.sum()) <= _TAGS:
+        # every cohort row fits in a tag, so the sort gives rows, not slots
+        index, pad, starts = starts + slots, 2**64 - 1, None
+    else:
+        index, pad = slots, 2**64 - 1
+    tags = np.where(filled, np.asarray(index, dtype=np.uint64), np.uint64(pad))
+    for arr in (filled, tags, starts):
+        if arr is not None:
+            arr.flags.writeable = False
     if filled.all():
         filled = None
+    return _Schedule(width, n_steps, tuple(groups), filled, tags, starts, wide)
+
+
+def _minibatch_order(raw: np.ndarray, schedule: _Schedule) -> np.ndarray:
+    """Every client's cohort rows in the stable order of their keys, from an epoch's words.
+
+    ``raw`` holds one ``random_raw`` word per cohort row, from which
+    ``Generator.random`` makes the row's key ``(word >> 11) * 2**-53``.
+    Row k of the (m, n_steps * width) result lists client k's rows in the
+    stable order of those keys, followed by its padding slots, which hold
+    no cohort row. ``raw`` may be overwritten.
+    """
+    filled, tags = schedule.filled, schedule.tags
+    if filled is None:
+        words = raw.reshape(tags.shape)
     else:
-        filled.flags.writeable = False
-    return _Schedule(width, n_steps, tuple(groups), filled)
+        # the tags set the padding words' bits, so their contents do not matter
+        words = np.empty(tags.shape, dtype=np.uint64)
+        words[filled] = raw
+    if schedule.wide:
+        keys = words >> _TAG_BITS
+        keys |= tags
+        order = keys.argsort(axis=1, kind="stable")
+    else:
+        # a key's bits in the high 53, its row's (or slot's) tag in the low
+        # 11, so equal keys keep row order; padding is all ones and sorts last
+        words &= ~_TAG_MASK
+        words |= tags
+        words.sort(axis=1)
+        words &= _TAG_MASK
+        order = words.view(np.int64)
+    return order if schedule.starts is None else order + schedule.starts

@@ -9,15 +9,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import agfed.client
 from agfed.client import (
     _LEFT_TO_RIGHT,
+    _TAGS,
     LocalSGDConfig,
     _betas,
+    _minibatch_order,
     _schedule,
     client_update,
     compute_client_stats,
@@ -337,27 +339,10 @@ class TestLocalSGDConfig:
 _KINDS = ("scalar-regression", "logistic")
 
 
-@st.composite
-def _rounds(draw):
-    """A cohort, its model and one round's inputs, for the reference check."""
-    kind = draw(st.sampled_from(_KINDS))
-    dim = 1 if kind == "scalar-regression" else draw(st.integers(1, 3))
-    spec = ModelSpec(kind, input_dim=dim,
-                     num_classes=draw(st.integers(2, 3)) if kind == "logistic" else 0)
-    p = draw(st.integers(1, 4))
-    # ragged sizes, or clients of one size, as in the shipped configs
-    sizes = draw(st.one_of(
-        st.lists(st.integers(1, 25), min_size=1, max_size=6),
-        st.builds(lambda n, m: [n] * m, st.integers(1, 25), st.integers(1, 6))))
-    # zero-weight domains make clients that hold only those skip (beta = 0)
-    zero_domains = draw(st.sets(st.integers(0, p - 1), max_size=p))
-    # a minibatch size that divides the first client's size, or any size
-    divisors = [b for b in range(1, sizes[0] + 1) if sizes[0] % b == 0]
-    cfg = LocalSGDConfig(epochs=draw(st.integers(1, 3)),
-                         batch_size=draw(st.one_of(st.sampled_from(divisors),
-                                                   st.integers(1, 30))),
-                         learning_rate=0.05)
-    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+def _round_inputs(kind, dim, classes, p, sizes, zero_domains, cfg, key):
+    """A cohort of clients of the given sizes, its model and one round's inputs."""
+    spec = ModelSpec(kind, input_dim=dim, num_classes=classes)
+    rng = make_rng(key)
     clients = []
     for cid, n in enumerate(sizes):
         # some clients draw from one domain only, so skips are common
@@ -373,9 +358,44 @@ def _rounds(draw):
     return spec, w, alpha, clients, p, cfg, seed
 
 
+@st.composite
+def _rounds(draw):
+    """A cohort, its model and one round's inputs, for the reference check."""
+    kind = draw(st.sampled_from(_KINDS))
+    dim = 1 if kind == "scalar-regression" else draw(st.integers(1, 3))
+    classes = draw(st.integers(2, 3)) if kind == "logistic" else 0
+    p = draw(st.integers(1, 4))
+    # ragged sizes, or clients of one size, as in the shipped configs
+    sizes = draw(st.one_of(
+        st.lists(st.integers(1, 25), min_size=1, max_size=6),
+        st.builds(lambda n, m: [n] * m, st.integers(1, 25), st.integers(1, 6))))
+    # zero-weight domains make clients that hold only those skip (beta = 0)
+    zero_domains = draw(st.sets(st.integers(0, p - 1), max_size=p))
+    # a minibatch size that divides the first client's size, or any size
+    divisors = [b for b in range(1, sizes[0] + 1) if sizes[0] % b == 0]
+    cfg = LocalSGDConfig(epochs=draw(st.integers(1, 3)),
+                         batch_size=draw(st.one_of(st.sampled_from(divisors),
+                                                   st.integers(1, 30))),
+                         learning_rate=0.05)
+    return _round_inputs(kind, dim, classes, p, sizes, zero_domains, cfg,
+                         draw(st.integers(0, 2**32 - 1)))
+
+
 class TestCohortMatchesPerClientLoop:
     @settings(max_examples=200, deadline=None)
     @given(_rounds())
+    # the scale configs' cohort shape: 2000 rows, each cohort row its own tag
+    @example(_round_inputs("logistic", 2, 2, 2, [20] * 100, set(),
+                           LocalSGDConfig(1, 20, 0.05), 31))
+    # ragged, with padded slots and clients that skip
+    @example(_round_inputs("logistic", 2, 3, 3, make_rng(32).integers(5, 31, 40).tolist(), {2},
+                           LocalSGDConfig(2, 7, 0.05), 33))
+    # more than _TAGS cohort rows, each client's slots tagged and offset after the sort
+    @example(_round_inputs("scalar-regression", 1, 0, 2, [1500, 7, 700], set(),
+                           LocalSGDConfig(1, 40, 0.05), 34))
+    # a client of more than _TAGS rows: its keys are argsorted
+    @example(_round_inputs("scalar-regression", 1, 0, 2, [2100, 30, 7], set(),
+                           LocalSGDConfig(1, 50, 0.05), 35))
     def test_cohort_calls_match_reference(self, round_inputs):
         spec, w, alpha, clients, p, cfg, seed = round_inputs
         ref_counts, ref_loss_sums, ref_params, ref_betas = _reference_round_clients(
@@ -455,7 +475,7 @@ class TestScheduleCache:
         arrays = [clients for _, clients, _ in schedule.groups
                   if isinstance(clients, np.ndarray)]
         assert arrays and schedule.filled is not None
-        for arr in (*arrays, schedule.filled):
+        for arr in (*arrays, schedule.filled, schedule.tags):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -506,3 +526,78 @@ class TestScheduleCache:
             SCALAR, w, alpha, clients[m:], 2, cfg, 2)
         assert np.array_equal(params, ref_params)
         assert np.array_equal(betas, ref_betas)
+
+
+class TestRandomKeys:
+    # client_update draws random_raw words and sorts by their high 53
+    # bits, the bits Generator.random keeps; the order it makes is the
+    # order of random's keys only while this holds
+    @pytest.mark.parametrize("parts", [(0,), (1,), (42, 3), (2**64 - 1, 7, 11), (-5,)])
+    def test_random_keeps_the_high_53_bits_of_each_raw_word(self, parts):
+        keyed, raw = make_rng(*parts), make_rng(*parts)
+        for n in (1, 7, 2000):
+            keys = keyed.random(n)
+            words = raw.bit_generator.random_raw(n)
+            assert keys.tobytes() == ((words >> 11) * 2.0**-53).tobytes()
+            assert keyed.bit_generator.state == raw.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(_rounds())
+    def test_update_draws_one_word_per_row_per_epoch(self, round_inputs):
+        spec, w, alpha, clients, p, cfg, seed = round_inputs
+        cohort = _cohort(clients, p)
+        rng, expected = make_rng(seed), make_rng(seed)
+        _, betas = client_update(spec, w, alpha, cohort, cfg, rng)
+        # a round in which every client skips draws nothing
+        if (betas != 0.0).any():
+            expected.random(cohort.owners.shape[0] * cfg.epochs)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_update_draws_nothing_when_every_client_skips(self):
+        rng = make_rng(40)
+        clients = [(k, rng.standard_normal((n, 1)), rng.standard_normal(n), [1] * n)
+                   for k, n in enumerate([3, 9, 4])]
+        state = rng.bit_generator.state
+        params, betas = client_update(SCALAR, np.array([0.3]), np.array([1.0, 0.0]),
+                                      _cohort(clients, 2), LocalSGDConfig(2, 2, 0.1), rng)
+        assert not betas.any() and (params == 0.3).all()
+        assert rng.bit_generator.state == state
+
+
+_ALL_ONES = 2**64 - 1
+
+
+class TestMinibatchOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 30) | st.integers(1, _TAGS + 1), min_size=1, max_size=5),
+           batch_size=st.integers(1, 40) | st.integers(1, 3000),
+           key=st.integers(0, 2**32 - 1),
+           distinct=st.sampled_from([1, 2, 5, 2**53]),
+           all_ones=st.sampled_from([0.0, 0.1, 1.0]))
+    # one client at the edge of the tags, alone and with another that
+    # takes the cohort past _TAGS rows; then one client past it
+    @example(sizes=[_TAGS], batch_size=1000, key=1, distinct=2, all_ones=0.1)
+    @example(sizes=[_TAGS, 1], batch_size=_TAGS, key=2, distinct=1, all_ones=0.1)
+    @example(sizes=[_TAGS - 1, 1], batch_size=7, key=3, distinct=5, all_ones=0.1)
+    @example(sizes=[_TAGS + 1], batch_size=1000, key=4, distinct=2, all_ones=0.1)
+    @example(sizes=[3, _TAGS + 1], batch_size=_TAGS + 1, key=5, distinct=1, all_ones=1.0)
+    def test_each_client_in_the_stable_order_of_its_keys(self, sizes, batch_size, key,
+                                                          distinct, all_ones):
+        # words tie in their high 53 bits when drawn from few values, and
+        # sit at 2**64 - 1, where a padding word sits too
+        rng = make_rng(key)
+        n = sum(sizes)
+        highs = rng.integers(0, 2**53, size=min(distinct, n), dtype=np.uint64)
+        highs[-1] = 2**53 - 1
+        raw = highs[rng.integers(0, highs.shape[0], size=n)] << np.uint64(11)
+        raw |= rng.integers(0, _TAGS, size=n, dtype=np.uint64)
+        raw[rng.random(n) < all_ones] = _ALL_ONES
+        schedule = _schedule(np.array(sizes, dtype=np.int64).tobytes(), batch_size)
+        order = _minibatch_order(raw.copy(), schedule)
+        assert order.shape == (len(sizes), schedule.n_steps * schedule.width)
+        start = 0
+        for k, size in enumerate(sizes):
+            keys = (raw[start:start + size] >> 11) * 2.0**-53
+            expected = start + np.argsort(keys, kind="stable")
+            assert order[k, :size].tolist() == expected.tolist()
+            start += size

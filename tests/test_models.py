@@ -21,6 +21,7 @@ from agfed.models import (
     batch_losses,
     check_batch,
     check_labels,
+    class_dtype,
     grad_weighted,
     predict_classes,
 )
@@ -240,6 +241,18 @@ class TestLogisticNumerics:
             xb = _rows(rng.standard_normal((n, dim)))
         expected = np.argmax(xb @ w.reshape(classes, dim + 1).T, axis=1)
         assert np.array_equal(predict_classes(spec, w, xb), expected)
+
+    @pytest.mark.parametrize("classes", [2, 256, 257])
+    def test_classes_come_in_class_dtype(self, classes):
+        # up to 256 classes the first comparison's bools are viewed as the
+        # one-byte classes; from 257 on they are cast to two bytes
+        spec = ModelSpec("logistic", input_dim=2, num_classes=classes)
+        rng = make_rng(classes)
+        w = rng.standard_normal(spec.param_count)
+        xb = _rows(rng.standard_normal((50, 2)))
+        predicted = predict_classes(spec, w, xb)
+        assert predicted.dtype == class_dtype(spec)
+        assert np.array_equal(predicted, np.argmax(xb @ w.reshape(classes, 3).T, axis=1))
 
 
 class TestGradWeightedShapes:
