@@ -229,14 +229,13 @@ def client_update(
     if skipped.all():
         return params, betas
     schedule = _schedule(cohort.sizes.tobytes(), cfg.batch_size)
-    m = len(cohort)
     # a skipped client's rows weigh 0, so it steps by +-0 and is divided by 1
     divisors = np.where(skipped, 1.0, betas)[:, None]
     sample_weights = alpha[cohort.domains]
     random_raw = rng.bit_generator.random_raw
     for _ in range(cfg.epochs):
         batches = _minibatch_order(random_raw(cohort.owners.shape[0]), schedule).reshape(
-            m, schedule.n_steps, schedule.width)
+            -1, schedule.n_steps, schedule.width)
         for s, clients, rows in schedule.groups:
             idx = batches[clients, s, :rows]
             # take gives fancy indexing's rows in a fraction of the time

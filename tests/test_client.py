@@ -564,9 +564,6 @@ class TestRandomKeys:
         assert rng.bit_generator.state == state
 
 
-_ALL_ONES = 2**64 - 1
-
-
 class TestMinibatchOrder:
     @settings(max_examples=150, deadline=None)
     @given(sizes=st.lists(st.integers(1, 30) | st.integers(1, _TAGS + 1), min_size=1, max_size=5),
@@ -574,8 +571,9 @@ class TestMinibatchOrder:
            key=st.integers(0, 2**32 - 1),
            distinct=st.sampled_from([1, 2, 5, 2**53]),
            all_ones=st.sampled_from([0.0, 0.1, 1.0]))
-    # one client at the edge of the tags, alone and with another that
-    # takes the cohort past _TAGS rows; then one client past it
+    # a client of _TAGS rows, in 3000 slots, alone and in a cohort of
+    # _TAGS + 1 rows; a cohort of _TAGS rows; a client of _TAGS + 1 rows,
+    # alone and beside a padded one
     @example(sizes=[_TAGS], batch_size=1000, key=1, distinct=2, all_ones=0.1)
     @example(sizes=[_TAGS, 1], batch_size=_TAGS, key=2, distinct=1, all_ones=0.1)
     @example(sizes=[_TAGS - 1, 1], batch_size=7, key=3, distinct=5, all_ones=0.1)
@@ -591,7 +589,7 @@ class TestMinibatchOrder:
         highs[-1] = 2**53 - 1
         raw = highs[rng.integers(0, highs.shape[0], size=n)] << np.uint64(11)
         raw |= rng.integers(0, _TAGS, size=n, dtype=np.uint64)
-        raw[rng.random(n) < all_ones] = _ALL_ONES
+        raw[rng.random(n) < all_ones] = 2**64 - 1
         schedule = _schedule(np.array(sizes, dtype=np.int64).tobytes(), batch_size)
         order = _minibatch_order(raw.copy(), schedule)
         assert order.shape == (len(sizes), schedule.n_steps * schedule.width)
