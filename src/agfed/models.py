@@ -203,10 +203,7 @@ def predict_classes(spec: ModelSpec, w: np.ndarray, xb: np.ndarray) -> np.ndarra
     ``w`` and ``xb``.
     """
     logits = w.reshape(spec.num_classes, spec.input_dim + 1) @ xb.T
-    dtype = class_dtype(spec)
-    best = logits[1] > logits[0]
-    # a bool is one byte of 0 or 1, so a one-byte class type needs no copy
-    best = best.view(dtype) if dtype.itemsize == 1 else best.astype(dtype)
+    best = (logits[1] > logits[0]).astype(class_dtype(spec))
     top = logits[0]
     for c in range(2, spec.num_classes):
         top = np.maximum(top, logits[c - 1])

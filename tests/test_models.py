@@ -244,8 +244,7 @@ class TestLogisticNumerics:
 
     @pytest.mark.parametrize("classes", [2, 256, 257])
     def test_classes_come_in_class_dtype(self, classes):
-        # up to 256 classes the first comparison's bools are viewed as the
-        # one-byte classes; from 257 on they are cast to two bytes
+        # one byte of classes up to 256 classes, two from 257 on
         spec = ModelSpec("logistic", input_dim=2, num_classes=classes)
         rng = make_rng(classes)
         w = rng.standard_normal(spec.param_count)
