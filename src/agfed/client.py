@@ -34,14 +34,16 @@ never made: ``random`` makes each key from a 64-bit word as
 ``(word >> 11) * 2**-53``, and ``bit_generator.random_raw`` draws the
 same words and leaves the generator in the same state. The high 53
 bits of the words order them as the keys are ordered, so the low 11
-bits are free for a tag that breaks ties in row order: the row's slot
-in its client's row. All orders come from one row-wise sort of the
+bits are free for a tag that breaks ties in row order. The tag is the
+row's place in the cohort when the cohort holds at most 2048 rows, and
+else its slot in its client's row, to which the client's first row is
+added after the sort. All orders come from one row-wise sort of the
 (clients x slots) uint64 words, padded past each client's size with
-words of all ones; the sorted words' tags, plus each client's first
-cohort row, are the orders. They are those of a stable argsort of
-``random``'s keys, ties included. A client of more than 2048 rows has
-slots that need more than 11 bits; its cohort takes a stable argsort of
-the 53-bit keys instead, with padding above every key. The clients step in lockstep: step s of an
+words of all ones, and the sorted words' tags are the orders. They are
+those of a stable argsort of ``random``'s keys, ties included. A
+client of more than 2048 rows has slots that need more than 11 bits;
+its cohort takes a stable argsort of the 53-bit keys instead, with
+padding above every key. The clients step in lockstep: step s of an
 epoch takes every client's s-th minibatch in one ``grad_weighted`` call
 per minibatch size (one call when the clients are of equal size). A client
 with fewer rows than another runs out of minibatches first and sits the
@@ -129,7 +131,7 @@ _LEFT_TO_RIGHT = 7
 
 # ``Generator.random`` keeps the high 53 bits of a 64-bit word as a key
 # (test_client.py pins it), so the low _TAG_BITS are free to number a
-# client's slots when it has at most _TAGS
+# client's slots, or the cohort's rows, when there are at most _TAGS
 _TAG_BITS = 11
 _TAGS = 1 << _TAG_BITS
 _TAG_MASK = np.uint64(_TAGS - 1)
@@ -233,8 +235,8 @@ def client_update(
     starts = cohort.offsets[:-1, None]
     random_raw = rng.bit_generator.random_raw
     for _ in range(cfg.epochs):
-        slots = _minibatch_order(random_raw(cohort.owners.shape[0]), schedule)
-        batches = (starts + slots).reshape(-1, schedule.n_steps, schedule.width)
+        batches = _minibatch_order(random_raw(cohort.owners.shape[0]), schedule, starts).reshape(
+            -1, schedule.n_steps, schedule.width)
         for s, clients, rows in schedule.groups:
             idx = batches[clients, s, :rows]
             # take gives fancy indexing's rows in a fraction of the time
@@ -260,6 +262,7 @@ class _Schedule(NamedTuple):
     # into an epoch's words, read-only
     tags: np.ndarray
     wide: bool                 # a client holds more than _TAGS rows
+    by_row: bool               # the tags number cohort rows, not slots
 
 
 @functools.lru_cache(maxsize=16)
@@ -285,26 +288,33 @@ def _schedule(sizes: bytes, batch_size: int) -> _Schedule:
     slots = np.arange(n_steps * width)
     filled = slots < sizes[:, None]
     wide = largest > _TAGS
-    # a slot that does not fit in a tag gets tag 0, which leaves its key
-    # as it is, and padding 2**53, above every key
-    index, pad = (0, 1 << 53) if wide else (slots, 2**64 - 1)
+    by_row = int(sizes.sum()) <= _TAGS
+    if wide:
+        # a slot does not fit in a tag: tag 0 leaves a row's key as it is,
+        # and 2**53 puts padding above every key
+        index, pad = 0, 1 << 53
+    elif by_row:
+        # the sort gives cohort rows, so no client's first row is added after it
+        index, pad = (sizes.cumsum() - sizes)[:, None] + slots, 2**64 - 1
+    else:
+        index, pad = slots, 2**64 - 1
     tags = np.where(filled, np.asarray(index, dtype=np.uint64), np.uint64(pad))
     filled.flags.writeable = False
     tags.flags.writeable = False
     if filled.all():
         filled = None
-    return _Schedule(width, n_steps, tuple(groups), filled, tags, wide)
+    return _Schedule(width, n_steps, tuple(groups), filled, tags, wide, by_row)
 
 
-def _minibatch_order(raw: np.ndarray, schedule: _Schedule) -> np.ndarray:
-    """Every client's slots in the stable order of their rows' keys, from an epoch's words.
+def _minibatch_order(raw: np.ndarray, schedule: _Schedule, starts: np.ndarray) -> np.ndarray:
+    """Every client's cohort rows in the stable order of their keys, from an epoch's words.
 
     ``raw`` holds one ``random_raw`` word per cohort row, from which
-    ``Generator.random`` makes the row's key ``(word >> 11) * 2**-53``.
-    Row k of the (m, n_steps * width) result lists client k's slots, its
-    rows counted from its first, in the stable order of those keys,
-    followed by its padding slots, which hold no row. ``raw`` may be
-    overwritten.
+    ``Generator.random`` makes the row's key ``(word >> 11) * 2**-53``;
+    ``starts`` holds each client's first cohort row, (m, 1). Row k of the
+    (m, n_steps * width) result lists client k's rows in the stable order
+    of those keys, followed by its padding slots, which hold no cohort
+    row. ``raw`` may be overwritten.
     """
     filled, tags = schedule.filled, schedule.tags
     if filled is None:
@@ -316,13 +326,12 @@ def _minibatch_order(raw: np.ndarray, schedule: _Schedule) -> np.ndarray:
     if schedule.wide:
         keys = words >> _TAG_BITS
         keys |= tags
-        order = keys.argsort(axis=1, kind="stable")
-    else:
-        # a key's bits in the high 53, its slot's tag in the low 11, so
-        # equal keys keep row order; padding is all ones and sorts last
-        words &= ~_TAG_MASK
-        words |= tags
-        words.sort(axis=1)
-        words &= _TAG_MASK
-        order = words.view(np.int64)
-    return order
+        return starts + keys.argsort(axis=1, kind="stable")
+    # a key's bits in the high 53, its row's (or slot's) tag in the low 11,
+    # so equal keys keep row order; padding is all ones and sorts last
+    words &= ~_TAG_MASK
+    words |= tags
+    words.sort(axis=1)
+    words &= _TAG_MASK
+    order = words.view(np.int64)
+    return order if schedule.by_row else starts + order

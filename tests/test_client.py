@@ -384,13 +384,13 @@ def _rounds(draw):
 class TestCohortMatchesPerClientLoop:
     @settings(max_examples=200, deadline=None)
     @given(_rounds())
-    # the scale configs' cohort shape: 100 clients of 20 rows, no padding
+    # the scale configs' cohort shape: 2000 rows, each cohort row its own tag
     @example(_round_inputs("logistic", 2, 2, 2, [20] * 100, set(),
                            LocalSGDConfig(1, 20, 0.05), 31))
     # ragged, with padded slots and clients that skip
     @example(_round_inputs("logistic", 2, 3, 3, make_rng(32).integers(5, 31, 40).tolist(), {2},
                            LocalSGDConfig(2, 7, 0.05), 33))
-    # more than _TAGS cohort rows, no client of more than _TAGS
+    # more than _TAGS cohort rows, each client's slots tagged and offset after the sort
     @example(_round_inputs("scalar-regression", 1, 0, 2, [1500, 7, 700], set(),
                            LocalSGDConfig(1, 40, 0.05), 34))
     # a client of more than _TAGS rows: its keys are argsorted
@@ -571,9 +571,9 @@ class TestMinibatchOrder:
            key=st.integers(0, 2**32 - 1),
            distinct=st.sampled_from([1, 2, 5, 2**53]),
            all_ones=st.sampled_from([0.0, 0.1, 1.0]))
-    # a client of _TAGS rows, alone in 3000 slots and beside a padded one;
-    # a client of _TAGS - 1 rows; a client of _TAGS + 1 rows, alone and
-    # beside a padded one
+    # a client of _TAGS rows, in 3000 slots, alone and in a cohort of
+    # _TAGS + 1 rows; a cohort of _TAGS rows; a client of _TAGS + 1 rows,
+    # alone and beside a padded one
     @example(sizes=[_TAGS], batch_size=1000, key=1, distinct=2, all_ones=0.1)
     @example(sizes=[_TAGS, 1], batch_size=_TAGS, key=2, distinct=1, all_ones=0.1)
     @example(sizes=[_TAGS - 1, 1], batch_size=7, key=3, distinct=5, all_ones=0.1)
@@ -591,11 +591,12 @@ class TestMinibatchOrder:
         raw |= rng.integers(0, _TAGS, size=n, dtype=np.uint64)
         raw[rng.random(n) < all_ones] = 2**64 - 1
         schedule = _schedule(np.array(sizes, dtype=np.int64).tobytes(), batch_size)
-        order = _minibatch_order(raw.copy(), schedule)
+        starts = (np.cumsum(sizes) - sizes)[:, None]
+        order = _minibatch_order(raw.copy(), schedule, starts)
         assert order.shape == (len(sizes), schedule.n_steps * schedule.width)
         start = 0
         for k, size in enumerate(sizes):
             keys = (raw[start:start + size] >> 11) * 2.0**-53
-            expected = np.argsort(keys, kind="stable")
+            expected = start + np.argsort(keys, kind="stable")
             assert order[k, :size].tolist() == expected.tolist()
             start += size
